@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "problems/diagonal_problem.hpp"
+#include "support/byte_io.hpp"
 #include "support/crc32.hpp"
 #include "support/hash.hpp"
 
@@ -14,63 +15,11 @@ namespace {
 
 constexpr char kMagic[8] = {'S', 'E', 'A', 'C', 'K', 'P', 'T', '\0'};
 
-void PutU32(std::string& out, std::uint32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutU64(std::string& out, std::uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutF64(std::string& out, double v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutDoubles(std::string& out, const std::vector<double>& v) {
-  PutU64(out, v.size());
-  out.append(reinterpret_cast<const char*>(v.data()),
-             v.size() * sizeof(double));
-}
-
-// Bounds-checked sequential reader over the decoded byte range.
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool GetU32(std::uint32_t* v) { return GetRaw(v, sizeof(*v)); }
-  bool GetU64(std::uint64_t* v) { return GetRaw(v, sizeof(*v)); }
-  bool GetF64(double* v) { return GetRaw(v, sizeof(*v)); }
-  bool GetU8(std::uint8_t* v) { return GetRaw(v, sizeof(*v)); }
-
-  bool GetDoubles(std::vector<double>* v) {
-    std::uint64_t count = 0;
-    if (!GetU64(&count)) return false;
-    if (count > Remaining() / sizeof(double)) return false;
-    v->resize(static_cast<std::size_t>(count));
-    return GetRaw(v->data(), v->size() * sizeof(double));
-  }
-
-  bool GetBytes(std::vector<std::uint8_t>* v) {
-    std::uint64_t count = 0;
-    if (!GetU64(&count)) return false;
-    if (count > Remaining()) return false;
-    v->resize(static_cast<std::size_t>(count));
-    return GetRaw(v->data(), v->size());
-  }
-
-  std::size_t Remaining() const { return bytes_.size() - pos_; }
-
- private:
-  bool GetRaw(void* dst, std::size_t len) {
-    if (len > Remaining()) return false;
-    std::memcpy(dst, bytes_.data() + pos_, len);
-    pos_ += len;
-    return true;
-  }
-
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
+using support::ByteReader;
+using support::PutDoubles;
+using support::PutF64;
+using support::PutU32;
+using support::PutU64;
 
 CheckpointLoadResult Fail(DiagnosisCode code, std::string message) {
   CheckpointLoadResult r;
@@ -137,9 +86,9 @@ CheckpointLoadResult DecodeCheckpoint(std::string_view bytes) {
     return Fail(DiagnosisCode::kCheckpointMalformed,
                 "CRC mismatch (corrupt or truncated checkpoint)");
 
-  Reader r(bytes.substr(sizeof(kMagic) + sizeof(std::uint32_t),
-                        bytes.size() - sizeof(kMagic) -
-                            2 * sizeof(std::uint32_t)));
+  ByteReader r(bytes.substr(sizeof(kMagic) + sizeof(std::uint32_t),
+                            bytes.size() - sizeof(kMagic) -
+                                2 * sizeof(std::uint32_t)));
   CheckpointLoadResult out;
   CheckpointState& s = out.state;
   std::uint32_t criterion = 0;

@@ -5,10 +5,8 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 
-#include "equilibration/kernel_backend.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/market_stats.hpp"
 #include "obs/metrics.hpp"
@@ -66,10 +64,6 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
   const double cpu0 = ProcessCpuSeconds();
 
   SeaResult result;
-  // The backends resolve opts.backend themselves when building their sweep
-  // options; resolution is deterministic per process + environment, so
-  // re-resolving here names the same kernel the sweeps use.
-  result.kernel_backend = ResolveKernelBackend(opts.backend).kernel->name();
   bool have_snapshot = false;
 
   // Stall detection state: the previous check's measure and the run of
@@ -512,13 +506,7 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
     m.GetCounter("sea.ops.breakpoints").Add(ops_rest.breakpoints);
     m.GetCounter("sea.ops.inversions").Add(ops_rest.inversions);
     m.GetCounter("sea.sweep.order_reuses").Add(result.order_reuses);
-    // Per-backend market-solve counters plus a which-backend gauge
-    // (docs/OBSERVABILITY.md): 0 = scalar, 1 = simd.
-    m.GetCounter(std::string("sea.kernel.") + result.kernel_backend +
-                 ".markets")
-        .Add(result.kernel_markets);
-    m.GetGauge("sea.kernel.backend")
-        .Set(std::string_view(result.kernel_backend) == "simd" ? 1.0 : 0.0);
+    m.GetCounter("sea.kernel.scalar.markets").Add(result.kernel_markets);
     m.GetCounter("sea.solves").Add(1);
     if (result.converged()) m.GetCounter("sea.solves_converged").Add(1);
     m.GetCounter(std::string("solver.status.") + ToString(result.status))

@@ -34,10 +34,7 @@ struct SeaResult {
   // Market solves answered by repairing a persisted breakpoint order
   // (SortPolicy::kReuse); 0 under the other sort policies.
   std::uint64_t order_reuses = 0;
-  // Kernel backend that executed the market solves ("scalar" or "simd";
-  // stable string literal from KernelBackend::name), and how many market
-  // solves it performed across all sweeps.
-  const char* kernel_backend = "scalar";
+  // Market solves performed across all sweeps.
   std::uint64_t kernel_markets = 0;
   // Recovery-ladder provenance (docs/ROBUSTNESS.md "Recovery ladder"):
   // how many guardrail trips (stall / numerical breakdown) were rescued

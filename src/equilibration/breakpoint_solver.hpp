@@ -34,12 +34,15 @@
 // are broken by original arc index in EVERY policy, so all sort paths produce
 // one total order and bit-identical clearing multipliers.
 //
-// Since the multi-backend refactor (docs/KERNELS.md), the workspace holds the
-// market as a structure of arrays (contiguous p[], q[] the caller fills, plus
-// breakpoint/sort/sweep scratch) and the solve itself lives behind the
-// runtime sea::KernelBackend interface (equilibration/kernel_backend.hpp).
-// The free functions below are thin compatibility shims over the scalar
-// backend.
+// Layout: the workspace holds the market as a structure of arrays (contiguous
+// p[], q[] the caller fills, plus breakpoint/sort/sweep scratch). The
+// elementwise stages — arc construction, breakpoints, allocation writeback —
+// are plain functions below that the sweeps (equilibration/equilibrator.hpp,
+// sparse/sparse_sea.hpp) call directly around SolveMarket. Their arithmetic
+// is fixed (docs/KERNELS.md): breakpoint_solver.cpp is compiled with
+// -ffp-contract=off, ties break by arc index, and the prefix sums of the
+// sweep are sequential, so every sort policy and every thread count clears
+// each market to the same bits.
 #pragma once
 
 #include <cstddef>
@@ -51,8 +54,6 @@
 #include "support/op_counter.hpp"
 
 namespace sea {
-
-class KernelBackend;
 
 // One allocation arc of the market: x_j(lambda) = max(0, p + q*lambda).
 // Convenience AoS view for tests and one-off callers; the hot paths fill the
@@ -107,11 +108,22 @@ struct SortKey {
 
 }  // namespace detail
 
+class BreakpointWorkspace;
+
+// Solves sum_j max(0, p_j + q_j*lambda) = u + v*lambda over the market
+// currently in ws. Preconditions: all q_j > 0, v <= 0, and u >= 0 when
+// v == 0. The p/q arrays are left unchanged. With policy == kReuse and a
+// non-null order, the previous permutation seeds the sort (see header
+// comment); the updated permutation is written back to *order.
+BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
+                             SortPolicy policy = SortPolicy::kAuto,
+                             MarketOrder* order = nullptr);
+
 // Reusable per-worker scratch arena for market solves; reuse across calls to
 // avoid per-market allocation on the hot path. The market itself is the SoA
 // pair p()/q(): callers Resize() then fill the spans (typically through
-// KernelBackend::BuildArcs), and the solver keeps its breakpoint, sort-key,
-// and sorted-sweep arrays alongside.
+// BuildArcs), and SolveMarket keeps its breakpoint, sort-key, and
+// sorted-sweep arrays alongside.
 class BreakpointWorkspace {
  public:
   // Sizes the market to n arcs; existing p/q contents beyond n are dropped.
@@ -144,29 +156,20 @@ class BreakpointWorkspace {
   }
 
  private:
-  friend class KernelBackend;
+  friend BreakpointResult SolveMarket(BreakpointWorkspace&, double, double,
+                                      SortPolicy, MarketOrder*);
   std::size_t n_ = 0;
   // The market bundle (caller-filled; only the first n_ entries are live).
   std::vector<double> p_;
   std::vector<double> q_;
   // Solver scratch: unsorted breakpoints, sort keys, and the sorted SoA view
-  // (padded by simd::kPadLanes so vector sweeps may run past the end).
+  // (one sentinel element past the end: bs = +inf, ps = qs = 0).
   std::vector<double> b_;
   std::vector<detail::SortKey> keys_;
   std::vector<double> bs_;
   std::vector<double> ps_;
   std::vector<double> qs_;
 };
-
-// Solves sum_j max(0, p_j + q_j*lambda) = u + v*lambda over the market
-// currently in ws. Preconditions: all q_j > 0, v <= 0, and u >= 0 when
-// v == 0. The p/q arrays are left unchanged. With policy == kReuse and a
-// non-null order, the previous permutation seeds the sort (see header
-// comment); the updated permutation is written back to *order.
-// Compatibility shim over ScalarKernel().Solve (kernel_backend.hpp).
-BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
-                             SortPolicy policy = SortPolicy::kAuto,
-                             MarketOrder* order = nullptr);
 
 // Interval-total variant (Harrigan & Buchanan 1984 extension): clears
 // against the *clamped* response
@@ -177,7 +180,6 @@ BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
 // constrained (lo <= total <= hi). Requires v < 0 and 0 <= lo <= hi. The
 // left side is nondecreasing and the right side nonincreasing, so the
 // crossing is unique; it is found by testing the three response pieces.
-// Compatibility shim over ScalarKernel().SolveBox (kernel_backend.hpp).
 BreakpointResult SolveMarketBox(BreakpointWorkspace& ws, double u, double v,
                                 double lo, double hi,
                                 SortPolicy policy = SortPolicy::kAuto,
@@ -185,10 +187,34 @@ BreakpointResult SolveMarketBox(BreakpointWorkspace& ws, double u, double v,
 
 // Evaluates sum_j max(0, p_j + q_j*lambda) — the left-hand side of the
 // clearing equation, used by tests and by callers that need allocations
-// after solving. Sequential summation (order-dependent), deliberately NOT a
-// backend method.
+// after solving. Sequential summation (order-dependent).
 double EvaluateSupply(std::span<const Arc> arcs, double lambda);
 double EvaluateSupply(std::span<const double> p, std::span<const double> q,
                       double lambda);
+
+// ---- Elementwise stages. All spans are length n unless noted; outputs may
+// not alias inputs.
+
+// p[j] = centers[j] + other_mult[j]*q[j], q[j] = 1/(2*weights[j]).
+void BuildArcs(std::span<const double> centers,
+               std::span<const double> weights,
+               std::span<const double> other_mult, std::span<double> p,
+               std::span<double> q);
+
+// Sparse-row (CSR) variant: other_mult is indexed through cols.
+void BuildArcsGather(std::span<const double> centers,
+                     std::span<const double> weights,
+                     std::span<const double> other_mult,
+                     std::span<const std::size_t> cols, std::span<double> p,
+                     std::span<double> q);
+
+// b[j] = -p[j]/q[j] (exact negation, then division).
+void Breakpoints(std::span<const double> p, std::span<const double> q,
+                 std::span<double> b);
+
+// x[j] = max(0, p[j] + q[j]*lambda), with std::max(0.0, v) semantics: +0.0
+// for v in {-0.0, NaN}.
+void Writeback(std::span<const double> p, std::span<const double> q,
+               double lambda, std::span<double> x);
 
 }  // namespace sea

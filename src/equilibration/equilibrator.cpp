@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "equilibration/kernel_backend.hpp"
 #include "obs/market_stats.hpp"
 #include "obs/profiler.hpp"
 #include "parallel/parallel_for.hpp"
@@ -40,18 +39,16 @@ BreakpointResult EquilibrateMarket(std::span<const double> centers,
                                    std::span<const double> other_mult,
                                    double u, double v, BreakpointWorkspace& ws,
                                    std::span<double> x_out,
-                                   SortPolicy policy, MarketOrder* order,
-                                   const KernelBackend* kernel) {
+                                   SortPolicy policy, MarketOrder* order) {
   SEA_DCHECK(centers.size() == weights.size());
   SEA_DCHECK(centers.size() == other_mult.size());
-  const KernelBackend& kb = kernel != nullptr ? *kernel : ScalarKernel();
   ws.Resize(centers.size());
-  kb.BuildArcs(centers, weights, other_mult, ws.p(), ws.q());
-  BreakpointResult res = kb.Solve(ws, u, v, policy, order);
+  BuildArcs(centers, weights, other_mult, ws.p(), ws.q());
+  BreakpointResult res = SolveMarket(ws, u, v, policy, order);
   res.ops.flops += 2 * centers.size();  // arc construction
   if (!x_out.empty()) {
     SEA_DCHECK(x_out.size() == centers.size());
-    kb.Writeback(ws.p(), ws.q(), res.lambda, x_out);
+    Writeback(ws.p(), ws.q(), res.lambda, x_out);
     res.ops.flops += 2 * centers.size();
   }
   return res;
@@ -85,8 +82,6 @@ SweepStats EquilibrateSide(const DenseMatrix& centers,
     SEA_CHECK_MSG(opts.sort_cache->size() == markets,
                   "sort cache not sized for this sweep side");
 
-  const KernelBackend& kb =
-      opts.kernel != nullptr ? *opts.kernel : ScalarKernel();
   const std::size_t workers = WorkerCount(opts.pool);
   std::vector<BreakpointWorkspace> ws(workers);
   std::vector<OpCounts> worker_ops(workers);
@@ -118,18 +113,18 @@ SweepStats EquilibrateSide(const DenseMatrix& centers,
       BreakpointResult res;
       if (side.mode == TotalsMode::kInterval) {
         wksp.Resize(arcs);
-        kb.BuildArcs(centers.Row(i), weights.Row(i), other_mult, wksp.p(),
-                     wksp.q());
-        res = kb.SolveBox(wksp, u, v, side.lo[i], side.hi[i], opts.sort_policy,
-                          order);
+        BuildArcs(centers.Row(i), weights.Row(i), other_mult, wksp.p(),
+                  wksp.q());
+        res = SolveMarketBox(wksp, u, v, side.lo[i], side.hi[i],
+                             opts.sort_policy, order);
         res.ops.flops += 2 * arcs;
         if (!xrow.empty()) {
-          kb.Writeback(wksp.p(), wksp.q(), res.lambda, xrow);
+          Writeback(wksp.p(), wksp.q(), res.lambda, xrow);
           res.ops.flops += 2 * arcs;
         }
       } else {
         res = EquilibrateMarket(centers.Row(i), weights.Row(i), other_mult, u,
-                                v, wksp, xrow, opts.sort_policy, order, &kb);
+                                v, wksp, xrow, opts.sort_policy, order);
       }
       SEA_INTERNAL_CHECK(res.feasible);
       mult_out[i] = res.lambda;

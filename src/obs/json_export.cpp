@@ -121,7 +121,9 @@ std::string ToJson(const SeaResult& r) {
       .Field("col_phase_seconds", r.col_phase_seconds)
       .Field("check_phase_seconds", r.check_phase_seconds)
       .Field("order_reuses", r.order_reuses)
-      .Field("kernel_backend", r.kernel_backend)
+      // One market kernel; the field stays so schema-4 readers parse
+      // unchanged.
+      .Field("kernel_backend", "scalar")
       .Field("kernel_markets", r.kernel_markets)
       .Field("recovered_count", r.recovered_count)
       .Raw("recovery_rungs", rungs.Str())

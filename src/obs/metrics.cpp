@@ -218,8 +218,6 @@ const char* PromHelp(const std::string& name) {
       {"sea.check.residual", "Stopping-measure values at convergence checks."},
       {"sea.check.interval_iters",
        "Iterations elapsed between consecutive checks."},
-      {"sea.kernel.backend",
-       "Kernel backend in use (0 = scalar, 1 = simd)."},
       {"sea.row_phase_seconds", "Wall seconds in parallel row phases."},
       {"sea.col_phase_seconds", "Wall seconds in parallel column phases."},
       {"sea.check_phase_seconds",

@@ -53,7 +53,7 @@ std::string RenderWideEvent(const SolveWideEvent& event) {
       .Field("threads", event.threads)
       .Field("schedule", event.schedule)
       .Field("sort", event.sort)
-      .Field("backend", event.backend)
+      .Field("backend", "scalar")  // one kernel; kept for schema-4 readers
       .Field("options_fingerprint", HexU64(event.options_fingerprint))
       .Field("status", event.status)
       .Field("exit_code", event.exit_code)

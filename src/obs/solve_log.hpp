@@ -41,7 +41,6 @@ struct SolveWideEvent {
   std::uint64_t threads = 0;
   std::string schedule;
   std::string sort;
-  std::string backend;        // kernel backend that actually ran
   // FNV-1a over the option set that affects the numerics, rendered as hex
   // — two rows with equal fingerprints ran comparable configurations.
   std::uint64_t options_fingerprint = 0;

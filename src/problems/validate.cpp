@@ -24,8 +24,6 @@ const char* ToString(DiagnosisCode code) {
       return "zero-support-row";
     case DiagnosisCode::kZeroSupportCol:
       return "zero-support-col";
-    case DiagnosisCode::kBackendUnavailable:
-      return "backend-unavailable";
     case DiagnosisCode::kCheckpointMalformed:
       return "checkpoint-malformed";
     case DiagnosisCode::kCheckpointVersionSkew:

@@ -38,10 +38,6 @@ enum class DiagnosisCode {
   kTotalsImbalance,   // fixed regime: Σs != Σd
   kZeroSupportRow,    // row of zeros with a positive required total
   kZeroSupportCol,    // column of zeros with a positive required total
-  // Not an input defect: a requested kernel backend (--backend simd /
-  // SEA_BACKEND) that this build or CPU cannot run; the solve proceeds on
-  // the scalar backend and tools surface this as a warning.
-  kBackendUnavailable,
   // Checkpoint-file defects (src/core/checkpoint.hpp). Malformed covers
   // bad magic, truncation, and CRC mismatch; version skew is a well-formed
   // file written by an incompatible format revision; mismatch is a valid

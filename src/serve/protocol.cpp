@@ -8,6 +8,7 @@
 
 #include "obs/bench_reader.hpp"
 #include "obs/json_export.hpp"
+#include "support/byte_io.hpp"
 #include "support/check.hpp"
 #include "support/crc32.hpp"
 
@@ -23,54 +24,11 @@ constexpr char kMagic[8] = {'S', 'E', 'A', 'S', 'O', 'L', 'V', '\0'};
 // corrupt. 16M cells = 128 MiB of doubles per matrix.
 constexpr std::uint64_t kMaxCells = 16ull << 20;
 
-void PutU32(std::string& out, std::uint32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutU64(std::string& out, std::uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutF64(std::string& out, double v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutDoubles(std::string& out, std::span<const double> v) {
-  PutU64(out, v.size());
-  out.append(reinterpret_cast<const char*>(v.data()),
-             v.size() * sizeof(double));
-}
-
-// Bounds-checked sequential reader (same shape as the checkpoint codec's).
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool GetU32(std::uint32_t* v) { return GetRaw(v, sizeof(*v)); }
-  bool GetU64(std::uint64_t* v) { return GetRaw(v, sizeof(*v)); }
-  bool GetF64(double* v) { return GetRaw(v, sizeof(*v)); }
-
-  bool GetDoubles(std::vector<double>* v) {
-    std::uint64_t count = 0;
-    if (!GetU64(&count)) return false;
-    if (count > Remaining() / sizeof(double)) return false;
-    v->resize(static_cast<std::size_t>(count));
-    return GetRaw(v->data(), v->size() * sizeof(double));
-  }
-
-  std::size_t Remaining() const { return bytes_.size() - pos_; }
-
- private:
-  bool GetRaw(void* dst, std::size_t len) {
-    if (len > Remaining()) return false;
-    std::memcpy(dst, bytes_.data() + pos_, len);
-    pos_ += len;
-    return true;
-  }
-
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
+using support::ByteReader;
+using support::PutDoubles;
+using support::PutF64;
+using support::PutU32;
+using support::PutU64;
 
 DecodedRequest Fail(std::string why) {
   DecodedRequest r;
@@ -190,7 +148,7 @@ DecodedRequest DecodeRequestFrame(std::string_view bytes) {
       support::Crc32(bytes.data(), bytes.size() - sizeof(stored_crc)))
     return Fail("CRC mismatch (corrupt or truncated solve frame)");
 
-  Reader r(bytes.substr(
+  ByteReader r(bytes.substr(
       sizeof(kMagic) + sizeof(std::uint32_t),
       bytes.size() - sizeof(kMagic) - 2 * sizeof(std::uint32_t)));
   std::uint32_t mode = 0, criterion = 0, flags = 0;

@@ -188,7 +188,6 @@ void SolveService::Record(const SolveRequest& request,
     ev.epsilon = request.epsilon;
     ev.criterion = ToString(request.criterion);
     ev.threads = 1;
-    ev.backend = out.result.kernel_backend;
     {
       support::Fnv1a fp;
       fp.MixU64('s');  // serving-plane option space

@@ -8,7 +8,6 @@
 #include "core/iteration_engine.hpp"
 #include "core/stopping.hpp"
 #include "equilibration/equilibrator.hpp"
-#include "equilibration/kernel_backend.hpp"
 #include "obs/market_stats.hpp"
 #include "obs/profiler.hpp"
 #include "parallel/parallel_for.hpp"
@@ -71,8 +70,6 @@ SweepStats SparseSweep(const SparseMatrix& centers, const SparseMatrix& weights,
   ScheduleSpec sched;
   if (opts.scheduler != nullptr) sched = opts.scheduler->Next(markets, workers);
 
-  const KernelBackend& kb =
-      opts.kernel != nullptr ? *opts.kernel : ScalarKernel();
   const char* phase =
       opts.profile_phase != nullptr ? opts.profile_phase : "equilibrate.sweep";
   // Dynamic schedules invoke the body once per claimed chunk: accumulate
@@ -89,19 +86,18 @@ SweepStats SparseSweep(const SparseMatrix& centers, const SparseMatrix& weights,
       if (attr != nullptr) market_sw.Restart();
       const auto cols = centers.RowCols(i);
       wksp.Resize(cols.size());
-      kb.BuildArcsGather(centers.RowValues(i), weights.RowValues(i),
-                         other_mult, cols, wksp.p(), wksp.q());
+      BuildArcsGather(centers.RowValues(i), weights.RowValues(i), other_mult,
+                      cols, wksp.p(), wksp.q());
       double u = 0.0, v = 0.0;
       ClearingTarget(side, i, u, v);
       MarketOrder* order =
           opts.sort_cache != nullptr ? opts.sort_cache->At(i) : nullptr;
-      BreakpointResult res = kb.Solve(wksp, u, v, opts.sort_policy, order);
+      BreakpointResult res = SolveMarket(wksp, u, v, opts.sort_policy, order);
       res.ops.flops += 2 * cols.size();
       SEA_INTERNAL_CHECK(res.feasible);
       mult_out[i] = res.lambda;
       if (x_out != nullptr) {
-        kb.Writeback(wksp.p(), wksp.q(), res.lambda,
-                     x_out->MutableRowValues(i));
+        Writeback(wksp.p(), wksp.q(), res.lambda, x_out->MutableRowValues(i));
         res.ops.flops += 2 * cols.size();
       }
       if (attr != nullptr)
@@ -165,7 +161,6 @@ class SparseBackend final : public SeaIterationBackend {
     sweep_opts_.sort_policy = opts.sort_policy;
     sweep_opts_.pool = opts.pool;
     sweep_opts_.record_task_costs = opts.record_trace;
-    sweep_opts_.kernel = ResolveKernelBackend(opts.backend).kernel;
     sweep_opts_.attribution = opts.attribution;
     if (opts.attribution != nullptr) opts.attribution->Reset(p.m(), p.n());
     if (opts.sweep_schedule != ScheduleKind::kStatic) {

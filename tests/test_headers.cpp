@@ -24,7 +24,6 @@
 #include "entropy/entropy_sea.hpp"
 #include "equilibration/breakpoint_solver.hpp"
 #include "equilibration/equilibrator.hpp"
-#include "equilibration/kernel_backend.hpp"
 #include "io/csv.hpp"
 #include "io/experiment_record.hpp"
 #include "io/table_printer.hpp"
@@ -46,10 +45,10 @@
 #include "sparse/sparse_sea.hpp"
 #include "spe/spatial_price.hpp"
 #include "spe/spe_generator.hpp"
+#include "support/byte_io.hpp"
 #include "support/check.hpp"
 #include "support/op_counter.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "support/stopwatch.hpp"
 
 #include <gtest/gtest.h>

@@ -2,7 +2,11 @@
 // solve -> verification) and cross-algorithm agreement on shared instances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "baselines/bachem_korte.hpp"
 #include "baselines/ras.hpp"
@@ -18,11 +22,108 @@
 #include "datasets/weights.hpp"
 #include "parallel/thread_pool.hpp"
 #include "problems/feasibility.hpp"
+#include "sparse/sparse_sea.hpp"
 #include "spe/spe_generator.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 
 namespace sea {
 namespace {
+
+// Pinned numerics: the FNV-1a of the primal and the multipliers of one
+// dense fixed, one dense elastic, one sparse and one box-constrained market
+// solve, under default options apart from a tight epsilon. The hex values
+// were recorded before the market kernel was consolidated into one
+// implementation; any change to the kernel's arithmetic (operation order,
+// FMA contraction, tie breaking, prefix-sum order) moves them. Recorded on
+// x86-64, whose baseline instruction set has no FMA to fuse into.
+std::string Hex(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::string HashDense(const DiagonalSeaRun& run) {
+  support::Fnv1a h;
+  h.MixDoubles(run.solution.x.Flat());
+  h.MixDoubles(run.solution.lambda);
+  h.MixDoubles(run.solution.mu);
+  h.MixU64(run.result.iterations);
+  return Hex(h.value());
+}
+
+TEST(Integration, PinnedKernelBits) {
+  SeaOptions o;
+  o.epsilon = 1e-8;
+  Rng rng(0x5EA6);
+  const std::size_t m = 23, n = 17;
+  DenseMatrix x0(m, n), gamma(m, n);
+  for (double& v : x0.Flat()) v = rng.Uniform(0.0, 100.0);
+  for (double& v : gamma.Flat()) v = rng.Uniform(1e-2, 1e2);
+  Vector s0 = x0.RowSums(), d0 = x0.ColSums();
+  for (double& v : s0) v *= 1.3;
+  for (double& v : d0) v *= 1.3;
+
+  const auto fixed =
+      SolveDiagonal(DiagonalProblem::MakeFixed(x0, gamma, s0, d0), o);
+  ASSERT_TRUE(fixed.result.converged());
+  EXPECT_EQ(HashDense(fixed), "7440eba5e850937f");
+
+  const auto elastic = SolveDiagonal(
+      DiagonalProblem::MakeElastic(x0, gamma, s0,
+                                   rng.UniformVector(m, 0.1, 5.0), d0,
+                                   rng.UniformVector(n, 0.1, 5.0)),
+      o);
+  ASSERT_TRUE(elastic.result.converged());
+  EXPECT_EQ(HashDense(elastic), "10bc51080ffba8bc");
+
+  {
+    const std::size_t k = 40;
+    DenseMatrix sx0(k, k, 0.0), sgamma(k, k, 0.0);
+    for (double& v : sx0.Flat())
+      if (rng.Bernoulli(0.25)) v = rng.Uniform(0.1, 100.0);
+    for (std::size_t i = 0; i < k; ++i)
+      if (sx0(i, i) == 0.0) sx0(i, i) = 1.0;
+    for (std::size_t e = 0; e < sx0.size(); ++e)
+      if (sx0.Flat()[e] > 0.0) sgamma.Flat()[e] = 1.0 / sx0.Flat()[e];
+    const auto sparse = SolveSparse(
+        SparseDiagonalProblem::MakeFixed(SparseMatrix::FromDense(sx0),
+                                         SparseMatrix::FromDense(sgamma),
+                                         sx0.RowSums(), sx0.ColSums()),
+        o);
+    ASSERT_TRUE(sparse.result.converged());
+    support::Fnv1a h;
+    h.MixDoubles(sparse.solution.x.Values());
+    h.MixDoubles(sparse.solution.lambda);
+    h.MixDoubles(sparse.solution.mu);
+    h.MixU64(sparse.result.iterations);
+    EXPECT_EQ(Hex(h.value()), "8e030146a9f233b3");
+  }
+
+  // Box-constrained markets with duplicated arcs, so breakpoint ties are
+  // broken by arc index.
+  support::Fnv1a h;
+  BreakpointWorkspace ws;
+  for (std::size_t k : {1u, 2u, 6u, 17u, 120u, 300u}) {
+    std::vector<Arc> arcs(k);
+    for (auto& a : arcs)
+      a = {rng.Uniform(-100.0, 100.0), rng.Uniform(0.01, 5.0)};
+    for (std::size_t j = 3; j + 1 < k; j += 4) arcs[j + 1] = arcs[j];
+    const double u = rng.Uniform(-5.0, 2.0 * double(k));
+    const double lo = rng.Uniform(0.0, 0.5 * double(k));
+    const double hi = lo + rng.Uniform(0.0, double(k));
+    ws.Assign(arcs);
+    const auto r = SolveMarketBox(ws, u, -1.0, lo, hi);
+    std::vector<double> x(k);
+    for (std::size_t j = 0; j < k; ++j)
+      x[j] = std::max(0.0, arcs[j].p + arcs[j].q * r.lambda);
+    h.MixDoubles(x);
+    h.MixBytes(&r.lambda, sizeof(r.lambda));
+    h.MixU64(r.active_count);
+  }
+  EXPECT_EQ(Hex(h.value()), "e63acf2c0320b128");
+}
 
 TEST(Integration, ThreeAlgorithmsAgreeOnGeneralProblem) {
   // SEA, RC and B-K on the same Table 7-protocol instance must find the

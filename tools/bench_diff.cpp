@@ -16,11 +16,15 @@
 // Lower-is-better metrics (names containing "seconds", "iterations",
 // "sweeps", or "rss") flag a REGRESSION when the candidate exceeds the
 // baseline by more than the noise band, and an IMPROVEMENT when it drops
-// below it; other metrics are reported as CHANGED/ok. Schema-1 baselines
-// (no metadata) compare fine — provenance labels just print as "?".
+// below it; other metrics are reported as CHANGED/ok. Every schema version
+// compares, but the baseline must name the commit it was measured at: a
+// baseline whose git_sha is not 7-40 hex digits (missing, "unknown", or a
+// hand-written placeholder) is refused with exit 2, even under
+// --report-only, since a gate against invented numbers is no gate.
 //
-// Exit codes: 0 ok / within noise, 1 at least one regression, 2 usage,
-// 3 missing/malformed input.
+// Exit codes: 0 ok / within noise, 1 at least one regression, 2 usage or a
+// baseline without a real git sha, 3 missing/malformed input.
+#include <cctype>
 #include <cmath>
 #include <cstring>
 #include <iomanip>
@@ -48,6 +52,17 @@ std::string Label(const BenchDoc& doc) {
     return it != doc.meta.strings.end() ? it->second : std::string("?");
   };
   return get("git_sha") + " @ " + get("timestamp");
+}
+
+// True when the document's git_sha is an abbreviated or full commit id.
+bool HasRealSha(const BenchDoc& doc) {
+  const auto it = doc.meta.strings.find("git_sha");
+  if (it == doc.meta.strings.end()) return false;
+  const std::string& sha = it->second;
+  if (sha.size() < 7 || sha.size() > 40) return false;
+  for (const char c : sha)
+    if (!std::isxdigit(static_cast<unsigned char>(c))) return false;
+  return true;
 }
 
 const BenchRecord* Find(const BenchDoc& doc, const BenchRecord& want) {
@@ -115,6 +130,12 @@ int main(int argc, char** argv) {
       }
       base = base_docs.back();  // last line = most recent run
       cand = cand_docs.back();
+    }
+    if (!HasRealSha(base)) {
+      std::cerr << "error: baseline " << paths[0]
+                << " has no real git_sha (want 7-40 hex digits, got "
+                << Label(base) << ")\n";
+      return 2;
     }
 
     std::cout << "baseline:  " << Label(base) << '\n'
