@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <span>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/diagonal_sea.hpp"
 #include "parallel/thread_pool.hpp"
@@ -137,7 +141,7 @@ INSTANTIATE_TEST_SUITE_P(
                           StopCriterion::kResidualAbs,
                           StopCriterion::kResidualRel),
         ::testing::Values(SortPolicy::kAuto, SortPolicy::kInsertion,
-                          SortPolicy::kHeapsort),
+                          SortPolicy::kHeapsort, SortPolicy::kReuse),
         ::testing::Values<std::size_t>(1, 4)));
 
 // Determinism across repeated runs (same config => bit-identical solutions).
@@ -166,6 +170,74 @@ INSTANTIATE_TEST_SUITE_P(
                                          TotalsMode::kSam,
                                          TotalsMode::kInterval),
                        ::testing::Values<std::size_t>(1, 3)));
+
+// One market kernel, one total order: ties break by arc index under every
+// sort policy and prefix sums are sequential, so each market clears to the
+// same bits whatever the policy or thread count. Whole solves are then
+// bit-identical across configurations — every check's measure, the iterate,
+// and the multipliers — not merely equal at the optimum.
+struct TracedRun {
+  DiagonalSeaRun run;
+  std::vector<double> measures;
+};
+
+TracedRun SolveTraced(const DiagonalProblem& p, SortPolicy policy,
+                      std::size_t threads) {
+  ThreadPool pool(threads);
+  SeaOptions o;
+  o.epsilon = 1e-8;
+  o.criterion = StopCriterion::kResidualAbs;
+  o.max_iterations = 500000;
+  o.sort_policy = policy;
+  if (threads > 1) o.pool = &pool;
+  TracedRun traced;
+  o.progress = [&traced](const IterationEvent& ev) {
+    if (ev.measure_defined) traced.measures.push_back(ev.measure);
+  };
+  traced.run = SolveDiagonal(p, o);
+  return traced;
+}
+
+bool SameBits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+class ConfigTrajectory : public ::testing::TestWithParam<TotalsMode> {};
+
+TEST_P(ConfigTrajectory, SortPoliciesAndThreadsBitIdentical) {
+  const DiagonalProblem& p = InstanceFor(GetParam());
+  const TracedRun ref = SolveTraced(p, SortPolicy::kAuto, 1);
+  ASSERT_TRUE(ref.run.result.converged());
+  ASSERT_FALSE(ref.measures.empty());
+  for (SortPolicy policy : {SortPolicy::kAuto, SortPolicy::kInsertion,
+                            SortPolicy::kHeapsort, SortPolicy::kReuse}) {
+    for (std::size_t threads : {1u, 4u}) {
+      if (policy == SortPolicy::kAuto && threads == 1) continue;
+      const TracedRun got = SolveTraced(p, policy, threads);
+      const std::string tag = "policy=" + std::to_string(int(policy)) +
+                              " threads=" + std::to_string(threads);
+      EXPECT_EQ(got.run.result.status, ref.run.result.status) << tag;
+      EXPECT_EQ(got.run.result.iterations, ref.run.result.iterations) << tag;
+      EXPECT_EQ(got.run.result.kernel_markets, ref.run.result.kernel_markets)
+          << tag;
+      EXPECT_TRUE(SameBits(got.measures, ref.measures)) << tag;
+      EXPECT_TRUE(SameBits(got.run.solution.x.Flat(),
+                           ref.run.solution.x.Flat()))
+          << tag;
+      EXPECT_TRUE(SameBits(got.run.solution.lambda, ref.run.solution.lambda))
+          << tag;
+      EXPECT_TRUE(SameBits(got.run.solution.mu, ref.run.solution.mu)) << tag;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModes, ConfigTrajectory,
+                         ::testing::Values(TotalsMode::kFixed,
+                                           TotalsMode::kElastic,
+                                           TotalsMode::kSam,
+                                           TotalsMode::kInterval));
 
 }  // namespace
 }  // namespace sea
