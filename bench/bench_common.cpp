@@ -6,7 +6,9 @@
 #include <iostream>
 #include <memory>
 #include <thread>
+#include <vector>
 
+#include "core/engine_observer.hpp"
 #include "obs/json_export.hpp"
 #include "obs/profiler.hpp"
 #include "support/check.hpp"
@@ -25,12 +27,14 @@ namespace sea::bench {
 namespace {
 
 // Whole-run context created by ParseArgs: the wall/cpu baseline for the
-// document's timing fields and the profiler whose spans become the
-// document's phase breakdown (and the optional Chrome trace).
+// document's timing fields, the profiler whose spans become the
+// document's phase breakdown (and the optional Chrome trace), and the
+// --progress printers.
 struct RunContext {
   Stopwatch wall;
   double cpu0 = ProcessCpuSeconds();
   obs::Profiler profiler;
+  std::vector<std::unique_ptr<EngineObserver>> printers;
 };
 RunContext* g_run = nullptr;
 
@@ -77,8 +81,10 @@ BenchOptions ParseArgs(int argc, char** argv) {
   return opts;
 }
 
-IterationCallback ProgressPrinter(std::string tag) {
-  return [tag = std::move(tag)](const IterationEvent& ev) {
+void MaybeAttachProgress(const BenchOptions& bench_opts, SeaOptions& opts,
+                         const std::string& tag) {
+  if (!bench_opts.progress) return;
+  auto print = [tag](const IterationEvent& ev) {
     std::cerr << tag << ": iter=" << ev.iteration << " residual=";
     if (ev.measure_defined) {
       std::cerr << ev.measure;
@@ -91,11 +97,9 @@ IterationCallback ProgressPrinter(std::string tag) {
     if (ev.converged) std::cerr << " (converged)";
     std::cerr << '\n';
   };
-}
-
-void MaybeAttachProgress(const BenchOptions& bench_opts, SeaOptions& opts,
-                         const std::string& tag) {
-  if (bench_opts.progress) opts.progress = ProgressPrinter(tag);
+  g_run->printers.push_back(std::make_unique<CheckObserver<decltype(print)>>(
+      std::move(print)));
+  opts.observers.push_back(g_run->printers.back().get());
 }
 
 void PrintHeader(const std::string& title, const std::string& protocol) {

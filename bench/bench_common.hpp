@@ -46,12 +46,9 @@ struct BenchOptions {
 
 BenchOptions ParseArgs(int argc, char** argv);
 
-// Engine per-iteration callback that streams "tag: iter=... residual=..."
-// lines to stderr (stdout carries the result tables). Wire into
-// SeaOptions::progress when BenchOptions::progress is set.
-IterationCallback ProgressPrinter(std::string tag);
-
-// Convenience: attaches ProgressPrinter to opts when requested.
+// When BenchOptions::progress is set, attaches an engine observer that
+// streams "tag: iter=... residual=..." lines to stderr (stdout carries the
+// result tables). The observer lives until the process exits.
 void MaybeAttachProgress(const BenchOptions& bench_opts, SeaOptions& opts,
                          const std::string& tag);
 

@@ -212,9 +212,10 @@ void RunSamplerOverhead(const bench::BenchOptions& opts, ExperimentLog& log) {
     const auto p = datasets::MakeLargeDiagonal(n, n, rng);
     const auto solve_ms = [&](bool sampler_on) {
       obs::MetricsRegistry metrics;
+      obs::MetricsObserver metrics_observer(metrics);
       SeaOptions o;
       o.epsilon = 1e-8;
-      o.metrics = &metrics;
+      o.observers.push_back(&metrics_observer);
       obs::MetricsSampler sampler(&metrics);  // default 250 ms cadence
       if (sampler_on) sampler.Start();
       Stopwatch sw;

@@ -4,10 +4,9 @@
 #include <cmath>
 #include <optional>
 
+#include "core/engine_observer.hpp"
 #include "linalg/kernels.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/trace_sink.hpp"
 #include "support/check.hpp"
 #include "support/stopwatch.hpp"
 
@@ -161,18 +160,15 @@ GeneralSeaRun SolveGeneral(const GeneralProblem& problem,
         break;
     }
 
-    // One structured trace event per projection step (the inner solves
-    // already streamed their own per-check events through the same sink).
-    if (inner.trace_sink) {
-      obs::OuterStepEvent ev;
-      ev.outer_iteration = t;
-      ev.change = change;
-      ev.converged = result.converged();
-      ev.inner_iterations = inner_run.result.iterations;
-      ev.inner_iterations_total = result.total_inner_iterations;
-      ev.linearize_seconds = result.linearization_seconds;
-      inner.trace_sink->OnOuterStep(ev);
-    }
+    // One event per projection step; the inner solves streamed their own.
+    OuterStepEvent ev;
+    ev.outer_iteration = t;
+    ev.change = change;
+    ev.converged = result.converged();
+    ev.inner_iterations = inner_run.result.iterations;
+    ev.inner_iterations_total = result.total_inner_iterations;
+    ev.linearize_seconds = result.linearization_seconds;
+    for (EngineObserver* o : inner.observers) o->OnOuterStep(ev);
 
     if (result.status != SolveStatus::kMaxIterations) break;
   }
@@ -180,16 +176,6 @@ GeneralSeaRun SolveGeneral(const GeneralProblem& problem,
   result.objective = problem.Objective(x, s, d);
   result.wall_seconds = wall.Seconds();
   result.cpu_seconds = ProcessCpuSeconds() - cpu0;
-
-  if (inner.metrics) {
-    obs::MetricsRegistry& m = *inner.metrics;
-    m.GetCounter("sea.general.outer_iterations").Add(result.outer_iterations);
-    m.GetGauge("sea.general.linearization_seconds")
-        .Add(result.linearization_seconds);
-    m.GetGauge("sea.general.final_outer_change")
-        .Set(result.final_outer_change);
-    m.GetGauge("sea.general.converged").Set(result.converged() ? 1.0 : 0.0);
-  }
   run.result = std::move(result);
   return run;
 }

@@ -4,50 +4,15 @@
 #include <cstdlib>
 #include <limits>
 #include <optional>
-#include <string>
 #include <utility>
 
-#include "obs/flight_recorder.hpp"
-#include "obs/market_stats.hpp"
-#include "obs/metrics.hpp"
+#include "core/engine_observer.hpp"
 #include "obs/profiler.hpp"
-#include "obs/status_file.hpp"
-#include "obs/trace_sink.hpp"
 #include "support/check.hpp"
 #include "support/failpoint.hpp"
 #include "support/stopwatch.hpp"
 
 namespace sea {
-
-namespace {
-
-// Decade buckets for the residual trajectory; the measure spans many orders
-// of magnitude between the first check and convergence.
-std::vector<double> ResidualBounds() {
-  return {1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6};
-}
-
-// Observed gap between consecutive checks, in iterations (check_every plus
-// the final-iteration forced check).
-std::vector<double> CheckIntervalBounds() {
-  return {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0};
-}
-
-// Stable names for the recovery-ladder rungs (metrics suffixes, status-file
-// field, docs/ROBUSTNESS.md).
-const char* RungName(std::uint8_t rung) {
-  switch (rung) {
-    case 1:
-      return "restore";
-    case 2:
-      return "damp";
-    case 3:
-      return "restart";
-  }
-  return "unknown";
-}
-
-}  // namespace
 
 SeaResult RunIterationEngine(SeaIterationBackend& backend,
                              const SeaOptions& opts) {
@@ -86,44 +51,8 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
   // writer is attached).
   std::optional<CheckpointState> last_ckpt;
 
-  // Telemetry is pay-for-use: everything below is skipped when no observer
-  // is attached (acceptance bar: a plain solve must not slow down).
-  const bool observing = opts.progress || opts.trace_sink || opts.metrics ||
-                         opts.flight_recorder || opts.status_file;
-  obs::FlightRecorder* recorder = opts.flight_recorder;
-  if (recorder)
-    recorder->Record(obs::FlightRecorder::EventKind::kBegin, 0,
-                     static_cast<double>(opts.max_iterations));
+  for (EngineObserver* o : opts.observers) o->OnBegin(opts);
   OpCounts ops_at_last_event;
-  std::size_t last_check_iteration = 0;
-  obs::Histogram* residual_hist = nullptr;
-  obs::Histogram* interval_hist = nullptr;
-  // Progress counters commit check-to-check deltas DURING the solve — a
-  // /metrics scrape or the sampler's rate rings must see a running solve
-  // move, not a burst at termination. The terminal block commits whatever
-  // accrued after the last check, so the totals match the old end-only
-  // flush exactly. Resolved once here: Get*() takes the registry lock.
-  obs::Counter* iter_counter = nullptr;
-  obs::Counter* checks_counter = nullptr;
-  obs::Counter* flops_counter = nullptr;
-  obs::Counter* comparisons_counter = nullptr;
-  obs::Counter* breakpoints_counter = nullptr;
-  obs::Counter* inversions_counter = nullptr;
-  if (opts.metrics) {
-    residual_hist =
-        &opts.metrics->GetHistogram("sea.check.residual", ResidualBounds());
-    interval_hist = &opts.metrics->GetHistogram("sea.check.interval_iters",
-                                                CheckIntervalBounds());
-    iter_counter = &opts.metrics->GetCounter("sea.iterations");
-    checks_counter = &opts.metrics->GetCounter("sea.checks_compared");
-    flops_counter = &opts.metrics->GetCounter("sea.ops.flops");
-    comparisons_counter = &opts.metrics->GetCounter("sea.ops.comparisons");
-    breakpoints_counter = &opts.metrics->GetCounter("sea.ops.breakpoints");
-    inversions_counter = &opts.metrics->GetCounter("sea.ops.inversions");
-  }
-  std::size_t iters_committed = 0;
-  std::size_t checks_committed = 0;
-  OpCounts ops_committed;
 
   // Fills the engine-owned portion of a checkpoint; the backend adds the
   // iterate, fingerprint, and dimensions via CaptureIterate.
@@ -143,19 +72,13 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
   };
 
   // Captures + writes a checkpoint of the current (post-rebalance) state;
-  // returns whether a checkpoint landed. Live counters, not end-of-run
-  // flushes, so --status-file dashboards and Prometheus scrapes see
-  // durability activity as it happens.
+  // returns whether a checkpoint landed.
   const auto write_checkpoint = [&]() {
     CheckpointState ck;
     fill_engine_state(ck);
     if (!backend.CaptureIterate(ck)) return false;
     const bool ok = opts.checkpoint->Write(ck);
-    if (opts.metrics)
-      opts.metrics
-          ->GetCounter(ok ? "sea.checkpoint.writes"
-                          : "sea.checkpoint.write_failures")
-          .Add(1);
+    for (EngineObserver* o : opts.observers) o->OnCheckpointWrite(ok);
     if (ok) last_ckpt = std::move(ck);
     return ok;
   };
@@ -201,19 +124,8 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
     stall_streak = 0;
     ++result.recovered_count;
     result.recovery_rungs.push_back(rung);
-    if (recorder)
-      recorder->Record(obs::FlightRecorder::EventKind::kRecovery, t,
-                       static_cast<double>(rung));
-    if (opts.metrics) {
-      opts.metrics->GetCounter("sea.recovery.rescues").Add(1);
-      opts.metrics
-          ->GetCounter(std::string("sea.recovery.rung.") + RungName(rung))
-          .Add(1);
-      opts.metrics->GetGauge("sea.recovery.active_rung")
-          .Set(static_cast<double>(rung));
-    }
-    if (opts.status_file)
-      opts.status_file->OnRecovery(t, RungName(rung), result.recovered_count);
+    for (EngineObserver* o : opts.observers)
+      o->OnRecovery(t, rung, result.recovered_count);
     return true;
   };
 
@@ -239,12 +151,7 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
     rung = ck.rung;
     rung_attempts = static_cast<std::size_t>(ck.rung_attempts);
     damp_left = static_cast<std::size_t>(ck.damp_iters_left);
-    last_check_iteration = static_cast<std::size_t>(ck.iteration);
-    if (recorder)
-      recorder->Record(obs::FlightRecorder::EventKind::kResume,
-                       static_cast<std::size_t>(ck.iteration),
-                       ck.final_residual);
-    if (opts.metrics) opts.metrics->GetCounter("sea.checkpoint.resumes").Add(1);
+    for (EngineObserver* o : opts.observers) o->OnResume(ck);
   }
 
   for (std::size_t t = t_begin; t <= opts.max_iterations; ++t) {
@@ -258,17 +165,15 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
     if (check_now) {
       if (opts.cancel && opts.cancel->cancelled()) {
         result.status = SolveStatus::kCancelled;
-        if (recorder)
-          recorder->Record(obs::FlightRecorder::EventKind::kCancelPoll, t,
-                           0.0);
+        for (EngineObserver* o : opts.observers)
+          o->OnGuardrail(Guardrail::kCancel, t, 0.0);
         break;
       }
       if (opts.time_budget_seconds > 0.0 &&
           wall.Seconds() >= opts.time_budget_seconds) {
         result.status = SolveStatus::kTimeBudgetExceeded;
-        if (recorder)
-          recorder->Record(obs::FlightRecorder::EventKind::kBudgetPoll, t,
-                           wall.Seconds());
+        for (EngineObserver* o : opts.observers)
+          o->OnGuardrail(Guardrail::kBudget, t, wall.Seconds());
         break;
       }
     }
@@ -361,9 +266,8 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
       // breakdown check itself is not counted or charged (its measure has
       // no value). Under the recovery ladder this becomes a rescue attempt
       // instead of a terminal status.
-      if (recorder)
-        recorder->Record(obs::FlightRecorder::EventKind::kBreakdown, t,
-                         measure);
+      for (EngineObserver* o : opts.observers)
+        o->OnGuardrail(Guardrail::kBreakdown, t, measure);
       backend.RestoreGoodIterate();
       if (!try_recover(t)) result.status = SolveStatus::kNumericalBreakdown;
     } else if (defined) {
@@ -385,34 +289,29 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
       } else if (opts.stall_checks > 0 &&
                  ++stall_streak >= opts.stall_checks) {
         stalled_now = true;
-        if (recorder)
-          recorder->Record(obs::FlightRecorder::EventKind::kStallTrip, t,
-                           measure);
+        for (EngineObserver* o : opts.observers)
+          o->OnGuardrail(Guardrail::kStall, t, measure);
       }
       stall_prev = measure;
       backend.SaveGoodIterate();
-      if (recorder) recorder->NoteGoodIterate(t, measure);
+      for (EngineObserver* o : opts.observers) o->OnGoodIterate(t, measure);
       // A stall trip recovers after the good-iterate bookkeeping: the
       // stalled-but-finite iterate IS the restart point, and the rescue
       // resets the detector (stall_prev back to +inf).
       if (stalled_now && !try_recover(t))
         result.status = SolveStatus::kStalled;
-      // Per-market attribution rides the check schedule: the backend fills
-      // the scratch row with per-row-market contributions under the
-      // residual form of the active criterion (kXChange attributes the
-      // absolute residual of the same materialized iterate), and the
-      // commit snapshots active-set churn.
-      if (opts.attribution && std::isfinite(measure)) {
-        const StopCriterion ac = criterion == StopCriterion::kXChange
-                                     ? StopCriterion::kResidualAbs
-                                     : criterion;
-        const double l1 =
-            backend.AttributeResidual(ac, opts.attribution->residual_scratch());
-        if (l1 >= 0.0) opts.attribution->CommitCheck(t, measure, l1);
-      }
+      // Per-market attribution rides the check schedule: the backend
+      // commits per-row-market contributions under the residual form of
+      // the active criterion (kXChange attributes the absolute residual of
+      // the same materialized iterate).
+      if (opts.attribution && std::isfinite(measure))
+        backend.AttributeResidual(criterion == StopCriterion::kXChange
+                                      ? StopCriterion::kResidualAbs
+                                      : criterion,
+                                  t, measure);
     }
 
-    if (observing) {
+    if (!opts.observers.empty()) {  // pay-for-use: a plain solve builds none
       IterationEvent ev;
       ev.iteration = t;
       ev.measure_defined = defined;
@@ -425,31 +324,7 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
       ev.ops_total = result.ops;
       ev.ops_delta = result.ops - ops_at_last_event;
       ops_at_last_event = result.ops;
-
-      if (opts.metrics) {
-        if (defined && std::isfinite(measure))
-          residual_hist->Observe(measure);
-        interval_hist->Observe(static_cast<double>(t - last_check_iteration));
-        iter_counter->Add(t - iters_committed);
-        iters_committed = t;
-        checks_counter->Add(result.checks_compared - checks_committed);
-        checks_committed = result.checks_compared;
-        const OpCounts ops_delta = result.ops - ops_committed;
-        flops_counter->Add(ops_delta.flops);
-        comparisons_counter->Add(ops_delta.comparisons);
-        breakpoints_counter->Add(ops_delta.breakpoints);
-        inversions_counter->Add(ops_delta.inversions);
-        ops_committed = result.ops;
-      }
-      last_check_iteration = t;
-
-      if (opts.progress) opts.progress(ev);
-      if (opts.trace_sink) opts.trace_sink->OnCheck(ev);
-      if (recorder)
-        recorder->Record(obs::FlightRecorder::EventKind::kCheck, t,
-                         defined ? measure
-                                 : std::numeric_limits<double>::quiet_NaN());
-      if (opts.status_file) opts.status_file->OnCheck(ev);
+      for (EngineObserver* o : opts.observers) o->OnCheck(ev);
     }
 
     // Any terminal condition (convergence, breakdown, stall) has replaced
@@ -487,49 +362,7 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
        result.status == SolveStatus::kMaxIterations))
     write_checkpoint();
 
-  if (recorder)
-    recorder->OnTermination(result.status, result.iterations,
-                            result.final_residual, result.wall_seconds,
-                            result.recovered_count);
-  if (opts.status_file) opts.status_file->OnTermination(result.status);
-
-  if (opts.metrics) {
-    obs::MetricsRegistry& m = *opts.metrics;
-    // The check loop already committed deltas up to the last check (live
-    // progress); only the post-last-check remainder lands here.
-    m.GetCounter("sea.iterations").Add(result.iterations - iters_committed);
-    m.GetCounter("sea.checks_compared")
-        .Add(result.checks_compared - checks_committed);
-    const OpCounts ops_rest = result.ops - ops_committed;
-    m.GetCounter("sea.ops.flops").Add(ops_rest.flops);
-    m.GetCounter("sea.ops.comparisons").Add(ops_rest.comparisons);
-    m.GetCounter("sea.ops.breakpoints").Add(ops_rest.breakpoints);
-    m.GetCounter("sea.ops.inversions").Add(ops_rest.inversions);
-    m.GetCounter("sea.sweep.order_reuses").Add(result.order_reuses);
-    m.GetCounter("sea.kernel.scalar.markets").Add(result.kernel_markets);
-    m.GetCounter("sea.solves").Add(1);
-    if (result.converged()) m.GetCounter("sea.solves_converged").Add(1);
-    m.GetCounter(std::string("solver.status.") + ToString(result.status))
-        .Add(1);
-    // Phase seconds accumulate across solves (the general algorithm runs
-    // one engine solve per projection step).
-    m.GetGauge("sea.row_phase_seconds").Add(result.row_phase_seconds);
-    m.GetGauge("sea.col_phase_seconds").Add(result.col_phase_seconds);
-    m.GetGauge("sea.check_phase_seconds").Add(result.check_phase_seconds);
-    m.GetGauge("sea.wall_seconds").Add(result.wall_seconds);
-    m.GetGauge("sea.cpu_seconds").Add(result.cpu_seconds);
-    m.GetGauge("sea.final_residual").Set(result.final_residual);
-    m.GetGauge("sea.converged").Set(result.converged() ? 1.0 : 0.0);
-    if (opts.attribution) {
-      // Attribution summary counters (docs/OBSERVABILITY.md): population,
-      // committed checks, per-market solves, and total active-set churn.
-      m.GetCounter("sea.market.tracked").Add(opts.attribution->markets());
-      m.GetCounter("sea.market.checks")
-          .Add(opts.attribution->checks().size());
-      m.GetCounter("sea.market.solves").Add(opts.attribution->total_solves());
-      m.GetCounter("sea.market.churn").Add(opts.attribution->total_churn());
-    }
-  }
+  for (EngineObserver* o : opts.observers) o->OnEnd(result);
   return result;
 }
 

@@ -15,17 +15,15 @@
 //   check phase     Step 3, convergence verification (serial; Section 4.2)
 //   RebalanceDuals  the Modified Algorithm's gauge shift (Section 3.1)
 //
-// The engine is also the instrumentation point: on every check iteration it
-// builds one IterationEvent (residual trajectory, phase times, op deltas)
-// and hands it to SeaOptions::progress and SeaOptions::trace_sink, and it
-// accumulates counters/histograms into SeaOptions::metrics — the hooks
+// The engine is also the instrumentation point: it emits one event stream
+// (core/engine_observer.hpp) — an IterationEvent per check with the
+// residual trajectory, phase times, and op deltas, plus begin, guardrail,
+// recovery, checkpoint, and end events — to SeaOptions::observers, where
 // future acceleration / stagnation-detection layers (Allen-Zhu et al. 2017;
-// Aristodemo & Gemignani 2018) attach to. All three observers are optional
-// and cost nothing when unset (docs/OBSERVABILITY.md).
+// Aristodemo & Gemignani 2018) attach too. No observers, no cost.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -134,22 +132,17 @@ class SeaIterationBackend {
   // gauge freedom.
   virtual void ForceRebalance() {}
 
-  // Per-market attribution (obs/market_stats.hpp): fills out[i] with ROW
-  // market i's residual contribution of the materialized check iterate —
-  // |rowsum_i - target_i| under criterion c, exactly the per-row term
-  // FoldRowResidual folds into the aggregate measure — and returns the
-  // sequential (index-ascending) sum of the filled values, so the export's
-  // per-market contributions re-sum bit-identically to the returned
-  // aggregate. Column markets contribute zero by construction (the column
-  // half-step satisfies them exactly) and are not represented. Called only
-  // at check iterations with a finite measure, after ResidualMeasure /
-  // DiffFromSnapshot. Returns a negative value when the variant does not
-  // support attribution (the engine then commits nothing).
-  virtual double AttributeResidual(StopCriterion c, std::span<double> out) {
-    (void)c;
-    (void)out;
-    return -1.0;
-  }
+  // Per-market attribution (obs/market_stats.hpp): writes ROW market i's
+  // residual contribution of the materialized check iterate — the term
+  // |rowsum_i - target_i| that FoldRowResidual folds into the measure under
+  // criterion c — into SeaOptions::attribution's residual_scratch()[i], and
+  // commits the check with their index-ascending sum, so the export
+  // re-sums bit-identically. Column markets contribute zero by
+  // construction (the column half-step satisfies them) and are not
+  // represented. Called at check iterations with a finite measure, after
+  // ResidualMeasure / DiffFromSnapshot, when a table is attached.
+  virtual void AttributeResidual(StopCriterion /*c*/, std::size_t /*t*/,
+                                 double /*measure*/) {}
 };
 
 // Runs the t-loop on the backend and returns the filled result (everything

@@ -2,25 +2,21 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <vector>
 
 #include "equilibration/breakpoint_solver.hpp"
 #include "parallel/schedule.hpp"
 #include "support/cancel.hpp"
-#include "support/op_counter.hpp"
 
 namespace sea {
 
 class ThreadPool;
 class CheckpointWriter;
+class EngineObserver;
 struct CheckpointState;
 
 namespace obs {
-class TraceSink;
-class MetricsRegistry;
 class MarketAttribution;
-class FlightRecorder;
-class StatusFileWriter;
 }  // namespace obs
 
 // Stopping rules used in the paper's experiments.
@@ -37,33 +33,6 @@ enum class StopCriterion {
 };
 
 const char* ToString(StopCriterion c);
-
-// Snapshot handed to SeaOptions::progress — and to the structured trace
-// sink (obs/trace_sink.hpp) — on every check iteration of the shared
-// iteration engine (core/iteration_engine.hpp). This is the attachment
-// point for progress reporting and, later, acceleration / stagnation
-// heuristics that need the residual trajectory.
-struct IterationEvent {
-  std::size_t iteration = 0;
-  // False on the first kXChange check, where no previous iterate exists yet
-  // and the measure has no value.
-  bool measure_defined = false;
-  double measure = 0.0;  // active stopping measure, valid if measure_defined
-  bool converged = false;
-  // Checks whose measure had a defined value so far (== the number of
-  // events with measure_defined, including this one).
-  std::size_t checks_compared = 0;
-  // Cumulative per-phase wall times so far.
-  double row_phase_seconds = 0.0;
-  double col_phase_seconds = 0.0;
-  double check_phase_seconds = 0.0;
-  // Operation counts: since the previous event (delta, including this
-  // check's own verification cost) and since the start of the solve.
-  OpCounts ops_delta;
-  OpCounts ops_total;
-};
-
-using IterationCallback = std::function<void(const IterationEvent&)>;
 
 struct SeaOptions {
   double epsilon = 1e-2;
@@ -115,32 +84,17 @@ struct SeaOptions {
   // stall_checks = 0 disables the detector.
   std::size_t stall_checks = 50;
   double stall_rtol = 1e-9;
-  // Invoked by the iteration engine on check iterations only (never on
-  // skipped iterations). Empty = no reporting overhead.
-  IterationCallback progress;
-  // Structured trace sink (obs/trace_sink.hpp): receives the same per-check
-  // events as `progress`, plus one event per general-SEA projection step.
-  // Null = no tracing overhead.
-  obs::TraceSink* trace_sink = nullptr;
-  // Metrics registry (obs/metrics.hpp): the engine accumulates op counters,
-  // phase-seconds gauges, and per-check residual / check-interval
-  // histograms into it. Null = no metrics overhead.
-  obs::MetricsRegistry* metrics = nullptr;
-  // Per-market attribution table (obs/market_stats.hpp): the backend sizes
-  // it for the problem, the sweeps record per-market solve tallies, and the
-  // engine commits residual contributions + active-set churn at every check
-  // whose measure is finite. Null = no attribution overhead (the sweeps pay
+  // Telemetry (core/engine_observer.hpp): each observer receives the
+  // engine's events in list order. Not owned; each must outlive the solve.
+  // Empty = no telemetry overhead.
+  std::vector<EngineObserver*> observers;
+  // Per-market attribution table (obs/market_stats.hpp): the sweeps record
+  // per-market solve tallies, and the backend sizes the table and commits
+  // residual contributions + active-set churn at every check whose measure
+  // is finite. Null = no attribution overhead (the sweeps pay
   // one branch per market). Exported via sea_solve --attribution-json and
   // summarized by tools/market_report.
   obs::MarketAttribution* attribution = nullptr;
-  // Flight recorder (obs/flight_recorder.hpp): receives begin/check/
-  // guardrail/termination events; on a guardrail failure (stall, breakdown,
-  // cancel, time budget) it dumps a postmortem if a dump path is set.
-  // Null = no recording.
-  obs::FlightRecorder* flight_recorder = nullptr;
-  // Live status snapshot (obs/status_file.hpp): rewritten atomically on
-  // check iterations and at termination. Null = no status file.
-  obs::StatusFileWriter* status_file = nullptr;
   // Durability + self-healing (core/checkpoint.hpp; docs/ROBUSTNESS.md).
   // Checkpoint writer: the engine captures the full resume state (dual
   // iterate, kXChange snapshot, stall-detector + recovery-ladder state) at

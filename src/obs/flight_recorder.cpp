@@ -4,33 +4,19 @@
 #include <ostream>
 #include <utility>
 
+#include "core/checkpoint.hpp"
+#include "core/options.hpp"
+#include "core/result.hpp"
 #include "obs/json_export.hpp"
 #include "support/atomic_file.hpp"
-#include "support/check.hpp"
 #include "support/failpoint.hpp"
 
 namespace sea::obs {
 
-const char* FlightRecorder::ToString(EventKind k) {
-  switch (k) {
-    case EventKind::kBegin: return "begin";
-    case EventKind::kCheck: return "check";
-    case EventKind::kBreakdown: return "breakdown";
-    case EventKind::kStallTrip: return "stall";
-    case EventKind::kCancelPoll: return "cancel";
-    case EventKind::kBudgetPoll: return "budget";
-    case EventKind::kRecovery: return "recovery";
-    case EventKind::kResume: return "resume";
-    case EventKind::kTermination: return "termination";
-  }
-  SEA_INTERNAL_CHECK(false);
-  return "?";
-}
-
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : ring_(capacity == 0 ? 1 : capacity) {}
 
-void FlightRecorder::Record(EventKind kind, std::size_t iteration,
+void FlightRecorder::Record(const char* kind, std::size_t iteration,
                             double value) {
   Event& e = ring_[recorded_ % ring_.size()];
   e.seconds = clock_.Seconds();
@@ -40,19 +26,25 @@ void FlightRecorder::Record(EventKind kind, std::size_t iteration,
   ++recorded_;
 }
 
-void FlightRecorder::OnTermination(SolveStatus status, std::size_t iterations,
-                                   double final_residual, double wall_seconds,
-                                   std::uint64_t recovered) {
-  Record(EventKind::kTermination, iterations, final_residual);
-  last_status_ = status;
-  iterations_ = iterations;
-  final_residual_ = final_residual;
-  wall_seconds_ = wall_seconds;
-  recovered_ = recovered;
-  const bool failure_class = status == SolveStatus::kStalled ||
-                             status == SolveStatus::kNumericalBreakdown ||
-                             status == SolveStatus::kCancelled ||
-                             status == SolveStatus::kTimeBudgetExceeded;
+void FlightRecorder::OnBegin(const SeaOptions& opts) {
+  Record("begin", 0, static_cast<double>(opts.max_iterations));
+}
+
+void FlightRecorder::OnResume(const CheckpointState& ck) {
+  Record("resume", static_cast<std::size_t>(ck.iteration), ck.final_residual);
+}
+
+void FlightRecorder::OnEnd(const SeaResult& result) {
+  Record("termination", result.iterations, result.final_residual);
+  last_status_ = result.status;
+  iterations_ = result.iterations;
+  final_residual_ = result.final_residual;
+  wall_seconds_ = result.wall_seconds;
+  recovered_ = result.recovered_count;
+  const SolveStatus s = result.status;
+  const bool failure_class =
+      s == SolveStatus::kStalled || s == SolveStatus::kNumericalBreakdown ||
+      s == SolveStatus::kCancelled || s == SolveStatus::kTimeBudgetExceeded;
   if (failure_class && !dump_path_.empty())
     dumped_ = WritePostmortem(dump_path_);
 }
@@ -98,7 +90,7 @@ bool FlightRecorder::WritePostmortem(const std::string& path) const {
       const Event& e = ring_[k % ring_.size()];
       f << JsonObj()
                .Field("type", "event")
-               .Field("kind", ToString(e.kind))
+               .Field("kind", e.kind)
                .Field("t", e.seconds)
                .Field("iter", static_cast<std::uint64_t>(e.iteration))
                .Field("value", e.value)

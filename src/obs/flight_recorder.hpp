@@ -14,57 +14,65 @@
 // (the engine records only from the solve thread, never inside a sweep),
 // and the ring survives across chained solves (general SEA's inner runs),
 // so the postmortem shows the events leading up to the failure even when
-// the failing solve was warm-started. Pay-for-use as usual:
-// SeaOptions::flight_recorder is null by default.
+// the failing solve was warm-started. It is an engine observer
+// (core/engine_observer.hpp): attach it through SeaOptions::observers.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "core/engine_observer.hpp"
 #include "core/solve_status.hpp"
 #include "support/stopwatch.hpp"
 
 namespace sea::obs {
 
-class FlightRecorder {
+class FlightRecorder final : public EngineObserver {
  public:
-  // Kinds of recorded events; serialized under these stable names.
-  enum class EventKind : std::uint8_t {
-    kBegin,        // engine run started (value = max_iterations)
-    kCheck,        // check iteration (value = measure; NaN when undefined)
-    kBreakdown,    // non-finite measure observed, last-good iterate restored
-    kStallTrip,    // stall detector tripped (value = frozen measure)
-    kCancelPoll,   // cancellation observed at a check poll
-    kBudgetPoll,   // time budget observed expired at a check poll
-    kRecovery,     // recovery-ladder rescue (value = rung; ROBUSTNESS.md)
-    kResume,       // run resumed from a checkpoint (value = its residual)
-    kTermination,  // engine returned (value = final residual)
-  };
-  static const char* ToString(EventKind k);
-
   explicit FlightRecorder(std::size_t capacity = 256);
 
   // Enables the automatic postmortem dump on guardrail termination.
   void SetDumpPath(std::string path) { dump_path_ = std::move(path); }
   const std::string& dump_path() const { return dump_path_; }
 
+  // Appends one ring event; `kind` is a string literal, serialized as is.
+  // The hooks record begin (value = max_iterations), check (the measure,
+  // NaN when undefined), breakdown / stall (the measure), cancel, budget
+  // (elapsed seconds), recovery (the rung), resume (the checkpoint's
+  // residual), and termination (the final residual).
+  void Record(const char* kind, std::size_t iteration, double value);
+
   // Engine hooks (solve thread only).
-  void Record(EventKind kind, std::size_t iteration, double value);
-  void NoteGoodIterate(std::size_t iteration, double measure) {
+  void OnBegin(const SeaOptions& opts) override;
+  void OnResume(const CheckpointState& ck) override;
+  void OnGuardrail(Guardrail kind, std::size_t iteration,
+                   double value) override {
+    static constexpr const char* kNames[] = {"breakdown", "stall", "cancel",
+                                             "budget"};
+    Record(kNames[static_cast<std::size_t>(kind)], iteration, value);
+  }
+  void OnGoodIterate(std::size_t iteration, double measure) override {
     last_good_iteration_ = iteration;
     last_good_measure_ = measure;
     have_good_ = true;
   }
-  // Records the termination event and, when `status` is one of the four
+  void OnRecovery(std::size_t iteration, std::uint8_t rung,
+                  std::uint64_t /*recovered*/) override {
+    Record("recovery", iteration, static_cast<double>(rung));
+  }
+  void OnCheck(const IterationEvent& ev) override {
+    Record("check", ev.iteration,
+           ev.measure_defined ? ev.measure
+                              : std::numeric_limits<double>::quiet_NaN());
+  }
+  // Records the termination event and, when the status is one of the four
   // guardrail failure classes and a dump path is set, writes the
-  // postmortem. `recovered` is the run's recovery-ladder rescue count
-  // (surfaced in the postmortem header: "the ladder rescued N trips before
-  // this one ended the run").
-  void OnTermination(SolveStatus status, std::size_t iterations,
-                     double final_residual, double wall_seconds,
-                     std::uint64_t recovered = 0);
+  // postmortem. The header carries the run's recovery-ladder rescue count
+  // ("the ladder rescued N trips before this one ended the run").
+  void OnEnd(const SeaResult& result) override;
 
   // Writes the postmortem JSONL (header, last-good summary, ring events
   // oldest to newest) atomically. Fail-soft: returns false and leaves any
@@ -79,7 +87,7 @@ class FlightRecorder {
  private:
   struct Event {
     double seconds = 0.0;  // since recorder construction
-    EventKind kind = EventKind::kBegin;
+    const char* kind = "";
     std::size_t iteration = 0;
     double value = 0.0;
   };

@@ -17,7 +17,7 @@
 //     fills each ROW market's residual contribution of the materialized
 //     column-feasible iterate (column markets are exactly satisfied after
 //     the column half-step and contribute zero by construction), and the
-//     engine commits the check: active-set churn since the previous check
+//     same call commits the check: active-set churn since the previous check
 //     plus one per-check series entry. The commit may allocate (it appends
 //     to the series) — the check phase is already the serial O(mn) part.
 //
@@ -59,7 +59,7 @@ class MarketAttribution {
   }
 
   // Check phase: the backend writes row market i's residual contribution
-  // into residual_scratch()[i] (size rows()), then the engine commits.
+  // into residual_scratch()[i] (size rows()), then commits.
   std::span<double> residual_scratch() { return residual_scratch_; }
 
   // Appends one per-check entry: iteration, aggregate measure, the l1 sum

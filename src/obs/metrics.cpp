@@ -4,8 +4,13 @@
 #include <cmath>
 #include <limits>
 #include <ostream>
+#include <string>
 
+#include "core/checkpoint.hpp"
+#include "core/options.hpp"
+#include "core/result.hpp"
 #include "obs/json_export.hpp"
+#include "obs/market_stats.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/check.hpp"
 
@@ -341,6 +346,104 @@ double HistogramQuantile(const HistogramSnapshot& h, double q) {
     cum += c;
   }
   return h.max;
+}
+
+// ---------------------------------------------------------- MetricsObserver
+
+void MetricsObserver::OnBegin(const SeaOptions& opts) {
+  // Decade buckets: the measure spans many orders of magnitude.
+  residual_ = &m_.GetHistogram(
+      "sea.check.residual",
+      {1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6});
+  interval_ = &m_.GetHistogram("sea.check.interval_iters",
+                               {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
+  iterations_ = &m_.GetCounter("sea.iterations");
+  checks_ = &m_.GetCounter("sea.checks_compared");
+  flops_ = &m_.GetCounter("sea.ops.flops");
+  comparisons_ = &m_.GetCounter("sea.ops.comparisons");
+  breakpoints_ = &m_.GetCounter("sea.ops.breakpoints");
+  inversions_ = &m_.GetCounter("sea.ops.inversions");
+  attribution_ = opts.attribution;
+  iterations_done_ = checks_done_ = 0;
+  ops_done_ = OpCounts{};
+}
+
+void MetricsObserver::OnResume(const CheckpointState& ck) {
+  m_.GetCounter("sea.checkpoint.resumes").Add(1);
+  // Those iterations and checks ran in an earlier process (whose op
+  // counts the checkpoint does not carry).
+  iterations_done_ = static_cast<std::size_t>(ck.iteration);
+  checks_done_ = static_cast<std::size_t>(ck.checks_compared);
+}
+
+void MetricsObserver::OnRecovery(std::size_t /*iteration*/, std::uint8_t rung,
+                                 std::uint64_t /*recovered*/) {
+  m_.GetCounter("sea.recovery.rescues").Add(1);
+  m_.GetCounter(std::string("sea.recovery.rung.") + RecoveryRungName(rung))
+      .Add(1);
+  m_.GetGauge("sea.recovery.active_rung").Set(static_cast<double>(rung));
+}
+
+void MetricsObserver::OnCheckpointWrite(bool ok) {
+  m_.GetCounter(ok ? "sea.checkpoint.writes" : "sea.checkpoint.write_failures")
+      .Add(1);
+}
+
+void MetricsObserver::Commit(std::size_t iterations, std::size_t checks,
+                             const OpCounts& ops) {
+  iterations_->Add(iterations - iterations_done_);
+  checks_->Add(checks - checks_done_);
+  const OpCounts delta = ops - ops_done_;
+  flops_->Add(delta.flops);
+  comparisons_->Add(delta.comparisons);
+  breakpoints_->Add(delta.breakpoints);
+  inversions_->Add(delta.inversions);
+  iterations_done_ = iterations;
+  checks_done_ = checks;
+  ops_done_ = ops;
+}
+
+void MetricsObserver::OnCheck(const IterationEvent& ev) {
+  if (ev.measure_defined && std::isfinite(ev.measure))
+    residual_->Observe(ev.measure);
+  // Every check commits, so the last commit is the previous check.
+  interval_->Observe(static_cast<double>(ev.iteration - iterations_done_));
+  Commit(ev.iteration, ev.checks_compared, ev.ops_total);
+}
+
+void MetricsObserver::OnOuterStep(const OuterStepEvent& ev) {
+  if (ev.outer_iteration == 1) linearize_done_ = 0.0;
+  m_.GetCounter("sea.general.outer_iterations").Add(1);
+  m_.GetGauge("sea.general.linearization_seconds")
+      .Add(ev.linearize_seconds - linearize_done_);
+  linearize_done_ = ev.linearize_seconds;
+  m_.GetGauge("sea.general.final_outer_change").Set(ev.change);
+  m_.GetGauge("sea.general.converged").Set(ev.converged ? 1.0 : 0.0);
+}
+
+void MetricsObserver::OnEnd(const SeaResult& result) {
+  Commit(result.iterations, result.checks_compared, result.ops);
+  m_.GetCounter("sea.sweep.order_reuses").Add(result.order_reuses);
+  m_.GetCounter("sea.kernel.scalar.markets").Add(result.kernel_markets);
+  m_.GetCounter("sea.solves").Add(1);
+  if (result.converged()) m_.GetCounter("sea.solves_converged").Add(1);
+  m_.GetCounter(std::string("solver.status.") + sea::ToString(result.status))
+      .Add(1);
+  // Phase seconds accumulate across solves (the general algorithm runs
+  // one engine solve per projection step).
+  m_.GetGauge("sea.row_phase_seconds").Add(result.row_phase_seconds);
+  m_.GetGauge("sea.col_phase_seconds").Add(result.col_phase_seconds);
+  m_.GetGauge("sea.check_phase_seconds").Add(result.check_phase_seconds);
+  m_.GetGauge("sea.wall_seconds").Add(result.wall_seconds);
+  m_.GetGauge("sea.cpu_seconds").Add(result.cpu_seconds);
+  m_.GetGauge("sea.final_residual").Set(result.final_residual);
+  m_.GetGauge("sea.converged").Set(result.converged() ? 1.0 : 0.0);
+  if (attribution_ != nullptr) {
+    m_.GetCounter("sea.market.tracked").Add(attribution_->markets());
+    m_.GetCounter("sea.market.checks").Add(attribution_->checks().size());
+    m_.GetCounter("sea.market.solves").Add(attribution_->total_solves());
+    m_.GetCounter("sea.market.churn").Add(attribution_->total_churn());
+  }
 }
 
 }  // namespace sea::obs

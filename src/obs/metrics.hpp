@@ -5,9 +5,9 @@
 // (docs/OBSERVABILITY.md). Counters and histograms are sharded: each thread
 // increments a cache-line-private slot chosen once per thread, so the hot
 // path is an uncontended relaxed fetch_add; Snapshot() merges the shards.
-// Solvers carry the registry as an optional pointer (SeaOptions::metrics) —
-// a null registry costs nothing, matching the repository rule that
-// telemetry is pay-for-use only.
+// Solvers feed a registry through a MetricsObserver (below) on
+// SeaOptions::observers — no observer, no cost, matching the repository
+// rule that telemetry is pay-for-use only.
 //
 // Metric names are dotted lowercase paths ("sea.check.residual",
 // "pool.region_wall_seconds"); the full catalogue lives in
@@ -23,11 +23,15 @@
 #include <utility>
 #include <vector>
 
+#include "core/engine_observer.hpp"
+
 namespace sea {
 
 struct PoolStats;
 
 namespace obs {
+
+class MarketAttribution;
 
 namespace internal {
 
@@ -156,6 +160,41 @@ class MetricsRegistry {
   std::vector<Entry<Counter>> counters_;
   std::vector<Entry<Gauge>> gauges_;
   std::vector<Entry<Histogram>> histograms_;
+};
+
+// The engine's metrics view (core/engine_observer.hpp): iteration, check,
+// and op counters committed live at every check, the check histograms,
+// recovery / checkpoint / solve counters, phase gauges, the attribution
+// summary, and sea.general.*. Counts cover this process's work (a resumed
+// solve baselines at its checkpoint). Per-solve deltas live here, so
+// concurrent solves need one observer each; they may share the registry.
+class MetricsObserver final : public EngineObserver {
+ public:
+  explicit MetricsObserver(MetricsRegistry& registry) : m_(registry) {}
+
+  void OnBegin(const SeaOptions& opts) override;
+  void OnResume(const CheckpointState& ck) override;
+  void OnRecovery(std::size_t iteration, std::uint8_t rung,
+                  std::uint64_t recovered) override;
+  void OnCheckpointWrite(bool ok) override;
+  void OnCheck(const IterationEvent& ev) override;
+  void OnOuterStep(const OuterStepEvent& ev) override;
+  void OnEnd(const SeaResult& result) override;
+
+ private:
+  void Commit(std::size_t iterations, std::size_t checks, const OpCounts& ops);
+
+  MetricsRegistry& m_;
+  // Resolved at OnBegin: Get*() takes the registry lock.
+  Histogram *residual_ = nullptr, *interval_ = nullptr;
+  Counter *iterations_ = nullptr, *checks_ = nullptr, *flops_ = nullptr,
+          *comparisons_ = nullptr, *breakpoints_ = nullptr,
+          *inversions_ = nullptr;
+  const MarketAttribution* attribution_ = nullptr;
+  // What this solve has committed so far.
+  std::size_t iterations_done_ = 0, checks_done_ = 0;
+  OpCounts ops_done_;
+  double linearize_done_ = 0.0;  // general SEA, this outer solve
 };
 
 // Registers a ThreadPool utilization snapshot (parallel/thread_pool.hpp)

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <utility>
 
+#include "core/result.hpp"
 #include "core/stopping.hpp"
 #include "obs/json_export.hpp"
 #include "support/atomic_file.hpp"
@@ -72,14 +73,14 @@ void StatusFileWriter::OnCheck(const IterationEvent& ev) {
   if (Publish(ev, "iterating", "")) last_write_seconds_ = now;
 }
 
-void StatusFileWriter::OnTermination(SolveStatus status) {
-  Publish(last_event_, "terminated", sea::ToString(status));
+void StatusFileWriter::OnEnd(const SeaResult& result) {
+  Publish(last_event_, "terminated", sea::ToString(result.status));
 }
 
-void StatusFileWriter::OnRecovery(std::size_t iteration, const char* rung,
-                                  std::uint64_t recovered_count) {
-  recovered_count_ = recovered_count;
-  last_recovery_rung_ = rung;
+void StatusFileWriter::OnRecovery(std::size_t iteration, std::uint8_t rung,
+                                  std::uint64_t recovered) {
+  recovered_count_ = recovered;
+  last_recovery_rung_ = RecoveryRungName(rung);
   last_recovery_iteration_ = iteration;
   // Bypass the throttle: a rescue must be visible live, not a throttle
   // interval later.

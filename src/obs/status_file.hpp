@@ -2,8 +2,8 @@
 // /statusz endpoint (docs/OBSERVABILITY.md, "Live status file").
 //
 // A long-running solve is a black box to the outside world until it
-// returns. StatusFileWriter receives the engine's per-check IterationEvents
-// and maintains a single-line flat-JSON snapshot — iteration, stopping
+// returns. StatusFileWriter, an engine observer, receives the per-check
+// IterationEvents and maintains a single-line flat-JSON snapshot — iteration, stopping
 // measure, phase seconds, and an ETA extrapolated from the geometric
 // convergence rate of the last two defined measures (core/stopping.hpp,
 // EstimateItersToEpsilon). Construction and publication are split:
@@ -22,8 +22,7 @@
 //
 // A path-less writer (path == "") skips the file entirely and only serves
 // LatestJson() — how `sea_solve --listen` exposes /statusz without
-// requiring --status-file. Pay-for-use: SeaOptions::status_file is null by
-// default.
+// requiring --status-file. Attach it through SeaOptions::observers.
 #pragma once
 
 #include <cstddef>
@@ -31,8 +30,7 @@
 #include <mutex>
 #include <string>
 
-#include "core/options.hpp"
-#include "core/solve_status.hpp"
+#include "core/engine_observer.hpp"
 #include "support/stopwatch.hpp"
 
 namespace sea::obs {
@@ -70,7 +68,7 @@ std::string RenderStatusJson(const StatusSnapshot& snap);
 // through; everything else becomes NaN. Exposed for tests.
 double SanitizeEta(double eta);
 
-class StatusFileWriter {
+class StatusFileWriter final : public EngineObserver {
  public:
   // `epsilon` is the solve's stopping tolerance (feeds the ETA model).
   // An empty `path` disables the file and keeps only LatestJson().
@@ -78,13 +76,13 @@ class StatusFileWriter {
                    double min_interval_seconds = 0.05);
 
   // Engine hooks (solve thread only).
-  void OnCheck(const IterationEvent& ev);
-  void OnTermination(SolveStatus status);
+  void OnCheck(const IterationEvent& ev) override;
+  void OnEnd(const SeaResult& result) override;
   // Recovery-ladder transition (docs/ROBUSTNESS.md): recorded into every
   // later snapshot and written through immediately — a rescue is exactly
   // the moment a dashboard must not be a throttle interval behind.
-  void OnRecovery(std::size_t iteration, const char* rung,
-                  std::uint64_t recovered_count);
+  void OnRecovery(std::size_t iteration, std::uint8_t rung,
+                  std::uint64_t recovered) override;
 
   // Latest rendered snapshot line — what /statusz serves. Thread-safe
   // against the solve thread; before the first check it renders a
@@ -114,7 +112,7 @@ class StatusFileWriter {
   IterationEvent last_event_;
   // Recovery-ladder surface: cumulative rescues + the latest rung.
   std::uint64_t recovered_count_ = 0;
-  const char* last_recovery_rung_ = "";  // stable literal from the engine
+  const char* last_recovery_rung_ = "";  // RecoveryRungName literal
   std::size_t last_recovery_iteration_ = 0;
   // Latest rendered line, shared with the /statusz handler threads.
   mutable std::mutex latest_mu_;

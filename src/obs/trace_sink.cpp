@@ -57,12 +57,4 @@ void JsonlTraceSink::WriteLine(const std::string& line) {
   ++events_written_;
 }
 
-void JsonlTraceSink::OnCheck(const IterationEvent& ev) {
-  WriteLine(ToJsonLine(ev));
-}
-
-void JsonlTraceSink::OnOuterStep(const OuterStepEvent& ev) {
-  WriteLine(ToJsonLine(ev));
-}
-
 }  // namespace sea::obs

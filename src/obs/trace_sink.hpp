@@ -1,16 +1,12 @@
 // Structured run traces.
 //
-// A TraceSink receives one event per convergence check of the shared
-// iteration engine (core/iteration_engine.hpp) and one event per projection
-// step of general SEA's outer loop (core/general_sea.hpp). It layers
-// *beside* the existing ExecutionTrace machinery (SeaOptions::record_trace
-// feeds the schedule simulator with per-task operation counts); the sink
-// instead captures the convergence trajectory and phase accounting in a
-// diffable, append-only format for cross-PR analysis.
-//
-// Sinks are invoked from the solve thread only — between parallel regions,
-// never inside one — so implementations need no locking. Attach via
-// SeaOptions::trace_sink; a null sink costs nothing.
+// JsonlTraceSink is the engine observer (core/engine_observer.hpp) that
+// writes one line per convergence check of the shared iteration engine and
+// one per projection step of general SEA's outer loop. It layers *beside*
+// the ExecutionTrace machinery (SeaOptions::record_trace feeds the schedule
+// simulator with per-task operation counts); the sink instead captures the
+// convergence trajectory and phase accounting in a diffable, append-only
+// format for cross-PR analysis. Attach via SeaOptions::observers.
 //
 // JSONL event schema (version 1, append-only; see docs/OBSERVABILITY.md):
 //   check {"schema":1,"type":"check","iter":..,"measure":..,
@@ -27,27 +23,9 @@
 #include <fstream>
 #include <string>
 
-#include "core/options.hpp"
+#include "core/engine_observer.hpp"
 
 namespace sea::obs {
-
-// One projection step of general SEA (paper Section 3.2, Figure 4).
-struct OuterStepEvent {
-  std::size_t outer_iteration = 0;
-  double change = 0.0;  // max |x^t - x^{t-1}| after this step
-  bool converged = false;
-  std::size_t inner_iterations = 0;        // this step's inner solve
-  std::size_t inner_iterations_total = 0;  // cumulative across steps
-  double linearize_seconds = 0.0;          // cumulative matvec-phase wall
-};
-
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void OnCheck(const IterationEvent& ev) = 0;
-  virtual void OnOuterStep(const OuterStepEvent& ev) = 0;
-  virtual void Flush() {}
-};
 
 // Renders an event as a single-line JSON object (no trailing newline) —
 // the serialization JsonlTraceSink writes, exposed for tests and tools.
@@ -55,20 +33,24 @@ std::string ToJsonLine(const IterationEvent& ev);
 std::string ToJsonLine(const OuterStepEvent& ev);
 
 // Appends one JSON object per line to a file. Throws InvalidArgument when
-// the file cannot be opened. Flushes on destruction.
+// the file cannot be opened. Flushes at the end of every engine solve.
 //
 // Mid-run write failures (disk full, pipe closed; injectable via the
 // sea.obs.trace_write failpoint) degrade rather than abort the solve:
 // the sink stops writing, write_failed() reports the condition, and
 // events_written() counts only the lines that actually reached the stream.
 // A trace is telemetry — losing it must never lose the solve.
-class JsonlTraceSink : public TraceSink {
+class JsonlTraceSink final : public EngineObserver {
  public:
   explicit JsonlTraceSink(const std::string& path);
 
-  void OnCheck(const IterationEvent& ev) override;
-  void OnOuterStep(const OuterStepEvent& ev) override;
-  void Flush() override { out_.flush(); }
+  void OnCheck(const IterationEvent& ev) override {
+    WriteLine(ToJsonLine(ev));
+  }
+  void OnOuterStep(const OuterStepEvent& ev) override {
+    WriteLine(ToJsonLine(ev));
+  }
+  void OnEnd(const SeaResult& /*result*/) override { out_.flush(); }
 
   std::size_t events_written() const { return events_written_; }
   bool write_failed() const { return write_failed_; }

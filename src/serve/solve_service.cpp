@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <exception>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -66,7 +67,6 @@ SeaOptions SolveService::BuildOptions(const SolveRequest& request) const {
           ? limits_.max_time_budget_seconds
           : std::min(request.time_budget_seconds,
                      limits_.max_time_budget_seconds);
-  opts.metrics = metrics_;
   opts.cancel = limits_.cancel;
   return opts;
 }
@@ -117,7 +117,11 @@ ServeOutcome SolveService::Handle(const SolveRequest& request,
     }
 
     if (!served) {
-      const SeaOptions opts = BuildOptions(request);
+      SeaOptions opts = BuildOptions(request);
+      // Per request: the observer holds this solve's deltas.
+      std::optional<obs::MetricsObserver> metrics_observer;
+      if (metrics_)
+        opts.observers.push_back(&metrics_observer.emplace(*metrics_));
       DiagonalSea solver(p);
       DiagonalSeaRun run;
       if (hit) {

@@ -200,15 +200,17 @@ class SparseBackend final : public SeaIterationBackend {
     return MaxRowResidual(c, rowsum_, Targets());
   }
 
-  double AttributeResidual(StopCriterion c, std::span<double> out) override {
+  void AttributeResidual(StopCriterion c, std::size_t iteration,
+                         double measure) override {
     AccumulateRowSums();
     const ResidualTargets targets = Targets();
+    const std::span<double> out = sweep_opts_.attribution->residual_scratch();
     double l1 = 0.0;
     for (std::size_t i = 0; i < rowsum_.size(); ++i) {
       out[i] = FoldRowResidual(c, rowsum_[i], RowTarget(targets, i), 0.0);
       l1 += out[i];
     }
-    return l1;
+    sweep_opts_.attribution->CommitCheck(iteration, measure, l1);
   }
 
   double DiffFromSnapshot() override {

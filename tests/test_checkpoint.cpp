@@ -22,6 +22,8 @@
 
 #include "core/checkpoint.hpp"
 #include "core/diagonal_sea.hpp"
+#include "core/engine_observer.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "problems/validate.hpp"
 #include "sparse/sparse_sea.hpp"
@@ -427,9 +429,10 @@ TEST(CheckpointResume, CancelMidRunLeavesResumableCheckpoint) {
   interrupted.checkpoint = &writer;
   interrupted.cancel = &cancel;
   const std::size_t stop_at = ref.result.iterations / 2;
-  interrupted.progress = [&](const IterationEvent& ev) {
+  CheckObserver progress([&](const IterationEvent& ev) {
     if (ev.iteration >= stop_at) cancel.Cancel();
-  };
+  });
+  interrupted.observers.push_back(&progress);
   const auto partial = SolveDiagonal(p, interrupted);
   EXPECT_EQ(partial.result.status, SolveStatus::kCancelled);
   EXPECT_EQ(writer.writes(), 1u);
@@ -446,6 +449,44 @@ TEST(CheckpointResume, CancelMidRunLeavesResumableCheckpoint) {
   EXPECT_EQ(resumed.result.final_residual, ref.result.final_residual);
   EXPECT_TRUE(BitEqual(resumed.solution.lambda, ref.solution.lambda));
   EXPECT_TRUE(BitEqual(resumed.solution.mu, ref.solution.mu));
+}
+
+TEST(CheckpointResume, ResumedMetricsCountOnlyThisProcess) {
+  const auto p = DenseFixedProblem();
+  const std::string path = ::testing::TempDir() + "/resume_metrics.bin";
+  std::remove(path.c_str());
+  CheckpointWriter writer(path);
+  SeaOptions partial_opts = BaseOptions();
+  partial_opts.max_iterations = 3;  // the iteration cap checkpoints too
+  partial_opts.checkpoint = &writer;
+  ASSERT_EQ(SolveDiagonal(p, partial_opts).result.status,
+            SolveStatus::kMaxIterations);
+  const auto loaded = LoadCheckpoint(path);
+  ASSERT_TRUE(loaded.ok());
+  const std::uint64_t k = loaded.state.iteration;
+  ASSERT_EQ(k, 3u);
+
+  obs::MetricsRegistry metrics;
+  obs::MetricsObserver metrics_observer(metrics);
+  SeaOptions o = BaseOptions();
+  o.resume = &loaded.state;
+  o.observers.push_back(&metrics_observer);
+  const auto resumed = SolveDiagonal(p, o);
+  ASSERT_TRUE(resumed.result.converged());
+
+  // The first k iterations and their checks ran in the earlier process.
+  const auto snap = metrics.Snapshot();
+  EXPECT_EQ(snap.CounterValue("sea.iterations"), resumed.result.iterations - k);
+  EXPECT_EQ(snap.CounterValue("sea.checks_compared"),
+            resumed.result.checks_compared - loaded.state.checks_compared);
+  EXPECT_EQ(snap.CounterValue("sea.checkpoint.resumes"), 1u);
+  const auto* interval = snap.FindHistogram("sea.check.interval_iters");
+  ASSERT_NE(interval, nullptr);
+  EXPECT_EQ(interval->sum,
+            static_cast<double>(snap.CounterValue("sea.iterations")));
+  const auto* residual = snap.FindHistogram("sea.check.residual");
+  ASSERT_NE(residual, nullptr);
+  EXPECT_EQ(residual->total_count, snap.CounterValue("sea.checks_compared"));
 }
 
 TEST(CheckpointResume, ConvergedSolveWritesNoFinalCheckpoint) {

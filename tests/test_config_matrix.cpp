@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/diagonal_sea.hpp"
+#include "core/engine_observer.hpp"
 #include "parallel/thread_pool.hpp"
 #include "problems/feasibility.hpp"
 #include "support/rng.hpp"
@@ -191,9 +192,10 @@ TracedRun SolveTraced(const DiagonalProblem& p, SortPolicy policy,
   o.sort_policy = policy;
   if (threads > 1) o.pool = &pool;
   TracedRun traced;
-  o.progress = [&traced](const IterationEvent& ev) {
+  CheckObserver progress([&traced](const IterationEvent& ev) {
     if (ev.measure_defined) traced.measures.push_back(ev.measure);
-  };
+  });
+  o.observers.push_back(&progress);
   traced.run = SolveDiagonal(p, o);
   return traced;
 }

@@ -5,6 +5,7 @@
 
 #include "baselines/reference_solvers.hpp"
 #include "core/diagonal_sea.hpp"
+#include "core/engine_observer.hpp"
 #include "parallel/thread_pool.hpp"
 #include "problems/feasibility.hpp"
 #include "support/rng.hpp"
@@ -250,7 +251,9 @@ TEST(DiagonalSea, ProgressCallbackFiresOnCheckIterationsOnly) {
   SeaOptions o = TightOptions();
   o.check_every = 4;
   std::vector<IterationEvent> events;
-  o.progress = [&](const IterationEvent& ev) { events.push_back(ev); };
+  CheckObserver progress(
+      [&](const IterationEvent& ev) { events.push_back(ev); });
+  o.observers.push_back(&progress);
   const auto run = SolveDiagonal(p, o);
   ASSERT_TRUE(run.result.converged());
 

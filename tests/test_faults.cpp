@@ -18,6 +18,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/diagonal_sea.hpp"
+#include "core/engine_observer.hpp"
 #include "core/solve_status.hpp"
 #include "entropy/entropy_sea.hpp"
 #include "obs/flight_recorder.hpp"
@@ -198,7 +199,7 @@ TEST_F(FaultTest, TraceWriteFailureDoesNotAbortSolve) {
       ::testing::TempDir() + "/fault_trace.jsonl";
   obs::JsonlTraceSink sink(path);
   SeaOptions o = TightOptions();
-  o.trace_sink = &sink;
+  o.observers.push_back(&sink);
   fail::Arm("sea.obs.trace_write", 2);  // first event lands, second fails
   const auto run = SolveDiagonal(p, o);
   EXPECT_TRUE(run.result.converged());
@@ -260,7 +261,7 @@ TEST_F(FaultTest, StalledSolveDumpsPostmortem) {
   const std::string path = ::testing::TempDir() + "/postmortem_stall.jsonl";
   std::remove(path.c_str());
   recorder.SetDumpPath(path);
-  o.flight_recorder = &recorder;
+  o.observers.push_back(&recorder);
   const auto run = SolveDiagonal(p, o);
   EXPECT_EQ(run.result.status, SolveStatus::kStalled);
   EXPECT_TRUE(recorder.dumped());
@@ -276,7 +277,7 @@ TEST_F(FaultTest, BreakdownDumpsPostmortem) {
       ::testing::TempDir() + "/postmortem_breakdown.jsonl";
   std::remove(path.c_str());
   recorder.SetDumpPath(path);
-  o.flight_recorder = &recorder;
+  o.observers.push_back(&recorder);
   const auto run = SolveDiagonal(p, o);
   EXPECT_EQ(run.result.status, SolveStatus::kNumericalBreakdown);
   EXPECT_TRUE(recorder.dumped());
@@ -290,14 +291,15 @@ TEST_F(FaultTest, CancelledSolveDumpsPostmortem) {
   o.cancel = &cancel;
   // Cancel mid-run from the progress callback; the engine observes it at
   // the next check-iteration poll.
-  o.progress = [&cancel](const IterationEvent& ev) {
+  CheckObserver progress([&cancel](const IterationEvent& ev) {
     if (ev.iteration >= 2) cancel.Cancel();
-  };
+  });
+  o.observers.push_back(&progress);
   obs::FlightRecorder recorder;
   const std::string path = ::testing::TempDir() + "/postmortem_cancel.jsonl";
   std::remove(path.c_str());
   recorder.SetDumpPath(path);
-  o.flight_recorder = &recorder;
+  o.observers.push_back(&recorder);
   const auto run = SolveDiagonal(p, o);
   EXPECT_EQ(run.result.status, SolveStatus::kCancelled);
   EXPECT_TRUE(recorder.dumped());
@@ -313,7 +315,7 @@ TEST_F(FaultTest, BudgetExceededDumpsPostmortem) {
   const std::string path = ::testing::TempDir() + "/postmortem_budget.jsonl";
   std::remove(path.c_str());
   recorder.SetDumpPath(path);
-  o.flight_recorder = &recorder;
+  o.observers.push_back(&recorder);
   const auto run = SolveDiagonal(p, o);
   EXPECT_EQ(run.result.status, SolveStatus::kTimeBudgetExceeded);
   EXPECT_TRUE(recorder.dumped());
@@ -327,7 +329,7 @@ TEST_F(FaultTest, ConvergedSolveDoesNotDump) {
   const std::string path = ::testing::TempDir() + "/postmortem_none.jsonl";
   std::remove(path.c_str());
   recorder.SetDumpPath(path);
-  o.flight_recorder = &recorder;
+  o.observers.push_back(&recorder);
   const auto run = SolveDiagonal(p, o);
   EXPECT_TRUE(run.result.converged());
   EXPECT_FALSE(recorder.dumped());
@@ -458,14 +460,15 @@ TEST_F(FaultTest, RecoveryEmitsLiveTelemetry) {
   const auto p = SmallFixedProblem();
   SeaOptions o = RecoverOptions();
   obs::MetricsRegistry metrics;
-  o.metrics = &metrics;
+  obs::MetricsObserver metrics_observer(metrics);
+  o.observers.push_back(&metrics_observer);
   obs::FlightRecorder recorder;
-  o.flight_recorder = &recorder;
+  o.observers.push_back(&recorder);
   const std::string status_path =
       ::testing::TempDir() + "/recovery_status.json";
   obs::StatusFileWriter status(status_path, o.epsilon,
                                /*min_interval_seconds=*/0.0);
-  o.status_file = &status;
+  o.observers.push_back(&status);
   fail::Arm("sea.engine.poison_measure", 3, 1);
   const auto run = SolveDiagonal(p, o);
   EXPECT_TRUE(run.result.converged());
@@ -606,7 +609,7 @@ TEST_F(FaultTest, PostmortemWriteFailureDegradesNotTheResult) {
   const std::string path = ::testing::TempDir() + "/postmortem_fail.jsonl";
   std::remove(path.c_str());
   recorder.SetDumpPath(path);
-  o.flight_recorder = &recorder;
+  o.observers.push_back(&recorder);
   const auto run = SolveDiagonal(p, o);
   // The solve result is untouched by the failed dump, and no partial file
   // is published (the temp never got renamed into place).

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,6 +15,7 @@
 #include "baselines/ras.hpp"
 #include "baselines/rc_algorithm.hpp"
 #include "baselines/reference_solvers.hpp"
+#include "core/checkpoint.hpp"
 #include "core/diagonal_sea.hpp"
 #include "core/general_sea.hpp"
 #include "datasets/general_dense.hpp"
@@ -20,10 +24,16 @@
 #include "datasets/migration.hpp"
 #include "datasets/sam_datasets.hpp"
 #include "datasets/weights.hpp"
+#include "obs/flight_recorder.hpp"
+#include "obs/market_stats.hpp"
+#include "obs/metrics.hpp"
+#include "obs/status_file.hpp"
+#include "obs/trace_sink.hpp"
 #include "parallel/thread_pool.hpp"
 #include "problems/feasibility.hpp"
 #include "sparse/sparse_sea.hpp"
 #include "spe/spe_generator.hpp"
+#include "support/failpoint.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
 
@@ -123,6 +133,145 @@ TEST(Integration, PinnedKernelBits) {
     h.MixU64(r.active_count);
   }
   EXPECT_EQ(Hex(h.value()), "e63acf2c0320b128");
+}
+
+// Pinned observer outputs: the FNV-1a of what the telemetry observers emit
+// over three solves, with wall-clock fields masked. Hashed per solve: the
+// JSONL trace lines, the postmortem events (kind, iteration, value), the
+// final status snapshot, and the metrics counters plus histogram bucket
+// counts. Recorded before the observers were folded into one event stream;
+// rewiring how the engine feeds them must not move it.
+std::string MaskTiming(const std::string& json) {
+  static const std::set<std::string> kTiming = {
+      "row_seconds",       "col_seconds",       "check_seconds",
+      "linearize_seconds", "t",                 "elapsed_seconds",
+      "eta_seconds",       "row_phase_seconds", "col_phase_seconds",
+      "check_phase_seconds"};
+  std::string out;
+  std::size_t i = 0;
+  for (std::size_t colon; (colon = json.find("\":", i)) != std::string::npos;) {
+    const std::size_t open = json.rfind('"', colon - 1);
+    out.append(json, i, colon + 2 - i);
+    i = colon + 2;
+    if (kTiming.count(json.substr(open + 1, colon - open - 1)) > 0) {
+      out += 'T';
+      i = std::min(json.find_first_of(",}", i), json.size());
+    }
+  }
+  return out.append(json, i, std::string::npos);
+}
+
+class PinnedObservers {
+ public:
+  PinnedObservers(SeaOptions& o, const std::string& tag)
+      : trace_path_(::testing::TempDir() + "/pinned_" + tag + ".jsonl"),
+        postmortem_path_(::testing::TempDir() + "/pinned_" + tag + "_pm"),
+        trace_(std::make_unique<obs::JsonlTraceSink>(trace_path_)),
+        status_("", o.epsilon) {
+    o.observers = {trace_.get(), &metrics_observer_, &recorder_, &status_};
+  }
+
+  void Mix(support::Fnv1a& h) {
+    const auto mix = [&h](const std::string& s) {
+      h.MixU64(s.size());
+      h.MixBytes(s.data(), s.size());
+    };
+    trace_.reset();  // flush and close
+    std::ifstream trace(trace_path_);
+    for (std::string line; std::getline(trace, line);) mix(MaskTiming(line));
+    ASSERT_TRUE(recorder_.WritePostmortem(postmortem_path_));
+    std::ifstream pm(postmortem_path_);
+    for (std::string line; std::getline(pm, line);)
+      if (line.find("\"type\":\"event\"") != std::string::npos)
+        mix(MaskTiming(line));
+    mix(MaskTiming(status_.LatestJson()));
+    const obs::MetricsSnapshot snap = metrics_.Snapshot();
+    for (const auto& [name, value] : snap.counters) {
+      mix(name);
+      h.MixU64(value);
+    }
+    for (const auto& [name, hist] : snap.histograms) {
+      mix(name);
+      for (std::uint64_t c : hist.counts) h.MixU64(c);
+    }
+  }
+
+ private:
+  std::string trace_path_;
+  std::string postmortem_path_;
+  std::unique_ptr<obs::JsonlTraceSink> trace_;
+  obs::MetricsRegistry metrics_;
+  obs::MetricsObserver metrics_observer_{metrics_};
+  obs::FlightRecorder recorder_;
+  obs::StatusFileWriter status_;
+};
+
+TEST(Integration, PinnedObserverOutputs) {
+  support::Fnv1a h;
+  Rng rng(0x0B5E);
+
+  {  // Converged dense solve with per-market attribution.
+    const std::size_t m = 9, n = 7;
+    DenseMatrix x0(m, n), gamma(m, n);
+    for (double& v : x0.Flat()) v = rng.Uniform(1.0, 50.0);
+    for (double& v : gamma.Flat()) v = rng.Uniform(0.1, 10.0);
+    Vector s0 = x0.RowSums(), d0 = x0.ColSums();
+    for (double& v : s0) v *= 1.2;
+    for (double& v : d0) v *= 1.2;
+    SeaOptions o;
+    o.epsilon = 1e-9;
+    o.check_every = 2;
+    obs::MarketAttribution attribution;
+    o.attribution = &attribution;
+    PinnedObservers observers(o, "dense");
+    const auto run =
+        SolveDiagonal(DiagonalProblem::MakeFixed(x0, gamma, s0, d0), o);
+    ASSERT_TRUE(run.result.converged());
+    observers.Mix(h);
+  }
+
+  {  // A stall the recovery ladder cannot rescue, checkpointing as it goes.
+    DenseMatrix x0(3, 3), gamma(3, 3);
+    double v = 1.0;
+    for (double& c : x0.Flat()) c = v++;
+    v = 0.0;
+    for (double& c : gamma.Flat()) {
+      c = 0.5 + 0.37 * (v * (v + 1.0) / 9.0);
+      v += 1.0;
+    }
+    Vector s0 = x0.RowSums(), d0 = x0.ColSums();
+    for (double& t : s0) t *= 1.3;
+    for (double& t : d0) t *= 1.3;
+    SeaOptions o;
+    o.epsilon = 1e-300;
+    o.criterion = StopCriterion::kResidualAbs;
+    o.recover = true;
+    o.stall_checks = 1;
+    o.recovery_retries = 1;
+    const std::string ck_path = ::testing::TempDir() + "/pinned_stall.ck";
+    std::remove(ck_path.c_str());
+    CheckpointWriter checkpoint(ck_path);
+    o.checkpoint = &checkpoint;
+    PinnedObservers observers(o, "stall");
+    fail::Arm("sea.engine.freeze_measure", 2);
+    const auto run =
+        SolveDiagonal(DiagonalProblem::MakeFixed(x0, gamma, s0, d0), o);
+    fail::DisarmAll();
+    ASSERT_EQ(run.result.status, SolveStatus::kStalled);
+    ASSERT_EQ(run.result.recovered_count, 3u);
+    observers.Mix(h);
+  }
+
+  {  // General SEA: inner checks plus one outer event per projection step.
+    const auto p = datasets::MakeGeneralDense(4, 4, rng);
+    GeneralSeaOptions o;
+    o.outer_epsilon = 1e-6;
+    PinnedObservers observers(o.inner, "general");
+    ASSERT_TRUE(SolveGeneral(p, o).result.converged());
+    observers.Mix(h);
+  }
+
+  EXPECT_EQ(Hex(h.value()), "5332c06612234f8c");
 }
 
 TEST(Integration, ThreeAlgorithmsAgreeOnGeneralProblem) {

@@ -8,6 +8,7 @@
 #include <limits>
 #include <vector>
 
+#include "core/engine_observer.hpp"
 #include "core/iteration_engine.hpp"
 #include "support/cancel.hpp"
 
@@ -124,12 +125,13 @@ TEST(IterationEngine, CallbackFiresOnCheckIterationsOnly) {
   o.max_iterations = 10;
   o.check_every = 3;
   std::vector<std::size_t> fired;
-  o.progress = [&](const IterationEvent& ev) {
+  CheckObserver progress([&](const IterationEvent& ev) {
     fired.push_back(ev.iteration);
     EXPECT_TRUE(ev.measure_defined);
     EXPECT_EQ(ev.measure, 1.0);
     EXPECT_FALSE(ev.converged);
-  };
+  });
+  o.observers.push_back(&progress);
   RunIterationEngine(b, o);
   EXPECT_EQ(fired, (std::vector<std::size_t>{3, 6, 9, 10}));
 }
@@ -142,7 +144,9 @@ TEST(IterationEngine, XChangeFirstCheckIsUndefined) {
   o.criterion = StopCriterion::kXChange;
   o.max_iterations = 1;
   std::vector<IterationEvent> events;
-  o.progress = [&](const IterationEvent& ev) { events.push_back(ev); };
+  CheckObserver progress(
+      [&](const IterationEvent& ev) { events.push_back(ev); });
+  o.observers.push_back(&progress);
   const SeaResult r = RunIterationEngine(b, o);
 
   EXPECT_FALSE(r.converged());
@@ -261,9 +265,10 @@ TEST(IterationEngine, CancellationObservedAtCheckIterations) {
   o.max_iterations = 100;
   o.check_every = 5;
   o.cancel = &cancel;
-  o.progress = [&](const IterationEvent& ev) {
+  CheckObserver progress([&](const IterationEvent& ev) {
     if (ev.iteration == 5) cancel.Cancel();
-  };
+  });
+  o.observers.push_back(&progress);
   const SeaResult r = RunIterationEngine(b, o);
   EXPECT_EQ(r.status, SolveStatus::kCancelled);
   // Cancelled at the next poll (iteration 10), before that check's sweeps:

@@ -323,8 +323,9 @@ TEST(TelemetryPlane, ConcurrentScrapesDuringLiveSolve) {
   opts.criterion = StopCriterion::kResidualAbs;
   opts.max_iterations = 20000;
   opts.stall_checks = 0;  // run the full iteration budget
-  opts.metrics = &metrics;
-  opts.status_file = &status;
+  obs::MetricsObserver metrics_observer(metrics);
+  opts.observers.push_back(&metrics_observer);
+  opts.observers.push_back(&status);
 
   std::atomic<bool> solving{true};
   DiagonalSeaRun run;
@@ -368,12 +369,14 @@ TEST(TelemetryPlane, SamplerDoesNotPerturbSolverResults) {
 
   obs::MetricsRegistry m1;
   SeaOptions o1 = opts;
-  o1.metrics = &m1;
+  obs::MetricsObserver m1_observer(m1);
+  o1.observers.push_back(&m1_observer);
   const auto without = SolveDiagonal(problem, o1);
 
   obs::MetricsRegistry m2;
   SeaOptions o2 = opts;
-  o2.metrics = &m2;
+  obs::MetricsObserver m2_observer(m2);
+  o2.observers.push_back(&m2_observer);
   obs::SamplerOptions fast;
   fast.interval_ms = 1.0;
   obs::MetricsSampler sampler(&m2, fast);

@@ -13,10 +13,14 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/diagonal_sea.hpp"
+#include "core/engine_observer.hpp"
 #include "core/general_sea.hpp"
 #include "core/stopping.hpp"
 #include "datasets/general_dense.hpp"
@@ -169,7 +173,7 @@ TEST(TraceReader, RoundTripsSinkEvents) {
   EXPECT_EQ(parsed.Number("flops_delta"), 100.0);
   EXPECT_EQ(parsed.Number("flops_total"), 400.0);
 
-  obs::OuterStepEvent oev;
+  OuterStepEvent oev;
   oev.outer_iteration = 3;
   oev.change = 0.25;
   oev.inner_iterations = 12;
@@ -198,14 +202,49 @@ TEST(TraceReader, RejectsMalformedLines) {
 
 // ------------------------------------- engine contract (satellite task 3)
 
-// Records everything a sink sees, for asserting the event contract.
-class RecordingSink : public obs::TraceSink {
+// Records everything an observer sees, for asserting the event contract:
+// the check and outer events, plus one line per hook in arrival order —
+// also appended to `shared` (when set) tagged with this observer, so a
+// test can pin the fan-out order across observers.
+class RecordingSink : public EngineObserver {
  public:
   std::vector<IterationEvent> checks;
-  std::vector<obs::OuterStepEvent> outers;
-  void OnCheck(const IterationEvent& ev) override { checks.push_back(ev); }
-  void OnOuterStep(const obs::OuterStepEvent& ev) override {
+  std::vector<OuterStepEvent> outers;
+  std::vector<std::string> lines;
+  std::vector<std::pair<const RecordingSink*, std::string>>* shared = nullptr;
+
+  void OnBegin(const SeaOptions&) override { Note("begin"); }
+  void OnResume(const CheckpointState&) override { Note("resume"); }
+  void OnGuardrail(Guardrail kind, std::size_t t, double) override {
+    Note("guardrail " + std::to_string(static_cast<int>(kind)) + " @" +
+         std::to_string(t));
+  }
+  void OnGoodIterate(std::size_t t, double) override {
+    Note("good @" + std::to_string(t));
+  }
+  void OnRecovery(std::size_t t, std::uint8_t rung, std::uint64_t) override {
+    Note(std::string("recovery ") + RecoveryRungName(rung) + " @" +
+         std::to_string(t));
+  }
+  void OnCheckpointWrite(bool ok) override {
+    Note(ok ? "checkpoint" : "checkpoint failed");
+  }
+  void OnCheck(const IterationEvent& ev) override {
+    checks.push_back(ev);
+    Note("check @" + std::to_string(ev.iteration));
+  }
+  void OnOuterStep(const OuterStepEvent& ev) override {
     outers.push_back(ev);
+    Note("outer @" + std::to_string(ev.outer_iteration));
+  }
+  void OnEnd(const SeaResult& r) override {
+    Note(std::string("end ") + ToString(r.status));
+  }
+
+ private:
+  void Note(std::string line) {
+    if (shared != nullptr) shared->emplace_back(this, line);
+    lines.push_back(std::move(line));
   }
 };
 
@@ -215,7 +254,7 @@ TEST(TraceContract, EventsFireOnCheckIterationsOnly) {
   SeaOptions opts;
   opts.epsilon = 1e-8;
   opts.check_every = 3;
-  opts.trace_sink = &sink;
+  opts.observers.push_back(&sink);
   const auto run = SolveDiagonal(problem, opts);
 
   ASSERT_FALSE(sink.checks.empty());
@@ -238,7 +277,7 @@ TEST(TraceContract, FirstXChangeCheckIsUndefined) {
   SeaOptions opts;
   opts.epsilon = 1e-6;
   opts.criterion = StopCriterion::kXChange;
-  opts.trace_sink = &sink;
+  opts.observers.push_back(&sink);
   SolveDiagonal(problem, opts);
 
   ASSERT_GE(sink.checks.size(), 2u);
@@ -255,7 +294,7 @@ TEST(TraceContract, CumulativePhaseTimesAndOpsAreMonotone) {
   RecordingSink sink;
   SeaOptions opts;
   opts.epsilon = 1e-9;
-  opts.trace_sink = &sink;
+  opts.observers.push_back(&sink);
   SolveDiagonal(problem, opts);
 
   ASSERT_GE(sink.checks.size(), 2u);
@@ -275,25 +314,50 @@ TEST(TraceContract, CumulativePhaseTimesAndOpsAreMonotone) {
   }
 }
 
-TEST(TraceContract, SinkAndProgressSeeTheSameEvents) {
+TEST(TraceContract, ObserversSeeTheSameEventsInListOrder) {
   const auto problem = SmallFixedProblem(6, 6);
-  RecordingSink sink;
-  std::vector<IterationEvent> progress_events;
+  std::vector<std::pair<const RecordingSink*, std::string>> shared;
+  RecordingSink first, second;
+  first.shared = second.shared = &shared;
   SeaOptions opts;
   opts.epsilon = 1e-7;
   opts.check_every = 2;
-  opts.trace_sink = &sink;
-  opts.progress = [&](const IterationEvent& ev) {
-    progress_events.push_back(ev);
-  };
+  opts.recover = true;
+  opts.stall_checks = 1;
+  const std::string ck_path = TempPath("fanout.ck");
+  std::remove(ck_path.c_str());
+  CheckpointWriter checkpoint(ck_path);
+  opts.checkpoint = &checkpoint;
+  opts.observers = {&first, &second};
+  // A frozen measure trips the stall detector, so the guardrail and
+  // recovery hooks fan out too.
+  fail::Arm("sea.engine.freeze_measure", 2, 1);
   SolveDiagonal(problem, opts);
+  fail::DisarmAll();
+  std::remove(ck_path.c_str());
 
-  ASSERT_EQ(progress_events.size(), sink.checks.size());
-  for (std::size_t k = 0; k < sink.checks.size(); ++k) {
-    EXPECT_EQ(progress_events[k].iteration, sink.checks[k].iteration);
-    EXPECT_EQ(progress_events[k].measure, sink.checks[k].measure);
-    EXPECT_EQ(progress_events[k].ops_total.flops,
-              sink.checks[k].ops_total.flops);
+  EXPECT_EQ(first.lines, second.lines);
+  ASSERT_EQ(first.lines.front(), "begin");
+  EXPECT_NE(std::find(first.lines.begin(), first.lines.end(),
+                      "recovery restore @4"),
+            first.lines.end());
+  EXPECT_NE(std::find(first.lines.begin(), first.lines.end(), "checkpoint"),
+            first.lines.end());
+  // Each event reaches every observer, in list order, before the next
+  // event is emitted.
+  ASSERT_EQ(shared.size(), 2 * first.lines.size());
+  for (std::size_t k = 0; k < first.lines.size(); ++k) {
+    EXPECT_EQ(shared[2 * k].first, &first) << k;
+    EXPECT_EQ(shared[2 * k + 1].first, &second) << k;
+    EXPECT_EQ(shared[2 * k].second, first.lines[k]);
+    EXPECT_EQ(shared[2 * k + 1].second, first.lines[k]);
+  }
+  ASSERT_EQ(first.checks.size(), second.checks.size());
+  for (std::size_t k = 0; k < first.checks.size(); ++k) {
+    EXPECT_EQ(first.checks[k].iteration, second.checks[k].iteration);
+    EXPECT_EQ(first.checks[k].measure, second.checks[k].measure);
+    EXPECT_EQ(first.checks[k].ops_total.flops,
+              second.checks[k].ops_total.flops);
   }
 }
 
@@ -303,7 +367,8 @@ TEST(TraceContract, EngineFillsMetricsRegistry) {
   SeaOptions opts;
   opts.epsilon = 1e-8;
   opts.check_every = 2;
-  opts.metrics = &metrics;
+  obs::MetricsObserver metrics_observer(metrics);
+  opts.observers.push_back(&metrics_observer);
   const auto run = SolveDiagonal(problem, opts);
 
   const auto snap = metrics.Snapshot();
@@ -327,9 +392,11 @@ TEST(TraceContract, GeneralSeaEmitsOuterEvents) {
   const auto problem = datasets::MakeGeneralDense(4, 4, rng);
 
   RecordingSink sink;
+  obs::MetricsRegistry metrics;
+  obs::MetricsObserver metrics_observer(metrics);
   GeneralSeaOptions opts;
   opts.outer_epsilon = 1e-4;
-  opts.inner.trace_sink = &sink;
+  opts.inner.observers = {&sink, &metrics_observer};
   const auto run = SolveGeneral(problem, opts);
 
   ASSERT_EQ(sink.outers.size(), run.result.outer_iterations);
@@ -342,6 +409,19 @@ TEST(TraceContract, GeneralSeaEmitsOuterEvents) {
   for (std::size_t k = 1; k < sink.outers.size(); ++k)
     EXPECT_GE(sink.outers[k].inner_iterations_total,
               sink.outers[k - 1].inner_iterations_total);
+
+  // The metrics observer turns the same outer events into sea.general.*.
+  const auto snap = metrics.Snapshot();
+  EXPECT_EQ(snap.CounterValue("sea.general.outer_iterations"),
+            run.result.outer_iterations);
+  EXPECT_EQ(snap.GaugeValue("sea.general.final_outer_change"),
+            run.result.final_outer_change);
+  EXPECT_EQ(snap.GaugeValue("sea.general.converged"),
+            run.result.converged() ? 1.0 : 0.0);
+  EXPECT_NEAR(snap.GaugeValue("sea.general.linearization_seconds"),
+              run.result.linearization_seconds, 1e-9);
+  EXPECT_EQ(snap.CounterValue("sea.iterations"),
+            run.result.total_inner_iterations);
 }
 
 TEST(TraceContract, JsonlSinkWritesParseableFile) {
@@ -352,7 +432,7 @@ TEST(TraceContract, JsonlSinkWritesParseableFile) {
     obs::JsonlTraceSink sink(path);
     SeaOptions opts;
     opts.epsilon = 1e-7;
-    opts.trace_sink = &sink;
+    opts.observers.push_back(&sink);
     SolveDiagonal(problem, opts);
     EXPECT_GT(sink.events_written(), 0u);
   }
@@ -904,7 +984,7 @@ TEST(Attribution, DisabledPathStaysPayForUse) {
 TEST(FlightRecorder, RingWrapsKeepingNewestEvents) {
   obs::FlightRecorder rec(4);
   for (std::size_t i = 1; i <= 10; ++i)
-    rec.Record(obs::FlightRecorder::EventKind::kCheck, i, 0.1 * i);
+    rec.Record("check", i, 0.1 * i);
   EXPECT_EQ(rec.capacity(), 4u);
   EXPECT_EQ(rec.recorded(), 10u);
   const std::string path = TempPath("flight_ring.jsonl");
@@ -927,7 +1007,7 @@ TEST(FlightRecorder, SurvivesAcrossChainedSolves) {
   const auto p = SmallFixedProblem(6, 7);
   obs::FlightRecorder rec;
   SeaOptions o;
-  o.flight_recorder = &rec;
+  o.observers.push_back(&rec);
   const auto first = SolveDiagonal(p, o);
   ASSERT_TRUE(first.result.converged());
   const std::size_t after_first = rec.recorded();
@@ -967,7 +1047,9 @@ TEST(StatusFile, WritesParseableSnapshotsWithEta) {
     // measure 1e-3 -> epsilon 1e-6 at one decade per ten iterations: 30.
     EXPECT_NEAR(snap.Number("eta_iterations"), 30.0, 1e-6);
   }
-  writer.OnTermination(SolveStatus::kConverged);
+  SeaResult converged;
+  converged.status = SolveStatus::kConverged;
+  writer.OnEnd(converged);
   {
     std::ifstream f(path);
     std::string line;
@@ -986,7 +1068,7 @@ TEST(StatusFile, EngineWritesFinalSnapshot) {
   std::remove(path.c_str());
   obs::StatusFileWriter writer(path, 1e-6);
   SeaOptions o;
-  o.status_file = &writer;
+  o.observers.push_back(&writer);
   const auto run = SolveDiagonal(p, o);
   ASSERT_TRUE(run.result.converged());
   std::ifstream f(path);
@@ -1107,7 +1189,8 @@ TEST(Metrics, PrometheusAndJsonSeeTheSameRegistry) {
   obs::MetricsRegistry reg;
   obs::MarketAttribution attr;
   SeaOptions o;
-  o.metrics = &reg;
+  obs::MetricsObserver reg_observer(reg);
+  o.observers.push_back(&reg_observer);
   o.attribution = &attr;
   const auto run = SolveDiagonal(p, o);
   ASSERT_TRUE(run.result.converged());
@@ -1192,7 +1275,9 @@ TEST(StatusFile, PathlessWriterServesLatestJsonWithoutFileWrites) {
   EXPECT_EQ(ev1.strings.at("phase"), "iterating");
   EXPECT_EQ(ev1.Number("iter"), 4.0);
 
-  writer.OnTermination(SolveStatus::kConverged);
+  SeaResult converged;
+  converged.status = SolveStatus::kConverged;
+  writer.OnEnd(converged);
   auto ev2 = obs::ParseTraceLine(writer.LatestJson());
   EXPECT_EQ(ev2.strings.at("phase"), "terminated");
   EXPECT_EQ(ev2.strings.at("status"), "converged");

@@ -607,6 +607,14 @@ TEST(ServeDaemon, ConcurrentMixedLoadAllAnswered) {
   const auto stats = daemon.cache.Stats();
   EXPECT_GT(stats.hits_exact, 0u);  // the repeats hit
   EXPECT_EQ(daemon.service.errors(), 0u);
+  // Each request's solve commits through its own metrics observer; one
+  // shared across workers would mix their per-solve deltas.
+  const auto snap = daemon.metrics.Snapshot();
+  EXPECT_EQ(snap.CounterValue("sea.iterations"),
+            snap.CounterValue("sea.serve.iterations"));
+  EXPECT_EQ(snap.CounterValue("sea.solves"),
+            snap.CounterValue("sea.serve.warm_solves") +
+                snap.CounterValue("sea.serve.cold_solves"));
 }
 
 }  // namespace

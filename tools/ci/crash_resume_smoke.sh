@@ -3,8 +3,9 @@
 # crash_after_checkpoint failpoint right after checkpoint #2 lands,
 # inspect the survivor with checkpoint_info, resume from it, and require
 # the resumed solution to be byte-identical to an uninterrupted reference
-# run. CI runs this in every matrix leg, so the bit-identity contract is
-# proven under both gcc and clang builds.
+# run, and its metrics to count only the resumed process's work. CI runs
+# this in every matrix leg, so the bit-identity contract is proven under
+# both gcc and clang builds.
 #
 #   tools/ci/crash_resume_smoke.sh [build-dir]
 set -euo pipefail
@@ -34,6 +35,11 @@ set -e
   --matrix data/example_base.csv \
   --row-totals data/example_row_totals.csv \
   --col-totals data/example_col_totals.csv \
-  --resume resume_ck.bin --out resume_resumed.csv | grep resumed:
+  --resume resume_ck.bin --out resume_resumed.csv \
+  --metrics-json resume_metrics.json | grep resumed:
 cmp resume_ref.csv resume_resumed.csv
 echo "resume is bit-identical to the uninterrupted reference"
+# The resumed process counts only its own iterations: one check-interval
+# observation per iteration (check-every 1), summing to sea.iterations.
+python3 -c "import json; m = json.load(open('resume_metrics.json'))['metrics']; \
+it, iv = m['counters']['sea.iterations'], m['histograms']['sea.check.interval_iters']['sum']; assert it == iv, (it, iv)"

@@ -76,6 +76,7 @@
 #include "core/checkpoint.hpp"
 
 #include "core/diagonal_sea.hpp"
+#include "core/engine_observer.hpp"
 #include "core/solve_status.hpp"
 #include "datasets/weights.hpp"
 #include "io/csv.hpp"
@@ -463,18 +464,17 @@ int main(int argc, char** argv) {
       if (opts.time_budget_seconds <= 0.0)
         Usage(argv[0], "--time-budget must be positive");
     }
-    if (args.count("progress")) {
-      opts.progress = [](const IterationEvent& ev) {
-        std::cout << "progress: iter=" << ev.iteration << " residual=";
-        if (ev.measure_defined) {
-          std::cout << ev.measure;
-        } else {
-          std::cout << "n/a";
-        }
-        if (ev.converged) std::cout << " (converged)";
-        std::cout << '\n';
-      };
-    }
+    CheckObserver progress([](const IterationEvent& ev) {
+      std::cout << "progress: iter=" << ev.iteration << " residual=";
+      if (ev.measure_defined) {
+        std::cout << ev.measure;
+      } else {
+        std::cout << "n/a";
+      }
+      if (ev.converged) std::cout << " (converged)";
+      std::cout << '\n';
+    });
+    if (args.count("progress")) opts.observers.push_back(&progress);
     const std::size_t threads =
         args.count("threads") ? ParseSize(args["threads"], "--threads") : 1;
     ThreadPool pool(threads);
@@ -505,14 +505,16 @@ int main(int argc, char** argv) {
       Usage(argv[0], "unknown sort policy '" + sort + "'");
     }
 
-    // Opt-in telemetry: structured trace + metrics registry + pool stats.
+    // Opt-in telemetry: structured trace + metrics registry + pool stats;
+    // one metrics observer however many exports (and --listen) read it.
     std::unique_ptr<obs::JsonlTraceSink> trace_sink;
     if (args.count("trace-jsonl")) {
       trace_sink = std::make_unique<obs::JsonlTraceSink>(args["trace-jsonl"]);
-      opts.trace_sink = trace_sink.get();
+      opts.observers.push_back(trace_sink.get());
     }
-    if (want_metrics_json || want_metrics_prom) {
-      opts.metrics = &metrics;
+    obs::MetricsObserver metrics_observer(metrics);
+    if (want_metrics_json || want_metrics_prom || args.count("listen")) {
+      opts.observers.push_back(&metrics_observer);
       pool.EnableStats(true);
     }
 
@@ -523,7 +525,7 @@ int main(int argc, char** argv) {
     obs::FlightRecorder recorder;
     if (args.count("postmortem-json")) {
       recorder.SetDumpPath(args["postmortem-json"]);
-      opts.flight_recorder = &recorder;
+      opts.observers.push_back(&recorder);
     }
     // --listen implies a (possibly path-less) status writer: /statusz
     // serves its latest snapshot without requiring --status-file.
@@ -532,7 +534,7 @@ int main(int argc, char** argv) {
       status_writer = std::make_unique<obs::StatusFileWriter>(
           args.count("status-file") ? args["status-file"] : std::string(),
           opts.epsilon);
-      opts.status_file = status_writer.get();
+      opts.observers.push_back(status_writer.get());
     }
 
     // Durability + self-healing (docs/ROBUSTNESS.md): checkpoint cadence,
@@ -619,8 +621,6 @@ int main(int argc, char** argv) {
     std::unique_ptr<obs::MetricsSampler> sampler;
     std::unique_ptr<net::HttpServer> server;
     if (args.count("listen")) {
-      opts.metrics = &metrics;  // rates need a populated registry
-      pool.EnableStats(true);
       obs::SamplerOptions sampler_opts;
       if (args.count("sample-interval-ms")) {
         sampler_opts.interval_ms =
@@ -804,11 +804,9 @@ int main(int argc, char** argv) {
                   << " spans (per-thread buffer cap)\n";
     }
 
-    if (trace_sink) {
-      trace_sink->Flush();
+    if (trace_sink)
       std::cout << "trace jsonl:    " << args["trace-jsonl"] << " ("
                 << trace_sink->events_written() << " events)\n";
-    }
     if (args.count("attribution-json")) {
       // Fail-soft like the profile export: a write failure degrades the
       // forensics output, never the solve or its exit code.
@@ -832,7 +830,7 @@ int main(int argc, char** argv) {
                 << sampler->samples_taken() << " samples)\n";
     if (!solve_log.path().empty())
       std::cout << "solve log:      " << solve_log.path() << '\n';
-    if (opts.flight_recorder != nullptr && recorder.dumped())
+    if (recorder.dumped())
       std::cout << "postmortem:     " << args["postmortem-json"] << " ("
                 << recorder.recorded() << " events recorded)\n";
     if (want_metrics_json || want_metrics_prom)
