@@ -135,23 +135,19 @@ int main(int argc, char** argv) {
               paper_row.speedup, "simulated schedule");
     }
 
-    // Real thread-pool wall times at the host's concurrency, one run per
-    // sweep schedule (docs/PARALLELISM.md). The schedules are bit-identical
-    // in results, so the comparison isolates partitioning overhead/balance;
-    // the cost-guided run also flips on sort reuse to show the combined
-    // kernel+schedule effect.
+    // Real thread-pool wall times at the host's concurrency under the one
+    // sweep schedule (docs/PARALLELISM.md), with and without sort reuse.
+    // Results are bit-identical across both, so the comparison isolates
+    // the kernel's sort cost.
     const std::size_t hw = std::thread::hardware_concurrency();
     if (hw >= 2) {
-      struct SchedCase {
+      struct SortCase {
         const char* name;
-        ScheduleKind kind;
         SortPolicy sort;
       };
-      const SchedCase cases[] = {
-          {"static", ScheduleKind::kStatic, SortPolicy::kHeapsort},
-          {"dynamic", ScheduleKind::kDynamic, SortPolicy::kHeapsort},
-          {"cost", ScheduleKind::kCostGuided, SortPolicy::kHeapsort},
-          {"cost+reuse", ScheduleKind::kCostGuided, SortPolicy::kReuse},
+      const SortCase cases[] = {
+          {"heapsort", SortPolicy::kHeapsort},
+          {"reuse", SortPolicy::kReuse},
       };
       std::cout << "    real wall time 1 thread: "
                 << TablePrinter::Num(run.result.wall_seconds, 3) << "s; " << hw
@@ -161,7 +157,6 @@ int main(int argc, char** argv) {
         SeaOptions par = ex.opts;
         par.record_trace = false;
         par.pool = &pool;
-        par.sweep_schedule = c.kind;
         par.sort_policy = c.sort;
         const auto par_run = SolveDiagonal(ex.problem, par);
         std::cout << ' ' << c.name << '='

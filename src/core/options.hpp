@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "equilibration/breakpoint_solver.hpp"
-#include "parallel/schedule.hpp"
 #include "support/cancel.hpp"
 
 namespace sea {
@@ -45,16 +44,9 @@ struct SeaOptions {
   std::size_t check_every = 1;
   SortPolicy sort_policy = SortPolicy::kAuto;
   // Optional shared-memory pool for the row/column sweeps; null = serial.
+  // Workers claim chunks of markets dynamically (docs/PARALLELISM.md);
+  // results are bit-identical at every thread count.
   ThreadPool* pool = nullptr;
-  // How each sweep is partitioned over the pool (docs/PARALLELISM.md).
-  // kStatic = contiguous equal-count chunks (the default; fixed boundaries).
-  // kCostGuided = re-partition each sweep by the previous sweep's measured
-  // per-market costs (dynamic claiming on the first sweep of each side).
-  // kDynamic = atomic chunk claiming every sweep. Results are bit-identical
-  // across all three. Ignored without a pool.
-  ScheduleKind sweep_schedule = ScheduleKind::kStatic;
-  // Chunk size for dynamic claiming; 0 = auto (n / (8 * workers)).
-  std::size_t sweep_grain = 0;
   // Record the phase-by-phase execution trace (per-market operation counts)
   // for the N-processor schedule simulator.
   bool record_trace = false;

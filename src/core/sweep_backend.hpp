@@ -1,0 +1,258 @@
+// The shared core of the dense and sparse SEA backends
+// (core/diagonal_sea.cpp, sparse/sparse_sea.cpp).
+//
+// Both run the same dual block-coordinate ascent: a row sweep over the
+// problem's centers/weights, a column sweep over their transposed copies,
+// with the primal materialized in the column-sweep layout on check
+// iterations. Matrix is that layout — DenseMatrix or SparseMatrix, the two
+// EquilibrateSide accepts. This class owns everything the two share:
+// per-mode MarketSide setup, sweep options and sort caches, both
+// half-steps, the residual measure and its per-market attribution, the
+// kXChange snapshot, good-iterate save/restore, row-dual snapshot/blend, and
+// checkpoint capture/restore of the duals. A backend supplies only the
+// primal's row sums, the check cost, and the problem fingerprint (plus any
+// regime-specific extras, such as the dense rebalance).
+#pragma once
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <optional>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "core/iteration_engine.hpp"
+#include "core/stopping.hpp"
+#include "obs/market_stats.hpp"
+#include "sparse/sparse_matrix.hpp"
+
+namespace sea {
+
+// The regime data both sweep sides clear against. The box bounds are read
+// only in kInterval mode.
+struct SweepTotals {
+  TotalsMode mode = TotalsMode::kFixed;
+  std::span<const double> s0, alpha, d0, beta;
+  std::span<const double> s_lo{}, s_hi{}, d_lo{}, d_hi{};
+};
+
+inline std::span<const double> PrimalValues(const DenseMatrix& x) {
+  return x.Flat();
+}
+inline std::span<const double> PrimalValues(const SparseMatrix& x) {
+  return x.Values();
+}
+
+template <class Matrix>
+class SweepBackend : public SeaIterationBackend {
+ public:
+  // x0/gamma: the row sweep's data; x0_t/gamma_t: the column sweep's.
+  // xt: the primal in the column-sweep layout, written on check iterations.
+  // The referenced data, totals and duals must outlive the backend.
+  SweepBackend(const SweepTotals& totals, const Matrix& x0,
+               const Matrix& gamma, const Matrix& x0_t, const Matrix& gamma_t,
+               Matrix xt, const SeaOptions& opts, Vector& lambda, Vector& mu)
+      : lambda_(lambda),
+        mu_(mu),
+        xt_(std::move(xt)),
+        rowsum_(lambda.size(), 0.0),
+        totals_(totals),
+        x0_(x0),
+        gamma_(gamma),
+        x0_t_(x0_t),
+        gamma_t_(gamma_t) {
+    row_side_.mode = totals.mode;
+    row_side_.t0 = totals.s0;
+    col_side_.mode = totals.mode;
+    switch (totals.mode) {
+      case TotalsMode::kFixed:
+        col_side_.t0 = totals.d0;
+        break;
+      case TotalsMode::kElastic:
+      case TotalsMode::kInterval:
+        row_side_.weight = totals.alpha;
+        row_side_.lo = totals.s_lo;
+        row_side_.hi = totals.s_hi;
+        col_side_.t0 = totals.d0;
+        col_side_.weight = totals.beta;
+        col_side_.lo = totals.d_lo;
+        col_side_.hi = totals.d_hi;
+        break;
+      case TotalsMode::kSam:
+        row_side_.weight = totals.alpha;
+        row_side_.coupling = mu_;  // rebound before each sweep
+        col_side_.t0 = totals.s0;
+        col_side_.weight = totals.alpha;
+        col_side_.coupling = lambda_;
+        break;
+    }
+    sweep_opts_.sort_policy = opts.sort_policy;
+    sweep_opts_.pool = opts.pool;
+    sweep_opts_.record_task_costs = opts.record_trace;
+    sweep_opts_.attribution = opts.attribution;
+    if (opts.attribution != nullptr)
+      opts.attribution->Reset(lambda.size(), mu.size());
+    if (opts.sort_policy == SortPolicy::kReuse) {
+      row_orders_.Reset(lambda.size());
+      col_orders_.Reset(mu.size());
+    }
+  }
+
+  SweepStats RowSweep() override {
+    if (totals_.mode == TotalsMode::kSam) row_side_.coupling = mu_;
+    sweep_opts_.profile_phase = "equilibrate.rows";
+    sweep_opts_.sort_cache = row_orders_.size() > 0 ? &row_orders_ : nullptr;
+    sweep_opts_.attribution_base = 0;  // row markets: slots [0, m)
+    return EquilibrateSide(x0_, gamma_, mu_, row_side_, lambda_, nullptr,
+                           sweep_opts_);
+  }
+
+  SweepStats ColSweep(bool materialize) override {
+    if (totals_.mode == TotalsMode::kSam) col_side_.coupling = lambda_;
+    sweep_opts_.profile_phase = "equilibrate.cols";
+    sweep_opts_.sort_cache = col_orders_.size() > 0 ? &col_orders_ : nullptr;
+    // column markets: slots [m, m+n)
+    sweep_opts_.attribution_base = lambda_.size();
+    return EquilibrateSide(x0_t_, gamma_t_, lambda_, col_side_, mu_,
+                           materialize ? &xt_ : nullptr, sweep_opts_);
+  }
+
+  double ResidualMeasure(StopCriterion c) override {
+    // Row residual of the column-feasible iterate: after the column sweep
+    // the column constraints hold exactly, so (by eq. (25)) the row residual
+    // is the remaining dual-gradient component.
+    AccumulateRowSums();
+    return MaxRowResidual(c, rowsum_, Targets());
+  }
+
+  void AttributeResidual(StopCriterion c, std::size_t iteration,
+                         double measure) override {
+    // Same per-row terms the aggregate measure maxes over; FoldRowResidual
+    // from a zero running max yields exactly one row's contribution.
+    AccumulateRowSums();
+    const ResidualTargets targets = Targets();
+    const std::span<double> out = sweep_opts_.attribution->residual_scratch();
+    double l1 = 0.0;
+    for (std::size_t i = 0; i < rowsum_.size(); ++i) {
+      out[i] = FoldRowResidual(c, rowsum_[i], RowTarget(targets, i), 0.0);
+      l1 += out[i];
+    }
+    sweep_opts_.attribution->CommitCheck(iteration, measure, l1);
+  }
+
+  double DiffFromSnapshot() override {
+    const auto vals = PrimalValues(xt_);
+    double measure = 0.0;
+    for (std::size_t k = 0; k < vals.size(); ++k)
+      measure = std::max(measure, std::abs(vals[k] - xt_prev_[k]));
+    return measure;
+  }
+
+  void SnapshotIterate() override {
+    const auto vals = PrimalValues(xt_);
+    xt_prev_.assign(vals.begin(), vals.end());
+  }
+
+  // Breakdown recovery: the primal is recovered from (lambda, mu) after the
+  // run, so capturing the duals alone preserves a full last-good iterate.
+  void SaveGoodIterate() override {
+    lambda_good_ = lambda_;
+    mu_good_ = mu_;
+  }
+  void RestoreGoodIterate() override {
+    if (lambda_good_.empty()) {
+      // No finite check yet: fall back to zero duals — x then recovers
+      // from the unconstrained minimizer at the centers.
+      std::fill(lambda_.begin(), lambda_.end(), 0.0);
+      std::fill(mu_.begin(), mu_.end(), 0.0);
+      return;
+    }
+    lambda_ = lambda_good_;
+    mu_ = mu_good_;
+  }
+
+  // Durability hooks (core/checkpoint.hpp): the duals plus the kXChange
+  // snapshot (primal values only — the layout is pinned by the
+  // fingerprint) are the whole resumable state. The engine owns
+  // have_snapshot.
+  bool CaptureIterate(CheckpointState& out) override {
+    if (!fingerprint_.has_value()) fingerprint_ = Fingerprint();
+    out.fingerprint = *fingerprint_;
+    out.m = lambda_.size();
+    out.n = mu_.size();
+    out.lambda = lambda_;
+    out.mu = mu_;
+    out.snapshot = xt_prev_;
+    return true;
+  }
+
+  bool RestoreIterate(const CheckpointState& in) override {
+    if (in.lambda.size() != lambda_.size() || in.mu.size() != mu_.size())
+      return false;
+    if (in.have_snapshot && in.snapshot.size() != PrimalValues(xt_).size())
+      return false;
+    lambda_ = in.lambda;
+    mu_ = in.mu;
+    xt_prev_ = in.have_snapshot ? in.snapshot : std::vector<double>();
+    // The restored duals are the best known point: re-seat the good copies
+    // so a later breakdown rolls back here, not to a pre-resume state.
+    lambda_good_ = lambda_;
+    mu_good_ = mu_;
+    return true;
+  }
+
+  // Recovery-ladder hooks (docs/ROBUSTNESS.md "Recovery ladder").
+  bool SupportsRecovery() const override { return true; }
+  void SnapshotRowDuals(std::vector<double>& out) const override {
+    out = lambda_;
+  }
+  void BlendRowDuals(const std::vector<double>& prev, double keep) override {
+    for (std::size_t i = 0; i < lambda_.size(); ++i)
+      lambda_[i] = prev[i] + keep * (lambda_[i] - prev[i]);
+  }
+
+ protected:
+  // Fills rowsum_ with the row sums of the materialized primal xt_.
+  virtual void AccumulateRowSums() = 0;
+  // FNV-1a fingerprint of the problem data, taken on the first checkpoint
+  // capture (one pass over the data per solve, only when checkpointing).
+  virtual std::uint64_t Fingerprint() const = 0;
+
+  Vector& lambda_;
+  Vector& mu_;
+  Matrix xt_;
+  Vector rowsum_;
+
+ private:
+  ResidualTargets Targets() const {
+    ResidualTargets targets;
+    targets.mode = totals_.mode;
+    targets.s0 = totals_.s0;
+    targets.alpha = totals_.alpha;
+    targets.lambda = lambda_;
+    targets.mu = mu_;
+    targets.s_lo = totals_.s_lo;
+    targets.s_hi = totals_.s_hi;
+    return targets;
+  }
+
+  const SweepTotals totals_;
+  const Matrix& x0_;
+  const Matrix& gamma_;
+  const Matrix& x0_t_;
+  const Matrix& gamma_t_;
+  // Sweep descriptors (fixed for the whole run, modulo SAM coupling).
+  MarketSide row_side_;
+  MarketSide col_side_;
+  SweepOptions sweep_opts_;
+  // Persisted sort orders, one cache per sweep side.
+  SortOrderCache row_orders_, col_orders_;
+  // The previous check's primal values (kXChange).
+  std::vector<double> xt_prev_;
+  // Duals at the last finite check (empty until one passes).
+  Vector lambda_good_, mu_good_;
+  std::optional<std::uint64_t> fingerprint_;
+};
+
+}  // namespace sea

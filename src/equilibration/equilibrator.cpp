@@ -1,12 +1,8 @@
 #include "equilibration/equilibrator.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "obs/market_stats.hpp"
 #include "obs/profiler.hpp"
 #include "parallel/parallel_for.hpp"
-#include "parallel/schedule.hpp"
 #include "support/check.hpp"
 #include "support/stopwatch.hpp"
 
@@ -54,15 +50,16 @@ BreakpointResult EquilibrateMarket(std::span<const double> centers,
   return res;
 }
 
-SweepStats EquilibrateSide(const DenseMatrix& centers,
-                           const DenseMatrix& weights,
-                           std::span<const double> other_mult,
-                           const MarketSide& side, std::span<double> mult_out,
-                           DenseMatrix* x_out, const SweepOptions& opts) {
-  const std::size_t markets = centers.rows();
-  const std::size_t arcs = centers.cols();
-  SEA_CHECK(weights.SameShape(centers));
-  SEA_CHECK(other_mult.size() == arcs);
+namespace {
+
+// The one sweep body: solves markets [0, markets) of a side, in chunks
+// claimed by the pool's workers. The layout enters through two callables:
+// build_arcs(i, ws) fills ws with market i's arcs and returns their count;
+// allocations(i) is where market i's allocations go (empty = nowhere).
+template <class BuildArcsFn, class AllocationsFn>
+SweepStats Sweep(std::size_t markets, const MarketSide& side,
+                 std::span<double> mult_out, const SweepOptions& opts,
+                 BuildArcsFn build_arcs, AllocationsFn allocations) {
   SEA_CHECK(mult_out.size() == markets);
   SEA_CHECK(side.t0.size() == markets);
   if (side.mode != TotalsMode::kFixed)
@@ -71,29 +68,22 @@ SweepStats EquilibrateSide(const DenseMatrix& centers,
     SEA_CHECK(side.coupling.size() == markets);
   if (side.mode == TotalsMode::kInterval)
     SEA_CHECK(side.lo.size() == markets && side.hi.size() == markets);
-  if (x_out != nullptr) SEA_CHECK(x_out->SameShape(centers));
-
-  SweepStats stats;
-  // The scheduler's cost feedback rides on the same per-market work numbers
-  // the simulator uses, so its presence forces recording.
-  const bool record_costs = opts.record_task_costs || opts.scheduler != nullptr;
-  if (record_costs) stats.task_costs.assign(markets, 0.0);
   if (opts.sort_cache != nullptr)
     SEA_CHECK_MSG(opts.sort_cache->size() == markets,
                   "sort cache not sized for this sweep side");
+
+  SweepStats stats;
+  if (opts.record_task_costs) stats.task_costs.assign(markets, 0.0);
 
   const std::size_t workers = WorkerCount(opts.pool);
   std::vector<BreakpointWorkspace> ws(workers);
   std::vector<OpCounts> worker_ops(workers);
   std::vector<std::uint64_t> worker_reuses(workers, 0);
 
-  ScheduleSpec sched;
-  if (opts.scheduler != nullptr) sched = opts.scheduler->Next(markets, workers);
-
   const char* phase =
       opts.profile_phase != nullptr ? opts.profile_phase : "equilibrate.sweep";
-  // Under a dynamic schedule a worker runs this body once per claimed chunk,
-  // so per-worker accumulators use += throughout.
+  // A worker runs this body once per claimed chunk, so per-worker
+  // accumulators use += throughout.
   obs::MarketAttribution* attr = opts.attribution;
   ForRangeWorker(opts.pool, markets,
                  [&](std::size_t begin, std::size_t end, std::size_t w) {
@@ -103,50 +93,87 @@ SweepStats EquilibrateSide(const DenseMatrix& centers,
     std::uint64_t reuses = 0;
     Stopwatch market_sw;
     for (std::size_t i = begin; i < end; ++i) {
+      if (attr != nullptr) market_sw.Restart();
       double u = 0.0, v = 0.0;
       ClearingTarget(side, i, u, v);
-      std::span<double> xrow =
-          (x_out != nullptr) ? x_out->Row(i) : std::span<double>{};
       MarketOrder* order =
           opts.sort_cache != nullptr ? opts.sort_cache->At(i) : nullptr;
-      if (attr != nullptr) market_sw.Restart();
-      BreakpointResult res;
-      if (side.mode == TotalsMode::kInterval) {
-        wksp.Resize(arcs);
-        BuildArcs(centers.Row(i), weights.Row(i), other_mult, wksp.p(),
-                  wksp.q());
-        res = SolveMarketBox(wksp, u, v, side.lo[i], side.hi[i],
-                             opts.sort_policy, order);
-        res.ops.flops += 2 * arcs;
-        if (!xrow.empty()) {
-          Writeback(wksp.p(), wksp.q(), res.lambda, xrow);
-          res.ops.flops += 2 * arcs;
-        }
-      } else {
-        res = EquilibrateMarket(centers.Row(i), weights.Row(i), other_mult, u,
-                                v, wksp, xrow, opts.sort_policy, order);
-      }
+      const std::size_t arcs = build_arcs(i, wksp);
+      BreakpointResult res =
+          side.mode == TotalsMode::kInterval
+              ? SolveMarketBox(wksp, u, v, side.lo[i], side.hi[i],
+                               opts.sort_policy, order)
+              : SolveMarket(wksp, u, v, opts.sort_policy, order);
+      res.ops.flops += 2 * arcs;  // arc construction
       SEA_INTERNAL_CHECK(res.feasible);
       mult_out[i] = res.lambda;
+      const std::span<double> xrow = allocations(i);
+      if (!xrow.empty()) {
+        Writeback(wksp.p(), wksp.q(), res.lambda, xrow);
+        res.ops.flops += 2 * arcs;
+      }
       if (attr != nullptr)
         attr->RecordSolve(opts.attribution_base + i, res.active_count,
                           res.ops.breakpoints, market_sw.Seconds());
-      if (record_costs) stats.task_costs[i] = res.ops.Work();
+      if (opts.record_task_costs) stats.task_costs[i] = res.ops.Work();
       if (res.order_reused) ++reuses;
       local += res.ops;
     }
     worker_ops[w] += local;
     worker_reuses[w] += reuses;
-  }, sched);
+  });
 
   for (const auto& o : worker_ops) stats.total_ops += o;
   for (std::uint64_t r : worker_reuses) stats.order_reuses += r;
   stats.markets = markets;
-  if (opts.scheduler != nullptr) {
-    opts.scheduler->Update(stats.task_costs);
-    if (!opts.record_task_costs) stats.task_costs.clear();
-  }
   return stats;
+}
+
+}  // namespace
+
+SweepStats EquilibrateSide(const DenseMatrix& centers,
+                           const DenseMatrix& weights,
+                           std::span<const double> other_mult,
+                           const MarketSide& side, std::span<double> mult_out,
+                           DenseMatrix* x_out, const SweepOptions& opts) {
+  SEA_CHECK(weights.SameShape(centers));
+  SEA_CHECK(other_mult.size() == centers.cols());
+  if (x_out != nullptr) SEA_CHECK(x_out->SameShape(centers));
+  return Sweep(
+      centers.rows(), side, mult_out, opts,
+      [&](std::size_t i, BreakpointWorkspace& ws) {
+        ws.Resize(centers.cols());
+        BuildArcs(centers.Row(i), weights.Row(i), other_mult, ws.p(), ws.q());
+        return centers.cols();
+      },
+      [&](std::size_t i) {
+        return x_out != nullptr ? x_out->Row(i) : std::span<double>{};
+      });
+}
+
+SweepStats EquilibrateSide(const SparseMatrix& centers,
+                           const SparseMatrix& weights,
+                           std::span<const double> other_mult,
+                           const MarketSide& side, std::span<double> mult_out,
+                           SparseMatrix* x_out, const SweepOptions& opts) {
+  SEA_CHECK(weights.rows() == centers.rows() &&
+            weights.nnz() == centers.nnz());
+  SEA_CHECK(other_mult.size() == centers.cols());
+  if (x_out != nullptr)
+    SEA_CHECK(x_out->rows() == centers.rows() && x_out->nnz() == centers.nnz());
+  return Sweep(
+      centers.rows(), side, mult_out, opts,
+      [&](std::size_t i, BreakpointWorkspace& ws) {
+        const auto cols = centers.RowCols(i);
+        ws.Resize(cols.size());
+        BuildArcsGather(centers.RowValues(i), weights.RowValues(i), other_mult,
+                        cols, ws.p(), ws.q());
+        return cols.size();
+      },
+      [&](std::size_t i) {
+        return x_out != nullptr ? x_out->MutableRowValues(i)
+                                : std::span<double>{};
+      });
 }
 
 }  // namespace sea

@@ -5,7 +5,8 @@
 // distinct processors. The same function serves both directions: the caller
 // passes centers/weights in sweep-major layout (row-major for row sweeps, the
 // transposed copies for column sweeps) so every market reads contiguous
-// memory.
+// memory. One sweep loop serves the dense and the sparse (CSR) layouts; they
+// differ only in how market i's arcs are built and where its allocations go.
 //
 // For row sweeps over a fixed-totals problem, market i solves
 //
@@ -26,11 +27,11 @@
 #include "equilibration/breakpoint_solver.hpp"
 #include "linalg/dense_matrix.hpp"
 #include "problems/types.hpp"
+#include "sparse/sparse_matrix.hpp"
 
 namespace sea {
 
 class ThreadPool;
-class SweepScheduler;
 
 namespace obs {
 class MarketAttribution;
@@ -83,7 +84,7 @@ struct MarketSide {
 struct SweepStats {
   OpCounts total_ops;
   // Per-market work (operation counts) for the schedule simulator; filled
-  // only when requested.
+  // only when SweepOptions::record_task_costs is set.
   std::vector<double> task_costs;
   // Markets solved by repairing a persisted breakpoint order this sweep
   // (SortPolicy::kReuse; 0 otherwise).
@@ -97,11 +98,6 @@ struct SweepOptions {
   SortPolicy sort_policy = SortPolicy::kAuto;
   bool record_task_costs = false;
   ThreadPool* pool = nullptr;
-  // Cost-feedback scheduler (parallel/schedule.hpp): when set, the sweep is
-  // partitioned by the scheduler (cost-guided once costs exist, dynamic
-  // claiming before) and this sweep's measured per-market costs are fed
-  // back for the next one. Null = the classic static partition.
-  SweepScheduler* scheduler = nullptr;
   // Persisted per-market breakpoint orders; required for sort_policy ==
   // kReuse to take effect (kReuse without a cache degrades to kAuto). Must
   // be sized to this side's market count.
@@ -134,9 +130,17 @@ SweepStats EquilibrateSide(const DenseMatrix& centers,
                            const MarketSide& side, std::span<double> mult_out,
                            DenseMatrix* x_out, const SweepOptions& opts);
 
+// The same sweep over a sparse side: market i ranges over the pattern
+// entries of CSR row i, and other_mult is indexed by their column ids.
+// weights and x_out (if non-null) share centers' pattern.
+SweepStats EquilibrateSide(const SparseMatrix& centers,
+                           const SparseMatrix& weights,
+                           std::span<const double> other_mult,
+                           const MarketSide& side, std::span<double> mult_out,
+                           SparseMatrix* x_out, const SweepOptions& opts);
+
 // Clearing-equation coefficients (u, v) for market i of a side, i.e. the
-// right-hand side u + v*lambda of the market's scalar equation. Shared by
-// the dense sweeps here and the sparse solver (sparse/sparse_sea.hpp).
+// right-hand side u + v*lambda of the market's scalar equation.
 void ClearingTarget(const MarketSide& side, std::size_t i, double& u,
                     double& v);
 

@@ -189,7 +189,6 @@ std::string ToJson(const PoolStats& stats) {
       .Field("max_imbalance", stats.max_imbalance)
       .Field("mean_imbalance", stats.mean_imbalance)
       .Field("chunks", stats.chunks)
-      .Field("claims", stats.claims)
       .Str();
 }
 

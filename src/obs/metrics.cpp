@@ -243,7 +243,6 @@ const char* PromHelp(const std::string& name) {
       {"pool.chunk_imbalance.mean",
        "Mean relative chunk imbalance across regions."},
       {"pool.chunks", "Work chunks executed by the pool."},
-      {"pool.claims", "Dynamic chunk claims by pool workers."},
       {"pool.busy_seconds_total", "Busy seconds summed over pool workers."},
       {"pool.utilization",
        "Busy worker seconds over region wall x threads."},
@@ -304,7 +303,6 @@ void RecordPoolMetrics(MetricsRegistry& registry, const PoolStats& stats) {
   registry.GetGauge("pool.chunk_imbalance.max").Set(stats.max_imbalance);
   registry.GetGauge("pool.chunk_imbalance.mean").Set(stats.mean_imbalance);
   registry.GetCounter("pool.chunks").Add(stats.chunks);
-  registry.GetCounter("pool.claims").Add(stats.claims);
   double busy = 0.0;
   for (std::size_t w = 0; w < stats.worker_busy_seconds.size(); ++w) {
     registry.GetGauge("pool.worker." + std::to_string(w) + ".busy_seconds")

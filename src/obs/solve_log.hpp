@@ -39,7 +39,6 @@ struct SolveWideEvent {
   double epsilon = 0.0;
   std::string criterion;
   std::uint64_t threads = 0;
-  std::string schedule;
   std::string sort;
   // FNV-1a over the option set that affects the numerics, rendered as hex
   // — two rows with equal fingerprints ran comparable configurations.

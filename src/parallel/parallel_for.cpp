@@ -11,14 +11,13 @@ void ForRange(ThreadPool* pool, std::size_t n, ThreadPool::Body2 body) {
   pool->ParallelFor(n, body);
 }
 
-void ForRangeWorker(ThreadPool* pool, std::size_t n, ThreadPool::Body3 body,
-                    const ScheduleSpec& sched) {
+void ForRangeWorker(ThreadPool* pool, std::size_t n, ThreadPool::Body3 body) {
   if (n == 0) return;
   if (pool == nullptr || pool->num_threads() == 1) {
     body(0, n, 0);
     return;
   }
-  pool->ParallelForWorker(n, body, sched);
+  pool->ParallelForWorker(n, body);
 }
 
 std::size_t WorkerCount(const ThreadPool* pool) {

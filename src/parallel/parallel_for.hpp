@@ -15,10 +15,9 @@ namespace sea {
 // Runs body(begin, end) over [0, n), on the pool if given, inline otherwise.
 void ForRange(ThreadPool* pool, std::size_t n, ThreadPool::Body2 body);
 
-// Runs body(begin, end, worker) with worker in [0, WorkerCount(pool)),
-// under the given region schedule (parallel/schedule.hpp; default static).
-void ForRangeWorker(ThreadPool* pool, std::size_t n, ThreadPool::Body3 body,
-                    const ScheduleSpec& sched = {});
+// Runs body(begin, end, worker) with worker in [0, WorkerCount(pool)); a
+// worker may run several chunks of one call.
+void ForRangeWorker(ThreadPool* pool, std::size_t n, ThreadPool::Body3 body);
 
 // Number of workers a ForRangeWorker call will use (>= 1).
 std::size_t WorkerCount(const ThreadPool* pool);

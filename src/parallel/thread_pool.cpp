@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/profiler.hpp"
-#include "support/check.hpp"
 #include "support/failpoint.hpp"
 #include "support/stopwatch.hpp"
 
@@ -68,69 +67,34 @@ void ThreadPool::RunChunkRange(const Body3& body, std::size_t begin,
   Stopwatch sw;
   RunBody(body, begin, end, worker);
   const double seconds = sw.Seconds();
-  // Exclusive slots; the join barrier publishes them to the caller. Under
-  // kDynamic a worker accumulates across its claimed chunks.
+  // Exclusive slots; the join barrier publishes them to the caller. A
+  // worker accumulates across its claimed chunks.
   worker_busy_[worker].v += seconds;
   region_chunk_seconds_[worker].v += seconds;
 }
 
 void ThreadPool::RunShare(const Task& task, std::size_t worker) {
-  switch (task.kind) {
-    case ScheduleKind::kStatic: {
-      // Static partition: part w gets [w*n/parts, (w+1)*n/parts).
-      const std::size_t begin = worker * task.n / num_threads_;
-      const std::size_t end = (worker + 1) * task.n / num_threads_;
-      RunChunkRange(*task.body, begin, end, worker);
-      return;
-    }
-    case ScheduleKind::kCostGuided:
-      RunChunkRange(*task.body, task.bounds[worker], task.bounds[worker + 1],
-                    worker);
-      return;
-    case ScheduleKind::kDynamic: {
-      for (;;) {
-        const std::size_t begin =
-            next_index_.fetch_add(task.grain, std::memory_order_relaxed);
-        if (begin >= task.n) return;
-        RunChunkRange(*task.body, begin, std::min(begin + task.grain, task.n),
-                      worker);
-      }
-    }
+  const std::size_t grain = Grain(task.n);
+  for (;;) {
+    const std::size_t begin =
+        next_index_.fetch_add(grain, std::memory_order_relaxed);
+    if (begin >= task.n) return;
+    RunChunkRange(*task.body, begin, std::min(begin + grain, task.n), worker);
   }
 }
 
-void ThreadPool::FinishRegionStats(const Task& task, double wall_seconds) {
+void ThreadPool::FinishRegionStats(std::uint64_t chunks, double wall_seconds) {
   ++stat_regions_;
   stat_region_wall_ += wall_seconds;
-  // Chunks that ran this region, per schedule; for the static partitions
-  // they are not necessarily assigned to the lowest worker indices, so scan
-  // every slot (empty chunks contribute zero).
-  std::size_t chunks = 0;
-  switch (task.kind) {
-    case ScheduleKind::kStatic:
-      chunks = std::min(task.n, num_threads_);
-      break;
-    case ScheduleKind::kCostGuided:
-      for (std::size_t w = 0; w < num_threads_; ++w)
-        if (task.bounds[w + 1] > task.bounds[w]) ++chunks;
-      break;
-    case ScheduleKind::kDynamic: {
-      const std::uint64_t claims =
-          (task.n + task.grain - 1) / task.grain;  // grain >= 1
-      stat_claims_ += claims;
-      chunks = static_cast<std::size_t>(claims);
-      break;
-    }
-  }
   stat_chunks_ += chunks;
   double max_chunk = 0.0, sum_chunk = 0.0;
   for (std::size_t w = 0; w < num_threads_; ++w) {
     max_chunk = std::max(max_chunk, region_chunk_seconds_[w].v);
     sum_chunk += region_chunk_seconds_[w].v;
   }
-  // Imbalance compares per-worker shares, so its denominator is the number
-  // of workers that held work — for dynamic regions every claim lands on
-  // some worker and the per-worker accumulation already folds them in.
+  // Imbalance compares per-worker shares: every chunk lands on some worker
+  // and the per-worker accumulation folds a worker's chunks together, so
+  // the denominator is the number of workers that can have held work.
   const std::size_t shares =
       std::min(static_cast<std::size_t>(chunks), num_threads_);
   const double mean_chunk =
@@ -166,47 +130,23 @@ void ThreadPool::WorkerLoop(std::size_t worker_index) {
   }
 }
 
-void ThreadPool::ParallelForWorker(std::size_t n, Body3 body,
-                                   const ScheduleSpec& sched) {
+void ThreadPool::ParallelForWorker(std::size_t n, Body3 body) {
   if (n == 0) return;
   Stopwatch region_sw;
-  Task task;
-  task.body = &body;
-  task.n = n;
-  task.kind = sched.kind;
-  if (sched.kind == ScheduleKind::kCostGuided) {
-    SEA_CHECK_MSG(sched.bounds.size() == num_threads_ + 1,
-                  "cost-guided schedule needs num_threads + 1 bounds");
-    SEA_DCHECK(sched.bounds.front() == 0 && sched.bounds.back() == n);
-    task.bounds = sched.bounds.data();
-  } else if (sched.kind == ScheduleKind::kDynamic) {
-    task.grain = sched.grain > 0
-                     ? sched.grain
-                     : std::max<std::size_t>(1, n / (8 * num_threads_));
-  }
+  if (stats_enabled_)
+    for (auto& slot : region_chunk_seconds_) slot.v = 0.0;
   if (num_threads_ == 1) {
     // Inline execution: one chunk covering the range, sharing the
     // capture-then-rethrow path so the exception contract is identical with
-    // and without workers. Schedules collapse to a single chunk.
-    if (stats_enabled_) region_chunk_seconds_[0].v = 0.0;
-    obs::ProfScope prof("pool.chunk");
-    if (stats_enabled_) {
-      Stopwatch sw;
-      RunBody(body, 0, n, 0);
-      const double seconds = sw.Seconds();
-      worker_busy_[0].v += seconds;
-      region_chunk_seconds_[0].v += seconds;
-      Task inline_task = task;
-      inline_task.kind = ScheduleKind::kStatic;
-      FinishRegionStats(inline_task, region_sw.Seconds());
-    } else {
-      RunBody(body, 0, n, 0);
-    }
+    // and without workers.
+    RunChunkRange(body, 0, n, 0);
+    if (stats_enabled_) FinishRegionStats(1, region_sw.Seconds());
     RethrowPendingError();
     return;
   }
-  if (stats_enabled_)
-    for (auto& slot : region_chunk_seconds_) slot.v = 0.0;
+  Task task;
+  task.body = &body;
+  task.n = n;
   next_index_.store(0, std::memory_order_relaxed);
   {
     std::lock_guard lk(mu_);
@@ -224,15 +164,16 @@ void ThreadPool::ParallelForWorker(std::size_t n, Body3 body,
     std::unique_lock lk(mu_);
     cv_done_.wait(lk, [&] { return pending_ == 0; });
   }
-  if (stats_enabled_) FinishRegionStats(task, region_sw.Seconds());
+  if (stats_enabled_) {
+    const std::size_t grain = Grain(n);
+    FinishRegionStats((n + grain - 1) / grain, region_sw.Seconds());
+  }
   RethrowPendingError();
 }
 
-void ThreadPool::ParallelFor(std::size_t n, Body2 body,
-                             const ScheduleSpec& sched) {
+void ThreadPool::ParallelFor(std::size_t n, Body2 body) {
   ParallelForWorker(
-      n, [&body](std::size_t b, std::size_t e, std::size_t) { body(b, e); },
-      sched);
+      n, [&body](std::size_t b, std::size_t e, std::size_t) { body(b, e); });
 }
 
 PoolStats ThreadPool::Stats() const {
@@ -249,7 +190,6 @@ PoolStats ThreadPool::Stats() const {
           ? stat_imbalance_sum_ / static_cast<double>(stat_regions_)
           : 0.0;
   stats.chunks = stat_chunks_;
-  stats.claims = stat_claims_;
   return stats;
 }
 
@@ -259,7 +199,6 @@ void ThreadPool::ResetStats() {
   stat_imbalance_sum_ = 0.0;
   stat_imbalance_max_ = 0.0;
   stat_chunks_ = 0;
-  stat_claims_ = 0;
   for (auto& slot : worker_busy_) slot.v = 0.0;
   for (auto& slot : region_chunk_seconds_) slot.v = 0.0;
 }

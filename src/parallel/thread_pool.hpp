@@ -8,21 +8,24 @@
 // workers, blocking ParallelFor regions, and no work executed on pool threads
 // outside ParallelFor regions.
 //
-// Schedules (parallel/schedule.hpp, docs/PARALLELISM.md): a region runs under
-// the classic static equal-count partition (default; deterministic chunk
-// boundaries), a cost-guided partition whose contiguous chunk boundaries come
-// from measured per-index costs, or dynamic chunk claiming (atomic counter,
-// configurable grain). Per-index work that writes only its own outputs — the
-// equilibration sweeps — produces bit-identical results under every schedule.
+// One schedule (docs/PARALLELISM.md): every region is split by dynamic
+// claiming. Workers — the caller included — take chunks of
+// max(1, n / (8 * threads)) consecutive indices from a shared atomic cursor
+// until the range is exhausted, so a skewed market set balances itself
+// without a cost model. Which worker runs a chunk depends on timing, but
+// every index runs exactly once, so per-index work that writes only its own
+// outputs — the equilibration sweeps — is bit-identical at every thread
+// count.
 //
 // Utilization telemetry: EnableStats(true) makes every ParallelFor region
-// record per-worker busy seconds, region wall time, static-chunk imbalance,
-// and chunk/claim counts, exposed as a PoolStats snapshot — the measured
+// record per-worker busy seconds, region wall time, per-worker imbalance,
+// and chunk counts, exposed as a PoolStats snapshot — the measured
 // counterpart to the schedule simulator's idealized makespans
 // (parallel/speedup_model.hpp). Stats are off by default and the disabled
 // path adds only a branch.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -32,7 +35,6 @@
 #include <thread>
 #include <vector>
 
-#include "parallel/schedule.hpp"
 #include "support/function_ref.hpp"
 
 namespace sea {
@@ -49,11 +51,9 @@ struct PoolStats {
   std::vector<double> worker_busy_seconds;  // chunk-body time per worker
   double max_imbalance = 0.0;   // worst region
   double mean_imbalance = 0.0;  // mean over regions
-  // Chunk bodies executed across regions: one per worker for the static
-  // partitions, one per claim for dynamic regions.
+  // Chunk bodies executed across regions: ceil(n / grain) per pooled
+  // region, one per inline (single-thread) region.
   std::uint64_t chunks = 0;
-  // Successful dynamic claims (subset of `chunks` from dynamic regions).
-  std::uint64_t claims = 0;
 
   double BusySecondsTotal() const {
     double total = 0.0;
@@ -77,27 +77,29 @@ class ThreadPool {
 
   std::size_t num_threads() const { return num_threads_; }
 
-  // Runs body(begin, end) over a partition of [0, n) across the pool
-  // (including the calling thread). Blocks until every chunk completes.
-  // Under the default static schedule, chunks are contiguous and their
-  // boundaries depend only on (n, num_threads), never on timing; under
-  // kCostGuided they are the caller-supplied bounds; under kDynamic the
-  // chunk-to-worker assignment is timing-dependent but every index still
-  // runs exactly once.
+  // Runs body(begin, end) over chunks of [0, n) claimed by the pool's
+  // workers (including the calling thread). Blocks until every chunk
+  // completes. Chunk boundaries are multiples of Grain(n) (a one-thread
+  // pool runs [0, n) inline as one chunk); the chunk-to-worker assignment
+  // is timing-dependent, but every index runs exactly once.
   //
   // Exception safety (docs/ROBUSTNESS.md): a throw from any chunk is
   // captured, every other chunk still runs to completion (no worker is
   // abandoned mid-region), and the FIRST captured exception is rethrown on
   // the calling thread after the join. The pool remains fully usable for
   // subsequent regions.
-  void ParallelFor(std::size_t n, Body2 body,
-                   const ScheduleSpec& sched = {});
+  void ParallelFor(std::size_t n, Body2 body);
 
   // Variant passing the worker index (0 .. num_threads-1) for per-thread
-  // scratch buffers. Under kDynamic a worker's body may run several times
+  // scratch buffers. A worker's body may run several times in one region
   // (once per claimed chunk), always with its own worker index.
-  void ParallelForWorker(std::size_t n, Body3 body,
-                         const ScheduleSpec& sched = {});
+  void ParallelForWorker(std::size_t n, Body3 body);
+
+  // Indices per claimed chunk of an n-index region: max(1, n / (8 * threads)),
+  // about eight claims per worker.
+  std::size_t Grain(std::size_t n) const {
+    return std::max<std::size_t>(1, n / (8 * num_threads_));
+  }
 
   // Toggle utilization accounting. Call only between regions; the flag is
   // read unsynchronized inside them.
@@ -111,10 +113,6 @@ class ThreadPool {
   struct Task {
     const Body3* body = nullptr;
     std::size_t n = 0;
-    ScheduleKind kind = ScheduleKind::kStatic;
-    const std::size_t* bounds = nullptr;  // kCostGuided: num_threads+1 edges
-    std::size_t grain = 0;                // kDynamic: resolved (>= 1)
-    std::uint64_t epoch = 0;
     // Monotonic instant the region was published to the workers; stamped
     // only while a profiler is attached (0 otherwise). Each worker records
     // the publish -> chunk-start gap as a "pool.queue_wait" span, making
@@ -129,7 +127,7 @@ class ThreadPool {
   };
 
   void WorkerLoop(std::size_t worker_index);
-  // Runs this worker's share of the region under the task's schedule.
+  // Claims and runs chunks of the region until the cursor passes n.
   void RunShare(const Task& task, std::size_t worker);
   // Executes one chunk [begin, end) with profiling/stats accounting.
   void RunChunkRange(const Body3& body, std::size_t begin, std::size_t end,
@@ -139,7 +137,7 @@ class ThreadPool {
                std::size_t worker);
   // Rethrows the region's first captured exception, if any (caller thread).
   void RethrowPendingError();
-  void FinishRegionStats(const Task& task, double wall_seconds);
+  void FinishRegionStats(std::uint64_t chunks, double wall_seconds);
 
   std::size_t num_threads_;
   std::vector<std::thread> workers_;
@@ -154,8 +152,8 @@ class ThreadPool {
   // First exception thrown by any chunk of the current region (guarded by
   // mu_); moved out and rethrown on the submitting thread after the join.
   std::exception_ptr first_error_;
-  // Claim cursor for kDynamic regions; reset by the submitter while the
-  // workers are parked, published with the region under mu_.
+  // Claim cursor; reset by the submitter while the workers are parked,
+  // published with the region under mu_.
   std::atomic<std::size_t> next_index_{0};
 
   // Utilization accounting (written inside regions only when enabled).
@@ -165,7 +163,6 @@ class ThreadPool {
   double stat_imbalance_sum_ = 0.0;
   double stat_imbalance_max_ = 0.0;
   std::uint64_t stat_chunks_ = 0;
-  std::uint64_t stat_claims_ = 0;
   std::vector<WorkerSeconds> worker_busy_;
   std::vector<WorkerSeconds> region_chunk_seconds_;
 };

@@ -403,6 +403,44 @@ TEST_P(ResumeConfig, XChangeResumeRestoresTheSnapshot) {
   EXPECT_TRUE(BitEqual(resumed.solution.mu, ref.solution.mu));
 }
 
+TEST_P(ResumeConfig, SparseXChangeResumeRestoresTheSnapshot) {
+  // The sparse snapshot is the transposed pattern's values; the engine
+  // records that it exists, the shared backend core saves and restores it.
+  const auto p = SparseFixedProblem();
+  ThreadPool pool(threads());
+  SeaOptions base = Options(pool);
+  base.criterion = StopCriterion::kXChange;
+  base.epsilon = 1e-9;
+
+  const auto ref = SolveSparse(p, base);
+  ASSERT_TRUE(ref.result.converged());
+  ASSERT_GE(ref.result.iterations, 4u);
+
+  const std::string path = CheckpointPath("sparse_xchange");
+  CheckpointWriter writer(path);
+  SeaOptions interrupted = base;
+  interrupted.checkpoint = &writer;
+  interrupted.max_iterations = ref.result.iterations / 2;
+  const auto partial = SolveSparse(p, interrupted);
+  EXPECT_EQ(partial.result.status, SolveStatus::kMaxIterations);
+
+  const auto loaded = LoadCheckpoint(path);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_TRUE(loaded.state.have_snapshot);
+  EXPECT_EQ(loaded.state.snapshot.size(), p.nnz());
+
+  SeaOptions resumed_opts = base;
+  resumed_opts.resume = &loaded.state;
+  const auto resumed = SolveSparse(p, resumed_opts);
+  EXPECT_TRUE(resumed.result.converged());
+  EXPECT_EQ(resumed.result.iterations, ref.result.iterations);
+  EXPECT_EQ(resumed.result.final_residual, ref.result.final_residual);
+  EXPECT_TRUE(BitEqual(resumed.solution.lambda, ref.solution.lambda));
+  EXPECT_TRUE(BitEqual(resumed.solution.mu, ref.solution.mu));
+  EXPECT_TRUE(
+      BitEqual(resumed.solution.x.Values(), ref.solution.x.Values()));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Checkpoint, ResumeConfig,
     ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{4}),
@@ -449,6 +487,29 @@ TEST(CheckpointResume, CancelMidRunLeavesResumableCheckpoint) {
   EXPECT_EQ(resumed.result.final_residual, ref.result.final_residual);
   EXPECT_TRUE(BitEqual(resumed.solution.lambda, ref.solution.lambda));
   EXPECT_TRUE(BitEqual(resumed.solution.mu, ref.solution.mu));
+}
+
+TEST(CheckpointResume, ResidualCriterionCheckpointCarriesNoSnapshot) {
+  // Only kXChange snapshots the iterate; under a residual criterion both
+  // backends checkpoint the duals alone, and the engine says so.
+  const std::string dense_path = ::testing::TempDir() + "/resume_nosnap_d.bin";
+  const std::string sparse_path =
+      ::testing::TempDir() + "/resume_nosnap_s.bin";
+  SeaOptions o = BaseOptions();
+  o.max_iterations = 3;
+  CheckpointWriter dense_writer(dense_path);
+  o.checkpoint = &dense_writer;
+  SolveDiagonal(DenseFixedProblem(), o);
+  CheckpointWriter sparse_writer(sparse_path);
+  o.checkpoint = &sparse_writer;
+  SolveSparse(SparseFixedProblem(), o);
+  for (const std::string& path : {dense_path, sparse_path}) {
+    const auto loaded = LoadCheckpoint(path);
+    ASSERT_TRUE(loaded.ok()) << path;
+    EXPECT_EQ(loaded.state.iteration, 3u) << path;
+    EXPECT_FALSE(loaded.state.have_snapshot) << path;
+    EXPECT_TRUE(loaded.state.snapshot.empty()) << path;
+  }
 }
 
 TEST(CheckpointResume, ResumedMetricsCountOnlyThisProcess) {

@@ -188,11 +188,12 @@ TEST(EquilibrateSide, SamCouplingEntersTarget) {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep scheduling: every ScheduleKind must produce identical mult_out and
-// identical SweepStats::total_ops — the markets are independent, so the
-// partition cannot change what is computed, only who computes it.
+// Sweep scheduling: pooled sweeps must produce identical mult_out and
+// identical SweepStats::total_ops at every thread count — the markets are
+// independent, so the claimed chunks cannot change what is computed, only
+// who computes it.
 
-TEST(SweepScheduling, CostGuidedAndDynamicMatchStaticExactly) {
+TEST(SweepScheduling, PooledSweepsMatchSerialExactly) {
   Rng rng(7);
   const std::size_t m = 57, n = 23;
   const auto centers = RandomPositiveMatrix(m, n, rng, -3.0, 10.0);
@@ -204,68 +205,30 @@ TEST(SweepScheduling, CostGuidedAndDynamicMatchStaticExactly) {
   side.mode = TotalsMode::kFixed;
   side.t0 = s0;
 
-  ThreadPool pool(4);
-  Vector mult_static(m);
-  DenseMatrix x_static(m, n);
-  SweepOptions static_opts;
-  static_opts.pool = &pool;
-  const auto stats_static = EquilibrateSide(centers, weights, mu, side,
-                                            mult_static, &x_static,
-                                            static_opts);
+  Vector mult_serial(m);
+  DenseMatrix x_serial(m, n);
+  const auto stats_serial = EquilibrateSide(centers, weights, mu, side,
+                                            mult_serial, &x_serial, {});
 
-  for (auto kind : {ScheduleKind::kCostGuided, ScheduleKind::kDynamic}) {
-    SweepScheduler scheduler(kind, /*grain=*/3);
-    // Several sweeps so a cost-guided scheduler actually reaches its
-    // cost-partitioned plan (the first sweep claims dynamically).
+  for (std::size_t threads : {2u, 3u, 4u, 7u}) {
+    ThreadPool pool(threads);
     for (int sweep = 0; sweep < 4; ++sweep) {
       Vector mult(m);
       DenseMatrix x(m, n);
       SweepOptions opts;
       opts.pool = &pool;
-      opts.scheduler = &scheduler;
       const auto stats =
           EquilibrateSide(centers, weights, mu, side, mult, &x, opts);
       for (std::size_t i = 0; i < m; ++i)
-        EXPECT_EQ(mult_static[i], mult[i]) << "sweep " << sweep;
-      EXPECT_DOUBLE_EQ(x_static.MaxAbsDiff(x), 0.0);
-      EXPECT_EQ(stats_static.total_ops.comparisons, stats.total_ops.comparisons);
-      EXPECT_EQ(stats_static.total_ops.flops, stats.total_ops.flops);
-      EXPECT_EQ(stats_static.total_ops.breakpoints, stats.total_ops.breakpoints);
-    }
-    if (kind == ScheduleKind::kCostGuided) {
-      EXPECT_EQ(scheduler.dynamic_plans(), 1u);     // first sweep only
-      EXPECT_EQ(scheduler.cost_guided_plans(), 3u);  // the rest
-    } else {
-      EXPECT_EQ(scheduler.dynamic_plans(), 4u);
+        EXPECT_EQ(mult_serial[i], mult[i]) << "threads " << threads;
+      EXPECT_DOUBLE_EQ(x_serial.MaxAbsDiff(x), 0.0);
+      EXPECT_EQ(stats_serial.total_ops.comparisons,
+                stats.total_ops.comparisons);
+      EXPECT_EQ(stats_serial.total_ops.flops, stats.total_ops.flops);
+      EXPECT_EQ(stats_serial.total_ops.breakpoints,
+                stats.total_ops.breakpoints);
     }
   }
-}
-
-TEST(SweepScheduling, SchedulerForcesCostRecordingInternally) {
-  // A scheduler must get cost feedback even when the caller did not ask for
-  // task costs — and the caller must not see them in that case.
-  Rng rng(8);
-  const std::size_t m = 12, n = 9;
-  const auto centers = RandomPositiveMatrix(m, n, rng, 0.0, 5.0);
-  const auto weights = RandomPositiveMatrix(m, n, rng, 0.5, 1.5);
-  const Vector mu(n, 0.0);
-  const Vector s0 = rng.UniformVector(m, 1.0, 10.0);
-  MarketSide side;
-  side.mode = TotalsMode::kFixed;
-  side.t0 = s0;
-
-  ThreadPool pool(2);
-  SweepScheduler scheduler(ScheduleKind::kCostGuided);
-  for (int sweep = 0; sweep < 2; ++sweep) {
-    Vector mult(m);
-    SweepOptions opts;
-    opts.pool = &pool;
-    opts.scheduler = &scheduler;
-    const auto stats =
-        EquilibrateSide(centers, weights, mu, side, mult, nullptr, opts);
-    EXPECT_TRUE(stats.task_costs.empty());
-  }
-  EXPECT_EQ(scheduler.cost_guided_plans(), 1u);
 }
 
 TEST(SweepScheduling, ReuseAcrossSweepsViaCache) {
@@ -305,9 +268,9 @@ TEST(SweepScheduling, ReuseAcrossSweepsViaCache) {
     EXPECT_EQ(mult_heap[i], mult_reuse[i]) << i;
 }
 
-TEST(SweepScheduling, ReuseUnderEverySchedule) {
-  // The cache is safe under any schedule (each market solved exactly once
-  // per sweep); dynamic claiming must not corrupt the per-market orders.
+TEST(SweepScheduling, ReuseUnderPool) {
+  // The cache is safe under a pool (each market solved exactly once per
+  // sweep); dynamic claiming must not corrupt the per-market orders.
   Rng rng(10);
   const std::size_t m = 33, n = 20;
   const auto centers = RandomPositiveMatrix(m, n, rng, -3.0, 10.0);
@@ -323,20 +286,66 @@ TEST(SweepScheduling, ReuseUnderEverySchedule) {
   EquilibrateSide(centers, weights, mu, side, mult_ref, nullptr, ref_opts);
 
   ThreadPool pool(4);
-  SweepScheduler scheduler(ScheduleKind::kDynamic, /*grain=*/2);
   SortOrderCache cache;
   cache.Reset(m);
   for (int sweep = 0; sweep < 3; ++sweep) {
     Vector mult(m);
     SweepOptions opts;
     opts.pool = &pool;
-    opts.scheduler = &scheduler;
     opts.sort_policy = SortPolicy::kReuse;
     opts.sort_cache = &cache;
     const auto stats =
         EquilibrateSide(centers, weights, mu, side, mult, nullptr, opts);
     for (std::size_t i = 0; i < m; ++i) EXPECT_EQ(mult_ref[i], mult[i]);
-    if (sweep > 0) EXPECT_EQ(stats.order_reuses, static_cast<std::uint64_t>(m));
+    if (sweep > 0) {
+      EXPECT_EQ(stats.order_reuses, static_cast<std::uint64_t>(m));
+    }
+  }
+}
+
+// The sparse layout runs the same sweep body: on a full pattern it must
+// reproduce the dense sweep bit for bit, serially and under a pool, in
+// every regime the sparse solver accepts.
+TEST(SweepScheduling, SparseLayoutMatchesDenseOnFullPattern) {
+  Rng rng(11);
+  const std::size_t m = 29, n = 18;
+  const auto centers = RandomPositiveMatrix(m, n, rng, 0.5, 10.0);
+  const auto weights = RandomPositiveMatrix(m, n, rng, 0.2, 2.0);
+  const SparseMatrix sc = SparseMatrix::FromDense(centers);
+  const SparseMatrix sw = SparseMatrix::FromDense(weights);
+  ASSERT_EQ(sc.nnz(), m * n);
+  const Vector mu = rng.UniformVector(n, -1.0, 1.0);
+  const Vector t0 = rng.UniformVector(m, 5.0, 50.0);
+  const Vector w = rng.UniformVector(m, 0.3, 2.0);
+
+  ThreadPool pool(3);
+  for (TotalsMode mode : {TotalsMode::kFixed, TotalsMode::kElastic}) {
+    MarketSide side;
+    side.mode = mode;
+    side.t0 = t0;
+    if (mode == TotalsMode::kElastic) side.weight = w;
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SweepOptions opts;
+      opts.pool = p;
+      opts.record_task_costs = true;
+      Vector mult_dense(m), mult_sparse(m);
+      DenseMatrix x_dense(m, n);
+      SparseMatrix x_sparse = sc;
+      const auto dense = EquilibrateSide(centers, weights, mu, side,
+                                         mult_dense, &x_dense, opts);
+      const auto sparse =
+          EquilibrateSide(sc, sw, mu, side, mult_sparse, &x_sparse, opts);
+      for (std::size_t i = 0; i < m; ++i)
+        EXPECT_EQ(mult_dense[i], mult_sparse[i]) << i;
+      const auto xs = x_sparse.Values();
+      const auto xd = x_dense.Flat();
+      ASSERT_EQ(xs.size(), xd.size());
+      for (std::size_t k = 0; k < xs.size(); ++k) EXPECT_EQ(xd[k], xs[k]);
+      EXPECT_EQ(dense.total_ops.flops, sparse.total_ops.flops);
+      EXPECT_EQ(dense.total_ops.comparisons, sparse.total_ops.comparisons);
+      EXPECT_EQ(dense.task_costs, sparse.task_costs);
+      EXPECT_EQ(dense.markets, sparse.markets);
+    }
   }
 }
 

@@ -42,7 +42,8 @@ namespace {
 
 // Pinned numerics: the FNV-1a of the primal and the multipliers of one
 // dense fixed, one dense elastic, one sparse and one box-constrained market
-// solve, under default options apart from a tight epsilon. The hex values
+// solve, under default options apart from a tight epsilon (the three
+// matrix solves also on 2- and 4-thread pools). The hex values
 // were recorded before the market kernel was consolidated into one
 // implementation; any change to the kernel's arithmetic (operation order,
 // FMA contraction, tie breaking, prefix-sum order) moves them. Recorded on
@@ -64,8 +65,6 @@ std::string HashDense(const DiagonalSeaRun& run) {
 }
 
 TEST(Integration, PinnedKernelBits) {
-  SeaOptions o;
-  o.epsilon = 1e-8;
   Rng rng(0x5EA6);
   const std::size_t m = 23, n = 17;
   DenseMatrix x0(m, n), gamma(m, n);
@@ -75,33 +74,41 @@ TEST(Integration, PinnedKernelBits) {
   for (double& v : s0) v *= 1.3;
   for (double& v : d0) v *= 1.3;
 
-  const auto fixed =
-      SolveDiagonal(DiagonalProblem::MakeFixed(x0, gamma, s0, d0), o);
-  ASSERT_TRUE(fixed.result.converged());
-  EXPECT_EQ(HashDense(fixed), "7440eba5e850937f");
+  const auto fixed_p = DiagonalProblem::MakeFixed(x0, gamma, s0, d0);
+  const auto elastic_p = DiagonalProblem::MakeElastic(
+      x0, gamma, s0, rng.UniformVector(m, 0.1, 5.0), d0,
+      rng.UniformVector(n, 0.1, 5.0));
 
-  const auto elastic = SolveDiagonal(
-      DiagonalProblem::MakeElastic(x0, gamma, s0,
-                                   rng.UniformVector(m, 0.1, 5.0), d0,
-                                   rng.UniformVector(n, 0.1, 5.0)),
-      o);
-  ASSERT_TRUE(elastic.result.converged());
-  EXPECT_EQ(HashDense(elastic), "10bc51080ffba8bc");
+  const std::size_t k = 40;
+  DenseMatrix sx0(k, k, 0.0), sgamma(k, k, 0.0);
+  for (double& v : sx0.Flat())
+    if (rng.Bernoulli(0.25)) v = rng.Uniform(0.1, 100.0);
+  for (std::size_t i = 0; i < k; ++i)
+    if (sx0(i, i) == 0.0) sx0(i, i) = 1.0;
+  for (std::size_t e = 0; e < sx0.size(); ++e)
+    if (sx0.Flat()[e] > 0.0) sgamma.Flat()[e] = 1.0 / sx0.Flat()[e];
+  const auto sparse_p = SparseDiagonalProblem::MakeFixed(
+      SparseMatrix::FromDense(sx0), SparseMatrix::FromDense(sgamma),
+      sx0.RowSums(), sx0.ColSums());
 
-  {
-    const std::size_t k = 40;
-    DenseMatrix sx0(k, k, 0.0), sgamma(k, k, 0.0);
-    for (double& v : sx0.Flat())
-      if (rng.Bernoulli(0.25)) v = rng.Uniform(0.1, 100.0);
-    for (std::size_t i = 0; i < k; ++i)
-      if (sx0(i, i) == 0.0) sx0(i, i) = 1.0;
-    for (std::size_t e = 0; e < sx0.size(); ++e)
-      if (sx0.Flat()[e] > 0.0) sgamma.Flat()[e] = 1.0 / sx0.Flat()[e];
-    const auto sparse = SolveSparse(
-        SparseDiagonalProblem::MakeFixed(SparseMatrix::FromDense(sx0),
-                                         SparseMatrix::FromDense(sgamma),
-                                         sx0.RowSums(), sx0.ColSums()),
-        o);
+  // The same bits serially and on 2- and 4-thread pools: the pool's claimed
+  // chunks decide only which worker solves a market.
+  ThreadPool pool2(2), pool4(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2, &pool4}) {
+    SCOPED_TRACE(pool != nullptr ? pool->num_threads() : 1);
+    SeaOptions o;
+    o.epsilon = 1e-8;
+    o.pool = pool;
+
+    const auto fixed = SolveDiagonal(fixed_p, o);
+    ASSERT_TRUE(fixed.result.converged());
+    EXPECT_EQ(HashDense(fixed), "7440eba5e850937f");
+
+    const auto elastic = SolveDiagonal(elastic_p, o);
+    ASSERT_TRUE(elastic.result.converged());
+    EXPECT_EQ(HashDense(elastic), "10bc51080ffba8bc");
+
+    const auto sparse = SolveSparse(sparse_p, o);
     ASSERT_TRUE(sparse.result.converged());
     support::Fnv1a h;
     h.MixDoubles(sparse.solution.x.Values());

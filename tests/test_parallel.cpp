@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "parallel/parallel_for.hpp"
@@ -37,7 +38,7 @@ TEST_P(ThreadPoolCoverage, EveryIndexExactlyOnce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Pools, ThreadPoolCoverage,
-                         ::testing::Values(1, 2, 3, 4, 8));
+                         ::testing::Values(1, 2, 3, 4, 7, 8));
 
 TEST(ThreadPool, WorkerIndexWithinBounds) {
   ThreadPool pool(4);
@@ -55,7 +56,6 @@ TEST(ThreadPool, DistinctWorkersWriteDistinctSlots) {
     counts[w] += static_cast<int>(e - b);
   });
   EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0), 4000);
-  for (int c : counts) EXPECT_EQ(c, 1000);  // static even partition
 }
 
 TEST(ThreadPool, ReusableAcrossManyCalls) {
@@ -156,197 +156,68 @@ TEST(ForRange, NullPoolPropagatesBodyException) {
 }
 
 // ---------------------------------------------------------------------------
-// Region schedules (parallel/schedule.hpp).
+// The one region schedule: workers claim Grain(n)-index chunks from an
+// atomic cursor.
 
-TEST(BalancedPartition, UniformCostsGiveEqualCounts) {
-  const std::vector<double> costs(100, 2.5);
-  const auto bounds = BalancedPartition(costs, 4);
-  ASSERT_EQ(bounds.size(), 5u);
-  EXPECT_EQ(bounds.front(), 0u);
-  EXPECT_EQ(bounds.back(), 100u);
-  for (std::size_t p = 0; p + 1 < bounds.size(); ++p)
-    EXPECT_EQ(bounds[p + 1] - bounds[p], 25u);
-}
-
-TEST(BalancedPartition, SkewedCostsBalanceTotals) {
-  // First 10 tasks carry 10x the cost of the remaining 90: an equal-count
-  // split would give chunk 0 over half the work; the balanced split must
-  // keep every chunk within 2 tasks' cost of the ideal quarter.
-  std::vector<double> costs(100, 1.0);
-  for (std::size_t i = 0; i < 10; ++i) costs[i] = 10.0;
-  const auto bounds = BalancedPartition(costs, 4);
-  const double total = 190.0;
-  for (std::size_t p = 0; p + 1 < bounds.size(); ++p) {
-    double chunk = 0.0;
-    for (std::size_t i = bounds[p]; i < bounds[p + 1]; ++i) chunk += costs[i];
-    EXPECT_NEAR(chunk, total / 4.0, 10.0) << "chunk " << p;
-  }
-}
-
-TEST(BalancedPartition, BoundsAreMonotoneAndCoverRange) {
-  std::vector<double> costs;
-  for (int i = 0; i < 137; ++i) costs.push_back(0.1 + (i * 7) % 13);
-  for (std::size_t parts : {1u, 2u, 5u, 16u, 200u}) {
-    const auto bounds = BalancedPartition(costs, parts);
-    ASSERT_EQ(bounds.size(), parts + 1);
-    EXPECT_EQ(bounds.front(), 0u);
-    EXPECT_EQ(bounds.back(), costs.size());
-    for (std::size_t p = 0; p + 1 < bounds.size(); ++p)
-      EXPECT_LE(bounds[p], bounds[p + 1]);
-  }
-}
-
-TEST(BalancedPartition, DegenerateCostsFallBackToEqualCount) {
-  for (auto costs : {std::vector<double>(50, 0.0),
-                     std::vector<double>{1.0, std::nan(""), 1.0},
-                     std::vector<double>{1.0, -2.0, 1.0}}) {
-    const auto bounds = BalancedPartition(costs, 2);
-    ASSERT_EQ(bounds.size(), 3u);
-    EXPECT_EQ(bounds.front(), 0u);
-    EXPECT_EQ(bounds[1], costs.size() / 2);
-    EXPECT_EQ(bounds.back(), costs.size());
-  }
-}
-
-TEST(Schedule, StaticChunkBoundariesAreDeterministic) {
-  // The static partition is a pure function of (n, workers): repeated
-  // regions must hand every worker exactly the same [begin, end).
+TEST(Schedule, GrainIsAboutEightClaimsPerWorker) {
   ThreadPool pool(4);
-  for (std::size_t n : {5u, 64u, 1000u, 1003u}) {
-    std::vector<std::pair<std::size_t, std::size_t>> first(4, {0, 0});
-    for (int round = 0; round < 5; ++round) {
-      std::vector<std::pair<std::size_t, std::size_t>> got(4, {0, 0});
-      pool.ParallelForWorker(
-          n, [&](std::size_t b, std::size_t e, std::size_t w) {
-            got[w] = {b, e};
-          });
-      for (std::size_t w = 0; w < 4; ++w) {
-        const std::size_t expect_b = w * n / 4, expect_e = (w + 1) * n / 4;
-        if (expect_b == expect_e) continue;  // empty share: body not called
-        EXPECT_EQ(got[w].first, expect_b) << "n=" << n << " w=" << w;
-        EXPECT_EQ(got[w].second, expect_e);
-      }
-      if (round == 0) {
-        first = got;
-      } else {
-        EXPECT_EQ(first, got) << "n=" << n;
-      }
-    }
-  }
+  EXPECT_EQ(pool.Grain(1), 1u);
+  EXPECT_EQ(pool.Grain(63), 1u);
+  EXPECT_EQ(pool.Grain(64), 2u);
+  EXPECT_EQ(pool.Grain(1003), 31u);
+  EXPECT_EQ(ThreadPool(1).Grain(100), 12u);
 }
 
 TEST(Schedule, DynamicCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  ScheduleSpec sched;
-  sched.kind = ScheduleKind::kDynamic;
-  for (std::size_t grain : {0u, 1u, 7u, 1000u}) {
-    sched.grain = grain;
-    for (std::size_t n : {0u, 1u, 63u, 1000u}) {
+  // Every index runs exactly once in a chunk that starts on a grain
+  // boundary, at every thread count — including n < threads, where some
+  // workers claim nothing.
+  for (std::size_t threads : {1u, 2u, 3u, 4u, 7u}) {
+    ThreadPool pool(threads);
+    for (std::size_t n : {0u, 1u, 2u, 5u, 63u, 1000u}) {
+      const std::size_t grain = threads == 1 ? n : pool.Grain(n);
       std::vector<std::atomic<int>> hits(n);
       pool.ParallelForWorker(
-          n,
-          [&](std::size_t b, std::size_t e, std::size_t w) {
-            ASSERT_LT(w, 4u);
+          n, [&](std::size_t b, std::size_t e, std::size_t w) {
+            ASSERT_LT(w, threads);
+            EXPECT_EQ(b % grain, 0u) << "threads=" << threads << " n=" << n;
+            EXPECT_LE(e - b, grain);
             for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
-          },
-          sched);
+          });
       for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "grain=" << grain << " n=" << n;
+        EXPECT_EQ(hits[i].load(), 1) << "threads=" << threads << " n=" << n;
     }
   }
-}
-
-TEST(Schedule, CostGuidedBoundsAreHonored) {
-  ThreadPool pool(3);
-  const std::size_t bounds[] = {0, 10, 11, 40};
-  ScheduleSpec sched;
-  sched.kind = ScheduleKind::kCostGuided;
-  sched.bounds = bounds;
-  std::vector<std::pair<std::size_t, std::size_t>> got(3, {0, 0});
-  pool.ParallelForWorker(
-      40, [&](std::size_t b, std::size_t e, std::size_t w) { got[w] = {b, e}; },
-      sched);
-  EXPECT_EQ(got[0], (std::pair<std::size_t, std::size_t>{0, 10}));
-  EXPECT_EQ(got[1], (std::pair<std::size_t, std::size_t>{10, 11}));
-  EXPECT_EQ(got[2], (std::pair<std::size_t, std::size_t>{11, 40}));
-}
-
-TEST(Schedule, CostGuidedWrongBoundCountRejected) {
-  ThreadPool pool(2);
-  const std::size_t bounds[] = {0, 10};  // needs workers + 1 = 3 edges
-  ScheduleSpec sched;
-  sched.kind = ScheduleKind::kCostGuided;
-  sched.bounds = bounds;
-  EXPECT_ANY_THROW(pool.ParallelForWorker(
-      10, [](std::size_t, std::size_t, std::size_t) {}, sched));
 }
 
 TEST(Schedule, DynamicBodyExceptionPropagates) {
   ThreadPool pool(4);
-  ScheduleSpec sched;
-  sched.kind = ScheduleKind::kDynamic;
-  sched.grain = 4;
   EXPECT_THROW(pool.ParallelForWorker(
                    100,
                    [](std::size_t b, std::size_t, std::size_t) {
                      if (b >= 48) throw std::runtime_error("dyn boom");
-                   },
-                   sched),
+                   }),
                std::runtime_error);
-  // Pool still healthy for subsequent dynamic regions.
+  // Pool still healthy for subsequent regions.
   std::vector<std::atomic<int>> hits(64);
-  pool.ParallelForWorker(
-      64,
-      [&](std::size_t b, std::size_t e, std::size_t) {
-        for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
-      },
-      sched);
+  pool.ParallelForWorker(64, [&](std::size_t b, std::size_t e, std::size_t) {
+    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+  });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(Schedule, PoolStatsCountChunksAndClaims) {
+TEST(Schedule, PoolStatsCountChunks) {
   ThreadPool pool(2);
   pool.EnableStats(true);
-  pool.ParallelFor(100, [](std::size_t, std::size_t) {});  // static: 2 chunks
-  ScheduleSpec sched;
-  sched.kind = ScheduleKind::kDynamic;
-  sched.grain = 10;
-  pool.ParallelForWorker(
-      100, [](std::size_t, std::size_t, std::size_t) {}, sched);
+  std::uint64_t expect = 0;
+  for (std::size_t n : {1u, 7u, 100u, 1000u}) {
+    pool.ParallelFor(n, [](std::size_t, std::size_t) {});
+    expect += (n + pool.Grain(n) - 1) / pool.Grain(n);
+  }
   const PoolStats stats = pool.Stats();
-  EXPECT_EQ(stats.regions, 2u);
-  EXPECT_EQ(stats.chunks, 2u + 10u);  // static chunks + ceil(100/10) claims
-  EXPECT_EQ(stats.claims, 10u);
-}
-
-TEST(SweepScheduler, FallsBackToDynamicUntilCostsArrive) {
-  SweepScheduler s(ScheduleKind::kCostGuided, 5);
-  auto spec = s.Next(100, 4);
-  EXPECT_EQ(spec.kind, ScheduleKind::kDynamic);
-  EXPECT_EQ(spec.grain, 5u);
-  EXPECT_EQ(s.dynamic_plans(), 1u);
-
-  std::vector<double> costs(100, 1.0);
-  s.Update(costs);
-  spec = s.Next(100, 4);
-  EXPECT_EQ(spec.kind, ScheduleKind::kCostGuided);
-  ASSERT_EQ(spec.bounds.size(), 5u);
-  EXPECT_EQ(spec.bounds.front(), 0u);
-  EXPECT_EQ(spec.bounds.back(), 100u);
-  EXPECT_EQ(s.cost_guided_plans(), 1u);
-
-  // Shape change invalidates the predictor.
-  spec = s.Next(64, 4);
-  EXPECT_EQ(spec.kind, ScheduleKind::kDynamic);
-  EXPECT_EQ(s.dynamic_plans(), 2u);
-}
-
-TEST(SweepScheduler, StaticKindAndSingleWorkerStayStatic) {
-  SweepScheduler st(ScheduleKind::kStatic);
-  EXPECT_EQ(st.Next(50, 4).kind, ScheduleKind::kStatic);
-  SweepScheduler cg(ScheduleKind::kCostGuided);
-  EXPECT_EQ(cg.Next(50, 1).kind, ScheduleKind::kStatic);
-  EXPECT_EQ(cg.dynamic_plans(), 0u);
+  EXPECT_EQ(stats.regions, 4u);
+  EXPECT_EQ(stats.chunks, expect);
+  EXPECT_EQ(expect, 1u + 7u + 17u + 17u);  // grains 1, 1, 6, 62
 }
 
 // ---------------------------------------------------------------------------
@@ -530,15 +401,25 @@ TEST(PoolStats, AccumulatesBusyTimeAcrossRegions) {
     for (std::size_t i = b; i < e; ++i)
       for (int k = 0; k < 2000; ++k) x = x + 1.0;
   };
-  pool.ParallelFor(64, spin);
-  pool.ParallelFor(64, spin);
+  for (int region = 0; region < 2; ++region) {
+    // Each worker's first chunk waits until both workers hold one, so both
+    // record busy time whatever order the chunks are claimed in.
+    std::atomic<int> arrived{0};
+    std::atomic<bool> seen[2] = {false, false};
+    pool.ParallelForWorker(64, [&](std::size_t b, std::size_t e,
+                                   std::size_t w) {
+      if (!seen[w].exchange(true)) arrived.fetch_add(1);
+      while (arrived.load() < 2) std::this_thread::yield();
+      spin(b, e);
+    });
+  }
   const PoolStats stats = pool.Stats();
   EXPECT_EQ(stats.threads, 2u);
   EXPECT_EQ(stats.regions, 2u);
   EXPECT_GT(stats.region_wall_seconds, 0.0);
   EXPECT_GT(stats.BusySecondsTotal(), 0.0);
   ASSERT_EQ(stats.worker_busy_seconds.size(), 2u);
-  // Both workers got half of each region.
+  // Both workers ran chunks of each region.
   EXPECT_GT(stats.worker_busy_seconds[0], 0.0);
   EXPECT_GT(stats.worker_busy_seconds[1], 0.0);
   // Imbalance is a ratio of max to mean chunk time: >= 1 by construction.
@@ -554,6 +435,7 @@ TEST(PoolStats, CountsInlineSingleThreadRegions) {
   const PoolStats stats = pool.Stats();
   EXPECT_EQ(stats.threads, 1u);
   EXPECT_EQ(stats.regions, 1u);
+  EXPECT_EQ(stats.chunks, 1u);  // inline: the whole range is one chunk
   EXPECT_DOUBLE_EQ(stats.max_imbalance, 1.0);  // one chunk = perfectly even
 }
 

@@ -160,6 +160,88 @@ TEST(SparseSea, FullPatternMatchesDenseSolver) {
   }
 }
 
+// Dense and sparse SEA share one sweep loop and one backend core, so on a
+// full pattern the two solvers follow the same trajectory to the bit — the
+// sweeps, the check measure and the kXChange snapshot — in every regime
+// both accept, serially and under a pool.
+class FullPatternTrajectory : public ::testing::TestWithParam<TotalsMode> {};
+
+TEST_P(FullPatternTrajectory, SparseMatchesDenseBitForBit) {
+  Rng rng(0xF011);
+  const std::size_t k = 10;
+  const DenseMatrix x0 = Fill(k, k, rng, 0.1, 20.0);
+  const DenseMatrix gamma = Fill(k, k, rng, 0.1, 1.5);
+  const SparseMatrix sx0 = SparseMatrix::FromDense(x0);
+  const SparseMatrix sgamma = SparseMatrix::FromDense(gamma);
+  const Vector rows = x0.RowSums(), cols = x0.ColSums();
+  const Vector alpha = rng.UniformVector(k, 0.2, 2.0);
+  const Vector beta = rng.UniformVector(k, 0.2, 2.0);
+  Vector s0 = rows, d0 = cols;
+  for (double& v : s0) v *= 1.2;
+  for (double& v : d0) v *= 1.2;
+  DiagonalProblem dense;
+  SparseDiagonalProblem sparse;
+  switch (GetParam()) {
+    case TotalsMode::kFixed:
+      dense = DiagonalProblem::MakeFixed(x0, gamma, s0, d0);
+      sparse = SparseDiagonalProblem::MakeFixed(sx0, sgamma, s0, d0);
+      break;
+    case TotalsMode::kElastic:
+      dense = DiagonalProblem::MakeElastic(x0, gamma, s0, alpha, rows, beta);
+      sparse =
+          SparseDiagonalProblem::MakeElastic(sx0, sgamma, s0, alpha, rows, beta);
+      break;
+    default: {
+      Vector t0(k);
+      for (std::size_t i = 0; i < k; ++i) t0[i] = 0.5 * (rows[i] + cols[i]);
+      dense = DiagonalProblem::MakeSam(x0, gamma, t0, alpha);
+      sparse = SparseDiagonalProblem::MakeSam(sx0, sgamma, t0, alpha);
+      break;
+    }
+  }
+
+  ThreadPool pool(3);
+  for (StopCriterion c : {StopCriterion::kResidualRel, StopCriterion::kXChange}) {
+    for (ThreadPool* use_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SeaOptions o;
+      o.epsilon = 1e-9;
+      o.criterion = c;
+      o.pool = use_pool;
+      const auto run_d = SolveDiagonal(dense, o);
+      const auto run_s = SolveSparse(sparse, o);
+      const std::string tag = std::string(ToString(c)) +
+                              (use_pool != nullptr ? " pool" : " serial");
+      ASSERT_TRUE(run_d.result.converged()) << tag;
+      EXPECT_EQ(run_s.result.status, run_d.result.status) << tag;
+      EXPECT_EQ(run_s.result.iterations, run_d.result.iterations) << tag;
+      EXPECT_EQ(run_s.result.final_residual, run_d.result.final_residual)
+          << tag;
+      EXPECT_EQ(run_s.result.ops.flops, run_d.result.ops.flops) << tag;
+      EXPECT_EQ(run_s.result.ops.comparisons, run_d.result.ops.comparisons)
+          << tag;
+      for (std::size_t i = 0; i < k; ++i) {
+        EXPECT_EQ(run_s.solution.lambda[i], run_d.solution.lambda[i]) << tag;
+        EXPECT_EQ(run_s.solution.mu[i], run_d.solution.mu[i]) << tag;
+      }
+      const auto xs = run_s.solution.x.Values();
+      const auto xd = run_d.solution.x.Flat();
+      ASSERT_EQ(xs.size(), xd.size());
+      for (std::size_t e = 0; e < xs.size(); ++e)
+        EXPECT_EQ(xs[e], xd[e]) << tag << " e=" << e;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Regimes, FullPatternTrajectory,
+    ::testing::Values(TotalsMode::kFixed, TotalsMode::kElastic,
+                      TotalsMode::kSam),
+    [](const ::testing::TestParamInfo<TotalsMode>& info) {
+      return std::string(info.param == TotalsMode::kFixed     ? "fixed"
+                         : info.param == TotalsMode::kElastic ? "elastic"
+                                                              : "sam");
+    });
+
 SparseDiagonalProblem RandomSparseFixed(std::size_t m, std::size_t n,
                                         double density, Rng& rng) {
   // Build a pattern guaranteed feasible for totals = base sums.

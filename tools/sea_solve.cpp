@@ -138,10 +138,6 @@ extern "C" void OnTerminationSignal(int /*signum*/) { g_cancel.Cancel(); }
          "           --slack <frac>           (interval mode: totals may "
          "move within +-frac, default 0.05)\n"
          "           --threads <N>            (default 1)\n"
-         "           --schedule static|cost|dynamic (sweep partitioning; "
-         "default static)\n"
-         "           --grain <N>              (dynamic-schedule chunk size; "
-         "0 = auto)\n"
          "           --sort auto|insertion|heapsort|reuse (breakpoint sort "
          "policy; default auto)\n"
          "           --progress               (print residual per check "
@@ -194,8 +190,7 @@ const std::set<std::string>& ValueFlags() {
       "mode",      "matrix",     "row-totals",   "col-totals", "totals",
       "weights",   "epsilon",    "criterion",    "check-every", "max-iters",
       "slack",     "threads",    "out",          "metrics-json",
-      "trace-jsonl", "time-budget", "profile-json",
-      "schedule",  "grain",      "sort",
+      "trace-jsonl", "time-budget", "profile-json", "sort",
       "stall-checks", "metrics-prom", "attribution-json",
       "postmortem-json", "status-file", "checkpoint", "checkpoint-every",
       "resume", "recovery-retries", "listen", "listen-port-file",
@@ -479,19 +474,6 @@ int main(int argc, char** argv) {
         args.count("threads") ? ParseSize(args["threads"], "--threads") : 1;
     ThreadPool pool(threads);
     if (threads > 1) opts.pool = &pool;
-    const std::string schedule =
-        args.count("schedule") ? args["schedule"] : "static";
-    if (schedule == "static") {
-      opts.sweep_schedule = ScheduleKind::kStatic;
-    } else if (schedule == "cost") {
-      opts.sweep_schedule = ScheduleKind::kCostGuided;
-    } else if (schedule == "dynamic") {
-      opts.sweep_schedule = ScheduleKind::kDynamic;
-    } else {
-      Usage(argv[0], "unknown schedule '" + schedule + "'");
-    }
-    if (args.count("grain"))
-      opts.sweep_grain = ParseSize(args["grain"], "--grain");
     const std::string sort = args.count("sort") ? args["sort"] : "auto";
     if (sort == "auto") {
       opts.sort_policy = SortPolicy::kAuto;
@@ -588,7 +570,6 @@ int main(int argc, char** argv) {
     wide.epsilon = opts.epsilon;
     wide.criterion = ToString(opts.criterion);
     wide.threads = static_cast<std::uint64_t>(threads);
-    wide.schedule = schedule;
     wide.sort = sort;
     wide.resumed = opts.resume != nullptr;
     {
@@ -600,14 +581,12 @@ int main(int argc, char** argv) {
       mix_str(mode);
       mix_str(scheme);
       mix_str(ToString(opts.criterion));
-      mix_str(schedule);
       mix_str(sort);
       fp.MixBytes(&opts.epsilon, sizeof(opts.epsilon));
       fp.MixU64(static_cast<std::uint64_t>(opts.check_every));
       fp.MixU64(static_cast<std::uint64_t>(opts.max_iterations));
       fp.MixU64(static_cast<std::uint64_t>(opts.stall_checks));
       fp.MixU64(static_cast<std::uint64_t>(threads));
-      fp.MixU64(static_cast<std::uint64_t>(opts.sweep_grain));
       fp.MixU64(opts.recover ? 1 : 0);
       fp.MixU64(static_cast<std::uint64_t>(opts.recovery_retries));
       wide.options_fingerprint = fp.value();
@@ -689,7 +668,6 @@ int main(int argc, char** argv) {
               .Field("epsilon", opts.epsilon)
               .Field("criterion", ToString(opts.criterion))
               .Field("threads", static_cast<std::uint64_t>(threads))
-              .Field("schedule", schedule)
               .Field("sort", sort)
               .Field("sample_interval_ms", sampler_opts.interval_ms)
               .Str();
@@ -849,7 +827,6 @@ int main(int argc, char** argv) {
           .Field("epsilon", opts.epsilon)
           .Field("criterion", ToString(opts.criterion))
           .Field("threads", static_cast<std::uint64_t>(threads))
-          .Field("schedule", schedule)
           .Field("sort", sort)
           .Field("backend", "scalar")
           .Raw("result", obs::ToJson(run.result))
