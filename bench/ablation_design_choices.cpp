@@ -1,8 +1,9 @@
 // Ablation studies for SEA's design choices (DESIGN.md Section 8):
 //
-//   1. sort policy    — straight insertion vs heapsort per market length,
+//   1. cold sort      — straight insertion vs heapsort per market length,
 //                       the paper's own implementation switch (HEAPSORT for
-//                       long arrays, STRAIGHT INSERTION for 10..120).
+//                       long arrays, STRAIGHT INSERTION for 10..120). Solvers
+//                       cold-sort only a market's first sweep.
 //   2. warm start     — chaining inner diagonal solves from the previous
 //                       outer iteration's multipliers vs cold mu = 0.
 //   3. check spacing  — convergence verification every k-th iteration (the
@@ -20,6 +21,7 @@
 #include "datasets/io_tables.hpp"
 #include "datasets/large_diagonal.hpp"
 #include "datasets/weights.hpp"
+#include "equilibration/breakpoint_solver.hpp"
 #include "io/table_printer.hpp"
 #include "sparse/sparse_sea.hpp"
 #include "spe/spe_generator.hpp"
@@ -30,8 +32,8 @@ namespace {
 
 using namespace sea;
 
-void AblateSortPolicy(bool quick) {
-  std::cout << "\n--- Ablation 1: sort policy (per-market CPU by length) ---\n";
+void AblateColdSort(bool quick) {
+  std::cout << "\n--- Ablation 1: cold sort (per-market CPU by length) ---\n";
   TablePrinter t({"market length", "insertion (us)", "heapsort (us)",
                   "winner"});
   Rng rng(1);
@@ -42,14 +44,14 @@ void AblateSortPolicy(bool quick) {
     const std::size_t reps = 2000000 / (n + 64) + 1;
     double us[2] = {0.0, 0.0};
     int w = 0;
-    for (SortPolicy pol : {SortPolicy::kInsertion, SortPolicy::kHeapsort}) {
+    for (ColdSort sort : {ColdSort::kInsertion, ColdSort::kHeapsort}) {
       Rng local(42);
       Stopwatch sw;
       for (std::size_t r = 0; r < reps; ++r) {
         for (auto& a : arcs)
           a = {local.Uniform(-100.0, 100.0), local.Uniform(0.01, 5.0)};
         ws.Assign(arcs);
-        SolveMarket(ws, 50.0, 0.0, pol);
+        SolveMarket(ws, 50.0, 0.0, sort);
       }
       us[w++] = sw.Seconds() * 1e6 / double(reps);
     }
@@ -58,8 +60,9 @@ void AblateSortPolicy(bool quick) {
               us[0] < us[1] ? "insertion" : "heapsort"});
   }
   t.Print(std::cout);
-  std::cout << "(the library's kAuto threshold is "
-            << kInsertionThreshold << ")\n";
+  std::cout << "(the library's cold-sort threshold is "
+            << kInsertionThreshold << "; later sweeps repair the persisted "
+               "order instead)\n";
 }
 
 void AblateWarmStart(bool quick) {
@@ -181,7 +184,6 @@ void AblateSparseStorage(bool quick) {
     SeaOptions o;
     o.epsilon = 0.01;
     o.criterion = StopCriterion::kXChange;
-    o.sort_policy = SortPolicy::kHeapsort;
 
     const auto dense_p = DiagonalProblem::MakeFixed(
         x0, datasets::ChiSquareWeights(x0), s0, d0);
@@ -214,9 +216,9 @@ void AblateSparseStorage(bool quick) {
 int main(int argc, char** argv) {
   const auto opts = sea::bench::ParseArgs(argc, argv);
   sea::bench::PrintHeader("Ablations: SEA design choices",
-                          "sort policy, warm starts, check spacing, inner "
+                          "cold sort, warm starts, check spacing, inner "
                           "tolerance, sparse storage");
-  AblateSortPolicy(opts.quick);
+  AblateColdSort(opts.quick);
   AblateWarmStart(opts.quick);
   AblateCheckSpacing(opts.quick);
   AblateInnerTolerance(opts.quick);

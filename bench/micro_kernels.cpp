@@ -1,7 +1,7 @@
 // Microbenchmarks for the library's hot kernels, in two parts.
 //
 // 1. The market kernel's timings (full market solves across market sizes,
-//    cold kAuto and warm kReuse, plus the elementwise stages alone) that
+//    cold-sorted and order-repaired, plus the elementwise stages alone) that
 //    always run and emit the bench schema v2 JSON (BENCH_micro_kernels.json)
 //    so tools/bench_diff can gate them across PRs. Accepts the standard
 //    bench flags (--quick/--csv/--json/...; see bench_common.hpp).
@@ -46,11 +46,13 @@ void FillArcs(std::vector<Arc>& arcs, std::size_t n, Rng& rng) {
 // Part 1: the market kernel's timings (always runs; feeds bench_diff). The
 // records keep the experiment name "kernel_backend" and the scalar_* metric
 // names so the bench trajectory lines up across the removal of the SIMD
-// backend (docs/KERNELS.md).
+// backend (docs/KERNELS.md), and the sort=auto (cold sort by the
+// kInsertionThreshold rule) / sort=reuse (persisted-order repair) dataset
+// names outlive the sort-policy option for the same reason.
 
 // One full market pipeline: arc build + clearing solve + allocation
 // writeback — the exact per-market work of a sweep.
-double TimeMarketUs(std::size_t n, std::size_t reps, SortPolicy policy) {
+double TimeMarketUs(std::size_t n, std::size_t reps, bool repair) {
   Rng rng(7);
   std::vector<double> centers(n), weights(n), other(n), x(n);
   for (std::size_t j = 0; j < n; ++j) {
@@ -61,11 +63,11 @@ double TimeMarketUs(std::size_t n, std::size_t reps, SortPolicy policy) {
   const double u = 0.6 * static_cast<double>(n);
   BreakpointWorkspace ws;
   MarketOrder order;
-  MarketOrder* order_ptr = policy == SortPolicy::kReuse ? &order : nullptr;
-  // Warm-up solve (establishes the kReuse permutation, faults pages).
+  MarketOrder* order_ptr = repair ? &order : nullptr;
+  // Warm-up solve (establishes the persisted permutation, faults pages).
   ws.Resize(n);
   BuildArcs(centers, weights, other, ws.p(), ws.q());
-  (void)SolveMarket(ws, u, 0.0, policy, order_ptr);
+  (void)SolveMarket(ws, u, 0.0, order_ptr);
   // Best of three repetition means: this container has no CPU pinning, so a
   // single mean is at the mercy of scheduler migrations.
   double best = std::numeric_limits<double>::infinity();
@@ -74,7 +76,7 @@ double TimeMarketUs(std::size_t n, std::size_t reps, SortPolicy policy) {
     for (std::size_t r = 0; r < reps; ++r) {
       ws.Resize(n);
       BuildArcs(centers, weights, other, ws.p(), ws.q());
-      const auto res = SolveMarket(ws, u, 0.0, policy, order_ptr);
+      const auto res = SolveMarket(ws, u, 0.0, order_ptr);
       Writeback(ws.p(), ws.q(), res.lambda, x);
       benchmark::DoNotOptimize(x.data());
     }
@@ -115,9 +117,9 @@ void RunMarketKernel(const bench::BenchOptions& opts, ExperimentLog& log) {
   for (std::size_t n : {10u, 120u, 1000u, 10000u}) {
     std::size_t reps = std::max<std::size_t>(20, 200000 / n);
     if (opts.quick) reps = std::max<std::size_t>(5, reps / 10);
-    for (SortPolicy policy : {SortPolicy::kAuto, SortPolicy::kReuse}) {
-      const char* sort_name = policy == SortPolicy::kReuse ? "reuse" : "auto";
-      const double us = TimeMarketUs(n, reps, policy);
+    for (bool repair : {false, true}) {
+      const char* sort_name = repair ? "reuse" : "auto";
+      const double us = TimeMarketUs(n, reps, repair);
       t.AddRow({TablePrinter::Int(static_cast<long>(n)), sort_name,
                 TablePrinter::Num(us, 3)});
       const std::string ds = "n=" + std::to_string(n) + ",sort=" + sort_name;
@@ -262,7 +264,7 @@ void BM_MarketSolveHeapsort(benchmark::State& state) {
     ws.Assign(arcs);
     state.ResumeTiming();
     benchmark::DoNotOptimize(
-        SolveMarket(ws, 100.0, 0.0, SortPolicy::kHeapsort));
+        SolveMarket(ws, 100.0, 0.0, ColdSort::kHeapsort));
   }
   state.SetComplexityN(static_cast<int64_t>(n));
 }
@@ -280,7 +282,7 @@ void BM_MarketSolveInsertion(benchmark::State& state) {
     ws.Assign(arcs);
     state.ResumeTiming();
     benchmark::DoNotOptimize(
-        SolveMarket(ws, 100.0, 0.0, SortPolicy::kInsertion));
+        SolveMarket(ws, 100.0, 0.0, ColdSort::kInsertion));
   }
 }
 BENCHMARK(BM_MarketSolveInsertion)->DenseRange(16, 128, 28);

@@ -3,7 +3,9 @@
 //
 // Protocol (Section 4.1.1): m = n in {750, 1000, 2000, 3000}; 100% dense
 // X0 uniform [.1, 10000]; gamma = 1/x0; s0 = 2*rowsums, d0 = 2*colsums;
-// HEAPSORT exact equilibration; epsilon = .01 on |x^t - x^{t-1}|.
+// HEAPSORT exact equilibration; epsilon = .01 on |x^t - x^{t-1}|. Here each
+// market's first sweep cold-sorts (heapsort above kInsertionThreshold) and
+// every later sweep repairs that order (docs/PARALLELISM.md, "Sort reuse").
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -43,7 +45,6 @@ int main(int argc, char** argv) {
     SeaOptions sea_opts;
     sea_opts.epsilon = 0.01;
     sea_opts.criterion = StopCriterion::kXChange;
-    sea_opts.sort_policy = SortPolicy::kHeapsort;
     const std::string dims =
         std::to_string(row.n) + " x " + std::to_string(row.n);
     bench::MaybeAttachProgress(opts, sea_opts, "table1 " + dims);

@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
       SeaOptions sea_opts;
       sea_opts.epsilon = 0.01;
       sea_opts.criterion = StopCriterion::kXChange;
-      sea_opts.sort_policy = SortPolicy::kHeapsort;
       bench::MaybeAttachProgress(opts, sea_opts,
                                  spec.name + " rep " + std::to_string(rep));
       const auto run = SolveDiagonal(problem, sea_opts);

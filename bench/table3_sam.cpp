@@ -45,8 +45,6 @@ int main(int argc, char** argv) {
     SeaOptions sea_opts;
     sea_opts.epsilon = 1e-3;
     sea_opts.criterion = StopCriterion::kResidualRel;
-    sea_opts.sort_policy = spec.accounts <= 128 ? SortPolicy::kInsertion
-                                                : SortPolicy::kHeapsort;
     const auto run = SolveDiagonal(problem, sea_opts);
 
     std::size_t nnz = 0;

@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
     sea_opts.epsilon = 1e-3;
     sea_opts.criterion = StopCriterion::kResidualRel;
     sea_opts.check_every = opts.quick ? 1 : 2;  // paper: every other iter
-    sea_opts.sort_policy = SortPolicy::kInsertion;  // 48-element arrays
     const auto run = SolveDiagonal(problem, sea_opts);
 
     const auto rep = CheckFeasibility(problem, run.solution);

@@ -59,14 +59,12 @@ int main(int argc, char** argv) {
       GeneralSeaOptions sea_opts;
       sea_opts.outer_epsilon = 1e-3;
       sea_opts.inner.criterion = StopCriterion::kResidualRel;
-      sea_opts.inner.sort_policy = SortPolicy::kInsertion;
       const auto sea_run = SolveGeneral(problem, sea_opts);
       sea_cpu += sea_run.result.cpu_seconds;
       all_ok = all_ok && sea_run.result.converged();
 
       RcOptions rc_opts;
       rc_opts.epsilon = 1e-3;
-      rc_opts.sort_policy = SortPolicy::kInsertion;
       const auto rc_run = SolveRc(problem, rc_opts);
       rc_cpu += rc_run.result.cpu_seconds;
       all_ok = all_ok && rc_run.result.converged;

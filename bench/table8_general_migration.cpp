@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
     GeneralSeaOptions sea_opts;
     sea_opts.outer_epsilon = 1e-3;
     sea_opts.inner.criterion = StopCriterion::kResidualRel;
-    sea_opts.inner.sort_policy = SortPolicy::kInsertion;  // 48-element rows
     const auto run = SolveGeneral(problem, sea_opts);
 
     const auto rep =

@@ -23,7 +23,6 @@ int main() {
   SeaOptions opts;
   opts.epsilon = 1e-5;
   opts.criterion = StopCriterion::kResidualRel;
-  opts.sort_policy = SortPolicy::kInsertion;
   const auto run = SolveDiagonal(problem, opts);
 
   std::cout << "diagonal projection (" << specs[0].name
@@ -59,7 +58,6 @@ int main() {
   GeneralSeaOptions gen_opts;
   gen_opts.outer_epsilon = 1e-3;
   gen_opts.inner.criterion = StopCriterion::kResidualRel;
-  gen_opts.inner.sort_policy = SortPolicy::kInsertion;
   const auto gen_run = SolveGeneral(gen_problem, gen_opts);
   const auto rep = CheckFeasibility(gen_run.solution.x, gen_problem.s0(),
                                     gen_problem.d0());

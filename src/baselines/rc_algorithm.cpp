@@ -29,6 +29,9 @@ struct RcState {
   DenseMatrix centers;   // projection-step centers, phase-major layout
   DenseMatrix xs;        // phase-major allocations scratch
   Vector mult;           // per-market multipliers scratch (max(m, n))
+  // Breakpoint orders persisted across every projection iteration of every
+  // phase: the first sweep cold-sorts, later ones repair.
+  SortOrderCache row_orders, col_orders;
 
   RcResult result;
 };
@@ -57,9 +60,9 @@ std::size_t RunPhase(RcState& st, bool by_rows, double projection_epsilon) {
   side.t0 = by_rows ? p.s0() : p.d0();
 
   SweepOptions sweep_opts;
-  sweep_opts.sort_policy = st.opts->sort_policy;
   sweep_opts.pool = st.opts->pool;
   sweep_opts.record_task_costs = st.opts->record_trace;
+  sweep_opts.sort_cache = by_rows ? &st.row_orders : &st.col_orders;
   sweep_opts.profile_phase =
       by_rows ? "equilibrate.rows" : "equilibrate.cols";
 
@@ -146,6 +149,8 @@ RcRun SolveRc(const GeneralProblem& problem, const RcOptions& opts) {
   st.n = problem.n();
   st.lambda.assign(st.m, 0.0);
   st.mu.assign(st.n, 0.0);
+  st.row_orders.Reset(st.m);
+  st.col_orders.Reset(st.n);
 
   st.gamma_rm = DenseMatrix(st.m, st.n);
   for (std::size_t k = 0; k < st.m * st.n; ++k)

@@ -38,7 +38,6 @@ struct RcOptions {
   // 0 derives epsilon/10.
   double projection_epsilon = 0.0;
   std::size_t max_projection_iterations = 200;
-  SortPolicy sort_policy = SortPolicy::kAuto;
   ThreadPool* pool = nullptr;
   bool record_trace = false;
 };

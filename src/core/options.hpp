@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "equilibration/breakpoint_solver.hpp"
 #include "support/cancel.hpp"
 
 namespace sea {
@@ -42,7 +41,6 @@ struct SeaOptions {
   // elastic ones (Section 4.2) — the check is the serial phase, so spacing
   // it improves parallel efficiency.
   std::size_t check_every = 1;
-  SortPolicy sort_policy = SortPolicy::kAuto;
   // Optional shared-memory pool for the row/column sweeps; null = serial.
   // Workers claim chunks of markets dynamically (docs/PARALLELISM.md);
   // results are bit-identical at every thread count.

@@ -31,8 +31,8 @@ struct SeaResult {
   double col_phase_seconds = 0.0;
   double check_phase_seconds = 0.0;
   OpCounts ops;
-  // Market solves answered by repairing a persisted breakpoint order
-  // (SortPolicy::kReuse); 0 under the other sort policies.
+  // Market solves answered by repairing a persisted breakpoint order (every
+  // market solve after that market's first sweep).
   std::uint64_t order_reuses = 0;
   // Market solves performed across all sweeps.
   std::uint64_t kernel_markets = 0;

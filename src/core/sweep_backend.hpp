@@ -87,22 +87,19 @@ class SweepBackend : public SeaIterationBackend {
         col_side_.coupling = lambda_;
         break;
     }
-    sweep_opts_.sort_policy = opts.sort_policy;
     sweep_opts_.pool = opts.pool;
     sweep_opts_.record_task_costs = opts.record_trace;
     sweep_opts_.attribution = opts.attribution;
     if (opts.attribution != nullptr)
       opts.attribution->Reset(lambda.size(), mu.size());
-    if (opts.sort_policy == SortPolicy::kReuse) {
-      row_orders_.Reset(lambda.size());
-      col_orders_.Reset(mu.size());
-    }
+    row_orders_.Reset(lambda.size());
+    col_orders_.Reset(mu.size());
   }
 
   SweepStats RowSweep() override {
     if (totals_.mode == TotalsMode::kSam) row_side_.coupling = mu_;
     sweep_opts_.profile_phase = "equilibrate.rows";
-    sweep_opts_.sort_cache = row_orders_.size() > 0 ? &row_orders_ : nullptr;
+    sweep_opts_.sort_cache = &row_orders_;
     sweep_opts_.attribution_base = 0;  // row markets: slots [0, m)
     return EquilibrateSide(x0_, gamma_, mu_, row_side_, lambda_, nullptr,
                            sweep_opts_);
@@ -111,7 +108,7 @@ class SweepBackend : public SeaIterationBackend {
   SweepStats ColSweep(bool materialize) override {
     if (totals_.mode == TotalsMode::kSam) col_side_.coupling = lambda_;
     sweep_opts_.profile_phase = "equilibrate.cols";
-    sweep_opts_.sort_cache = col_orders_.size() > 0 ? &col_orders_ : nullptr;
+    sweep_opts_.sort_cache = &col_orders_;
     // column markets: slots [m, m+n)
     sweep_opts_.attribution_base = lambda_.size();
     return EquilibrateSide(x0_t_, gamma_t_, lambda_, col_side_, mu_,
@@ -246,7 +243,9 @@ class SweepBackend : public SeaIterationBackend {
   MarketSide row_side_;
   MarketSide col_side_;
   SweepOptions sweep_opts_;
-  // Persisted sort orders, one cache per sweep side.
+  // Persisted breakpoint orders, one cache per sweep side: each market's
+  // first sweep cold-sorts, every later sweep repairs (8 bytes per arc for a
+  // dense solve, 4 per side).
   SortOrderCache row_orders_, col_orders_;
   // The previous check's primal values (kXChange).
   std::vector<double> xt_prev_;

@@ -53,8 +53,8 @@ struct EntropySeaRun {
 };
 
 // Alternating exact row/column dual maximization (== RAS). Uses
-// opts.epsilon / opts.criterion / opts.max_iterations / opts.check_every;
-// sort_policy is ignored (entropy markets clear in closed form).
+// opts.epsilon / opts.criterion / opts.max_iterations / opts.check_every
+// (entropy markets clear in closed form, with no breakpoint sort).
 // A zero-support row/column with a positive target is diagnosed up front as
 // SolveStatus::kInfeasible (no iteration runs); supports on which the
 // scaling iteration pins at a non-solution fixed point terminate with

@@ -6,6 +6,7 @@
 #include "equilibration/breakpoint_solver.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "obs/profiler.hpp"
@@ -75,34 +76,42 @@ namespace {
 using detail::SortKey;
 
 // Strict weak order on sort keys: by breakpoint value, ties broken by
-// original arc index. One TOTAL order shared by every sort policy, so the
-// prefix sums of the segment sweep — and therefore the clearing multiplier —
-// are bit-identical whichever sort produced the array.
+// original arc index. One TOTAL order shared by every sort and repair, so
+// the prefix sums of the segment sweep — and therefore the clearing
+// multiplier — are bit-identical whichever sort produced the array.
 inline bool KeyLess(const SortKey& a, const SortKey& b) {
   return a.b < b.b || (a.b == b.b && a.idx < b.idx);
 }
 
-// Straight insertion sort. `moves`, when non-null, receives the number of
-// element shifts — for a nearly-sorted input this is the inversion count
-// the sort-reuse path reports.
-std::uint64_t InsertionSort(std::vector<SortKey>& v,
-                            std::uint64_t* moves = nullptr) {
+struct InsertionStats {
   std::uint64_t comparisons = 0;
-  std::uint64_t shifted = 0;
+  std::uint64_t shifts = 0;  // the inversion count, for a completed sort
+  bool complete = true;
+};
+
+// Straight insertion sort. Stops early, leaving v a permutation of its input
+// and complete = false, once more than max_shifts elements have shifted.
+InsertionStats InsertionSort(
+    std::vector<SortKey>& v,
+    std::uint64_t max_shifts = std::numeric_limits<std::uint64_t>::max()) {
+  InsertionStats s;
   for (std::size_t i = 1; i < v.size(); ++i) {
+    if (s.shifts > max_shifts) {
+      s.complete = false;
+      break;
+    }
     SortKey key = v[i];
     std::size_t j = i;
     while (j > 0) {
-      ++comparisons;
+      ++s.comparisons;
       if (!KeyLess(key, v[j - 1])) break;
       v[j] = v[j - 1];
-      ++shifted;
+      ++s.shifts;
       --j;
     }
     v[j] = key;
   }
-  if (moves != nullptr) *moves += shifted;
-  return comparisons;
+  return s;
 }
 
 std::uint64_t Heapsort(std::vector<SortKey>& v) {
@@ -171,7 +180,18 @@ SweepHit SweepSearch(const std::vector<double>& bs,
 }  // namespace
 
 BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
-                             SortPolicy policy, MarketOrder* order) {
+                             MarketOrder* order) {
+  return detail::SolveMarket(ws, u, v, order, nullptr);
+}
+
+BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
+                             ColdSort sort) {
+  return detail::SolveMarket(ws, u, v, nullptr, &sort);
+}
+
+BreakpointResult detail::SolveMarket(BreakpointWorkspace& ws, double u,
+                                     double v, MarketOrder* order,
+                                     const ColdSort* forced) {
   obs::ProfScopeFine prof("breakpoint.solve");
   const std::size_t n = ws.n_;
 
@@ -201,38 +221,47 @@ BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
   result.ops.flops += n;  // breakpoint divisions
   result.ops.breakpoints = n;
 
-  // Build sort keys — in the persisted order when reusing (the array is then
-  // nearly sorted and insertion repairs it in O(n + inversions)), in natural
-  // arc order otherwise.
+  // Build sort keys — in the persisted order when repairing (the array is
+  // then nearly sorted and insertion repairs it in O(n + inversions)), in
+  // natural arc order for a cold sort.
   auto& keys = ws.keys_;
   keys.resize(n);
-  const bool reuse = policy == SortPolicy::kReuse && order != nullptr &&
-                     order->perm.size() == n;
-  if (reuse) {
+  const bool repair = order != nullptr && order->perm.size() == n;
+  if (repair) {
     for (std::size_t k = 0; k < n; ++k) {
       const std::uint32_t j = order->perm[k];
       SEA_DCHECK(j < n && ws.q_[j] > 0.0);
       keys[k] = {b[j], j};
+    }
+    // A churned order costs up to n^2/4 shifts; past n*log2(n) of them a
+    // heapsort is cheaper, so above kInsertionThreshold the repair hands the
+    // (still permuted) keys to one. Typical case: a market's second sweep
+    // when its first cleared against all-zero multipliers, so the stored
+    // order carries no information.
+    const std::uint64_t budget =
+        n > kInsertionThreshold ? n * std::bit_width(n)
+                                : std::numeric_limits<std::uint64_t>::max();
+    const InsertionStats pass = InsertionSort(keys, budget);
+    result.ops.comparisons += pass.comparisons;
+    result.ops.inversions += pass.shifts;
+    if (pass.complete) {
+      result.order_reused = true;
+      ++order->reuses;
+    } else {
+      result.ops.comparisons += Heapsort(keys);
     }
   } else {
     for (std::size_t j = 0; j < n; ++j) {
       SEA_DCHECK(ws.q_[j] > 0.0);
       keys[j] = {b[j], static_cast<std::uint32_t>(j)};
     }
-  }
-
-  if (reuse) {
-    result.ops.comparisons += InsertionSort(keys, &result.ops.inversions);
-    result.order_reused = true;
-    ++order->reuses;
-  } else {
-    const bool use_insertion =
-        policy == SortPolicy::kInsertion ||
-        (policy != SortPolicy::kHeapsort && n <= kInsertionThreshold);
+    const bool use_insertion = forced != nullptr
+                                   ? *forced == ColdSort::kInsertion
+                                   : n <= kInsertionThreshold;
     result.ops.comparisons +=
-        use_insertion ? InsertionSort(keys) : Heapsort(keys);
+        use_insertion ? InsertionSort(keys).comparisons : Heapsort(keys);
   }
-  if (policy == SortPolicy::kReuse && order != nullptr) {
+  if (order != nullptr) {
     // Persist the (repaired or freshly established) order for the next sweep.
     order->perm.resize(n);
     for (std::size_t k = 0; k < n; ++k) order->perm[k] = keys[k].idx;
@@ -287,8 +316,7 @@ BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
 }
 
 BreakpointResult SolveMarketBox(BreakpointWorkspace& ws, double u, double v,
-                                double lo, double hi, SortPolicy policy,
-                                MarketOrder* order) {
+                                double lo, double hi, MarketOrder* order) {
   obs::ProfScopeFine prof("breakpoint.solve");
   SEA_CHECK_MSG(v < 0.0, "interval clearing needs a strictly elastic slope");
   SEA_CHECK_MSG(0.0 <= lo && lo <= hi, "invalid total interval");
@@ -298,19 +326,19 @@ BreakpointResult SolveMarketBox(BreakpointWorkspace& ws, double u, double v,
   // piece in between, and sits at lo for lambda >= (lo - u)/v. Solve against
   // each piece and accept the candidate that lands on its own piece;
   // monotonicity guarantees exactly one does (ties at junctions agree).
-  // With sort reuse, the first inner solve repairs the persisted order and
-  // the later pieces start from an already-sorted permutation.
+  // With an order, the first inner solve repairs the persisted permutation
+  // and the later pieces start from an already-sorted one.
   const double enter_mid = (hi - u) / v;  // lambda where response leaves hi
   const double leave_mid = (lo - u) / v;  // lambda where response hits lo
 
   // Upper piece: constant hi.
-  BreakpointResult r = SolveMarket(ws, hi, 0.0, policy, order);
+  BreakpointResult r = SolveMarket(ws, hi, 0.0, order);
   if (r.lambda <= enter_mid) return r;
   OpCounts ops = r.ops;
   const bool reused = r.order_reused;
 
   // Middle piece: the affine response itself.
-  r = SolveMarket(ws, u, v, policy, order);
+  r = SolveMarket(ws, u, v, order);
   ops += r.ops;
   if (r.lambda >= enter_mid && r.lambda <= leave_mid) {
     r.ops = ops;
@@ -319,7 +347,7 @@ BreakpointResult SolveMarketBox(BreakpointWorkspace& ws, double u, double v,
   }
 
   // Lower piece: constant lo.
-  r = SolveMarket(ws, lo, 0.0, policy, order);
+  r = SolveMarket(ws, lo, 0.0, order);
   ops += r.ops;
   r.ops = ops;
   r.order_reused = reused;

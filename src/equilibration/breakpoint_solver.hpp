@@ -20,19 +20,23 @@
 // (Eydeland & Nagurney 1989's "exact equilibration").
 //
 // Sorting: the paper uses HEAPSORT for long arrays (Section 4.1.1) and
-// STRAIGHT INSERTION for arrays of 10..120 elements (Section 5.1.1). We
-// implement both and pick by length (overridable), and count comparisons so
-// the complexity model (7n + n ln n + 2n per market) can be validated.
+// STRAIGHT INSERTION for arrays of 10..120 elements (Section 5.1.1). A cold
+// sort picks between them by length (kInsertionThreshold), and every sort
+// counts its comparisons so the complexity model (7n + n ln n + 2n per
+// market) can be validated.
 //
-// Sort reuse (SortPolicy::kReuse, docs/PARALLELISM.md): across SEA sweeps a
+// Order repair (docs/PARALLELISM.md, "Sort reuse"): across SEA sweeps a
 // market's breakpoint ORDER stabilizes as the multipliers converge — the same
-// nearly-sorted regime accelerated iterative-scaling methods exploit. When a
-// MarketOrder carrying the previous sweep's permutation is supplied, the
-// solver builds the breakpoint array already permuted and repairs it with
-// straight insertion — O(n + inversions) instead of a fresh O(n log n)
-// heapsort — then persists the updated permutation for the next sweep. Ties
-// are broken by original arc index in EVERY policy, so all sort paths produce
-// one total order and bit-identical clearing multipliers.
+// nearly-sorted regime accelerated iterative-scaling methods exploit. Every
+// SEA sweep passes each market's MarketOrder: the first solve cold-sorts and
+// stores the permutation; every later solve builds the breakpoint array
+// already permuted and repairs it with straight insertion — O(n + inversions)
+// instead of a fresh O(n log n) sort — then persists the updated
+// permutation. Above kInsertionThreshold arcs a repair that passes
+// n*bit_width(n) shifts hands over to heapsort, so a churned order never
+// costs O(n^2). Ties are broken by original arc index in every sort, so cold
+// sorts and repairs produce one total order and bit-identical clearing
+// multipliers.
 //
 // Layout: the workspace holds the market as a structure of arrays (contiguous
 // p[], q[] the caller fills, plus breakpoint/sort/sweep scratch). The
@@ -41,8 +45,8 @@
 // sparse/sparse_sea.hpp) call directly around SolveMarket. Their arithmetic
 // is fixed (docs/KERNELS.md): breakpoint_solver.cpp is compiled with
 // -ffp-contract=off, ties break by arc index, and the prefix sums of the
-// sweep are sequential, so every sort policy and every thread count clears
-// each market to the same bits.
+// sweep are sequential, so every sort, repair and thread count clears each
+// market to the same bits.
 #pragma once
 
 #include <cstddef>
@@ -63,34 +67,36 @@ struct Arc {
   double q = 0.0;  // must be > 0
 };
 
-enum class SortPolicy {
-  kAuto,       // insertion sort below kInsertionThreshold, heapsort above
+// A forced cold sort, for reproducing the paper's Section 4.1.1 (heapsort)
+// and Section 5.1.1 (straight insertion) costs in the microbenches and the
+// kernel tests. Solvers never force one: they repair persisted orders and
+// cold-sort by the kInsertionThreshold rule.
+enum class ColdSort {
   kInsertion,  // straight insertion sort (paper Section 5.1.1)
   kHeapsort,   // heapsort (paper Section 4.1.1)
-  kReuse,      // repair the previous sweep's order; needs a MarketOrder
-               // (falls back to kAuto when none is supplied)
 };
 
-// kAuto crossover between straight insertion and heapsort. The paper quotes
-// insertion for 10..120 elements (Section 5.1.1) — on its 1989 testbed; the
-// measured crossover on current x86-64 (bench/micro_kernels.cpp,
-// BM_MarketSolveInsertion vs BM_MarketSolveHeapsort) sits at roughly 100-150
-// elements, so we keep the next binary magnitude above the paper's 120. If
-// the microbenches move the crossover on new hardware, re-tune here.
+// Cold-sort crossover between straight insertion and heapsort. The paper
+// quotes insertion for 10..120 elements (Section 5.1.1) — on its 1989
+// testbed; the measured crossover on current x86-64
+// (bench/micro_kernels.cpp, BM_MarketSolveInsertion vs
+// BM_MarketSolveHeapsort) sits at roughly 100-150 elements, so we keep the
+// next binary magnitude above the paper's 120. If the microbenches move the
+// crossover on new hardware, re-tune here.
 inline constexpr std::size_t kInsertionThreshold = 128;
 
 struct BreakpointResult {
   double lambda = 0.0;
   std::size_t active_count = 0;  // arcs with x_j(lambda) > 0
   bool feasible = true;          // false only if v == 0 and u < 0
-  bool order_reused = false;     // solved by repairing a persisted order
+  bool order_reused = false;     // solved by completing a persisted order's
+                                 // repair (no heapsort hand-over)
   OpCounts ops;
 };
 
-// One market's breakpoint order, persisted across sweeps for
-// SortPolicy::kReuse. `perm` is the sorted order as indices into the arc
-// array (empty until the first solve establishes it; invalidated by the
-// solver whenever the arc count changes).
+// One market's breakpoint order, persisted across sweeps. `perm` is the
+// sorted order as indices into the arc array (empty until the first solve
+// establishes it; invalidated by the solver whenever the arc count changes).
 struct MarketOrder {
   std::vector<std::uint32_t> perm;
   std::uint64_t reuses = 0;  // solves that repaired instead of re-sorting
@@ -112,12 +118,22 @@ class BreakpointWorkspace;
 
 // Solves sum_j max(0, p_j + q_j*lambda) = u + v*lambda over the market
 // currently in ws. Preconditions: all q_j > 0, v <= 0, and u >= 0 when
-// v == 0. The p/q arrays are left unchanged. With policy == kReuse and a
-// non-null order, the previous permutation seeds the sort (see header
-// comment); the updated permutation is written back to *order.
+// v == 0. The p/q arrays are left unchanged. With a non-null order holding a
+// permutation of this market's arcs, that permutation seeds the sort and is
+// repaired (see header comment); otherwise the keys are cold-sorted by the
+// kInsertionThreshold rule. Either way the sorted permutation is written
+// back to *order when one is given.
 BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
-                             SortPolicy policy = SortPolicy::kAuto,
                              MarketOrder* order = nullptr);
+
+// The same solve with a forced cold sort (no order is read or stored).
+BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
+                             ColdSort sort);
+
+namespace detail {
+BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
+                             MarketOrder* order, const ColdSort* forced);
+}  // namespace detail
 
 // Reusable per-worker scratch arena for market solves; reuse across calls to
 // avoid per-market allocation on the hot path. The market itself is the SoA
@@ -156,8 +172,9 @@ class BreakpointWorkspace {
   }
 
  private:
-  friend BreakpointResult SolveMarket(BreakpointWorkspace&, double, double,
-                                      SortPolicy, MarketOrder*);
+  friend BreakpointResult detail::SolveMarket(BreakpointWorkspace&, double,
+                                              double, MarketOrder*,
+                                              const ColdSort*);
   std::size_t n_ = 0;
   // The market bundle (caller-filled; only the first n_ entries are live).
   std::vector<double> p_;
@@ -182,7 +199,6 @@ class BreakpointWorkspace {
 // crossing is unique; it is found by testing the three response pieces.
 BreakpointResult SolveMarketBox(BreakpointWorkspace& ws, double u, double v,
                                 double lo, double hi,
-                                SortPolicy policy = SortPolicy::kAuto,
                                 MarketOrder* order = nullptr);
 
 // Evaluates sum_j max(0, p_j + q_j*lambda) — the left-hand side of the

@@ -34,13 +34,12 @@ BreakpointResult EquilibrateMarket(std::span<const double> centers,
                                    std::span<const double> weights,
                                    std::span<const double> other_mult,
                                    double u, double v, BreakpointWorkspace& ws,
-                                   std::span<double> x_out,
-                                   SortPolicy policy, MarketOrder* order) {
+                                   std::span<double> x_out) {
   SEA_DCHECK(centers.size() == weights.size());
   SEA_DCHECK(centers.size() == other_mult.size());
   ws.Resize(centers.size());
   BuildArcs(centers, weights, other_mult, ws.p(), ws.q());
-  BreakpointResult res = SolveMarket(ws, u, v, policy, order);
+  BreakpointResult res = SolveMarket(ws, u, v);
   res.ops.flops += 2 * centers.size();  // arc construction
   if (!x_out.empty()) {
     SEA_DCHECK(x_out.size() == centers.size());
@@ -101,9 +100,8 @@ SweepStats Sweep(std::size_t markets, const MarketSide& side,
       const std::size_t arcs = build_arcs(i, wksp);
       BreakpointResult res =
           side.mode == TotalsMode::kInterval
-              ? SolveMarketBox(wksp, u, v, side.lo[i], side.hi[i],
-                               opts.sort_policy, order)
-              : SolveMarket(wksp, u, v, opts.sort_policy, order);
+              ? SolveMarketBox(wksp, u, v, side.lo[i], side.hi[i], order)
+              : SolveMarket(wksp, u, v, order);
       res.ops.flops += 2 * arcs;  // arc construction
       SEA_INTERNAL_CHECK(res.feasible);
       mult_out[i] = res.lambda;

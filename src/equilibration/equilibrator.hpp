@@ -37,10 +37,10 @@ namespace obs {
 class MarketAttribution;
 }  // namespace obs
 
-// Per-market breakpoint orders persisted across sweeps for
-// SortPolicy::kReuse (docs/PARALLELISM.md, "Sort reuse"). One cache per
-// sweep side (markets keep their index between sweeps); each market is
-// touched by exactly one worker per sweep, so slots need no synchronization.
+// Per-market breakpoint orders persisted across sweeps (docs/PARALLELISM.md,
+// "Sort reuse"). One cache per sweep side (markets keep their index between
+// sweeps); each market is touched by exactly one worker per sweep, so slots
+// need no synchronization.
 class SortOrderCache {
  public:
   // Drops all learned orders and sizes the cache for `markets` markets.
@@ -87,7 +87,7 @@ struct SweepStats {
   // only when SweepOptions::record_task_costs is set.
   std::vector<double> task_costs;
   // Markets solved by repairing a persisted breakpoint order this sweep
-  // (SortPolicy::kReuse; 0 otherwise).
+  // (0 without a sort cache, and on a market's first sweep).
   std::uint64_t order_reuses = 0;
   // Markets solved this sweep (feeds SeaResult::kernel_markets and the
   // sea.kernel.scalar.markets counter).
@@ -95,12 +95,11 @@ struct SweepStats {
 };
 
 struct SweepOptions {
-  SortPolicy sort_policy = SortPolicy::kAuto;
   bool record_task_costs = false;
   ThreadPool* pool = nullptr;
-  // Persisted per-market breakpoint orders; required for sort_policy ==
-  // kReuse to take effect (kReuse without a cache degrades to kAuto). Must
-  // be sized to this side's market count.
+  // Persisted per-market breakpoint orders: each market's first sweep
+  // cold-sorts and stores its order, every later sweep repairs it. Null =
+  // cold sorts every sweep. Must be sized to this side's market count.
   SortOrderCache* sort_cache = nullptr;
   // Profiler span name wrapping each worker's chunk of the sweep (string
   // literal; nullptr = unnamed "equilibrate.sweep"). Lets the profile tell
@@ -151,8 +150,6 @@ BreakpointResult EquilibrateMarket(std::span<const double> centers,
                                    std::span<const double> weights,
                                    std::span<const double> other_mult,
                                    double u, double v, BreakpointWorkspace& ws,
-                                   std::span<double> x_out,
-                                   SortPolicy policy = SortPolicy::kAuto,
-                                   MarketOrder* order = nullptr);
+                                   std::span<double> x_out);
 
 }  // namespace sea

@@ -51,7 +51,6 @@ std::string RenderWideEvent(const SolveWideEvent& event) {
       .Field("epsilon", event.epsilon)
       .Field("criterion", event.criterion)
       .Field("threads", event.threads)
-      .Field("sort", event.sort)
       .Field("backend", "scalar")  // one kernel; kept for schema-4 readers
       .Field("options_fingerprint", HexU64(event.options_fingerprint))
       .Field("status", event.status)

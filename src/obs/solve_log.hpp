@@ -27,9 +27,10 @@
 namespace sea::obs {
 
 // Everything known about one finished (or failed) solve invocation. The
-// field set is append-only, like every telemetry schema; NaN doubles
-// render as null. Strings are free-form except `status`, which holds the
-// SolveStatus name ("converged", "cancelled", ...) or "error" for
+// field set is append-only, like every telemetry schema (the one removal,
+// `sort`, left with the sort-policy choice; docs/OBSERVABILITY.md); NaN
+// doubles render as null. Strings are free-form except `status`, which
+// holds the SolveStatus name ("converged", "cancelled", ...) or "error" for
 // failures outside the engine (bad usage, unreadable input).
 struct SolveWideEvent {
   std::string tool = "sea_solve";
@@ -39,7 +40,6 @@ struct SolveWideEvent {
   double epsilon = 0.0;
   std::string criterion;
   std::uint64_t threads = 0;
-  std::string sort;
   // FNV-1a over the option set that affects the numerics, rendered as hex
   // — two rows with equal fingerprints ran comparable configurations.
   std::uint64_t options_fingerprint = 0;

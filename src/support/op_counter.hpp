@@ -16,9 +16,9 @@ struct OpCounts {
   std::uint64_t comparisons = 0;  // sort + sweep comparisons
   std::uint64_t flops = 0;        // floating-point add/mul in kernel + sweeps
   std::uint64_t breakpoints = 0;  // segments examined
-  // Element moves performed by the sort-reuse repair pass (SortPolicy::
-  // kReuse): how far the market's breakpoint order drifted since the
-  // previous sweep. Near zero once the multipliers converge.
+  // Element moves performed by the order-repair pass: how far the market's
+  // breakpoint order drifted since the previous sweep. Near zero once the
+  // multipliers converge.
   std::uint64_t inversions = 0;
 
   OpCounts& operator+=(const OpCounts& o) {

@@ -115,8 +115,8 @@ TEST(BreakpointSolver, InsertionVsHeapsortIdentical) {
     w2.Assign(arcs);
     const double u = rng.Uniform(0.0, 50.0);
     const double v = rng.Bernoulli(0.5) ? 0.0 : -rng.Uniform(0.01, 2.0);
-    const auto r1 = SolveMarket(w1, u, v, SortPolicy::kInsertion);
-    const auto r2 = SolveMarket(w2, u, v, SortPolicy::kHeapsort);
+    const auto r1 = SolveMarket(w1, u, v, ColdSort::kInsertion);
+    const auto r2 = SolveMarket(w2, u, v, ColdSort::kHeapsort);
     EXPECT_NEAR(r1.lambda, r2.lambda, 1e-10);
     EXPECT_EQ(r1.active_count, r2.active_count);
   }
@@ -169,8 +169,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool(), ::testing::Values(1, 2, 3)));
 
 // ---------------------------------------------------------------------------
-// Sort-policy equivalence and the kReuse repair path. Ties are broken by
-// original arc index in every policy (one total order), so the multipliers
+// Cold-sort equivalence and the persisted-order repair path. Ties are broken
+// by original arc index in every sort (one total order), so the multipliers
 // must agree BIT-FOR-BIT, not just to tolerance.
 
 TEST(SortPolicies, AllPoliciesBitIdenticalIncludingTies) {
@@ -192,12 +192,12 @@ TEST(SortPolicies, AllPoliciesBitIdenticalIncludingTies) {
     const double v = rng.Bernoulli(0.5) ? 0.0 : -rng.Uniform(0.01, 2.0);
 
     MarketOrder order;
-    const auto ri = SolveMarket(wi, u, v, SortPolicy::kInsertion);
-    const auto rh = SolveMarket(wh, u, v, SortPolicy::kHeapsort);
+    const auto ri = SolveMarket(wi, u, v, ColdSort::kInsertion);
+    const auto rh = SolveMarket(wh, u, v, ColdSort::kHeapsort);
     // Twice with the same order: establish, then repair.
-    auto rr = SolveMarket(wr, u, v, SortPolicy::kReuse, &order);
+    auto rr = SolveMarket(wr, u, v, &order);
     EXPECT_FALSE(rr.order_reused);
-    rr = SolveMarket(wr, u, v, SortPolicy::kReuse, &order);
+    rr = SolveMarket(wr, u, v, &order);
     EXPECT_TRUE(rr.order_reused);
     EXPECT_EQ(order.reuses, 1u);
 
@@ -218,30 +218,41 @@ TEST(SortPolicies, AllPoliciesBitIdenticalIncludingTies) {
 }
 
 TEST(SortPolicies, SingleArcMarketAllPolicies) {
-  for (auto policy : {SortPolicy::kAuto, SortPolicy::kInsertion,
-                      SortPolicy::kHeapsort, SortPolicy::kReuse}) {
-    BreakpointWorkspace ws;
-    ws.Assign({{2.0, 0.5}});
-    MarketOrder order;
-    const auto res = SolveMarket(ws, 5.0, 0.0, policy, &order);
+  BreakpointWorkspace ws;
+  ws.Assign({{2.0, 0.5}});
+  MarketOrder order;
+  for (const auto& res :
+       {SolveMarket(ws, 5.0, 0.0), SolveMarket(ws, 5.0, 0.0, &order),
+        SolveMarket(ws, 5.0, 0.0, &order),
+        SolveMarket(ws, 5.0, 0.0, ColdSort::kInsertion),
+        SolveMarket(ws, 5.0, 0.0, ColdSort::kHeapsort)}) {
     EXPECT_TRUE(res.feasible);
     EXPECT_EQ(res.lambda, 6.0);
     EXPECT_EQ(res.active_count, 1u);
   }
+  EXPECT_EQ(order.reuses, 1u);
 }
 
-TEST(SortPolicies, ReuseWithoutOrderFallsBackToAuto) {
+TEST(SortPolicies, NoOrderColdSortsByThreshold) {
+  // Without an order the solve is the cold sort kInsertionThreshold picks:
+  // insertion at or below it, heapsort above (equal comparison counts).
   Rng rng(12);
-  std::vector<Arc> arcs(64);
-  for (auto& a : arcs) a = {rng.Uniform(-5, 5), rng.Uniform(0.1, 2.0)};
-  BreakpointWorkspace w1, w2;
-  w1.Assign(arcs);
-  w2.Assign(arcs);
-  const auto ra = SolveMarket(w1, 20.0, 0.0, SortPolicy::kAuto);
-  const auto rr = SolveMarket(w2, 20.0, 0.0, SortPolicy::kReuse, nullptr);
-  EXPECT_EQ(ra.lambda, rr.lambda);
-  EXPECT_FALSE(rr.order_reused);
-  EXPECT_EQ(ra.ops.comparisons, rr.ops.comparisons);
+  for (std::size_t n : {kInsertionThreshold / 2, kInsertionThreshold,
+                        kInsertionThreshold + 1, 2 * kInsertionThreshold}) {
+    std::vector<Arc> arcs(n);
+    for (auto& a : arcs) a = {rng.Uniform(-5, 5), rng.Uniform(0.1, 2.0)};
+    BreakpointWorkspace w1, w2;
+    w1.Assign(arcs);
+    w2.Assign(arcs);
+    const auto cold = SolveMarket(w1, 20.0, 0.0);
+    const auto forced =
+        SolveMarket(w2, 20.0, 0.0,
+                    n <= kInsertionThreshold ? ColdSort::kInsertion
+                                             : ColdSort::kHeapsort);
+    EXPECT_EQ(cold.lambda, forced.lambda) << n;
+    EXPECT_FALSE(cold.order_reused) << n;
+    EXPECT_EQ(cold.ops.comparisons, forced.ops.comparisons) << n;
+  }
 }
 
 TEST(SortPolicies, RepairOfUnchangedMarketCostsNoInversions) {
@@ -251,9 +262,9 @@ TEST(SortPolicies, RepairOfUnchangedMarketCostsNoInversions) {
   for (auto& a : arcs) a = {rng.Uniform(-10, 10), rng.Uniform(0.1, 2.0)};
   ws.Assign(arcs);
   MarketOrder order;
-  const auto first = SolveMarket(ws, 50.0, 0.0, SortPolicy::kReuse, &order);
+  const auto first = SolveMarket(ws, 50.0, 0.0, &order);
   EXPECT_EQ(first.ops.inversions, 0u);  // established, not repaired
-  const auto second = SolveMarket(ws, 50.0, 0.0, SortPolicy::kReuse, &order);
+  const auto second = SolveMarket(ws, 50.0, 0.0, &order);
   EXPECT_TRUE(second.order_reused);
   EXPECT_EQ(second.ops.inversions, 0u);  // already sorted: pure verify pass
   // The repair pass of an in-order array is one comparison per adjacent
@@ -270,18 +281,49 @@ TEST(SortPolicies, RepairTracksDriftingMarket) {
   BreakpointWorkspace ws;
   ws.Assign(arcs);
   MarketOrder order;
-  (void)SolveMarket(ws, 30.0, 0.0, SortPolicy::kReuse, &order);
+  (void)SolveMarket(ws, 30.0, 0.0, &order);
   for (int sweep = 0; sweep < 10; ++sweep) {
     for (auto& a : arcs) a.p += rng.Uniform(-0.01, 0.01);
     ws.Assign(arcs);
     BreakpointWorkspace fresh;
     fresh.Assign(arcs);
-    const auto repaired = SolveMarket(ws, 30.0, 0.0, SortPolicy::kReuse, &order);
-    const auto scratch = SolveMarket(fresh, 30.0, 0.0, SortPolicy::kHeapsort);
+    const auto repaired = SolveMarket(ws, 30.0, 0.0, &order);
+    const auto scratch = SolveMarket(fresh, 30.0, 0.0, ColdSort::kHeapsort);
     EXPECT_TRUE(repaired.order_reused);
     EXPECT_EQ(repaired.lambda, scratch.lambda);
   }
   EXPECT_EQ(order.reuses, 10u);
+}
+
+TEST(SortPolicies, ChurnedRepairHandsOverToHeapsort) {
+  // A stored order that carries no information (here: exactly reversed)
+  // would cost ~n^2/2 insertion shifts; above kInsertionThreshold the repair
+  // gives up after n*log2(n) of them and heapsorts. Same bits either way,
+  // and the re-established order repairs cheaply on the next solve.
+  const std::size_t n = 1000;
+  std::vector<Arc> arcs(n);
+  for (std::size_t j = 0; j < n; ++j) arcs[j] = {double(j), 1.0};
+  BreakpointWorkspace ws, fresh;
+  ws.Assign(arcs);
+  MarketOrder order;
+  (void)SolveMarket(ws, 300.0, 0.0, &order);
+  for (auto& a : arcs) a.p = -a.p;  // reverses every breakpoint
+  ws.Assign(arcs);
+  fresh.Assign(arcs);
+  const auto churned = SolveMarket(ws, 300.0, 0.0, &order);
+  const auto cold = SolveMarket(fresh, 300.0, 0.0, ColdSort::kHeapsort);
+  EXPECT_FALSE(churned.order_reused);
+  EXPECT_EQ(order.reuses, 0u);
+  EXPECT_EQ(churned.lambda, cold.lambda);
+  EXPECT_EQ(churned.active_count, cold.active_count);
+  const std::uint64_t budget = n * 10;  // n * bit_width(n)
+  EXPECT_LE(churned.ops.inversions, budget + n);
+  // Finishing the repair would have taken ~n^2/2 = 500k comparisons.
+  EXPECT_LT(churned.ops.comparisons, 2 * cold.ops.comparisons);
+  const auto again = SolveMarket(ws, 300.0, 0.0, &order);
+  EXPECT_TRUE(again.order_reused);
+  EXPECT_EQ(again.ops.inversions, 0u);
+  EXPECT_EQ(again.lambda, cold.lambda);
 }
 
 TEST(SortPolicies, ArcCountChangeInvalidatesPersistedOrder) {
@@ -289,14 +331,14 @@ TEST(SortPolicies, ArcCountChangeInvalidatesPersistedOrder) {
   BreakpointWorkspace ws;
   ws.Assign(arcs);
   MarketOrder order;
-  (void)SolveMarket(ws, 5.0, 0.0, SortPolicy::kReuse, &order);
+  (void)SolveMarket(ws, 5.0, 0.0, &order);
   EXPECT_EQ(order.perm.size(), 3u);
   arcs.push_back({0.5, 2.0});
   ws.Assign(arcs);
-  const auto res = SolveMarket(ws, 5.0, 0.0, SortPolicy::kReuse, &order);
+  const auto res = SolveMarket(ws, 5.0, 0.0, &order);
   EXPECT_FALSE(res.order_reused);  // stale perm ignored, then re-established
   EXPECT_EQ(order.perm.size(), 4u);
-  const auto again = SolveMarket(ws, 5.0, 0.0, SortPolicy::kReuse, &order);
+  const auto again = SolveMarket(ws, 5.0, 0.0, &order);
   EXPECT_TRUE(again.order_reused);
 }
 
@@ -314,9 +356,9 @@ TEST(SortPolicies, BoxSolveAgreesAcrossPoliciesAndReuses) {
     const double lo = rng.Uniform(0.0, 10.0);
     const double hi = lo + rng.Uniform(0.0, 20.0);
     MarketOrder order;
-    const auto rh = SolveMarketBox(wh, u, v, lo, hi, SortPolicy::kHeapsort);
-    (void)SolveMarketBox(wr, u, v, lo, hi, SortPolicy::kReuse, &order);
-    const auto rr = SolveMarketBox(wr, u, v, lo, hi, SortPolicy::kReuse, &order);
+    const auto rh = SolveMarketBox(wh, u, v, lo, hi);
+    (void)SolveMarketBox(wr, u, v, lo, hi, &order);
+    const auto rr = SolveMarketBox(wr, u, v, lo, hi, &order);
     EXPECT_EQ(rh.lambda, rr.lambda);
     EXPECT_TRUE(rr.order_reused);
   }
@@ -331,7 +373,7 @@ TEST(BreakpointSolver, ComplexityMatchesNLogN) {
     for (auto& a : arcs) a = {rng.Uniform(-10, 10), rng.Uniform(0.1, 1.0)};
     BreakpointWorkspace ws;
     ws.Assign(arcs);
-    const auto res = SolveMarket(ws, 10.0, 0.0, SortPolicy::kHeapsort);
+    const auto res = SolveMarket(ws, 10.0, 0.0, ColdSort::kHeapsort);
     const double nlogn = static_cast<double>(n) * std::log2(double(n));
     EXPECT_GT(static_cast<double>(res.ops.comparisons), 0.5 * nlogn);
     EXPECT_LT(static_cast<double>(res.ops.comparisons), 4.0 * nlogn);
@@ -514,11 +556,14 @@ TEST(BreakpointSolver, SolvesLeaveMarketArraysUnchanged) {
   BreakpointWorkspace ws;
   ws.Assign(arcs);
   MarketOrder order;
-  for (auto policy : {SortPolicy::kAuto, SortPolicy::kInsertion,
-                      SortPolicy::kHeapsort, SortPolicy::kReuse,
-                      SortPolicy::kReuse}) {
-    (void)SolveMarket(ws, 40.0, 0.0, policy, &order);
-    (void)SolveMarketBox(ws, 40.0, -1.0, 5.0, 30.0, policy, &order);
+  for (int pass = 0; pass < 3; ++pass) {
+    // Cold sorts, then the order's first solve (cold) and its repairs.
+    (void)SolveMarket(ws, 40.0, 0.0);
+    (void)SolveMarket(ws, 40.0, 0.0, ColdSort::kInsertion);
+    (void)SolveMarket(ws, 40.0, 0.0, ColdSort::kHeapsort);
+    (void)SolveMarketBox(ws, 40.0, -1.0, 5.0, 30.0);
+    (void)SolveMarket(ws, 40.0, 0.0, &order);
+    (void)SolveMarketBox(ws, 40.0, -1.0, 5.0, 30.0, &order);
     ASSERT_EQ(ws.size(), arcs.size());
     for (std::size_t j = 0; j < arcs.size(); ++j) {
       EXPECT_TRUE(SameBits(ws.p()[j], arcs[j].p)) << j;

@@ -258,37 +258,30 @@ TEST(CheckpointWriterUnit, DuplicateIterationIsWrittenOnce) {
 
 // ---------------------------------------------------------------------------
 // The resume proof: interrupt mid-run, restore, finish bit-identically.
-// Parameterized over thread count and sort policy — the checkpoint is
-// oblivious to both by design. Under kReuse the resumed run starts with cold
-// breakpoint orders while the uninterrupted run repairs warm ones; the
+// Parameterized over thread count — the checkpoint is oblivious to it by
+// design. Checkpoints do not store breakpoint orders: the resumed run starts
+// with cold orders while the uninterrupted run repairs warm ones; the
 // tie-by-index total order makes both clear every market to the same bits.
 
-class ResumeConfig
-    : public ::testing::TestWithParam<std::tuple<std::size_t, SortPolicy>> {
+class ResumeConfig : public ::testing::TestWithParam<std::size_t> {
  protected:
-  std::size_t threads() const { return std::get<0>(GetParam()); }
-  SortPolicy policy() const { return std::get<1>(GetParam()); }
+  std::size_t threads() const { return GetParam(); }
 
   SeaOptions Options(ThreadPool& pool) const {
     SeaOptions o = BaseOptions();
-    o.sort_policy = policy();
     if (threads() > 1) o.pool = &pool;
     return o;
   }
 
   std::string CheckpointPath(const char* tag) const {
     return ::testing::TempDir() + "/resume_" + std::string(tag) + "_" +
-           std::to_string(threads()) + "_" +
-           std::to_string(static_cast<int>(policy())) + ".bin";
+           std::to_string(threads()) + ".bin";
   }
 };
 
 std::string ResumeConfigName(
     const ::testing::TestParamInfo<ResumeConfig::ParamType>& info) {
-  std::string name = "t";
-  name += std::to_string(std::get<0>(info.param));
-  name += std::get<1>(info.param) == SortPolicy::kReuse ? "_reuse" : "_auto";
-  return name;
+  return "t" + std::to_string(info.param);
 }
 
 TEST_P(ResumeConfig, DenseResumeContinuesBitIdentically) {
@@ -443,9 +436,8 @@ TEST_P(ResumeConfig, SparseXChangeResumeRestoresTheSnapshot) {
 
 INSTANTIATE_TEST_SUITE_P(
     Checkpoint, ResumeConfig,
-    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{4}),
-                       ::testing::Values(SortPolicy::kAuto,
-                                         SortPolicy::kReuse)),
+    ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{3},
+                      std::size_t{4}),
     ResumeConfigName);
 
 // ---------------------------------------------------------------------------

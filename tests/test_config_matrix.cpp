@@ -1,5 +1,5 @@
 // Cross-configuration sweep: every combination of totals regime, stopping
-// criterion, sort policy, and thread count must satisfy the same invariants
+// criterion, market shape, and thread count must satisfy the same invariants
 // on the same instances — feasibility at tolerance, KKT stationarity,
 // nonnegativity, and agreement of the optimum across configurations (the
 // optimum is unique; only the route may differ).
@@ -28,94 +28,152 @@ DenseMatrix Fill(std::size_t m, std::size_t n, Rng& rng, double lo, double hi) {
   return x;
 }
 
-// One deterministic instance per mode, shared by all configurations so that
-// cross-configuration agreement is meaningful.
-const DiagonalProblem& InstanceFor(TotalsMode mode) {
-  static const auto* instances = [] {
-    auto* map = new std::map<TotalsMode, DiagonalProblem>;
-    Rng rng(0xC0FF);
-    {
-      DenseMatrix x0 = Fill(11, 14, rng, 0.1, 40.0);
-      DenseMatrix gamma = Fill(11, 14, rng, 0.05, 2.0);
-      Vector s0 = x0.RowSums(), d0 = x0.ColSums();
-      for (double& v : s0) v *= 1.25;
-      for (double& v : d0) v *= 1.25;
-      (*map)[TotalsMode::kFixed] =
-          DiagonalProblem::MakeFixed(x0, gamma, s0, d0);
-    }
-    {
-      DenseMatrix x0 = Fill(11, 14, rng, 0.1, 40.0);
-      DenseMatrix gamma = Fill(11, 14, rng, 0.05, 2.0);
-      Vector s0 = x0.RowSums(), d0 = x0.ColSums();
-      for (double& v : s0) v *= rng.Uniform(0.8, 1.4);
-      for (double& v : d0) v *= rng.Uniform(0.8, 1.4);
-      (*map)[TotalsMode::kElastic] = DiagonalProblem::MakeElastic(
-          x0, gamma, s0, rng.UniformVector(11, 0.2, 1.5), d0,
-          rng.UniformVector(14, 0.2, 1.5));
-    }
-    {
-      DenseMatrix x0 = Fill(12, 12, rng, 0.1, 40.0);
-      DenseMatrix gamma = Fill(12, 12, rng, 0.05, 2.0);
-      Vector s0(12);
-      const Vector rows = x0.RowSums(), cols = x0.ColSums();
-      for (std::size_t i = 0; i < 12; ++i) s0[i] = 0.5 * (rows[i] + cols[i]);
-      (*map)[TotalsMode::kSam] = DiagonalProblem::MakeSam(
-          x0, gamma, s0, rng.UniformVector(12, 0.2, 1.5));
-    }
-    {
-      DenseMatrix x0 = Fill(11, 14, rng, 0.1, 40.0);
-      DenseMatrix gamma = Fill(11, 14, rng, 0.05, 2.0);
-      Vector s0 = x0.RowSums(), d0 = x0.ColSums();
-      double ssum = 0.0, dsum = 0.0;
-      for (double v : s0) ssum += v;
-      for (double v : d0) dsum += v;
+// The one sort path takes different branches by market shape, so the
+// instances vary it: narrow markets (at most kInsertionThreshold = 128 arcs)
+// cold-sort by insertion and then repair; wide markets cold-sort by heapsort
+// and then repair; chi-square weights (gamma = 1/x0) make every wide row
+// market's first sweep a full tie, so its second-sweep repair overruns its
+// budget and hands over to heapsort; tied instances (three x0 values, three
+// weights) start every market with repeated breakpoints, so each stored order
+// is built by tie-breaking on arc index.
+enum class Shape { kNarrow, kWide, kChiSquare, kTied };
+
+// Base matrix and weights for one shape; x0 comes first off the stream.
+void FillBase(Shape shape, std::size_t m, std::size_t n, Rng& rng,
+              DenseMatrix& x0, DenseMatrix& gamma) {
+  if (shape == Shape::kTied) {
+    x0 = DenseMatrix(m, n);
+    for (double& v : x0.Flat()) v = 4.0 * double(1 + rng.NextIndex(3));
+    gamma = DenseMatrix(m, n);
+    for (double& v : gamma.Flat()) v = 0.5 * double(1 + rng.NextIndex(3));
+    return;
+  }
+  x0 = Fill(m, n, rng, 0.1, 40.0);
+  if (shape == Shape::kChiSquare) {
+    gamma = DenseMatrix(m, n);
+    for (std::size_t k = 0; k < x0.Flat().size(); ++k)
+      gamma.Flat()[k] = 1.0 / x0.Flat()[k];
+    return;
+  }
+  gamma = Fill(m, n, rng, 0.05, 2.0);
+}
+
+// Weights on the totals: chi-square (1/total) to match chi-square cell
+// weights, random otherwise.
+Vector TotalWeights(Shape shape, const Vector& totals, Rng& rng) {
+  if (shape != Shape::kChiSquare) {
+    return rng.UniformVector(totals.size(), 0.2, 1.5);
+  }
+  Vector w(totals.size());
+  for (std::size_t k = 0; k < w.size(); ++k) w[k] = 1.0 / totals[k];
+  return w;
+}
+
+DiagonalProblem MakeInstance(TotalsMode mode, Shape shape, Rng& rng) {
+  const bool narrow = shape == Shape::kNarrow;
+  DenseMatrix x0, gamma;
+  if (mode == TotalsMode::kSam) {
+    const std::size_t n = narrow ? 12 : 132;
+    FillBase(shape, n, n, rng, x0, gamma);
+    Vector s0(n);
+    const Vector rows = x0.RowSums(), cols = x0.ColSums();
+    for (std::size_t i = 0; i < n; ++i) s0[i] = 0.5 * (rows[i] + cols[i]);
+    return DiagonalProblem::MakeSam(x0, gamma, s0,
+                                    TotalWeights(shape, s0, rng));
+  }
+  const std::size_t m = narrow ? 11 : 6, n = narrow ? 14 : 150;
+  FillBase(shape, m, n, rng, x0, gamma);
+  Vector s0 = x0.RowSums(), d0 = x0.ColSums();
+  if (mode == TotalsMode::kFixed) {
+    // Uneven growth on the larger shapes: a uniform 1.25 would let chi-square
+    // weights clear the whole problem in one sweep, leaving nothing to repair.
+    for (double& v : s0) v *= narrow ? 1.25 : rng.Uniform(1.0, 1.5);
+    for (double& v : d0) v *= narrow ? 1.25 : rng.Uniform(1.0, 1.5);
+    double ssum = 0.0, dsum = 0.0;
+    for (double v : s0) ssum += v;
+    for (double v : d0) dsum += v;
+    if (!narrow)
       for (double& v : d0) v *= ssum / dsum;
-      Vector s_lo(11), s_hi(11), d_lo(14), d_hi(14);
-      for (std::size_t i = 0; i < 11; ++i) {
-        s_lo[i] = s0[i] * 0.95;
-        s_hi[i] = s0[i] * 1.08;
-      }
-      for (std::size_t j = 0; j < 14; ++j) {
-        d_lo[j] = d0[j] * 0.95;
-        d_hi[j] = d0[j] * 1.08;
-      }
-      (*map)[TotalsMode::kInterval] = DiagonalProblem::MakeInterval(
-          x0, gamma, s0, rng.UniformVector(11, 0.2, 1.5), s_lo, s_hi, d0,
-          rng.UniformVector(14, 0.2, 1.5), d_lo, d_hi);
+    return DiagonalProblem::MakeFixed(x0, gamma, s0, d0);
+  }
+  if (mode == TotalsMode::kElastic) {
+    for (double& v : s0) v *= rng.Uniform(0.8, 1.4);
+    for (double& v : d0) v *= rng.Uniform(0.8, 1.4);
+    return DiagonalProblem::MakeElastic(x0, gamma, s0,
+                                        TotalWeights(shape, s0, rng), d0,
+                                        TotalWeights(shape, d0, rng));
+  }
+  double ssum = 0.0, dsum = 0.0;
+  for (double v : s0) ssum += v;
+  for (double v : d0) dsum += v;
+  for (double& v : d0) v *= ssum / dsum;
+  // The larger shapes put the base totals below their boxes, by a different
+  // margin per row, so the first sweeps can neither stop at x0 nor at a
+  // uniform rescaling of it.
+  const double lo = narrow ? 0.95 : 1.02, hi = narrow ? 1.08 : 1.10;
+  Vector s_lo(m), s_hi(m), d_lo(n), d_hi(n);
+  for (std::size_t i = 0; i < m; ++i) {
+    const double row_lo = narrow ? lo : rng.Uniform(1.02, 1.06);
+    s_lo[i] = s0[i] * row_lo;
+    s_hi[i] = s0[i] * (narrow ? hi : row_lo + 0.08);
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    d_lo[j] = d0[j] * lo;
+    d_hi[j] = d0[j] * hi;
+  }
+  return DiagonalProblem::MakeInterval(
+      x0, gamma, s0, TotalWeights(shape, s0, rng), s_lo, s_hi, d0,
+      TotalWeights(shape, d0, rng), d_lo, d_hi);
+}
+
+constexpr TotalsMode kModes[] = {TotalsMode::kFixed, TotalsMode::kElastic,
+                                 TotalsMode::kSam, TotalsMode::kInterval};
+
+// One deterministic instance per (mode, shape), shared by all
+// configurations so that cross-configuration agreement is meaningful.
+const DiagonalProblem& InstanceFor(TotalsMode mode,
+                                   Shape shape = Shape::kNarrow) {
+  static const auto* instances = [] {
+    auto* map = new std::map<std::pair<TotalsMode, Shape>, DiagonalProblem>;
+    std::uint64_t seed = 0xC0FF;
+    for (Shape shape : {Shape::kNarrow, Shape::kWide, Shape::kChiSquare,
+                        Shape::kTied}) {
+      Rng rng(seed++);
+      for (TotalsMode mode : kModes)
+        map->emplace(std::pair{mode, shape}, MakeInstance(mode, shape, rng));
     }
     return map;
   }();
-  return instances->at(mode);
+  return instances->at({mode, shape});
 }
 
-// Reference objectives, computed once per mode with the default config.
-double ReferenceObjective(TotalsMode mode) {
-  static auto* cache = new std::map<TotalsMode, double>;
-  auto it = cache->find(mode);
+// Reference objectives, computed once per instance with the default config.
+double ReferenceObjective(TotalsMode mode, Shape shape) {
+  static auto* cache = new std::map<std::pair<TotalsMode, Shape>, double>;
+  auto it = cache->find({mode, shape});
   if (it != cache->end()) return it->second;
   SeaOptions o;
   o.epsilon = 1e-10;
   o.criterion = StopCriterion::kResidualAbs;
   o.max_iterations = 500000;
-  const auto run = SolveDiagonal(InstanceFor(mode), o);
+  const auto run = SolveDiagonal(InstanceFor(mode, shape), o);
   EXPECT_TRUE(run.result.converged());
-  (*cache)[mode] = run.result.objective;
+  (*cache)[{mode, shape}] = run.result.objective;
   return run.result.objective;
 }
 
-using Config = std::tuple<TotalsMode, StopCriterion, SortPolicy, std::size_t>;
+using Config = std::tuple<TotalsMode, StopCriterion, Shape, std::size_t>;
 
 class ConfigMatrix : public ::testing::TestWithParam<Config> {};
 
 TEST_P(ConfigMatrix, InvariantsHoldAndOptimumAgrees) {
-  const auto [mode, criterion, sort_policy, threads] = GetParam();
-  const DiagonalProblem& p = InstanceFor(mode);
+  const auto [mode, criterion, shape, threads] = GetParam();
+  const DiagonalProblem& p = InstanceFor(mode, shape);
 
   ThreadPool pool(threads);
   SeaOptions o;
   o.criterion = criterion;
   o.epsilon = (criterion == StopCriterion::kResidualRel) ? 1e-9 : 1e-7;
-  o.sort_policy = sort_policy;
   o.max_iterations = 500000;
   if (threads > 1) o.pool = &pool;
 
@@ -129,8 +187,25 @@ TEST_P(ConfigMatrix, InvariantsHoldAndOptimumAgrees) {
             1e-4 * (1.0 + std::abs(run.result.objective)));
 
   // Unique optimum: every configuration lands on the same objective value.
-  const double ref = ReferenceObjective(mode);
+  const double ref = ReferenceObjective(mode, shape);
   EXPECT_NEAR(run.result.objective, ref, 1e-4 * std::max(1.0, std::abs(ref)));
+
+  // Every market solve after a market's first sweep repairs its stored order;
+  // only a wide market's repair may overrun its budget and hand over to
+  // heapsort, and the chi-square shape always makes one do so.
+  // (The larger shapes are built to need more than one sweep.)
+  const std::uint64_t markets_per_sweep = p.m() + p.n();
+  ASSERT_GE(run.result.kernel_markets, markets_per_sweep);
+  const std::uint64_t repairs = run.result.kernel_markets - markets_per_sweep;
+  if (shape == Shape::kNarrow) {
+    EXPECT_EQ(run.result.order_reuses, repairs);
+  } else {
+    EXPECT_GT(run.result.order_reuses, 0u);
+    EXPECT_LE(run.result.order_reuses, repairs);
+  }
+  if (shape == Shape::kChiSquare) {
+    EXPECT_LT(run.result.order_reuses, repairs);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -141,8 +216,8 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(StopCriterion::kXChange,
                           StopCriterion::kResidualAbs,
                           StopCriterion::kResidualRel),
-        ::testing::Values(SortPolicy::kAuto, SortPolicy::kInsertion,
-                          SortPolicy::kHeapsort, SortPolicy::kReuse),
+        ::testing::Values(Shape::kNarrow, Shape::kWide, Shape::kChiSquare,
+                          Shape::kTied),
         ::testing::Values<std::size_t>(1, 4)));
 
 // Determinism across repeated runs (same config => bit-identical solutions).
@@ -172,24 +247,24 @@ INSTANTIATE_TEST_SUITE_P(
                                          TotalsMode::kInterval),
                        ::testing::Values<std::size_t>(1, 3)));
 
-// One market kernel, one total order: ties break by arc index under every
-// sort policy and prefix sums are sequential, so each market clears to the
-// same bits whatever the policy or thread count. Whole solves are then
-// bit-identical across configurations — every check's measure, the iterate,
-// and the multipliers — not merely equal at the optimum.
+// One market kernel, one total order: ties break by arc index in every sort
+// and repair, and prefix sums are sequential, so each market clears to the
+// same bits whatever the thread count. Whole solves are then bit-identical
+// across thread counts — every check's measure, the iterate, and the
+// multipliers — not merely equal at the optimum. (That repaired orders match
+// cold sorts sweep for sweep is EquilibrateSide's
+// OrderCacheSweepsBitIdenticalToColdSweeps.)
 struct TracedRun {
   DiagonalSeaRun run;
   std::vector<double> measures;
 };
 
-TracedRun SolveTraced(const DiagonalProblem& p, SortPolicy policy,
-                      std::size_t threads) {
+TracedRun SolveTraced(const DiagonalProblem& p, std::size_t threads) {
   ThreadPool pool(threads);
   SeaOptions o;
   o.epsilon = 1e-8;
   o.criterion = StopCriterion::kResidualAbs;
   o.max_iterations = 500000;
-  o.sort_policy = policy;
   if (threads > 1) o.pool = &pool;
   TracedRun traced;
   CheckObserver progress([&traced](const IterationEvent& ev) {
@@ -208,30 +283,27 @@ bool SameBits(std::span<const double> a, std::span<const double> b) {
 
 class ConfigTrajectory : public ::testing::TestWithParam<TotalsMode> {};
 
-TEST_P(ConfigTrajectory, SortPoliciesAndThreadsBitIdentical) {
+TEST_P(ConfigTrajectory, ThreadsBitIdentical) {
   const DiagonalProblem& p = InstanceFor(GetParam());
-  const TracedRun ref = SolveTraced(p, SortPolicy::kAuto, 1);
+  const TracedRun ref = SolveTraced(p, 1);
   ASSERT_TRUE(ref.run.result.converged());
   ASSERT_FALSE(ref.measures.empty());
-  for (SortPolicy policy : {SortPolicy::kAuto, SortPolicy::kInsertion,
-                            SortPolicy::kHeapsort, SortPolicy::kReuse}) {
-    for (std::size_t threads : {1u, 4u}) {
-      if (policy == SortPolicy::kAuto && threads == 1) continue;
-      const TracedRun got = SolveTraced(p, policy, threads);
-      const std::string tag = "policy=" + std::to_string(int(policy)) +
-                              " threads=" + std::to_string(threads);
-      EXPECT_EQ(got.run.result.status, ref.run.result.status) << tag;
-      EXPECT_EQ(got.run.result.iterations, ref.run.result.iterations) << tag;
-      EXPECT_EQ(got.run.result.kernel_markets, ref.run.result.kernel_markets)
-          << tag;
-      EXPECT_TRUE(SameBits(got.measures, ref.measures)) << tag;
-      EXPECT_TRUE(SameBits(got.run.solution.x.Flat(),
-                           ref.run.solution.x.Flat()))
-          << tag;
-      EXPECT_TRUE(SameBits(got.run.solution.lambda, ref.run.solution.lambda))
-          << tag;
-      EXPECT_TRUE(SameBits(got.run.solution.mu, ref.run.solution.mu)) << tag;
-    }
+  for (std::size_t threads : {2u, 4u}) {
+    const TracedRun got = SolveTraced(p, threads);
+    const std::string tag = "threads=" + std::to_string(threads);
+    EXPECT_EQ(got.run.result.status, ref.run.result.status) << tag;
+    EXPECT_EQ(got.run.result.iterations, ref.run.result.iterations) << tag;
+    EXPECT_EQ(got.run.result.kernel_markets, ref.run.result.kernel_markets)
+        << tag;
+    EXPECT_EQ(got.run.result.order_reuses, ref.run.result.order_reuses)
+        << tag;
+    EXPECT_TRUE(SameBits(got.measures, ref.measures)) << tag;
+    EXPECT_TRUE(SameBits(got.run.solution.x.Flat(),
+                         ref.run.solution.x.Flat()))
+        << tag;
+    EXPECT_TRUE(SameBits(got.run.solution.lambda, ref.run.solution.lambda))
+        << tag;
+    EXPECT_TRUE(SameBits(got.run.solution.mu, ref.run.solution.mu)) << tag;
   }
 }
 

@@ -180,8 +180,9 @@ TEST(ConvergenceTheory, OperationCountTracksComplexityModel) {
     SeaOptions o;
     o.epsilon = 1e-6;
     o.criterion = StopCriterion::kResidualAbs;
-    o.max_iterations = 1;  // exactly one row+column sweep
-    o.sort_policy = SortPolicy::kHeapsort;
+    // Exactly one row+column sweep: every market's first, cold sort
+    // (heapsort at these lengths).
+    o.max_iterations = 1;
     const auto run = SolveDiagonal(p, o);
     return static_cast<double>(run.result.ops.Work());
   };

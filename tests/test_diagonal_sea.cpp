@@ -190,6 +190,18 @@ TEST(DiagonalSea, ParallelRunsBitIdentical) {
     EXPECT_EQ(run_serial.solution.lambda[i], run_par.solution.lambda[i]);
 }
 
+TEST(DiagonalSea, DefaultSolveRepairsPersistedOrders) {
+  // Default options, no sort choice: each market's first sweep cold-sorts
+  // and every later sweep repairs that order.
+  Rng rng(5);
+  const auto p = RandomProblem(TotalsMode::kFixed, 40, 33, rng);
+  const auto run = SolveDiagonal(p, SeaOptions{});
+  ASSERT_GE(run.result.iterations, 2u);
+  EXPECT_GT(run.result.order_reuses, 0u);
+  EXPECT_EQ(run.result.order_reuses,
+            (run.result.iterations - 1) * (p.m() + p.n()));
+}
+
 TEST(DiagonalSea, WarmStartSkipsWork) {
   Rng rng(6);
   const auto p = RandomProblem(TotalsMode::kFixed, 20, 20, rng);

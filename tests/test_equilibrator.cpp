@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "equilibration/equilibrator.hpp"
 #include "parallel/thread_pool.hpp"
@@ -242,17 +243,14 @@ TEST(SweepScheduling, ReuseAcrossSweepsViaCache) {
   side.mode = TotalsMode::kFixed;
   side.t0 = s0;
 
+  // No cache: every market cold-sorts (heapsort, n > threshold).
   Vector mult_heap(m);
-  SweepOptions heap_opts;
-  heap_opts.sort_policy = SortPolicy::kHeapsort;
-  const auto heap_stats =
-      EquilibrateSide(centers, weights, mu, side, mult_heap, nullptr,
-                      heap_opts);
+  const auto heap_stats = EquilibrateSide(centers, weights, mu, side,
+                                          mult_heap, nullptr, SweepOptions{});
 
   SortOrderCache cache;
   cache.Reset(m);
   SweepOptions reuse_opts;
-  reuse_opts.sort_policy = SortPolicy::kReuse;
   reuse_opts.sort_cache = &cache;
   Vector mult_reuse(m);
   auto stats =
@@ -292,7 +290,6 @@ TEST(SweepScheduling, ReuseUnderPool) {
     Vector mult(m);
     SweepOptions opts;
     opts.pool = &pool;
-    opts.sort_policy = SortPolicy::kReuse;
     opts.sort_cache = &cache;
     const auto stats =
         EquilibrateSide(centers, weights, mu, side, mult, nullptr, opts);
@@ -345,6 +342,85 @@ TEST(SweepScheduling, SparseLayoutMatchesDenseOnFullPattern) {
       EXPECT_EQ(dense.total_ops.comparisons, sparse.total_ops.comparisons);
       EXPECT_EQ(dense.task_costs, sparse.task_costs);
       EXPECT_EQ(dense.markets, sparse.markets);
+    }
+  }
+}
+
+// Whole SEA iterations — alternating row and column sweeps, every regime —
+// with and without order caches: the repaired orders drift with the
+// multipliers sweep after sweep, yet every multiplier and allocation stays
+// bit-identical to the cold-sorted sweeps (one total order, ties by index).
+// The 150-arc row markets' second sweep churns past the repair budget and
+// hands over to heapsort (their first cleared against mu = 0); that path
+// must match the cold sorts too.
+TEST(EquilibrateSide, OrderCacheSweepsBitIdenticalToColdSweeps) {
+  Rng rng(12);
+  const std::size_t m = 21, n = 150;  // column markets insertion, rows heap
+  const auto centers = RandomPositiveMatrix(m, n, rng, -3.0, 10.0);
+  const auto weights = RandomPositiveMatrix(m, n, rng, 0.2, 2.0);
+  const DenseMatrix centers_t = centers.Transposed();
+  const DenseMatrix weights_t = weights.Transposed();
+  const Vector s0 = rng.UniformVector(m, 50.0, 400.0);
+  const Vector d0 = rng.UniformVector(n, 2.0, 30.0);
+  const Vector alpha = rng.UniformVector(m, 0.3, 2.0);
+  const Vector beta = rng.UniformVector(n, 0.3, 2.0);
+  const Vector s_lo = rng.UniformVector(m, 0.0, 40.0);
+  const Vector s_hi = rng.UniformVector(m, 400.0, 500.0);
+  const Vector d_lo = rng.UniformVector(n, 0.0, 2.0);
+  const Vector d_hi = rng.UniformVector(n, 30.0, 40.0);
+
+  ThreadPool pool(3);
+  for (TotalsMode mode :
+       {TotalsMode::kFixed, TotalsMode::kElastic, TotalsMode::kInterval}) {
+    MarketSide rows, cols;
+    rows.mode = cols.mode = mode;
+    rows.t0 = s0;
+    cols.t0 = d0;
+    if (mode != TotalsMode::kFixed) {
+      rows.weight = alpha;
+      cols.weight = beta;
+      rows.lo = s_lo;
+      rows.hi = s_hi;
+      cols.lo = d_lo;
+      cols.hi = d_hi;
+    }
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SortOrderCache row_orders, col_orders;
+      row_orders.Reset(m);
+      col_orders.Reset(n);
+      Vector lambda_cold(m, 0.0), mu_cold(n, 0.0);
+      Vector lambda_warm(m, 0.0), mu_warm(n, 0.0);
+      DenseMatrix xt_cold(n, m), xt_warm(n, m);
+      SweepOptions cold, warm;
+      cold.pool = warm.pool = p;
+      std::uint64_t row_reuses = 0, col_reuses = 0;
+      for (int sweep = 0; sweep < 6; ++sweep) {
+        EquilibrateSide(centers, weights, mu_cold, rows, lambda_cold, nullptr,
+                        cold);
+        warm.sort_cache = &row_orders;
+        row_reuses += EquilibrateSide(centers, weights, mu_warm, rows,
+                                      lambda_warm, nullptr, warm)
+                          .order_reuses;
+        EquilibrateSide(centers_t, weights_t, lambda_cold, cols, mu_cold,
+                        &xt_cold, cold);
+        warm.sort_cache = &col_orders;
+        col_reuses += EquilibrateSide(centers_t, weights_t, lambda_warm, cols,
+                                      mu_warm, &xt_warm, warm)
+                          .order_reuses;
+        const std::string tag = "mode=" + std::to_string(int(mode)) +
+                                " sweep=" + std::to_string(sweep);
+        ASSERT_EQ(0, std::memcmp(lambda_cold.data(), lambda_warm.data(),
+                                 m * sizeof(double)))
+            << tag;
+        ASSERT_EQ(0, std::memcmp(mu_cold.data(), mu_warm.data(),
+                                 n * sizeof(double)))
+            << tag;
+        ASSERT_EQ(0, std::memcmp(xt_cold.Flat().data(), xt_warm.Flat().data(),
+                                 m * n * sizeof(double)))
+            << tag;
+      }
+      EXPECT_EQ(col_reuses, 5 * n);  // every sweep after the first
+      EXPECT_GE(row_reuses, 4 * m);  // all but the churned second sweep
     }
   }
 }

@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "core/diagonal_sea.hpp"
+#include "core/engine_observer.hpp"
 #include "net/http_client.hpp"
 #include "net/http_server.hpp"
 #include "obs/metrics.hpp"
@@ -327,6 +330,23 @@ TEST(TelemetryPlane, ConcurrentScrapesDuringLiveSolve) {
   opts.observers.push_back(&metrics_observer);
   opts.observers.push_back(&status);
 
+  // Hold the solve at its checks until every endpoint has answered once, so
+  // the scrapes overlap the live solve however fast the solve runs (bounded,
+  // so a server that never answers fails the expectations below, not the
+  // test's time limit).
+  std::atomic<int> per_target_ok[3] = {0, 0, 0};
+  const auto gate_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  CheckObserver gate([&](const IterationEvent&) {
+    auto all_answered = [&] {
+      return std::all_of(std::begin(per_target_ok), std::end(per_target_ok),
+                         [](const std::atomic<int>& c) { return c > 0; });
+    };
+    while (!all_answered() && std::chrono::steady_clock::now() < gate_deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  opts.observers.push_back(&gate);
+
   std::atomic<bool> solving{true};
   DiagonalSeaRun run;
   std::thread solve_thread([&] {
@@ -343,8 +363,10 @@ TEST(TelemetryPlane, ConcurrentScrapesDuringLiveSolve) {
                                     : "/timeseries";
       while (solving.load()) {
         const auto r = net::HttpGet(kLoopback, server.port(), target);
-        if (r.ok && r.status == 200 && !r.body.empty())
+        if (r.ok && r.status == 200 && !r.body.empty()) {
           scrapes_ok.fetch_add(1);
+          per_target_ok[t].fetch_add(1);
+        }
       }
     });
   for (auto& c : clients) c.join();
@@ -353,6 +375,7 @@ TEST(TelemetryPlane, ConcurrentScrapesDuringLiveSolve) {
   server.Stop();
 
   EXPECT_GT(scrapes_ok.load(), 0);
+  for (const auto& c : per_target_ok) EXPECT_GT(c.load(), 0);
   EXPECT_GT(sampler.samples_taken(), 0u);
   EXPECT_GT(run.result.iterations, 0u);
   // /statusz is flat JSON at every point in time — parse the final state.

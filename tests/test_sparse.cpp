@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/diagonal_sea.hpp"
+#include "equilibration/equilibrator.hpp"
 #include "sparse/feasibility_flow.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sparse/sparse_sea.hpp"
@@ -340,39 +341,53 @@ TEST(SparseSea, ParallelMatchesSerial) {
   for (std::size_t k = 0; k < dv.size(); ++k) EXPECT_EQ(dv[k], pv[k]);
 }
 
-TEST(SparseSea, SortPoliciesBitIdentical) {
-  // Ties break by arc index under every sort policy, so each gathered market
-  // clears to the same bits and the whole sparse solve matches the default
-  // serial run exactly, with or without a pool.
+TEST(SparseSea, OrderRepairBitIdenticalToColdSweeps) {
+  // The sparse solve repairs each gathered market's persisted order sweep
+  // after sweep; run the same row/column sweeps with and without order
+  // caches, serially and under a pool, and every multiplier and allocation
+  // must match bit for bit (ties break by arc index in every sort).
   Rng rng(0x59A2);
   const auto p = RandomSparseFixed(40, 40, 0.25, rng);
-  const auto ref = SolveSparse(p, TightOptions());
-  ASSERT_TRUE(ref.result.converged());
+  const SparseMatrix x0_t = p.x0().Transposed();
+  const SparseMatrix gamma_t = p.gamma().Transposed();
+  MarketSide rows, cols;
+  rows.t0 = p.s0();
+  cols.t0 = p.d0();
+  const auto same = [](std::span<const double> a, std::span<const double> b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
   ThreadPool pool(4);
-  for (SortPolicy policy : {SortPolicy::kInsertion, SortPolicy::kHeapsort,
-                            SortPolicy::kReuse}) {
-    for (ThreadPool* use_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      SeaOptions o = TightOptions();
-      o.sort_policy = policy;
-      o.pool = use_pool;
-      const auto run = SolveSparse(p, o);
-      const std::string tag = "policy=" + std::to_string(int(policy)) +
-                              (use_pool != nullptr ? " pool" : " serial");
-      EXPECT_EQ(run.result.iterations, ref.result.iterations) << tag;
-      EXPECT_EQ(run.result.kernel_markets, ref.result.kernel_markets) << tag;
-      const auto xr = ref.solution.x.Values();
-      const auto xg = run.solution.x.Values();
-      ASSERT_EQ(xg.size(), xr.size()) << tag;
-      for (std::size_t k = 0; k < xr.size(); ++k)
-        ASSERT_EQ(std::memcmp(&xg[k], &xr[k], sizeof(double)), 0)
-            << tag << " k=" << k;
-      ASSERT_EQ(run.solution.lambda.size(), ref.solution.lambda.size());
-      for (std::size_t i = 0; i < ref.solution.lambda.size(); ++i)
-        EXPECT_EQ(std::memcmp(&run.solution.lambda[i],
-                              &ref.solution.lambda[i], sizeof(double)),
-                  0)
-            << tag << " i=" << i;
+  for (ThreadPool* use_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SortOrderCache row_orders, col_orders;
+    row_orders.Reset(p.m());
+    col_orders.Reset(p.n());
+    Vector lambda_cold(p.m(), 0.0), mu_cold(p.n(), 0.0);
+    Vector lambda_warm(p.m(), 0.0), mu_warm(p.n(), 0.0);
+    SparseMatrix xt_cold = x0_t, xt_warm = x0_t;
+    SweepOptions cold, warm;
+    cold.pool = warm.pool = use_pool;
+    std::uint64_t reuses = 0;
+    for (int sweep = 0; sweep < 8; ++sweep) {
+      EquilibrateSide(p.x0(), p.gamma(), mu_cold, rows, lambda_cold, nullptr,
+                      cold);
+      warm.sort_cache = &row_orders;
+      reuses += EquilibrateSide(p.x0(), p.gamma(), mu_warm, rows, lambda_warm,
+                                nullptr, warm)
+                    .order_reuses;
+      EquilibrateSide(x0_t, gamma_t, lambda_cold, cols, mu_cold, &xt_cold,
+                      cold);
+      warm.sort_cache = &col_orders;
+      reuses += EquilibrateSide(x0_t, gamma_t, lambda_warm, cols, mu_warm,
+                                &xt_warm, warm)
+                    .order_reuses;
+      const std::string tag = std::string(use_pool ? "pool" : "serial") +
+                              " sweep=" + std::to_string(sweep);
+      ASSERT_TRUE(same(lambda_cold, lambda_warm)) << tag;
+      ASSERT_TRUE(same(mu_cold, mu_warm)) << tag;
+      ASSERT_TRUE(same(xt_cold.Values(), xt_warm.Values())) << tag;
     }
+    EXPECT_EQ(reuses, 7 * (p.m() + p.n()));
   }
 }
 

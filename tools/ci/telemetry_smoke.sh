@@ -12,7 +12,7 @@ BUILD_DIR="${1:-build}"
   --matrix data/example_base.csv \
   --row-totals data/example_row_totals.csv \
   --col-totals data/example_col_totals.csv \
-  --sort reuse --threads 2 \
+  --threads 2 \
   --metrics-json metrics.json --trace-jsonl trace.jsonl \
   --attribution-json attr.jsonl --status-file status.json \
   --metrics-prom metrics.prom

@@ -138,8 +138,6 @@ extern "C" void OnTerminationSignal(int /*signum*/) { g_cancel.Cancel(); }
          "           --slack <frac>           (interval mode: totals may "
          "move within +-frac, default 0.05)\n"
          "           --threads <N>            (default 1)\n"
-         "           --sort auto|insertion|heapsort|reuse (breakpoint sort "
-         "policy; default auto)\n"
          "           --progress               (print residual per check "
          "iteration)\n"
          "           --out estimate.csv       (default: stdout summary "
@@ -190,7 +188,7 @@ const std::set<std::string>& ValueFlags() {
       "mode",      "matrix",     "row-totals",   "col-totals", "totals",
       "weights",   "epsilon",    "criterion",    "check-every", "max-iters",
       "slack",     "threads",    "out",          "metrics-json",
-      "trace-jsonl", "time-budget", "profile-json", "sort",
+      "trace-jsonl", "time-budget", "profile-json",
       "stall-checks", "metrics-prom", "attribution-json",
       "postmortem-json", "status-file", "checkpoint", "checkpoint-every",
       "resume", "recovery-retries", "listen", "listen-port-file",
@@ -474,18 +472,6 @@ int main(int argc, char** argv) {
         args.count("threads") ? ParseSize(args["threads"], "--threads") : 1;
     ThreadPool pool(threads);
     if (threads > 1) opts.pool = &pool;
-    const std::string sort = args.count("sort") ? args["sort"] : "auto";
-    if (sort == "auto") {
-      opts.sort_policy = SortPolicy::kAuto;
-    } else if (sort == "insertion") {
-      opts.sort_policy = SortPolicy::kInsertion;
-    } else if (sort == "heapsort") {
-      opts.sort_policy = SortPolicy::kHeapsort;
-    } else if (sort == "reuse") {
-      opts.sort_policy = SortPolicy::kReuse;
-    } else {
-      Usage(argv[0], "unknown sort policy '" + sort + "'");
-    }
 
     // Opt-in telemetry: structured trace + metrics registry + pool stats;
     // one metrics observer however many exports (and --listen) read it.
@@ -570,7 +556,6 @@ int main(int argc, char** argv) {
     wide.epsilon = opts.epsilon;
     wide.criterion = ToString(opts.criterion);
     wide.threads = static_cast<std::uint64_t>(threads);
-    wide.sort = sort;
     wide.resumed = opts.resume != nullptr;
     {
       support::Fnv1a fp;
@@ -581,7 +566,6 @@ int main(int argc, char** argv) {
       mix_str(mode);
       mix_str(scheme);
       mix_str(ToString(opts.criterion));
-      mix_str(sort);
       fp.MixBytes(&opts.epsilon, sizeof(opts.epsilon));
       fp.MixU64(static_cast<std::uint64_t>(opts.check_every));
       fp.MixU64(static_cast<std::uint64_t>(opts.max_iterations));
@@ -668,7 +652,6 @@ int main(int argc, char** argv) {
               .Field("epsilon", opts.epsilon)
               .Field("criterion", ToString(opts.criterion))
               .Field("threads", static_cast<std::uint64_t>(threads))
-              .Field("sort", sort)
               .Field("sample_interval_ms", sampler_opts.interval_ms)
               .Str();
       server->Handle("/varz", [varz](const net::HttpRequest&) {
@@ -827,7 +810,6 @@ int main(int argc, char** argv) {
           .Field("epsilon", opts.epsilon)
           .Field("criterion", ToString(opts.criterion))
           .Field("threads", static_cast<std::uint64_t>(threads))
-          .Field("sort", sort)
           .Field("backend", "scalar")
           .Raw("result", obs::ToJson(run.result))
           .Raw("feasibility", obs::JsonObj()
