@@ -143,6 +143,68 @@ TEST(Integration, PinnedKernelBits) {
   EXPECT_EQ(Hex(h.value()), "e63acf2c0320b128");
 }
 
+// Pinned numerics of the long-market sort path: markets above
+// kInsertionThreshold arcs, so every first sweep cold-sorts them with the
+// long-market sort and churned repairs hand over to it. A dense chi-square
+// solve (gamma = 1/x0): its first row sweep clears against mu = 0, where
+// every row breakpoint ties at -2, so each row market's second-sweep repair
+// meets a fresh order and hands over. Plus a sparse solve whose rows and
+// columns hold ~180 arcs. Recorded while heapsort was the long-market sort;
+// a sort that yields the same total order (KeyLess) leaves them untouched.
+TEST(Integration, PinnedWideKernelBits) {
+  Rng rng(0x51DE);
+  const std::size_t m = 140, n = 205;
+  DenseMatrix x0(m, n);
+  for (double& v : x0.Flat()) v = rng.Uniform(1.0, 100.0);
+  Vector s0 = x0.RowSums(), d0 = x0.ColSums();
+  for (std::size_t i = 0; i < m; ++i) s0[i] *= rng.Uniform(0.9, 1.1);
+  double s_total = 0.0, d_total = 0.0;
+  for (double v : s0) s_total += v;
+  for (double v : d0) d_total += v;
+  for (double& v : d0) v *= s_total / d_total;
+  const auto dense_p = DiagonalProblem::MakeFixed(
+      x0, datasets::ChiSquareWeights(x0), s0, d0);
+
+  const std::size_t k = 300;
+  DenseMatrix sx0(k, k, 0.0), sgamma(k, k, 0.0);
+  for (double& v : sx0.Flat())
+    if (rng.Bernoulli(0.6)) v = rng.Uniform(0.1, 100.0);
+  for (std::size_t i = 0; i < k; ++i)
+    if (sx0(i, i) == 0.0) sx0(i, i) = 1.0;
+  for (std::size_t e = 0; e < sx0.size(); ++e)
+    if (sx0.Flat()[e] > 0.0) sgamma.Flat()[e] = 1.0 / sx0.Flat()[e];
+  Vector ss0 = sx0.RowSums(), sd0 = sx0.ColSums();
+  for (double& v : ss0) v *= 1.2;
+  for (double& v : sd0) v *= 1.2;
+  const auto sparse_p = SparseDiagonalProblem::MakeFixed(
+      SparseMatrix::FromDense(sx0), SparseMatrix::FromDense(sgamma), ss0,
+      sd0);
+
+  ThreadPool pool2(2), pool4(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2, &pool4}) {
+    SCOPED_TRACE(pool != nullptr ? pool->num_threads() : 1);
+    SeaOptions o;
+    o.epsilon = 1e-8;
+    o.pool = pool;
+
+    const auto dense = SolveDiagonal(dense_p, o);
+    ASSERT_TRUE(dense.result.converged());
+    // Each row market's second solve hands over instead of repairing.
+    EXPECT_LE(dense.result.order_reuses + (m + n) + m,
+              dense.result.kernel_markets);
+    EXPECT_EQ(HashDense(dense), "16062d47bbfdfa6f");
+
+    const auto sparse = SolveSparse(sparse_p, o);
+    ASSERT_TRUE(sparse.result.converged());
+    support::Fnv1a h;
+    h.MixDoubles(sparse.solution.x.Values());
+    h.MixDoubles(sparse.solution.lambda);
+    h.MixDoubles(sparse.solution.mu);
+    h.MixU64(sparse.result.iterations);
+    EXPECT_EQ(Hex(h.value()), "fd817583cf135f76");
+  }
+}
+
 // Pinned observer outputs: the FNV-1a of what the telemetry observers emit
 // over three solves, with wall-clock fields masked. Hashed per solve: the
 // JSONL trace lines, the postmortem events (kind, iteration, value), the
