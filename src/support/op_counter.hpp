@@ -12,6 +12,16 @@
 
 namespace sea {
 
+// What a sort charges to OpCounts::comparisons. Straight insertion and
+// heapsort count the key comparisons they make. The radix sort of long
+// markets (equilibration/breakpoint_solver.cpp) compares no keys; it charges
+// kRadixSortOpsPerKey per key instead: one histogram read plus one scatter
+// per 8-bit digit of the 64-bit key, whether or not a digit's pass is
+// skipped. The charge is a function of n alone, so it is deterministic,
+// independent of thread count, and prices a cold market for the schedule
+// simulator.
+inline constexpr std::uint64_t kRadixSortOpsPerKey = 9;
+
 struct OpCounts {
   std::uint64_t comparisons = 0;  // sort + sweep comparisons
   std::uint64_t flops = 0;        // floating-point add/mul in kernel + sweeps

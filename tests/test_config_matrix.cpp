@@ -30,12 +30,12 @@ DenseMatrix Fill(std::size_t m, std::size_t n, Rng& rng, double lo, double hi) {
 
 // The one sort path takes different branches by market shape, so the
 // instances vary it: narrow markets (at most kInsertionThreshold = 128 arcs)
-// cold-sort by insertion and then repair; wide markets cold-sort by heapsort
-// and then repair; chi-square weights (gamma = 1/x0) make every wide row
-// market's first sweep a full tie, so its second-sweep repair overruns its
-// budget and hands over to heapsort; tied instances (three x0 values, three
-// weights) start every market with repeated breakpoints, so each stored order
-// is built by tie-breaking on arc index.
+// cold-sort by insertion and then repair; wide markets cold-sort by the
+// radix sort and then repair; chi-square weights (gamma = 1/x0) make every
+// wide row market's first sweep a full tie, so its second-sweep repair
+// overruns its budget and hands over to the radix sort; tied instances
+// (three x0 values, three weights) start every market with repeated
+// breakpoints, so each stored order is built by tie-breaking on arc index.
 enum class Shape { kNarrow, kWide, kChiSquare, kTied };
 
 // Base matrix and weights for one shape; x0 comes first off the stream.
@@ -191,8 +191,8 @@ TEST_P(ConfigMatrix, InvariantsHoldAndOptimumAgrees) {
   EXPECT_NEAR(run.result.objective, ref, 1e-4 * std::max(1.0, std::abs(ref)));
 
   // Every market solve after a market's first sweep repairs its stored order;
-  // only a wide market's repair may overrun its budget and hand over to
-  // heapsort, and the chi-square shape always makes one do so.
+  // only a wide market's repair may overrun its budget and hand over to the
+  // radix sort, and the chi-square shape always makes one do so.
   // (The larger shapes are built to need more than one sweep.)
   const std::uint64_t markets_per_sweep = p.m() + p.n();
   ASSERT_GE(run.result.kernel_markets, markets_per_sweep);
