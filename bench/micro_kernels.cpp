@@ -1,16 +1,18 @@
 // Microbenchmarks for the library's hot kernels, in two parts.
 //
 // 1. The market kernel's timings (full market solves across market sizes,
-//    cold-sorted and order-repaired, the elementwise stages alone, and the
-//    churned-order hand-over against the cold sort) that
+//    cold-sorted and order-repaired, the elementwise stages alone, the
+//    churned-order hand-over against the cold sort, and the pool's region
+//    cost and a converged SP120 sweep at 1/2/4 threads) that
 //    always run and emit the bench schema v2 JSON (BENCH_micro_kernels.json)
 //    so tools/bench_diff can gate them across PRs. Accepts the standard
 //    bench flags (--quick/--csv/--json/...; see bench_common.hpp).
 //
-// 2. The original google-benchmark suite (sort paths, row sweeps, dense
-//    matvec — the quantities behind the paper's per-iteration cost model
-//    N = T n^2 (9 + log n)). Runs only when a --benchmark* flag is passed
-//    (e.g. --benchmark_filter=.*), keeping part 1 cheap for CI perf-smoke.
+// 2. The original google-benchmark suite (sort paths, row sweeps, pool
+//    regions, dense matvec — the quantities behind the paper's
+//    per-iteration cost model N = T n^2 (9 + log n)). Runs only when a
+//    --benchmark* flag is passed (e.g. --benchmark_filter=.*), keeping
+//    part 1 cheap for CI perf-smoke.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -31,6 +33,8 @@
 #include "obs/market_stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
+#include "parallel/thread_pool.hpp"
+#include "spe/spe_generator.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
 
@@ -232,6 +236,107 @@ void RunChurnedRepair(const bench::BenchOptions& opts, ExperimentLog& log) {
 }
 
 // ---------------------------------------------------------------------------
+// Pool dispatch and the SP120 sweep (docs/PARALLELISM.md, "The next Amdahl
+// term"). An SP120 solve runs about 1000 regions, each around 100 us of
+// market work on two workers, so a region's fixed cost shows directly:
+// BM_PoolRegion prices an empty 120-index region on a 2-thread pool (one
+// publish, claim and join), BM_Sp120Sweep one converged SP120 row sweep at
+// 1/2/4 threads.
+
+// An SP120 instance and its duals, solved to the Table 5 tolerance.
+struct Sp120 {
+  DiagonalProblem problem;
+  Vector lambda, mu;
+};
+
+const Sp120& ConvergedSp120() {
+  static const Sp120 sp = [] {
+    Rng rng(120);
+    Sp120 s;
+    s.problem = spe::Generate(120, 120, rng).ToDiagonalProblem();
+    SeaOptions o;
+    o.epsilon = 0.01;
+    o.criterion = StopCriterion::kXChange;
+    o.check_every = 2;
+    const auto run = SolveDiagonal(s.problem, o);
+    s.lambda = run.solution.lambda;
+    s.mu = run.solution.mu;
+    return s;
+  }();
+  return sp;
+}
+
+// Mean us per empty region over reps regions, best of three.
+double TimePoolRegionUs(ThreadPool& pool, std::size_t reps) {
+  const auto empty = [](std::size_t, std::size_t) {};
+  pool.ParallelFor(120, empty);  // warm-up: workers started and spinning
+  double best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 3; ++rep) {
+    Stopwatch sw;
+    for (std::size_t r = 0; r < reps; ++r) pool.ParallelFor(120, empty);
+    best = std::min(best, sw.Seconds() * 1e6 / static_cast<double>(reps));
+  }
+  return best;
+}
+
+// One SP120 row sweep at the converged duals on `threads` workers, with
+// persisted orders and per-worker scratch as a solve keeps them.
+class Sp120Sweep {
+ public:
+  explicit Sp120Sweep(std::size_t threads)
+      : sp_(ConvergedSp120()),
+        pool_(threads),
+        scratch_(threads),
+        lambda_(sp_.lambda) {
+    rows_.mode = sp_.problem.mode();
+    rows_.t0 = sp_.problem.s0();
+    rows_.weight = sp_.problem.alpha();
+    orders_.Reset(sp_.problem.m());
+    opts_.pool = &pool_;
+    opts_.scratch = scratch_;
+    opts_.sort_cache = &orders_;
+    Run();  // establishes the orders, sizes the scratch
+  }
+  void Run() {
+    EquilibrateSide(sp_.problem.x0(), sp_.problem.gamma(), sp_.mu, rows_,
+                    lambda_, nullptr, opts_);
+  }
+
+ private:
+  const Sp120& sp_;
+  ThreadPool pool_;
+  std::vector<SweepSlot> scratch_;
+  Vector lambda_;
+  MarketSide rows_;
+  SortOrderCache orders_;
+  SweepOptions opts_;
+};
+
+void RunPoolAndSweep(const bench::BenchOptions& opts, ExperimentLog& log) {
+  std::cout << "\npool dispatch and the converged SP120 row sweep:\n";
+  TablePrinter t({"case", "threads", "us"});
+  const std::size_t reps = opts.quick ? 200 : 2000;
+  ThreadPool pool(2);
+  const double region = TimePoolRegionUs(pool, reps * 5);
+  t.AddRow({"empty region (n=120)", "2", TablePrinter::Num(region, 3)});
+  log.Add("pool_region", "n=120,threads=2", "us_per_region", region);
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    Sp120Sweep sweep(threads);
+    double best = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < 3; ++rep) {
+      Stopwatch sw;
+      for (std::size_t r = 0; r < reps; ++r) sweep.Run();
+      best = std::min(best, sw.Seconds() * 1e6 / static_cast<double>(reps));
+    }
+    t.AddRow({"SP120 row sweep", TablePrinter::Int(static_cast<long>(threads)),
+              TablePrinter::Num(best, 3)});
+    log.Add("sp120_sweep", "threads=" + std::to_string(threads),
+            "us_per_sweep", best);
+  }
+  t.Print(std::cout);
+}
+
+// ---------------------------------------------------------------------------
 // Attribution overhead: full SolveDiagonal on a table1-style dense instance
 // with per-market attribution off vs on. The disabled path is a single
 // pointer test per sweep, so the "on" column upper-bounds it; the trajectory
@@ -403,7 +508,9 @@ void BM_RowSweep(benchmark::State& state) {
   MarketSide side;
   side.mode = TotalsMode::kFixed;
   side.t0 = s0;
+  std::vector<SweepSlot> scratch(1);
   SweepOptions opts;
+  opts.scratch = scratch;
   for (auto _ : state) {
     EquilibrateSide(centers, weights, mu, side, mult, nullptr, opts);
     benchmark::DoNotOptimize(mult.data());
@@ -412,6 +519,21 @@ void BM_RowSweep(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_RowSweep)->Arg(128)->Arg(512)->Arg(1024);
+
+void BM_PoolRegion(benchmark::State& state) {
+  ThreadPool pool(2);
+  for (auto _ : state) pool.ParallelFor(120, [](std::size_t, std::size_t) {});
+}
+BENCHMARK(BM_PoolRegion);
+
+void BM_Sp120Sweep(benchmark::State& state) {
+  Sp120Sweep sweep(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    sweep.Run();
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Sp120Sweep)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_DenseGemv(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -455,6 +577,7 @@ int main(int argc, char** argv) {
   sea::ExperimentLog log;
   RunMarketKernel(opts, log);
   RunChurnedRepair(opts, log);
+  RunPoolAndSweep(opts, log);
   RunAttributionOverhead(opts, log);
   RunSamplerOverhead(opts, log);
   sea::bench::Finish(log, opts, "micro_kernels");

@@ -5,6 +5,7 @@
 
 #include "equilibration/equilibrator.hpp"
 #include "obs/profiler.hpp"
+#include "parallel/parallel_for.hpp"
 #include "problems/feasibility.hpp"
 #include "support/check.hpp"
 #include "support/stopwatch.hpp"
@@ -32,6 +33,8 @@ struct RcState {
   // Breakpoint orders persisted across every projection iteration of every
   // phase: the first sweep cold-sorts, later ones repair.
   SortOrderCache row_orders, col_orders;
+  // One sweep slot per pool worker, shared by both phases.
+  std::vector<SweepSlot> scratch;
 
   RcResult result;
 };
@@ -61,6 +64,7 @@ std::size_t RunPhase(RcState& st, bool by_rows, double projection_epsilon) {
 
   SweepOptions sweep_opts;
   sweep_opts.pool = st.opts->pool;
+  sweep_opts.scratch = st.scratch;
   sweep_opts.record_task_costs = st.opts->record_trace;
   sweep_opts.sort_cache = by_rows ? &st.row_orders : &st.col_orders;
   sweep_opts.profile_phase =
@@ -151,6 +155,7 @@ RcRun SolveRc(const GeneralProblem& problem, const RcOptions& opts) {
   st.mu.assign(st.n, 0.0);
   st.row_orders.Reset(st.m);
   st.col_orders.Reset(st.n);
+  st.scratch.resize(WorkerCount(opts.pool));
 
   st.gamma_rm = DenseMatrix(st.m, st.n);
   for (std::size_t k = 0; k < st.m * st.n; ++k)

@@ -7,15 +7,15 @@
 // iterations. Matrix is that layout — DenseMatrix or SparseMatrix, the two
 // EquilibrateSide accepts. This class owns everything the two share:
 // per-mode MarketSide setup, sweep options and sort caches, both
-// half-steps, the residual measure and its per-market attribution, the
-// kXChange snapshot, good-iterate save/restore, row-dual snapshot/blend, and
-// checkpoint capture/restore of the duals. A backend supplies only the
-// primal's row sums, the check cost, and the problem fingerprint (plus any
-// regime-specific extras, such as the dense rebalance).
+// half-steps and their per-worker scratch, the residual measure and its
+// per-market attribution, the kXChange measure, good-iterate save/restore,
+// row-dual snapshot/blend, and checkpoint capture/restore of the duals. A
+// backend supplies only the primal's row sums, the check cost, and the
+// problem fingerprint (plus any regime-specific extras, such as the dense
+// rebalance).
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -25,6 +25,7 @@
 #include "core/iteration_engine.hpp"
 #include "core/stopping.hpp"
 #include "obs/market_stats.hpp"
+#include "parallel/parallel_for.hpp"
 #include "sparse/sparse_matrix.hpp"
 
 namespace sea {
@@ -43,13 +44,21 @@ inline std::span<const double> PrimalValues(const DenseMatrix& x) {
 inline std::span<const double> PrimalValues(const SparseMatrix& x) {
   return x.Values();
 }
+inline std::span<double> MutablePrimalValues(DenseMatrix& x) {
+  return x.Flat();
+}
+inline std::span<double> MutablePrimalValues(SparseMatrix& x) {
+  return x.MutableValues();
+}
 
 template <class Matrix>
 class SweepBackend : public SeaIterationBackend {
  public:
   // x0/gamma: the row sweep's data; x0_t/gamma_t: the column sweep's.
-  // xt: the primal in the column-sweep layout, written on check iterations.
-  // The referenced data, totals and duals must outlive the backend.
+  // xt: the primal in the column-sweep layout, written on check iterations
+  // only, so between checks it holds the previous check's primal — the
+  // kXChange snapshot. The referenced data, totals and duals must outlive
+  // the backend.
   SweepBackend(const SweepTotals& totals, const Matrix& x0,
                const Matrix& gamma, const Matrix& x0_t, const Matrix& gamma_t,
                Matrix xt, const SeaOptions& opts, Vector& lambda, Vector& mu)
@@ -87,7 +96,9 @@ class SweepBackend : public SeaIterationBackend {
         col_side_.coupling = lambda_;
         break;
     }
+    scratch_.resize(WorkerCount(opts.pool));
     sweep_opts_.pool = opts.pool;
+    sweep_opts_.scratch = scratch_;
     sweep_opts_.record_task_costs = opts.record_trace;
     sweep_opts_.attribution = opts.attribution;
     if (opts.attribution != nullptr)
@@ -111,8 +122,14 @@ class SweepBackend : public SeaIterationBackend {
     sweep_opts_.sort_cache = &col_orders_;
     // column markets: slots [m, m+n)
     sweep_opts_.attribution_base = lambda_.size();
-    return EquilibrateSide(x0_t_, gamma_t_, lambda_, col_side_, mu_,
-                           materialize ? &xt_ : nullptr, sweep_opts_);
+    SweepStats stats =
+        EquilibrateSide(x0_t_, gamma_t_, lambda_, col_side_, mu_,
+                        materialize ? &xt_ : nullptr, sweep_opts_);
+    // The writeback overwrote the previous check's primal, folding
+    // max |new - old| as it went: the kXChange measure, verified inside
+    // the parallel sweep instead of a serial pass after it.
+    if (materialize) xt_change_ = stats.max_change;
+    return stats;
   }
 
   double ResidualMeasure(StopCriterion c) override {
@@ -138,18 +155,10 @@ class SweepBackend : public SeaIterationBackend {
     sweep_opts_.attribution->CommitCheck(iteration, measure, l1);
   }
 
-  double DiffFromSnapshot() override {
-    const auto vals = PrimalValues(xt_);
-    double measure = 0.0;
-    for (std::size_t k = 0; k < vals.size(); ++k)
-      measure = std::max(measure, std::abs(vals[k] - xt_prev_[k]));
-    return measure;
-  }
+  double DiffFromSnapshot() override { return xt_change_; }
 
-  void SnapshotIterate() override {
-    const auto vals = PrimalValues(xt_);
-    xt_prev_.assign(vals.begin(), vals.end());
-  }
+  // xt_ is its own snapshot: the next materializing sweep reads it.
+  void SnapshotIterate() override {}
 
   // Breakdown recovery: the primal is recovered from (lambda, mu) after the
   // run, so capturing the duals alone preserves a full last-good iterate.
@@ -170,7 +179,7 @@ class SweepBackend : public SeaIterationBackend {
   }
 
   // Durability hooks (core/checkpoint.hpp): the duals plus the kXChange
-  // snapshot (primal values only — the layout is pinned by the
+  // snapshot (xt_'s primal values only — the layout is pinned by the
   // fingerprint) are the whole resumable state. The engine owns
   // have_snapshot.
   bool CaptureIterate(CheckpointState& out) override {
@@ -180,7 +189,10 @@ class SweepBackend : public SeaIterationBackend {
     out.n = mu_.size();
     out.lambda = lambda_;
     out.mu = mu_;
-    out.snapshot = xt_prev_;
+    if (out.have_snapshot) {
+      const auto vals = PrimalValues(xt_);
+      out.snapshot.assign(vals.begin(), vals.end());
+    }
     return true;
   }
 
@@ -191,7 +203,9 @@ class SweepBackend : public SeaIterationBackend {
       return false;
     lambda_ = in.lambda;
     mu_ = in.mu;
-    xt_prev_ = in.have_snapshot ? in.snapshot : std::vector<double>();
+    if (in.have_snapshot)
+      std::copy(in.snapshot.begin(), in.snapshot.end(),
+                MutablePrimalValues(xt_).begin());
     // The restored duals are the best known point: re-seat the good copies
     // so a later breakdown rolls back here, not to a pre-resume state.
     lambda_good_ = lambda_;
@@ -247,8 +261,10 @@ class SweepBackend : public SeaIterationBackend {
   // first sweep cold-sorts, every later sweep repairs (8 bytes per arc for a
   // dense solve, 4 per side).
   SortOrderCache row_orders_, col_orders_;
-  // The previous check's primal values (kXChange).
-  std::vector<double> xt_prev_;
+  // One slot per pool worker, reused by every sweep of the solve.
+  std::vector<SweepSlot> scratch_;
+  // max |xt_ - previous check's xt_| from the last materializing sweep.
+  double xt_change_ = 0.0;
   // Duals at the last finite check (empty until one passes).
   Vector lambda_good_, mu_good_;
   std::optional<std::uint64_t> fingerprint_;

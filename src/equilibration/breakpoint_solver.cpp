@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <limits>
 
 #include "obs/profiler.hpp"
@@ -69,6 +70,18 @@ void Writeback(std::span<const double> p, std::span<const double> q,
   const std::size_t n = p.size();
   for (std::size_t j = 0; j < n; ++j)
     x[j] = std::max(0.0, p[j] + q[j] * lambda);
+}
+
+double MaxAbsChange(std::span<const double> now,
+                    std::span<const double> before) {
+  const std::size_t n = now.size();
+  double c[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4)
+    for (std::size_t l = 0; l < 4; ++l)
+      c[l] = std::max(c[l], std::abs(now[j + l] - before[j + l]));
+  for (; j < n; ++j) c[0] = std::max(c[0], std::abs(now[j] - before[j]));
+  return std::max(std::max(c[0], c[1]), std::max(c[2], c[3]));
 }
 
 namespace {
@@ -291,10 +304,7 @@ BreakpointResult detail::SolveMarket(BreakpointWorkspace& ws, double u,
     result.ops.comparisons += pass.comparisons;
     result.ops.inversions += pass.shifts;
     sorted = pass.complete;
-    if (sorted) {
-      result.order_reused = true;
-      ++order->reuses;
-    }
+    result.order_reused = sorted;
   }
   if (!sorted) {
     // Arc order, which the radix sort's stability turns into the arc-index

@@ -105,7 +105,6 @@ struct BreakpointResult {
 // establishes it; invalidated by the solver whenever the arc count changes).
 struct MarketOrder {
   std::vector<std::uint32_t> perm;
-  std::uint64_t reuses = 0;  // solves that repaired instead of re-sorting
 };
 
 namespace detail {
@@ -241,5 +240,14 @@ void Breakpoints(std::span<const double> p, std::span<const double> q,
 // for v in {-0.0, NaN}.
 void Writeback(std::span<const double> p, std::span<const double> q,
                double lambda, std::span<double> x);
+
+// The kXChange fold over one market: change = std::max(change,
+// |now[j] - before[j]|) from 0.0. A NaN difference never wins a std::max,
+// so the fold skips it, and the result is the largest non-NaN difference
+// (+0.0 when there is none) whatever order the differences are taken in —
+// which lets it run as four interleaved folds, off std::max's latency
+// chain, and still return the serial fold's bits.
+double MaxAbsChange(std::span<const double> now,
+                    std::span<const double> before);
 
 }  // namespace sea

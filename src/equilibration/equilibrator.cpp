@@ -1,5 +1,7 @@
 #include "equilibration/equilibrator.hpp"
 
+#include <algorithm>
+
 #include "obs/market_stats.hpp"
 #include "obs/profiler.hpp"
 #include "parallel/parallel_for.hpp"
@@ -70,14 +72,18 @@ SweepStats Sweep(std::size_t markets, const MarketSide& side,
   if (opts.sort_cache != nullptr)
     SEA_CHECK_MSG(opts.sort_cache->size() == markets,
                   "sort cache not sized for this sweep side");
+  const std::size_t workers = WorkerCount(opts.pool);
+  SEA_CHECK_MSG(opts.scratch.size() >= workers,
+                "sweep scratch needs one slot per pool worker");
+  const std::span<SweepSlot> slots = opts.scratch.first(workers);
 
   SweepStats stats;
   if (opts.record_task_costs) stats.task_costs.assign(markets, 0.0);
-
-  const std::size_t workers = WorkerCount(opts.pool);
-  std::vector<BreakpointWorkspace> ws(workers);
-  std::vector<OpCounts> worker_ops(workers);
-  std::vector<std::uint64_t> worker_reuses(workers, 0);
+  for (SweepSlot& slot : slots) {
+    slot.ops = OpCounts{};
+    slot.reuses = 0;
+    slot.max_change = 0.0;
+  }
 
   const char* phase =
       opts.profile_phase != nullptr ? opts.profile_phase : "equilibrate.sweep";
@@ -87,9 +93,8 @@ SweepStats Sweep(std::size_t markets, const MarketSide& side,
   ForRangeWorker(opts.pool, markets,
                  [&](std::size_t begin, std::size_t end, std::size_t w) {
     obs::ProfScope prof(phase);
-    BreakpointWorkspace& wksp = ws[w];
-    OpCounts local;
-    std::uint64_t reuses = 0;
+    SweepSlot& slot = slots[w];
+    BreakpointWorkspace& wksp = slot.ws;
     Stopwatch market_sw;
     for (std::size_t i = begin; i < end; ++i) {
       if (attr != nullptr) market_sw.Restart();
@@ -107,22 +112,30 @@ SweepStats Sweep(std::size_t markets, const MarketSide& side,
       mult_out[i] = res.lambda;
       const std::span<double> xrow = allocations(i);
       if (!xrow.empty()) {
+        // Keep the allocations being overwritten (the previous check's,
+        // on a check iteration) for the kXChange fold.
+        slot.before.assign(xrow.begin(), xrow.end());
         Writeback(wksp.p(), wksp.q(), res.lambda, xrow);
+        slot.max_change =
+            std::max(slot.max_change, MaxAbsChange(xrow, slot.before));
         res.ops.flops += 2 * arcs;
       }
       if (attr != nullptr)
         attr->RecordSolve(opts.attribution_base + i, res.active_count,
                           res.ops.breakpoints, market_sw.Seconds());
       if (opts.record_task_costs) stats.task_costs[i] = res.ops.Work();
-      if (res.order_reused) ++reuses;
-      local += res.ops;
+      if (res.order_reused) ++slot.reuses;
+      slot.ops += res.ops;
     }
-    worker_ops[w] += local;
-    worker_reuses[w] += reuses;
   });
 
-  for (const auto& o : worker_ops) stats.total_ops += o;
-  for (std::uint64_t r : worker_reuses) stats.order_reuses += r;
+  // Summed and maxed in worker order; max_change is order-free anyway
+  // (MaxAbsChange never yields NaN).
+  for (const SweepSlot& slot : slots) {
+    stats.total_ops += slot.ops;
+    stats.order_reuses += slot.reuses;
+    stats.max_change = std::max(stats.max_change, slot.max_change);
+  }
   stats.markets = markets;
   return stats;
 }

@@ -52,12 +52,6 @@ class SortOrderCache {
   MarketOrder* At(std::size_t market) {
     return market < orders_.size() ? &orders_[market] : nullptr;
   }
-  // Total repair-instead-of-sort solves across all markets.
-  std::uint64_t TotalReuses() const {
-    std::uint64_t total = 0;
-    for (const auto& o : orders_) total += o.reuses;
-    return total;
-  }
 
  private:
   std::vector<MarketOrder> orders_;
@@ -92,11 +86,32 @@ struct SweepStats {
   // Markets solved this sweep (feeds SeaResult::kernel_markets and the
   // sea.kernel.scalar.markets counter).
   std::uint64_t markets = 0;
+  // Largest |new - old| the sweep wrote into x_out (MaxAbsChange's fold,
+  // so NaN differences are skipped); 0 when nothing was materialized.
+  // Holding the previous check's primal in x_out makes this the kXChange
+  // measure.
+  double max_change = 0.0;
+};
+
+// One pool worker's sweep scratch: the market workspace and the worker's
+// per-sweep accumulators, on cache lines of its own. A caller keeps one
+// slot per worker (WorkerCount(pool)) alive across sweeps, so a warm sweep
+// reuses every buffer and allocates nothing, and each worker keeps writing
+// the memory it wrote last sweep.
+struct alignas(64) SweepSlot {
+  BreakpointWorkspace ws;
+  // The allocations a materializing writeback overwrites, for the change.
+  std::vector<double> before;
+  OpCounts ops;
+  std::uint64_t reuses = 0;
+  double max_change = 0.0;
 };
 
 struct SweepOptions {
   bool record_task_costs = false;
   ThreadPool* pool = nullptr;
+  // Per-worker scratch, at least WorkerCount(pool) slots (required).
+  std::span<SweepSlot> scratch;
   // Persisted per-market breakpoint orders: each market's first sweep
   // cold-sorts and stores its order, every later sweep repairs it. Null =
   // cold sorts every sweep. Must be sized to this side's market count.

@@ -9,6 +9,30 @@
 
 namespace sea {
 
+namespace {
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Polls done() for up to ThreadPool::kSpinBudget; true once it holds.
+template <class Done>
+bool SpinFor(Done done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + ThreadPool::kSpinBudget;
+  for (;;) {
+    if (done()) return true;
+    CpuRelax();
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+  }
+}
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t n_threads) {
   if (n_threads == 0) {
     n_threads = std::thread::hardware_concurrency();
@@ -107,6 +131,10 @@ void ThreadPool::FinishRegionStats(std::uint64_t chunks, double wall_seconds) {
 void ThreadPool::WorkerLoop(std::size_t worker_index) {
   std::uint64_t seen_epoch = 0;
   for (;;) {
+    SpinFor([&] {
+      return shutdown_.load(std::memory_order_relaxed) ||
+             epoch_.load(std::memory_order_relaxed) != seen_epoch;
+    });
     Task task;
     {
       std::unique_lock lk(mu_);
@@ -124,8 +152,11 @@ void ThreadPool::WorkerLoop(std::size_t worker_index) {
     }
     RunShare(task, worker_index);
     {
+      // The decrement releases this worker's writes to a caller that sees
+      // the count reach 0 while spinning.
       std::lock_guard lk(mu_);
-      if (--pending_ == 0) cv_done_.notify_one();
+      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        cv_done_.notify_one();
     }
   }
 }
@@ -160,9 +191,12 @@ void ThreadPool::ParallelForWorker(std::size_t n, Body3 body) {
   cv_start_.notify_all();
   // The calling thread executes its share as worker 0.
   RunShare(task, 0);
-  {
+  const auto joined = [&] {
+    return pending_.load(std::memory_order_acquire) == 0;
+  };
+  if (!SpinFor(joined)) {
     std::unique_lock lk(mu_);
-    cv_done_.wait(lk, [&] { return pending_ == 0; });
+    cv_done_.wait(lk, joined);
   }
   if (stats_enabled_) {
     const std::size_t grain = Grain(n);

@@ -17,6 +17,15 @@
 // outputs — the equilibration sweeps — is bit-identical at every thread
 // count.
 //
+// Spin-then-park dispatch: between regions a worker spins on the region
+// epoch for kSpinBudget before it parks on a condition variable, and the
+// caller spins on the pending-worker count before it parks on the join.
+// An SEA solve issues regions back to back (row sweep, column sweep, a
+// check every few iterations), so a region published within the budget
+// starts without a futex wake-up; an idle pool parks and costs no CPU. The
+// mutex still publishes every region and still guards the join count, so
+// exception capture and shutdown work exactly as for a parked pool.
+//
 // Utilization telemetry: EnableStats(true) makes every ParallelFor region
 // record per-worker busy seconds, region wall time, per-worker imbalance,
 // and chunk counts, exposed as a PoolStats snapshot — the measured
@@ -27,6 +36,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -64,6 +74,13 @@ struct PoolStats {
 
 class ThreadPool {
  public:
+  // How long an idle worker (or the joining caller) spins before it parks.
+  // Sized from an SP120 solve's gaps between regions: a few microseconds
+  // from a row sweep to its column sweep, about 30 us from a column sweep
+  // through a check to the next row sweep. Spinning is bounded CPU time
+  // that cpu_seconds reports.
+  static constexpr std::chrono::microseconds kSpinBudget{50};
+
   using Body2 = FunctionRef<void(std::size_t, std::size_t)>;
   using Body3 = FunctionRef<void(std::size_t, std::size_t, std::size_t)>;
 
@@ -146,9 +163,10 @@ class ThreadPool {
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
   Task task_;
-  std::uint64_t epoch_ = 0;
-  std::size_t pending_ = 0;
-  bool shutdown_ = false;
+  // Written under mu_; atomic so spinning threads can poll them unlocked.
+  std::atomic<std::uint64_t> epoch_{0};
+  std::atomic<std::size_t> pending_{0};
+  std::atomic<bool> shutdown_{false};
   // First exception thrown by any chunk of the current region (guarded by
   // mu_); moved out and rethrown on the submitting thread after the join.
   std::exception_ptr first_error_;

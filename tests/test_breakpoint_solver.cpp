@@ -200,7 +200,6 @@ TEST(SortPolicies, AllPoliciesBitIdenticalIncludingTies) {
     EXPECT_FALSE(rr.order_reused);
     rr = SolveMarket(wr, u, v, &order);
     EXPECT_TRUE(rr.order_reused);
-    EXPECT_EQ(order.reuses, 1u);
 
     EXPECT_EQ(ri.lambda, rh.lambda);  // exact: same total order
     EXPECT_EQ(ri.lambda, rr.lambda);
@@ -222,6 +221,7 @@ TEST(SortPolicies, SingleArcMarketAllPolicies) {
   BreakpointWorkspace ws;
   ws.Assign({{2.0, 0.5}});
   MarketOrder order;
+  int reused = 0;
   for (const auto& res :
        {SolveMarket(ws, 5.0, 0.0), SolveMarket(ws, 5.0, 0.0, &order),
         SolveMarket(ws, 5.0, 0.0, &order),
@@ -230,8 +230,9 @@ TEST(SortPolicies, SingleArcMarketAllPolicies) {
     EXPECT_TRUE(res.feasible);
     EXPECT_EQ(res.lambda, 6.0);
     EXPECT_EQ(res.active_count, 1u);
+    reused += res.order_reused;
   }
-  EXPECT_EQ(order.reuses, 1u);
+  EXPECT_EQ(reused, 1);  // only the second solve with the order repairs
 }
 
 TEST(SortPolicies, NoOrderColdSortsByThreshold) {
@@ -292,6 +293,7 @@ TEST(SortPolicies, RepairTracksDriftingMarket) {
   ws.Assign(arcs);
   MarketOrder order;
   (void)SolveMarket(ws, 30.0, 0.0, &order);
+  int reused = 0;
   for (int sweep = 0; sweep < 10; ++sweep) {
     for (auto& a : arcs) a.p += rng.Uniform(-0.01, 0.01);
     ws.Assign(arcs);
@@ -299,10 +301,10 @@ TEST(SortPolicies, RepairTracksDriftingMarket) {
     fresh.Assign(arcs);
     const auto repaired = SolveMarket(ws, 30.0, 0.0, &order);
     const auto scratch = SolveMarket(fresh, 30.0, 0.0, ColdSort::kHeapsort);
-    EXPECT_TRUE(repaired.order_reused);
+    reused += repaired.order_reused;
     EXPECT_EQ(repaired.lambda, scratch.lambda);
   }
-  EXPECT_EQ(order.reuses, 10u);
+  EXPECT_EQ(reused, 10);
 }
 
 TEST(SortPolicies, ChurnedRepairHandsOverToColdSort) {
@@ -326,7 +328,6 @@ TEST(SortPolicies, ChurnedRepairHandsOverToColdSort) {
   const auto cold = SolveMarket(fresh, 300.0, 0.0);
   const auto heap = SolveMarket(heap_ws, 300.0, 0.0, ColdSort::kHeapsort);
   EXPECT_FALSE(churned.order_reused);
-  EXPECT_EQ(order.reuses, 0u);
   EXPECT_EQ(churned.lambda, heap.lambda);
   EXPECT_EQ(churned.active_count, heap.active_count);
   const std::uint64_t budget = n * 10;  // n * bit_width(n)

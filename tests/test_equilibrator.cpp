@@ -1,11 +1,37 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <new>
+#include <string>
 
 #include "equilibration/equilibrator.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/parallel_for.hpp"
 #include "support/rng.hpp"
+
+// Every global allocation bumps this counter; FusedCheck's
+// WarmSweepAllocatesNothing reads it around warm sweeps. (GCC flags the
+// malloc/free pair behind a replaced operator new as mismatched.)
+std::atomic<std::size_t> g_allocations{0};
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size > 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace sea {
 namespace {
@@ -76,6 +102,16 @@ DenseMatrix RandomPositiveMatrix(std::size_t m, std::size_t n, Rng& rng,
   return x;
 }
 
+// Sweep options on `pool` (null = serial) whose per-worker scratch lives in
+// `scratch`, grown to one slot per worker.
+SweepOptions OptionsOn(ThreadPool* pool, std::vector<SweepSlot>& scratch) {
+  scratch.resize(std::max(scratch.size(), WorkerCount(pool)));
+  SweepOptions opts;
+  opts.pool = pool;
+  opts.scratch = scratch;
+  return opts;
+}
+
 TEST(EquilibrateSide, MatchesPerMarketCalls) {
   Rng rng(3);
   const std::size_t m = 9, n = 13;
@@ -90,8 +126,9 @@ TEST(EquilibrateSide, MatchesPerMarketCalls) {
 
   Vector mult(m);
   DenseMatrix x(m, n);
-  SweepOptions opts;
-  EquilibrateSide(centers, weights, mu, side, mult, &x, opts);
+  std::vector<SweepSlot> scratch;
+  EquilibrateSide(centers, weights, mu, side, mult, &x,
+                  OptionsOn(nullptr, scratch));
 
   for (std::size_t i = 0; i < m; ++i) {
     BreakpointWorkspace ws;
@@ -117,14 +154,13 @@ TEST(EquilibrateSide, ParallelBitIdenticalToSerial) {
 
   Vector mult_serial(m), mult_par(m);
   DenseMatrix x_serial(m, n), x_par(m, n);
-  SweepOptions serial_opts;
+  std::vector<SweepSlot> scratch;
   EquilibrateSide(centers, weights, mu, side, mult_serial, &x_serial,
-                  serial_opts);
+                  OptionsOn(nullptr, scratch));
 
   ThreadPool pool(4);
-  SweepOptions par_opts;
-  par_opts.pool = &pool;
-  EquilibrateSide(centers, weights, mu, side, mult_par, &x_par, par_opts);
+  EquilibrateSide(centers, weights, mu, side, mult_par, &x_par,
+                  OptionsOn(&pool, scratch));
 
   for (std::size_t i = 0; i < m; ++i)
     EXPECT_EQ(mult_serial[i], mult_par[i]) << i;
@@ -143,7 +179,8 @@ TEST(EquilibrateSide, TaskCostsRecorded) {
   side.mode = TotalsMode::kFixed;
   side.t0 = s0;
   Vector mult(m);
-  SweepOptions opts;
+  std::vector<SweepSlot> scratch;
+  SweepOptions opts = OptionsOn(nullptr, scratch);
   opts.record_task_costs = true;
   const auto stats =
       EquilibrateSide(centers, weights, mu, side, mult, nullptr, opts);
@@ -175,8 +212,9 @@ TEST(EquilibrateSide, SamCouplingEntersTarget) {
   side.weight = w;
   side.coupling = coupling;
   Vector mult(n);
-  SweepOptions opts;
-  EquilibrateSide(centers, weights, cross, side, mult, nullptr, opts);
+  std::vector<SweepSlot> scratch;
+  EquilibrateSide(centers, weights, cross, side, mult, nullptr,
+                  OptionsOn(nullptr, scratch));
 
   for (std::size_t i = 0; i < n; ++i) {
     BreakpointWorkspace ws;
@@ -208,18 +246,19 @@ TEST(SweepScheduling, PooledSweepsMatchSerialExactly) {
 
   Vector mult_serial(m);
   DenseMatrix x_serial(m, n);
-  const auto stats_serial = EquilibrateSide(centers, weights, mu, side,
-                                            mult_serial, &x_serial, {});
+  std::vector<SweepSlot> serial_scratch;
+  const auto stats_serial =
+      EquilibrateSide(centers, weights, mu, side, mult_serial, &x_serial,
+                      OptionsOn(nullptr, serial_scratch));
 
   for (std::size_t threads : {2u, 3u, 4u, 7u}) {
     ThreadPool pool(threads);
+    std::vector<SweepSlot> scratch;
     for (int sweep = 0; sweep < 4; ++sweep) {
       Vector mult(m);
       DenseMatrix x(m, n);
-      SweepOptions opts;
-      opts.pool = &pool;
-      const auto stats =
-          EquilibrateSide(centers, weights, mu, side, mult, &x, opts);
+      const auto stats = EquilibrateSide(centers, weights, mu, side, mult, &x,
+                                         OptionsOn(&pool, scratch));
       for (std::size_t i = 0; i < m; ++i)
         EXPECT_EQ(mult_serial[i], mult[i]) << "threads " << threads;
       EXPECT_DOUBLE_EQ(x_serial.MaxAbsDiff(x), 0.0);
@@ -245,12 +284,14 @@ TEST(SweepScheduling, ReuseAcrossSweepsViaCache) {
 
   // No cache: every market cold-sorts (radix sort, n > threshold).
   Vector mult_cold(m);
-  const auto cold_stats = EquilibrateSide(centers, weights, mu, side,
-                                          mult_cold, nullptr, SweepOptions{});
+  std::vector<SweepSlot> scratch;
+  const auto cold_stats =
+      EquilibrateSide(centers, weights, mu, side, mult_cold, nullptr,
+                      OptionsOn(nullptr, scratch));
 
   SortOrderCache cache;
   cache.Reset(m);
-  SweepOptions reuse_opts;
+  SweepOptions reuse_opts = OptionsOn(nullptr, scratch);
   reuse_opts.sort_cache = &cache;
   Vector mult_reuse(m);
   auto stats =
@@ -260,7 +301,6 @@ TEST(SweepScheduling, ReuseAcrossSweepsViaCache) {
   stats = EquilibrateSide(centers, weights, mu, side, mult_reuse, nullptr,
                           reuse_opts);
   EXPECT_EQ(stats.order_reuses, static_cast<std::uint64_t>(m));
-  EXPECT_EQ(cache.TotalReuses(), static_cast<std::uint64_t>(m));
   // Repairing an unchanged order is a pure verify pass, one comparison per
   // adjacent pair, in place of the cold sort's charge; the clearing sweeps
   // are the same.
@@ -285,16 +325,16 @@ TEST(SweepScheduling, ReuseUnderPool) {
   side.t0 = s0;
 
   Vector mult_ref(m);
-  SweepOptions ref_opts;
-  EquilibrateSide(centers, weights, mu, side, mult_ref, nullptr, ref_opts);
+  std::vector<SweepSlot> scratch;
+  EquilibrateSide(centers, weights, mu, side, mult_ref, nullptr,
+                  OptionsOn(nullptr, scratch));
 
   ThreadPool pool(4);
   SortOrderCache cache;
   cache.Reset(m);
   for (int sweep = 0; sweep < 3; ++sweep) {
     Vector mult(m);
-    SweepOptions opts;
-    opts.pool = &pool;
+    SweepOptions opts = OptionsOn(&pool, scratch);
     opts.sort_cache = &cache;
     const auto stats =
         EquilibrateSide(centers, weights, mu, side, mult, nullptr, opts);
@@ -321,14 +361,14 @@ TEST(SweepScheduling, SparseLayoutMatchesDenseOnFullPattern) {
   const Vector w = rng.UniformVector(m, 0.3, 2.0);
 
   ThreadPool pool(3);
+  std::vector<SweepSlot> scratch;
   for (TotalsMode mode : {TotalsMode::kFixed, TotalsMode::kElastic}) {
     MarketSide side;
     side.mode = mode;
     side.t0 = t0;
     if (mode == TotalsMode::kElastic) side.weight = w;
     for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      SweepOptions opts;
-      opts.pool = p;
+      SweepOptions opts = OptionsOn(p, scratch);
       opts.record_task_costs = true;
       Vector mult_dense(m), mult_sparse(m);
       DenseMatrix x_dense(m, n);
@@ -375,6 +415,7 @@ TEST(EquilibrateSide, OrderCacheSweepsBitIdenticalToColdSweeps) {
   const Vector d_hi = rng.UniformVector(n, 30.0, 40.0);
 
   ThreadPool pool(3);
+  std::vector<SweepSlot> scratch;
   for (TotalsMode mode :
        {TotalsMode::kFixed, TotalsMode::kElastic, TotalsMode::kInterval}) {
     MarketSide rows, cols;
@@ -396,8 +437,8 @@ TEST(EquilibrateSide, OrderCacheSweepsBitIdenticalToColdSweeps) {
       Vector lambda_cold(m, 0.0), mu_cold(n, 0.0);
       Vector lambda_warm(m, 0.0), mu_warm(n, 0.0);
       DenseMatrix xt_cold(n, m), xt_warm(n, m);
-      SweepOptions cold, warm;
-      cold.pool = warm.pool = p;
+      const SweepOptions cold = OptionsOn(p, scratch);
+      SweepOptions warm = cold;
       std::uint64_t row_reuses = 0, col_reuses = 0;
       for (int sweep = 0; sweep < 6; ++sweep) {
         EquilibrateSide(centers, weights, mu_cold, rows, lambda_cold, nullptr,
@@ -430,6 +471,166 @@ TEST(EquilibrateSide, OrderCacheSweepsBitIdenticalToColdSweeps) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The fused kXChange check: a materializing sweep folds the largest
+// |new - old| it writes over the previous primal into
+// SweepStats::max_change, the kXChange measure's std::max fold from 0.
+
+// The previous primal, built from the new one so the fold meets every kind
+// of entry: unchanged values, -0.0 where the new value is +0.0, NaN (the
+// fold skips it), +inf (the fold keeps it), and moved values.
+void SeedPrevious(std::span<const double> fresh, std::span<double> prev,
+                  bool with_inf, Rng& rng) {
+  for (std::size_t k = 0; k < fresh.size(); ++k) {
+    switch (k % 5) {
+      case 0:
+        prev[k] = fresh[k];
+        break;
+      case 1:
+        prev[k] = fresh[k] == 0.0 ? -0.0 : fresh[k];
+        break;
+      case 2:
+        prev[k] = std::nan("");
+        break;
+      case 3:
+        prev[k] = fresh[k] + rng.Uniform(-1.0, 1.0);
+        break;
+      default:
+        prev[k] = k == 4 && with_inf ? INFINITY : -0.0;
+        break;
+    }
+  }
+}
+
+double BruteForceChange(std::span<const double> fresh,
+                        std::span<const double> prev) {
+  double change = 0.0;
+  for (std::size_t k = 0; k < fresh.size(); ++k)
+    change = std::max(change, std::abs(fresh[k] - prev[k]));
+  return change;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(FusedCheck, MaxChangeMatchesBruteForceDenseAndCsr) {
+  Rng rng(13);
+  const std::size_t m = 37, n = 29;
+  // Negative centers clamp some allocations to +0.0; zeros thin the CSR
+  // pattern.
+  auto centers = RandomPositiveMatrix(m, n, rng, -3.0, 10.0);
+  for (std::size_t k = 0; k < centers.size(); k += 4) centers.Flat()[k] = 0.0;
+  const auto weights = RandomPositiveMatrix(m, n, rng, 0.2, 2.0);
+  const SparseMatrix sc = SparseMatrix::FromDense(centers);
+  SparseMatrix sw = sc;
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto cols = sc.RowCols(i);
+    const auto vals = sw.MutableRowValues(i);
+    for (std::size_t k = 0; k < cols.size(); ++k) vals[k] = weights(i, cols[k]);
+  }
+  ASSERT_LT(sc.nnz(), m * n);
+  const Vector mu = rng.UniformVector(n, -1.0, 1.0);
+  const Vector s0 = rng.UniformVector(m, 5.0, 50.0);
+  MarketSide side;
+  side.mode = TotalsMode::kFixed;
+  side.t0 = s0;
+
+  // The new primal, from a serial sweep into zeros.
+  std::vector<SweepSlot> scratch;
+  Vector mult(m);
+  DenseMatrix fresh_dense(m, n);
+  SparseMatrix fresh_sparse = sc;
+  EquilibrateSide(centers, weights, mu, side, mult, &fresh_dense,
+                  OptionsOn(nullptr, scratch));
+  EquilibrateSide(sc, sw, mu, side, mult, &fresh_sparse,
+                  OptionsOn(nullptr, scratch));
+  ASSERT_GT(std::count(fresh_dense.Flat().begin(), fresh_dense.Flat().end(),
+                       0.0),
+            0);
+
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    const SweepOptions opts = OptionsOn(&pool, scratch);
+    for (bool with_inf : {false, true}) {
+      const std::string tag = "threads=" + std::to_string(threads) +
+                              " inf=" + std::to_string(with_inf);
+      DenseMatrix x(m, n);
+      SeedPrevious(fresh_dense.Flat(), x.Flat(), with_inf, rng);
+      double expect = BruteForceChange(fresh_dense.Flat(), x.Flat());
+      ASSERT_EQ(std::isinf(expect), with_inf) << tag;
+      auto stats = EquilibrateSide(centers, weights, mu, side, mult, &x, opts);
+      EXPECT_TRUE(SameBits(stats.max_change, expect)) << tag;
+      EXPECT_EQ(0, std::memcmp(x.Flat().data(), fresh_dense.Flat().data(),
+                               m * n * sizeof(double)))
+          << tag;
+
+      SparseMatrix xs = sc;
+      SeedPrevious(fresh_sparse.Values(), xs.MutableValues(), with_inf, rng);
+      expect = BruteForceChange(fresh_sparse.Values(), xs.Values());
+      stats = EquilibrateSide(sc, sw, mu, side, mult, &xs, opts);
+      EXPECT_TRUE(SameBits(stats.max_change, expect)) << tag;
+    }
+
+    // All-NaN and signed-zero-only previous primals fold to +0.0; an
+    // unmaterialized sweep reports 0.
+    DenseMatrix x(m, n);
+    std::fill(x.Flat().begin(), x.Flat().end(), std::nan(""));
+    auto stats = EquilibrateSide(centers, weights, mu, side, mult, &x, opts);
+    EXPECT_TRUE(SameBits(stats.max_change, 0.0)) << threads;
+    for (std::size_t k = 0; k < x.size(); ++k)
+      if (x.Flat()[k] == 0.0) x.Flat()[k] = -0.0;
+    stats = EquilibrateSide(centers, weights, mu, side, mult, &x, opts);
+    EXPECT_TRUE(SameBits(stats.max_change, 0.0)) << threads;
+    stats = EquilibrateSide(centers, weights, mu, side, mult, nullptr, opts);
+    EXPECT_TRUE(SameBits(stats.max_change, 0.0)) << threads;
+  }
+}
+
+TEST(FusedCheck, WarmSweepAllocatesNothing) {
+  // Once the scratch slots and the order cache have seen a sweep, a pooled
+  // materializing sweep reuses every buffer.
+  Rng rng(14);
+  const std::size_t m = 40, n = 150;  // both cold-sort kinds over the rows
+  const auto centers = RandomPositiveMatrix(m, n, rng, -3.0, 10.0);
+  const auto weights = RandomPositiveMatrix(m, n, rng, 0.2, 2.0);
+  const Vector mu = rng.UniformVector(n, -1.0, 1.0);
+  const Vector s0 = rng.UniformVector(m, 5.0, 50.0);
+  MarketSide side;
+  side.mode = TotalsMode::kFixed;
+  side.t0 = s0;
+  ThreadPool pool(2);
+  std::vector<SweepSlot> scratch;
+  SortOrderCache cache;
+  cache.Reset(m);
+  SweepOptions opts = OptionsOn(&pool, scratch);
+  opts.sort_cache = &cache;
+  Vector mult(m);
+  DenseMatrix x(m, n);
+  for (int sweep = 0; sweep < 2; ++sweep)  // every worker meets every size
+    EquilibrateSide(centers, weights, mu, side, mult, &x, opts);
+  const std::size_t before = g_allocations.load();
+  for (int sweep = 0; sweep < 3; ++sweep)
+    EquilibrateSide(centers, weights, mu, side, mult, &x, opts);
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+}
+
+TEST(SweepScheduling, TooLittleScratchRejected) {
+  DenseMatrix centers(3, 2, 1.0), weights(3, 2, 1.0);
+  Vector mu(2, 0.0), mult(3), s0{1.0, 2.0, 3.0};
+  MarketSide side;
+  side.mode = TotalsMode::kFixed;
+  side.t0 = s0;
+  ThreadPool pool(2);
+  std::vector<SweepSlot> scratch(1);  // wrong: 2 workers
+  SweepOptions opts;
+  opts.pool = &pool;
+  opts.scratch = scratch;
+  EXPECT_THROW(
+      EquilibrateSide(centers, weights, mu, side, mult, nullptr, opts),
+      InvalidArgument);
+}
+
 TEST(SweepScheduling, MisSizedSortCacheRejected) {
   DenseMatrix centers(3, 2, 1.0), weights(3, 2, 1.0);
   Vector mu(2, 0.0), mult(3), s0{1.0, 2.0, 3.0};
@@ -438,7 +639,8 @@ TEST(SweepScheduling, MisSizedSortCacheRejected) {
   side.t0 = s0;
   SortOrderCache cache;
   cache.Reset(2);  // wrong: 3 markets
-  SweepOptions opts;
+  std::vector<SweepSlot> scratch;
+  SweepOptions opts = OptionsOn(nullptr, scratch);
   opts.sort_cache = &cache;
   EXPECT_THROW(
       EquilibrateSide(centers, weights, mu, side, mult, nullptr, opts),
@@ -451,10 +653,10 @@ TEST(EquilibrateSide, RejectsShapeMismatch) {
   MarketSide side;
   side.mode = TotalsMode::kFixed;
   side.t0 = s0;
-  SweepOptions opts;
-  EXPECT_THROW(
-      EquilibrateSide(centers, weights, bad_mu, side, mult, nullptr, opts),
-      InvalidArgument);
+  std::vector<SweepSlot> scratch;
+  EXPECT_THROW(EquilibrateSide(centers, weights, bad_mu, side, mult, nullptr,
+                               OptionsOn(nullptr, scratch)),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "obs/profiler.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/speedup_model.hpp"
 #include "parallel/thread_pool.hpp"
@@ -153,6 +156,89 @@ TEST(ForRange, NullPoolPropagatesBodyException) {
                           throw std::runtime_error("no pool boom");
                         }),
                std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Spin-then-park dispatch: regions issued back to back meet spinning
+// workers; a region after a longer idle gap has to wake parked ones, and a
+// worker chunk outlasting the budget parks the joining caller.
+
+// Runs a 2-index region on a 2-thread pool whose chunk on the caller waits
+// (boundedly) for worker 1 to run the other chunk, so it completes normally
+// only if worker 1 picked the region up. Returns whether it did.
+bool RegionReachesWorker(ThreadPool& pool) {
+  std::atomic<bool> worker_ran{false};
+  pool.ParallelForWorker(2, [&](std::size_t, std::size_t, std::size_t w) {
+    if (w != 0) {
+      worker_ran = true;
+      return;
+    }
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!worker_ran && std::chrono::steady_clock::now() < give_up)
+      std::this_thread::yield();
+  });
+  return worker_ran;
+}
+
+TEST(SpinPark, RegionAfterIdleGapWakesParkedWorker) {
+  ThreadPool pool(2);
+  const auto idle = 20 * ThreadPool::kSpinBudget;
+  for (int round = 0; round < 5; ++round) {
+    EXPECT_TRUE(RegionReachesWorker(pool)) << "back to back, round " << round;
+    std::this_thread::sleep_for(idle);  // the worker parks on cv_start_
+    EXPECT_TRUE(RegionReachesWorker(pool)) << "after idle, round " << round;
+  }
+}
+
+TEST(SpinPark, CallerParksOnLongWorkerChunk) {
+  // The caller's chunk ends once worker 1 holds the other one, which
+  // outlasts the spin budget: the caller parks on the join and must still
+  // see the worker's write.
+  ThreadPool pool(2);
+  for (int round = 0; round < 3; ++round) {
+    std::atomic<bool> worker_started{false};
+    std::vector<std::size_t> ran_on(2, 9);
+    pool.ParallelForWorker(2, [&](std::size_t b, std::size_t, std::size_t w) {
+      if (w != 0) {
+        worker_started = true;
+        std::this_thread::sleep_for(20 * ThreadPool::kSpinBudget);
+      } else {
+        while (!worker_started) std::this_thread::yield();
+      }
+      ran_on[b] = w;
+    });
+    EXPECT_LT(ran_on[0], 2u);
+    EXPECT_LT(ran_on[1], 2u);
+  }
+}
+
+TEST(SpinPark, DestroyWhileWorkersSpinJoins) {
+  // Destroyed right after a region (workers spinning) or right after
+  // construction (workers spinning on the initial epoch): both join.
+  for (int round = 0; round < 50; ++round) {
+    ThreadPool pool(4);
+    if (round % 2 == 0) pool.ParallelFor(16, [](std::size_t, std::size_t) {});
+  }
+  SUCCEED();
+}
+
+TEST(SpinPark, QueueWaitRecordedOnSpinAndParkPaths) {
+  // Each pooled region records one pool.queue_wait span per spawned
+  // worker, whether the worker was spinning or parked when it was issued.
+  ThreadPool pool(3);
+  obs::Profiler prof;
+  prof.Attach();
+  for (int region = 0; region < 4; ++region) {
+    pool.ParallelFor(64, [](std::size_t, std::size_t) {});
+    if (region % 2 == 1)
+      std::this_thread::sleep_for(20 * ThreadPool::kSpinBudget);
+  }
+  prof.Detach();
+  std::size_t waits = 0;
+  for (const obs::ProfEvent& e : prof.Events())
+    if (std::strcmp(e.name, "pool.queue_wait") == 0) ++waits;
+  EXPECT_EQ(waits, 4u * 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,14 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/diagonal_sea.hpp"
+#include "core/engine_observer.hpp"
 #include "equilibration/equilibrator.hpp"
+#include "parallel/parallel_for.hpp"
 #include "sparse/feasibility_flow.hpp"
-#include "parallel/thread_pool.hpp"
 #include "sparse/sparse_sea.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 
 namespace sea {
@@ -365,8 +371,10 @@ TEST(SparseSea, OrderRepairBitIdenticalToColdSweeps) {
     Vector lambda_cold(p.m(), 0.0), mu_cold(p.n(), 0.0);
     Vector lambda_warm(p.m(), 0.0), mu_warm(p.n(), 0.0);
     SparseMatrix xt_cold = x0_t, xt_warm = x0_t;
+    std::vector<SweepSlot> scratch(WorkerCount(use_pool));
     SweepOptions cold, warm;
     cold.pool = warm.pool = use_pool;
+    cold.scratch = warm.scratch = scratch;
     std::uint64_t reuses = 0;
     for (int sweep = 0; sweep < 8; ++sweep) {
       EquilibrateSide(p.x0(), p.gamma(), mu_cold, rows, lambda_cold, nullptr,
@@ -388,6 +396,138 @@ TEST(SparseSea, OrderRepairBitIdenticalToColdSweeps) {
       ASSERT_TRUE(same(xt_cold.Values(), xt_warm.Values())) << tag;
     }
     EXPECT_EQ(reuses, 7 * (p.m() + p.n()));
+  }
+}
+
+// kXChange measures come from the column sweep's writeback, which folds
+// max |new - old| over the previous check's primal. An EngineObserver
+// collects each solve's stream of defined measures.
+class MeasureLog : public EngineObserver {
+ public:
+  void OnCheck(const IterationEvent& ev) override {
+    if (ev.measure_defined) checks_.push_back({ev.iteration, ev.measure});
+  }
+  std::size_t size() const { return checks_.size(); }
+  std::uint64_t Hash() const {
+    support::Fnv1a hash;
+    for (const auto& c : checks_) hash.MixDoubles({&c.second, 1});
+    return hash.value();
+  }
+  // The measures of checks after iteration `t`, in order.
+  std::vector<double> After(std::size_t t) const {
+    std::vector<double> out;
+    for (const auto& c : checks_)
+      if (c.first > t) out.push_back(c.second);
+    return out;
+  }
+
+ private:
+  std::vector<std::pair<std::size_t, double>> checks_;
+};
+
+// An elastic dense problem and a fixed sparse one, solved under kXChange
+// with a check every second iteration.
+struct XChangeCase {
+  XChangeCase() {
+    Rng rng(0xF05E);
+    const std::size_t m = 30, n = 25;
+    const DenseMatrix x0 = Fill(m, n, rng, 0.1, 20.0);
+    const DenseMatrix gamma = Fill(m, n, rng, 0.1, 1.5);
+    const Vector alpha = rng.UniformVector(m, 0.2, 2.0);
+    const Vector beta = rng.UniformVector(n, 0.2, 2.0);
+    Vector s0 = x0.RowSums(), d0 = x0.ColSums();
+    for (double& v : s0) v *= 1.3;
+    dense = DiagonalProblem::MakeElastic(x0, gamma, s0, alpha, d0, beta);
+    const auto pattern = RandomSparseFixed(40, 40, 0.25, rng);
+    Vector rows = pattern.x0().RowSums(), cols = pattern.x0().ColSums();
+    for (double& v : rows) v *= 1.3;
+    for (double& v : cols) v *= 1.3;
+    sparse = SparseDiagonalProblem::MakeFixed(pattern.x0(), pattern.gamma(),
+                                              rows, cols);
+    options.criterion = StopCriterion::kXChange;
+    options.epsilon = 1e-7;
+    options.check_every = 2;
+  }
+  DiagonalProblem dense;
+  SparseDiagonalProblem sparse;
+  SeaOptions options;
+};
+
+// The streams are pinned to the bits the serial snapshot-and-compare pass
+// produced, at every thread count.
+TEST(FusedCheck, XChangeMeasuresPinned) {
+  const XChangeCase c;
+  SeaOptions o = c.options;
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    o.pool = &pool;
+    MeasureLog dense_log, sparse_log;
+    o.observers = {&dense_log};
+    ASSERT_TRUE(SolveDiagonal(c.dense, o).result.converged());
+    o.observers = {&sparse_log};
+    ASSERT_TRUE(SolveSparse(c.sparse, o).result.converged());
+    EXPECT_EQ(dense_log.size(), 165u) << threads;
+    EXPECT_EQ(dense_log.Hash(), 9889426420705228022ull) << threads;
+    EXPECT_EQ(sparse_log.size(), 9u) << threads;
+    EXPECT_EQ(sparse_log.Hash(), 10528381119337007278ull) << threads;
+  }
+}
+
+// The previous check's primal survives a checkpoint: a resumed solve's
+// first measure compares against the restored snapshot, so the resumed
+// stream is the uninterrupted run's tail, bit for bit.
+template <class Problem, class SolveFn>
+void ExpectResumedMeasuresContinue(const Problem& p, SeaOptions o,
+                                   SolveFn solve, const std::string& tag) {
+  MeasureLog full;
+  o.observers = {&full};
+  const std::size_t iterations = solve(p, o).result.iterations;
+  o.observers.clear();
+
+  const std::string path = ::testing::TempDir() + "/fused_" + tag + ".bin";
+  std::remove(path.c_str());
+  CheckpointWriter writer(path);
+  SeaOptions interrupted = o;
+  interrupted.checkpoint = &writer;
+  interrupted.max_iterations = iterations / 4 * 2;  // a check iteration
+  (void)solve(p, interrupted);
+  const auto loaded = LoadCheckpoint(path);
+  ASSERT_TRUE(loaded.ok()) << tag;
+  ASSERT_TRUE(loaded.state.have_snapshot) << tag;
+
+  MeasureLog tail;
+  SeaOptions resumed = o;
+  resumed.resume = &loaded.state;
+  resumed.observers = {&tail};
+  (void)solve(p, resumed);
+  const auto expect = full.After(interrupted.max_iterations);
+  const auto got = tail.After(0);
+  ASSERT_FALSE(expect.empty()) << tag;
+  ASSERT_EQ(got.size(), expect.size()) << tag;
+  EXPECT_EQ(0, std::memcmp(got.data(), expect.data(),
+                           got.size() * sizeof(double)))
+      << tag;
+}
+
+TEST(FusedCheck, ResumedXChangeMeasuresContinueTheStream) {
+  const XChangeCase c;
+  for (std::size_t threads : {1u, 2u}) {
+    ThreadPool pool(threads);
+    SeaOptions o = c.options;
+    o.pool = &pool;
+    const std::string t = std::to_string(threads);
+    ExpectResumedMeasuresContinue(
+        c.dense, o,
+        [](const DiagonalProblem& p, const SeaOptions& opts) {
+          return SolveDiagonal(p, opts);
+        },
+        "dense_t" + t);
+    ExpectResumedMeasuresContinue(
+        c.sparse, o,
+        [](const SparseDiagonalProblem& p, const SeaOptions& opts) {
+          return SolveSparse(p, opts);
+        },
+        "sparse_t" + t);
   }
 }
 
