@@ -66,13 +66,15 @@ double TimeMarketUs(std::size_t n, std::size_t reps, bool repair) {
     weights[j] = rng.Uniform(0.05, 5.0);
     other[j] = rng.Uniform(-10.0, 10.0);
   }
+  std::vector<double> slopes(n);
+  ArcSlopes(weights, slopes);  // once per solve, not per sweep
   const double u = 0.6 * static_cast<double>(n);
   BreakpointWorkspace ws;
   MarketOrder order;
   MarketOrder* order_ptr = repair ? &order : nullptr;
   // Warm-up solve (establishes the persisted permutation, faults pages).
   ws.Resize(n);
-  BuildArcs(centers, weights, other, ws.p(), ws.q());
+  BuildArcs(centers, slopes, other, ws.p(), ws.q());
   (void)SolveMarket(ws, u, 0.0, order_ptr);
   // Best of three repetition means: this container has no CPU pinning, so a
   // single mean is at the mercy of scheduler migrations.
@@ -81,7 +83,7 @@ double TimeMarketUs(std::size_t n, std::size_t reps, bool repair) {
     Stopwatch sw;
     for (std::size_t r = 0; r < reps; ++r) {
       ws.Resize(n);
-      BuildArcs(centers, weights, other, ws.p(), ws.q());
+      BuildArcs(centers, slopes, other, ws.p(), ws.q());
       const auto res = SolveMarket(ws, u, 0.0, order_ptr);
       Writeback(ws.p(), ws.q(), res.lambda, x);
       benchmark::DoNotOptimize(x.data());
@@ -101,13 +103,14 @@ double TimeStagesUs(std::size_t n, std::size_t reps) {
     weights[j] = rng.Uniform(0.05, 5.0);
     other[j] = rng.Uniform(-10.0, 10.0);
   }
-  std::vector<double> p(n), q(n);
-  BuildArcs(centers, weights, other, p, q);  // warm-up
+  std::vector<double> slopes(n), p(n), q(n);
+  ArcSlopes(weights, slopes);
+  BuildArcs(centers, slopes, other, p, q);  // warm-up
   double best = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 3; ++rep) {
     Stopwatch sw;
     for (std::size_t r = 0; r < reps; ++r) {
-      BuildArcs(centers, weights, other, p, q);
+      BuildArcs(centers, slopes, other, p, q);
       Breakpoints(p, q, b);
       Writeback(p, q, 0.25, x);
       benchmark::DoNotOptimize(x.data());
@@ -193,13 +196,15 @@ void RunChurnedRepair(const bench::BenchOptions& opts, ExperimentLog& log) {
       weights[j] = 1.0 / x0[j];
       u += x0[j];
     }
+    std::vector<double> slopes(n);
+    ArcSlopes(weights, slopes);
     const std::vector<double> mu = rng.UniformVector(n, -1.0, 1.0);
     BreakpointWorkspace ws;
     ws.Resize(n);
     MarketOrder first, sorted;
-    BuildArcs(x0, weights, zero, ws.p(), ws.q());
+    BuildArcs(x0, slopes, zero, ws.p(), ws.q());
     (void)SolveMarket(ws, u, 0.0, &first);  // all tied: arc order
-    BuildArcs(x0, weights, mu, ws.p(), ws.q());
+    BuildArcs(x0, slopes, mu, ws.p(), ws.q());
     (void)SolveMarket(ws, u, 0.0, &sorted);
     MarketOrder drifted = sorted;
     for (std::size_t k = 0; k + 12 <= n; k += 12)
@@ -280,11 +285,12 @@ double TimePoolRegionUs(ThreadPool& pool, std::size_t reps) {
 }
 
 // One SP120 row sweep at the converged duals on `threads` workers, with
-// persisted orders and per-worker scratch as a solve keeps them.
+// slopes, persisted orders and per-worker scratch as a solve keeps them.
 class Sp120Sweep {
  public:
   explicit Sp120Sweep(std::size_t threads)
       : sp_(ConvergedSp120()),
+        slopes_(ArcSlopes(sp_.problem.gamma())),
         pool_(threads),
         scratch_(threads),
         lambda_(sp_.lambda) {
@@ -298,12 +304,13 @@ class Sp120Sweep {
     Run();  // establishes the orders, sizes the scratch
   }
   void Run() {
-    EquilibrateSide(sp_.problem.x0(), sp_.problem.gamma(), sp_.mu, rows_,
-                    lambda_, nullptr, opts_);
+    EquilibrateSide(sp_.problem.x0(), slopes_, sp_.mu, rows_, lambda_,
+                    nullptr, opts_);
   }
 
  private:
   const Sp120& sp_;
+  const DenseMatrix slopes_;
   ThreadPool pool_;
   std::vector<SweepSlot> scratch_;
   Vector lambda_;
@@ -503,6 +510,7 @@ void BM_RowSweep(benchmark::State& state) {
   DenseMatrix centers(n, n), weights(n, n);
   for (double& v : centers.Flat()) v = rng.Uniform(0.1, 100.0);
   for (double& v : weights.Flat()) v = rng.Uniform(0.01, 1.0);
+  const DenseMatrix slopes = ArcSlopes(weights);
   Vector mu(n, 0.0), mult(n);
   Vector s0 = centers.RowSums();
   MarketSide side;
@@ -512,7 +520,7 @@ void BM_RowSweep(benchmark::State& state) {
   SweepOptions opts;
   opts.scratch = scratch;
   for (auto _ : state) {
-    EquilibrateSide(centers, weights, mu, side, mult, nullptr, opts);
+    EquilibrateSide(centers, slopes, mu, side, mult, nullptr, opts);
     benchmark::DoNotOptimize(mult.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

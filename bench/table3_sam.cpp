@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
                   TablePrinter::Int(long(run.result.iterations)),
                   TablePrinter::Num(rep.MaxRel(), 6)});
     log.Add("table3", spec.name, "cpu_seconds", run.result.cpu_seconds,
-            paper_cpu[k], run.result.converged() ? "converged" : "NOT CONVERGED");
+            paper_cpu[k],
+            run.result.converged() ? "converged" : "NOT CONVERGED");
     log.Add("table3", spec.name, "iterations",
             static_cast<double>(run.result.iterations));
     log.Add("table3", spec.name, "final_residual", run.result.final_residual);

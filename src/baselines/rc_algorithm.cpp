@@ -25,11 +25,12 @@ struct RcState {
   Vector lambda;  // row-constraint multipliers
   Vector mu;      // column-constraint multipliers
 
-  DenseMatrix gamma_rm;  // diag(G) reshaped m x n
-  DenseMatrix gamma_cm;  // and its transpose
-  DenseMatrix centers;   // projection-step centers, phase-major layout
-  DenseMatrix xs;        // phase-major allocations scratch
-  Vector mult;           // per-market multipliers scratch (max(m, n))
+  DenseMatrix gamma_rm;   // diag(G) reshaped m x n
+  DenseMatrix slopes_rm;  // its arc slopes 1/(2 G_kk), computed once
+  DenseMatrix slopes_cm;  // and their transpose
+  DenseMatrix centers;    // projection-step centers, phase-major layout
+  DenseMatrix xs;         // phase-major allocations scratch
+  Vector mult;            // per-market multipliers scratch (max(m, n))
   // Breakpoint orders persisted across every projection iteration of every
   // phase: the first sweep cold-sorts, later ones repair.
   SortOrderCache row_orders, col_orders;
@@ -70,7 +71,7 @@ std::size_t RunPhase(RcState& st, bool by_rows, double projection_epsilon) {
   sweep_opts.profile_phase =
       by_rows ? "equilibrate.rows" : "equilibrate.cols";
 
-  const DenseMatrix& gamma = by_rows ? st.gamma_rm : st.gamma_cm;
+  const DenseMatrix& slopes = by_rows ? st.slopes_rm : st.slopes_cm;
   st.centers = DenseMatrix(markets, arcs);
   st.xs = DenseMatrix(markets, arcs);
   st.mult.resize(markets);
@@ -106,7 +107,7 @@ std::size_t RunPhase(RcState& st, bool by_rows, double projection_epsilon) {
 
     // Parallel equilibration of the phase's markets.
     SweepStats stats =
-        EquilibrateSide(st.centers, gamma, cross, side,
+        EquilibrateSide(st.centers, slopes, cross, side,
                         {st.mult.data(), markets}, &st.xs, sweep_opts);
     st.result.ops += stats.total_ops;
     if (st.opts->record_trace)
@@ -160,7 +161,8 @@ RcRun SolveRc(const GeneralProblem& problem, const RcOptions& opts) {
   st.gamma_rm = DenseMatrix(st.m, st.n);
   for (std::size_t k = 0; k < st.m * st.n; ++k)
     st.gamma_rm.Flat()[k] = problem.G()(k, k);
-  st.gamma_cm = st.gamma_rm.Transposed();
+  st.slopes_rm = ArcSlopes(st.gamma_rm);
+  st.slopes_cm = st.slopes_rm.Transposed();
 
   // Feasible start: the rank-one transportation plan (paper Step 0).
   double total = 0.0;

@@ -19,13 +19,12 @@ namespace {
 class DenseDiagonalBackend final : public SweepBackend<DenseMatrix> {
  public:
   DenseDiagonalBackend(const DiagonalProblem& p, const DenseMatrix& x0_t,
-                       const DenseMatrix& gamma_t, const SeaOptions& opts,
-                       Vector& lambda, Vector& mu)
+                       const SeaOptions& opts, Vector& lambda, Vector& mu)
       : SweepBackend({.mode = p.mode(), .s0 = p.s0(), .alpha = p.alpha(),
                       .d0 = p.d0(), .beta = p.beta(), .s_lo = p.s_lo(),
                       .s_hi = p.s_hi(), .d_lo = p.d_lo(), .d_hi = p.d_hi()},
-                     p.x0(), p.gamma(), x0_t, gamma_t,
-                     DenseMatrix(p.n(), p.m(), 0.0), opts, lambda, mu),
+                     p.x0(), p.gamma(), x0_t, DenseMatrix(p.n(), p.m(), 0.0),
+                     opts, lambda, mu),
         p_(p) {}
 
   std::uint64_t CheckCost() const override {
@@ -78,7 +77,6 @@ DiagonalSea::DiagonalSea(const DiagonalProblem& problem) {
   problem.Validate();
   problem_ = &problem;
   x0_t_ = problem.x0().Transposed();
-  gamma_t_ = problem.gamma().Transposed();
 }
 
 void DiagonalSea::ResetProblem(const DiagonalProblem& problem) {
@@ -86,7 +84,6 @@ void DiagonalSea::ResetProblem(const DiagonalProblem& problem) {
   SEA_CHECK(problem.mode() == problem_->mode());
   problem_ = &problem;
   x0_t_ = problem.x0().Transposed();
-  gamma_t_ = problem.gamma().Transposed();
 }
 
 DiagonalSeaRun DiagonalSea::Solve(const SeaOptions& opts) {
@@ -101,7 +98,7 @@ DiagonalSeaRun DiagonalSea::SolveWarm(const SeaOptions& opts,
   Vector lambda(p.m(), 0.0);
   Vector mu = mu0;
 
-  DenseDiagonalBackend backend(p, x0_t_, gamma_t_, opts, lambda, mu);
+  DenseDiagonalBackend backend(p, x0_t_, opts, lambda, mu);
 
   DiagonalSeaRun run;
   run.result = RunIterationEngine(backend, opts);

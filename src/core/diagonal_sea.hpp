@@ -27,10 +27,11 @@ struct DiagonalSeaRun {
   SeaResult result;
 };
 
-// Solver object. Construction builds the transposed copies of the centers
-// and weights (so column sweeps read contiguous memory); reuse one solver
-// across repeated solves of same-structure problems (the general algorithm's
-// inner loop) to amortize that cost.
+// Solver object. Construction builds the transposed copy of the centers, so
+// column sweeps read contiguous memory (each solve derives its arc slopes
+// from the weights in both layouts); reuse one solver across repeated
+// solves of same-structure problems (the general algorithm's inner loop) to
+// amortize that cost.
 class DiagonalSea {
  public:
   explicit DiagonalSea(const DiagonalProblem& problem);
@@ -50,10 +51,8 @@ class DiagonalSea {
 
  private:
   const DiagonalProblem* problem_ = nullptr;
-  // Sweep-major copies: row sweeps read x0/gamma, column sweeps read the
-  // transposes.
+  // Sweep-major copy: row sweeps read x0, column sweeps its transpose.
   DenseMatrix x0_t_;
-  DenseMatrix gamma_t_;
 };
 
 // One-shot convenience wrapper.

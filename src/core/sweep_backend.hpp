@@ -6,6 +6,7 @@
 // with the primal materialized in the column-sweep layout on check
 // iterations. Matrix is that layout — DenseMatrix or SparseMatrix, the two
 // EquilibrateSide accepts. This class owns everything the two share:
+// the arc slopes q = 1/(2 gamma) of both layouts, computed once per solve,
 // per-mode MarketSide setup, sweep options and sort caches, both
 // half-steps and their per-worker scratch, the residual measure and its
 // per-market attribution, the kXChange measure, good-iterate save/restore,
@@ -54,23 +55,23 @@ inline std::span<double> MutablePrimalValues(SparseMatrix& x) {
 template <class Matrix>
 class SweepBackend : public SeaIterationBackend {
  public:
-  // x0/gamma: the row sweep's data; x0_t/gamma_t: the column sweep's.
-  // xt: the primal in the column-sweep layout, written on check iterations
-  // only, so between checks it holds the previous check's primal — the
-  // kXChange snapshot. The referenced data, totals and duals must outlive
-  // the backend.
+  // x0/gamma: the row sweep's data; x0_t: the column sweep's centers (the
+  // column sweep's slopes are the transpose of gamma's). xt: the primal in
+  // the column-sweep layout, written on check iterations only, so between
+  // checks it holds the previous check's primal — the kXChange snapshot.
+  // The referenced data, totals and duals must outlive the backend.
   SweepBackend(const SweepTotals& totals, const Matrix& x0,
-               const Matrix& gamma, const Matrix& x0_t, const Matrix& gamma_t,
-               Matrix xt, const SeaOptions& opts, Vector& lambda, Vector& mu)
+               const Matrix& gamma, const Matrix& x0_t, Matrix xt,
+               const SeaOptions& opts, Vector& lambda, Vector& mu)
       : lambda_(lambda),
         mu_(mu),
         xt_(std::move(xt)),
         rowsum_(lambda.size(), 0.0),
         totals_(totals),
         x0_(x0),
-        gamma_(gamma),
         x0_t_(x0_t),
-        gamma_t_(gamma_t) {
+        slopes_(ArcSlopes(gamma)),
+        slopes_t_(slopes_.Transposed()) {
     row_side_.mode = totals.mode;
     row_side_.t0 = totals.s0;
     col_side_.mode = totals.mode;
@@ -112,7 +113,7 @@ class SweepBackend : public SeaIterationBackend {
     sweep_opts_.profile_phase = "equilibrate.rows";
     sweep_opts_.sort_cache = &row_orders_;
     sweep_opts_.attribution_base = 0;  // row markets: slots [0, m)
-    return EquilibrateSide(x0_, gamma_, mu_, row_side_, lambda_, nullptr,
+    return EquilibrateSide(x0_, slopes_, mu_, row_side_, lambda_, nullptr,
                            sweep_opts_);
   }
 
@@ -123,7 +124,7 @@ class SweepBackend : public SeaIterationBackend {
     // column markets: slots [m, m+n)
     sweep_opts_.attribution_base = lambda_.size();
     SweepStats stats =
-        EquilibrateSide(x0_t_, gamma_t_, lambda_, col_side_, mu_,
+        EquilibrateSide(x0_t_, slopes_t_, lambda_, col_side_, mu_,
                         materialize ? &xt_ : nullptr, sweep_opts_);
     // The writeback overwrote the previous check's primal, folding
     // max |new - old| as it went: the kXChange measure, verified inside
@@ -250,9 +251,11 @@ class SweepBackend : public SeaIterationBackend {
 
   const SweepTotals totals_;
   const Matrix& x0_;
-  const Matrix& gamma_;
   const Matrix& x0_t_;
-  const Matrix& gamma_t_;
+  // Arc slopes 1/(2 gamma) in the row- and column-sweep layouts: the
+  // weights never change during a solve, so no sweep divides by them.
+  const Matrix slopes_;
+  const Matrix slopes_t_;
   // Sweep descriptors (fixed for the whole run, modulo SAM coupling).
   MarketSide row_side_;
   MarketSide col_side_;

@@ -5,7 +5,9 @@
 
 namespace sea::datasets {
 
-std::vector<std::size_t> Table7Sizes() { return {10, 20, 30, 50, 70, 100, 120}; }
+std::vector<std::size_t> Table7Sizes() {
+  return {10, 20, 30, 50, 70, 100, 120};
+}
 
 GeneralProblem MakeGeneralDense(std::size_t m, std::size_t n, Rng& rng,
                                 const GeneralDenseOptions& opts) {

@@ -64,7 +64,9 @@ DenseMatrix MakeBalancedBase(const SamSpec& spec, Rng& rng) {
     for (std::size_t c = 0; c < 4 * n; ++c) {
       cyc[0] = rng.NextIndex(n);
       do cyc[1] = rng.NextIndex(n); while (cyc[1] == cyc[0]);
-      do cyc[2] = rng.NextIndex(n); while (cyc[2] == cyc[0] || cyc[2] == cyc[1]);
+      do {
+        cyc[2] = rng.NextIndex(n);
+      } while (cyc[2] == cyc[0] || cyc[2] == cyc[1]);
       AddCycle(x, cyc, rng.Uniform(10.0, 2000.0));
     }
     return x;

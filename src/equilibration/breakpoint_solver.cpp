@@ -34,28 +34,30 @@ double EvaluateSupply(std::span<const double> p, std::span<const double> q,
   return s;
 }
 
-void BuildArcs(std::span<const double> centers,
-               std::span<const double> weights,
+void ArcSlopes(std::span<const double> weights, std::span<double> q) {
+  const std::size_t n = weights.size();
+  for (std::size_t j = 0; j < n; ++j) q[j] = 1.0 / (2.0 * weights[j]);
+}
+
+void BuildArcs(std::span<const double> centers, std::span<const double> slopes,
                std::span<const double> other_mult, std::span<double> p,
                std::span<double> q) {
   const std::size_t n = centers.size();
   for (std::size_t j = 0; j < n; ++j) {
-    const double qj = 1.0 / (2.0 * weights[j]);
-    q[j] = qj;
-    p[j] = centers[j] + other_mult[j] * qj;
+    q[j] = slopes[j];
+    p[j] = centers[j] + other_mult[j] * slopes[j];
   }
 }
 
 void BuildArcsGather(std::span<const double> centers,
-                     std::span<const double> weights,
+                     std::span<const double> slopes,
                      std::span<const double> other_mult,
                      std::span<const std::size_t> cols, std::span<double> p,
                      std::span<double> q) {
   const std::size_t n = centers.size();
   for (std::size_t k = 0; k < n; ++k) {
-    const double qk = 1.0 / (2.0 * weights[k]);
-    q[k] = qk;
-    p[k] = centers[k] + other_mult[cols[k]] * qk;
+    q[k] = slopes[k];
+    p[k] = centers[k] + other_mult[cols[k]] * slopes[k];
   }
 }
 
@@ -96,25 +98,26 @@ inline bool KeyLess(const SortKey& a, const SortKey& b) {
   return a.b < b.b || (a.b == b.b && a.idx < b.idx);
 }
 
-struct InsertionStats {
-  std::uint64_t comparisons = 0;
-  std::uint64_t shifts = 0;  // the inversion count, for a completed sort
-  bool complete = true;
-};
+}  // namespace
 
-// Straight insertion sort. Stops early, leaving v a permutation of its input
-// and complete = false, once more than max_shifts elements have shifted.
-InsertionStats InsertionSort(
-    std::vector<SortKey>& v,
-    std::uint64_t max_shifts = std::numeric_limits<std::uint64_t>::max()) {
+// Straight insertion sort. A key already in place (not less than its left
+// neighbour) costs its one comparison and is left where it is; the others
+// shift left exactly as plain straight insertion moves them, so the
+// comparison and shift counts are straight insertion's.
+detail::InsertionStats detail::InsertionSort(std::vector<SortKey>& v,
+                                             std::uint64_t max_shifts) {
   InsertionStats s;
   for (std::size_t i = 1; i < v.size(); ++i) {
     if (s.shifts > max_shifts) {
       s.complete = false;
       break;
     }
-    SortKey key = v[i];
-    std::size_t j = i;
+    ++s.comparisons;
+    if (!KeyLess(v[i], v[i - 1])) continue;
+    const SortKey key = v[i];
+    std::size_t j = i - 1;
+    v[i] = v[j];
+    ++s.shifts;
     while (j > 0) {
       ++s.comparisons;
       if (!KeyLess(key, v[j - 1])) break;
@@ -126,6 +129,8 @@ InsertionStats InsertionSort(
   }
   return s;
 }
+
+namespace {
 
 std::uint64_t Heapsort(std::vector<SortKey>& v) {
   std::uint64_t comparisons = 0;
@@ -209,24 +214,27 @@ struct SweepHit {
 };
 
 // Finds the first segment k whose clearing candidate does not overshoot its
-// right edge. bs/ps/qs are the sorted arrays with one sentinel past the end
-// (bs[n] = +inf, ps[n] = qs[n] = 0), so the last segment always accepts on
-// finite data. The acceptance test is the multiply form
-// u - P_k <= bs[k+1] * (Q_k - v): equivalent to comparing the candidate
+// right edge, reading each sorted arc through its key: keys[k].b is the
+// segment's left edge and p[keys[k].idx], q[keys[k].idx] the arc it
+// activates. Only the segments up to the accepted one are read. The edge
+// after the last key is +inf, so the last segment always accepts on finite
+// data. The acceptance test is the multiply form
+// u - P_k <= edge_{k+1} * (Q_k - v): equivalent to comparing the candidate
 // (u - P_k)/(Q_k - v) against the segment edge, since Q_k - v > 0, with one
 // division per accepted segment instead of one per swept segment.
-SweepHit SweepSearch(const std::vector<double>& bs,
-                     const std::vector<double>& ps,
-                     const std::vector<double>& qs, std::size_t n, double u,
-                     double v) {
+SweepHit SweepSearch(const std::vector<SortKey>& keys, const double* p,
+                     const double* q, std::size_t n, double u, double v) {
   SweepHit hit;
   double p_sum = 0.0;
   double q_sum = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
-    p_sum += ps[k];
-    q_sum += qs[k];
+    const std::uint32_t j = keys[k].idx;
+    p_sum += p[j];
+    q_sum += q[j];
     const double denom = q_sum - v;  // > 0
-    if (u - p_sum <= bs[k + 1] * denom) {
+    const double edge = k + 1 < n ? keys[k + 1].b
+                                  : std::numeric_limits<double>::infinity();
+    if (u - p_sum <= edge * denom) {
       hit.k = k;
       hit.lambda = (u - p_sum) / denom;
       hit.found = true;
@@ -330,29 +338,13 @@ BreakpointResult detail::SolveMarket(BreakpointWorkspace& ws, double u,
     for (std::size_t k = 0; k < n; ++k) order->perm[k] = keys[k].idx;
   }
 
-  // Gather the sorted SoA view plus one sentinel: a +inf breakpoint makes the
-  // last segment always accept, a zero arc leaves the prefix sums untouched.
-  if (ws.bs_.size() < n + 1) {
-    ws.bs_.resize(n + 1);
-    ws.ps_.resize(n + 1);
-    ws.qs_.resize(n + 1);
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    ws.bs_[k] = keys[k].b;
-    ws.ps_[k] = ws.p_[keys[k].idx];
-    ws.qs_[k] = ws.q_[keys[k].idx];
-  }
-  ws.bs_[n] = std::numeric_limits<double>::infinity();
-  ws.ps_[n] = 0.0;
-  ws.qs_[n] = 0.0;
-
   // Segment before the first breakpoint: supply is 0.
   // Clearing: 0 = u + v*lambda.
   if (v < 0.0) {
     const double lam = -u / v;
     ++result.ops.flops;
     ++result.ops.comparisons;
-    if (lam <= ws.bs_[0]) {
+    if (lam <= keys[0].b) {
       result.lambda = lam;
       result.active_count = 0;
       return result;
@@ -360,14 +352,14 @@ BreakpointResult detail::SolveMarket(BreakpointWorkspace& ws, double u,
   } else if (u == 0.0) {
     // Degenerate fixed total of zero: every lambda <= first breakpoint
     // clears; return the boundary (all allocations zero).
-    result.lambda = ws.bs_[0];
+    result.lambda = keys[0].b;
     result.active_count = 0;
     return result;
   }
 
-  // Sweep segments. After activating nodes [0..k],
-  // supply(lambda) = P_k + Q_k*lambda on [bs[k], bs[k+1]].
-  const SweepHit hit = SweepSearch(ws.bs_, ws.ps_, ws.qs_, n, u, v);
+  // Sweep segments. After activating the arcs of keys [0..k],
+  // supply(lambda) = P_k + Q_k*lambda on [keys[k].b, keys[k+1].b].
+  const SweepHit hit = SweepSearch(keys, ws.p_.data(), ws.q_.data(), n, u, v);
   // The last segment always accepts (its right edge is +inf), so a miss can
   // only mean non-finite arc data poisoned the prefix sums.
   SEA_INTERNAL_CHECK(hit.found);

@@ -36,19 +36,21 @@
 // SEA sweep passes each market's MarketOrder: the first solve cold-sorts and
 // stores the permutation; every later solve builds the breakpoint array
 // already permuted and repairs it with straight insertion — O(n + inversions)
-// instead of a fresh O(n log n) sort — then persists the updated
-// permutation. Above kInsertionThreshold arcs a repair that passes
-// n*bit_width(n) shifts hands over to the radix sort, rebuilding the keys in
-// arc order, so a churned order never costs O(n^2). Ties are broken by
-// original arc index in every sort (the radix sort by stability), so cold
-// sorts and repairs produce one total order and bit-identical clearing
-// multipliers.
+// instead of a fresh O(n log n) sort, and a key already in place costs one
+// comparison and no store — then persists the updated permutation. Above
+// kInsertionThreshold arcs a repair that passes n*bit_width(n) shifts hands
+// over to the radix sort, rebuilding the keys in arc order, so a churned
+// order never costs O(n^2). Ties are broken by original arc index in every
+// sort (the radix sort by stability), so cold sorts and repairs produce one
+// total order and bit-identical clearing multipliers.
 //
 // Layout: the workspace holds the market as a structure of arrays (contiguous
-// p[], q[] the caller fills, plus breakpoint/sort/sweep scratch). The
-// elementwise stages — arc construction, breakpoints, allocation writeback —
-// are plain functions below that the sweeps (equilibration/equilibrator.hpp,
-// sparse/sparse_sea.hpp) call directly around SolveMarket. Their arithmetic
+// p[], q[] the caller fills, plus breakpoint and sort-key scratch). The sweep
+// reads the sorted market through the keys, so it touches only the arcs of
+// the segments it visits. The elementwise stages — arc construction from
+// per-solve slopes, breakpoints, allocation writeback — are plain functions
+// below that the sweeps (equilibration/equilibrator.hpp) call directly
+// around SolveMarket. Their arithmetic
 // is fixed (docs/KERNELS.md): breakpoint_solver.cpp is compiled with
 // -ffp-contract=off, ties break by arc index, and the prefix sums of the
 // sweep are sequential, so every sort, repair and thread count clears each
@@ -58,6 +60,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -110,12 +113,25 @@ struct MarketOrder {
 namespace detail {
 
 // Sort element: breakpoint value plus the original arc index that breaks
-// ties (16 bytes — half the old {b,p,q,idx} node, so every sort moves half
-// the data; p/q are gathered into sweep order after the sort instead).
+// ties (16 bytes — half a {b,p,q,idx} node, so every sort moves half the
+// data; the sweep reads p/q through idx instead).
 struct SortKey {
   double b = 0.0;
   std::uint32_t idx = 0;
 };
+
+struct InsertionStats {
+  std::uint64_t comparisons = 0;
+  std::uint64_t shifts = 0;  // the inversion count, for a completed sort
+  bool complete = true;
+};
+
+// The kernel's straight insertion sort by (b, idx), exposed for the kernel
+// tests. Stops early, leaving v a permutation of its input and complete =
+// false, once more than max_shifts elements have shifted.
+InsertionStats InsertionSort(
+    std::vector<SortKey>& v,
+    std::uint64_t max_shifts = std::numeric_limits<std::uint64_t>::max());
 
 }  // namespace detail
 
@@ -143,8 +159,8 @@ BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
 // Reusable per-worker scratch arena for market solves; reuse across calls to
 // avoid per-market allocation on the hot path. The market itself is the SoA
 // pair p()/q(): callers Resize() then fill the spans (typically through
-// BuildArcs), and SolveMarket keeps its breakpoint, sort-key, and
-// sorted-sweep arrays alongside.
+// BuildArcs), and SolveMarket keeps its breakpoint and sort-key arrays
+// alongside.
 class BreakpointWorkspace {
  public:
   // Sizes the market to n arcs; existing p/q contents beyond n are dropped.
@@ -184,16 +200,14 @@ class BreakpointWorkspace {
   // The market bundle (caller-filled; only the first n_ entries are live).
   std::vector<double> p_;
   std::vector<double> q_;
-  // Solver scratch: unsorted breakpoints, sort keys, and the sorted SoA view
-  // (one sentinel element past the end: bs = +inf, ps = qs = 0).
+  // Solver scratch: unsorted breakpoints and the sort keys. The sweep reads
+  // the sorted market through the keys (p_[idx], q_[idx]), so nothing is
+  // gathered into sorted order.
   std::vector<double> b_;
   std::vector<detail::SortKey> keys_;
   // Radix sort scratch: the ping-pong key buffer and per-digit counts.
   std::vector<detail::SortKey> radix_tmp_;
   std::vector<std::uint32_t> radix_counts_;
-  std::vector<double> bs_;
-  std::vector<double> ps_;
-  std::vector<double> qs_;
 };
 
 // Interval-total variant (Harrigan & Buchanan 1984 extension): clears
@@ -219,15 +233,19 @@ double EvaluateSupply(std::span<const double> p, std::span<const double> q,
 // ---- Elementwise stages. All spans are length n unless noted; outputs may
 // not alias inputs.
 
-// p[j] = centers[j] + other_mult[j]*q[j], q[j] = 1/(2*weights[j]).
-void BuildArcs(std::span<const double> centers,
-               std::span<const double> weights,
+// q[j] = 1/(2*weights[j]): the arc slopes of a market's weights. A solve
+// computes them once (ArcSlopes in equilibration/equilibrator.hpp), since
+// the weights never change during it.
+void ArcSlopes(std::span<const double> weights, std::span<double> q);
+
+// p[j] = centers[j] + other_mult[j]*slopes[j], q[j] = slopes[j].
+void BuildArcs(std::span<const double> centers, std::span<const double> slopes,
                std::span<const double> other_mult, std::span<double> p,
                std::span<double> q);
 
 // Sparse-row (CSR) variant: other_mult is indexed through cols.
 void BuildArcsGather(std::span<const double> centers,
-                     std::span<const double> weights,
+                     std::span<const double> slopes,
                      std::span<const double> other_mult,
                      std::span<const std::size_t> cols, std::span<double> p,
                      std::span<double> q);

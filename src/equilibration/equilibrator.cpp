@@ -32,15 +32,27 @@ void ClearingTarget(const MarketSide& side, std::size_t i, double& u,
   }
 }
 
+DenseMatrix ArcSlopes(const DenseMatrix& weights) {
+  DenseMatrix q(weights.rows(), weights.cols());
+  ArcSlopes(weights.Flat(), q.Flat());
+  return q;
+}
+
+SparseMatrix ArcSlopes(const SparseMatrix& weights) {
+  SparseMatrix q = weights;
+  ArcSlopes(weights.Values(), q.MutableValues());
+  return q;
+}
+
 BreakpointResult EquilibrateMarket(std::span<const double> centers,
-                                   std::span<const double> weights,
+                                   std::span<const double> slopes,
                                    std::span<const double> other_mult,
                                    double u, double v, BreakpointWorkspace& ws,
                                    std::span<double> x_out) {
-  SEA_DCHECK(centers.size() == weights.size());
+  SEA_DCHECK(centers.size() == slopes.size());
   SEA_DCHECK(centers.size() == other_mult.size());
   ws.Resize(centers.size());
-  BuildArcs(centers, weights, other_mult, ws.p(), ws.q());
+  BuildArcs(centers, slopes, other_mult, ws.p(), ws.q());
   BreakpointResult res = SolveMarket(ws, u, v);
   res.ops.flops += 2 * centers.size();  // arc construction
   if (!x_out.empty()) {
@@ -143,18 +155,18 @@ SweepStats Sweep(std::size_t markets, const MarketSide& side,
 }  // namespace
 
 SweepStats EquilibrateSide(const DenseMatrix& centers,
-                           const DenseMatrix& weights,
+                           const DenseMatrix& slopes,
                            std::span<const double> other_mult,
                            const MarketSide& side, std::span<double> mult_out,
                            DenseMatrix* x_out, const SweepOptions& opts) {
-  SEA_CHECK(weights.SameShape(centers));
+  SEA_CHECK(slopes.SameShape(centers));
   SEA_CHECK(other_mult.size() == centers.cols());
   if (x_out != nullptr) SEA_CHECK(x_out->SameShape(centers));
   return Sweep(
       centers.rows(), side, mult_out, opts,
       [&](std::size_t i, BreakpointWorkspace& ws) {
         ws.Resize(centers.cols());
-        BuildArcs(centers.Row(i), weights.Row(i), other_mult, ws.p(), ws.q());
+        BuildArcs(centers.Row(i), slopes.Row(i), other_mult, ws.p(), ws.q());
         return centers.cols();
       },
       [&](std::size_t i) {
@@ -163,12 +175,11 @@ SweepStats EquilibrateSide(const DenseMatrix& centers,
 }
 
 SweepStats EquilibrateSide(const SparseMatrix& centers,
-                           const SparseMatrix& weights,
+                           const SparseMatrix& slopes,
                            std::span<const double> other_mult,
                            const MarketSide& side, std::span<double> mult_out,
                            SparseMatrix* x_out, const SweepOptions& opts) {
-  SEA_CHECK(weights.rows() == centers.rows() &&
-            weights.nnz() == centers.nnz());
+  SEA_CHECK(slopes.rows() == centers.rows() && slopes.nnz() == centers.nnz());
   SEA_CHECK(other_mult.size() == centers.cols());
   if (x_out != nullptr)
     SEA_CHECK(x_out->rows() == centers.rows() && x_out->nnz() == centers.nnz());
@@ -177,7 +188,7 @@ SweepStats EquilibrateSide(const SparseMatrix& centers,
       [&](std::size_t i, BreakpointWorkspace& ws) {
         const auto cols = centers.RowCols(i);
         ws.Resize(cols.size());
-        BuildArcsGather(centers.RowValues(i), weights.RowValues(i), other_mult,
+        BuildArcsGather(centers.RowValues(i), slopes.RowValues(i), other_mult,
                         cols, ws.p(), ws.q());
         return cols.size();
       },

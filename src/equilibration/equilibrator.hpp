@@ -3,10 +3,12 @@
 // One sweep solves all m row markets (or all n column markets)
 // *independently* — this is exactly the parallel phase the paper allocates to
 // distinct processors. The same function serves both directions: the caller
-// passes centers/weights in sweep-major layout (row-major for row sweeps, the
+// passes centers/slopes in sweep-major layout (row-major for row sweeps, the
 // transposed copies for column sweeps) so every market reads contiguous
 // memory. One sweep loop serves the dense and the sparse (CSR) layouts; they
 // differ only in how market i's arcs are built and where its allocations go.
+// The weights enter as arc slopes q = 1/(2 gamma), computed once per solve
+// (ArcSlopes below): they never change while the multipliers do.
 //
 // For row sweeps over a fixed-totals problem, market i solves
 //
@@ -130,8 +132,14 @@ struct SweepOptions {
   std::size_t attribution_base = 0;
 };
 
+// The arc slopes q = 1/(2 w) of a weight matrix, elementwise, in the same
+// layout (and, for a sparse matrix, the same pattern).
+DenseMatrix ArcSlopes(const DenseMatrix& weights);
+SparseMatrix ArcSlopes(const SparseMatrix& weights);
+
 // Equilibrates all markets of one side.
-//   centers, weights : sweep-major (market index = row of these matrices)
+//   centers, slopes  : sweep-major (market index = row of these matrices);
+//                      slopes = ArcSlopes(weights)
 //   other_mult       : multiplier of the crossing constraints (length =
 //                      centers.cols())
 //   side             : clearing-equation description (length = centers.rows())
@@ -139,16 +147,16 @@ struct SweepOptions {
 //   x_out            : if non-null, materialized allocations in sweep-major
 //                      layout (same shape as centers)
 SweepStats EquilibrateSide(const DenseMatrix& centers,
-                           const DenseMatrix& weights,
+                           const DenseMatrix& slopes,
                            std::span<const double> other_mult,
                            const MarketSide& side, std::span<double> mult_out,
                            DenseMatrix* x_out, const SweepOptions& opts);
 
 // The same sweep over a sparse side: market i ranges over the pattern
 // entries of CSR row i, and other_mult is indexed by their column ids.
-// weights and x_out (if non-null) share centers' pattern.
+// slopes and x_out (if non-null) share centers' pattern.
 SweepStats EquilibrateSide(const SparseMatrix& centers,
-                           const SparseMatrix& weights,
+                           const SparseMatrix& slopes,
                            std::span<const double> other_mult,
                            const MarketSide& side, std::span<double> mult_out,
                            SparseMatrix* x_out, const SweepOptions& opts);
@@ -158,11 +166,11 @@ SweepStats EquilibrateSide(const SparseMatrix& centers,
 void ClearingTarget(const MarketSide& side, std::size_t i, double& u,
                     double& v);
 
-// Solves a single market (used by the RC baseline's per-row projections and
-// by tests): arcs from one center/weight row with the cross multipliers, then
-// clears against the side's response. Returns the market multiplier.
+// Solves a single market (the per-market reference the sweep tests check
+// EquilibrateSide against): arcs from one center/slope row with the cross
+// multipliers, then clears against (u, v). Returns the market multiplier.
 BreakpointResult EquilibrateMarket(std::span<const double> centers,
-                                   std::span<const double> weights,
+                                   std::span<const double> slopes,
                                    std::span<const double> other_mult,
                                    double u, double v, BreakpointWorkspace& ws,
                                    std::span<double> x_out);

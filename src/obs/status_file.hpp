@@ -3,10 +3,11 @@
 //
 // A long-running solve is a black box to the outside world until it
 // returns. StatusFileWriter, an engine observer, receives the per-check
-// IterationEvents and maintains a single-line flat-JSON snapshot — iteration, stopping
-// measure, phase seconds, and an ETA extrapolated from the geometric
-// convergence rate of the last two defined measures (core/stopping.hpp,
-// EstimateItersToEpsilon). Construction and publication are split:
+// IterationEvents and maintains a single-line flat-JSON snapshot —
+// iteration, stopping measure, phase seconds, and an ETA extrapolated from
+// the geometric convergence rate of the last two defined measures
+// (core/stopping.hpp, EstimateItersToEpsilon). Construction and publication
+// are split:
 //
 //   * BuildSnapshot() -> StatusSnapshot: the point-in-time struct, with
 //     the ETA already sanitized (never Inf/negative — NaN means "no

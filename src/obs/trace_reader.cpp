@@ -75,7 +75,8 @@ class Parser {
                   std::string("trace line: expected '") + c + "'");
   }
   void SkipWs() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_])))
+    while (pos_ < s_.size() &&
+           std::isspace(static_cast<unsigned char>(s_[pos_])))
       ++pos_;
   }
 

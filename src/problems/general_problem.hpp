@@ -78,7 +78,8 @@ class GeneralProblem {
 
   // Gradient of the x-part: out = 2 G x + cx. Optional pool parallelizes the
   // dense matvec (the dominant cost of one projection step).
-  void GradientX(const Vector& x, Vector& out, ThreadPool* pool = nullptr) const;
+  void GradientX(const Vector& x, Vector& out,
+                 ThreadPool* pool = nullptr) const;
   // Gradients of the s/d parts (elastic, SAM).
   void GradientS(const Vector& s, Vector& out) const;
   void GradientD(const Vector& d, Vector& out) const;

@@ -45,14 +45,12 @@ namespace {
 class SparseBackend final : public SweepBackend<SparseMatrix> {
  public:
   SparseBackend(const SparseDiagonalProblem& p, const SparseMatrix& x0_t,
-                const SparseMatrix& gamma_t, const SeaOptions& opts,
-                Vector& lambda, Vector& mu)
+                const SeaOptions& opts, Vector& lambda, Vector& mu)
       // No box bounds: Validate rejects kInterval. xt reuses the
       // transposed pattern; its values are overwritten per check.
       : SweepBackend({.mode = p.mode(), .s0 = p.s0(), .alpha = p.alpha(),
                       .d0 = p.d0(), .beta = p.beta()},
-                     p.x0(), p.gamma(), x0_t, gamma_t, x0_t, opts, lambda,
-                     mu),
+                     p.x0(), p.gamma(), x0_t, x0_t, opts, lambda, mu),
         p_(p) {}
 
   std::uint64_t CheckCost() const override { return 2 * p_.nnz(); }
@@ -79,7 +77,6 @@ SparseSea::SparseSea(const SparseDiagonalProblem& problem) {
   problem.Validate();
   problem_ = &problem;
   x0_t_ = problem.x0().Transposed();
-  gamma_t_ = problem.gamma().Transposed();
 }
 
 void SparseSea::ResetProblem(const SparseDiagonalProblem& problem) {
@@ -88,7 +85,6 @@ void SparseSea::ResetProblem(const SparseDiagonalProblem& problem) {
   problem.Validate();
   problem_ = &problem;
   x0_t_ = problem.x0().Transposed();
-  gamma_t_ = problem.gamma().Transposed();
 }
 
 SparseSeaRun SparseSea::Solve(const SeaOptions& opts) {
@@ -102,7 +98,7 @@ SparseSeaRun SparseSea::SolveWarm(const SeaOptions& opts, const Vector& mu0) {
 
   Vector lambda(m, 0.0);
   Vector mu = mu0;
-  SparseBackend backend(p, x0_t_, gamma_t_, opts, lambda, mu);
+  SparseBackend backend(p, x0_t_, opts, lambda, mu);
 
   SparseSeaRun run;
   run.result = RunIterationEngine(backend, opts);

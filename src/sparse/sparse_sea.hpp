@@ -35,16 +35,16 @@ struct SparseSeaRun {
 // Solver object mirroring core/diagonal_sea.hpp's DiagonalSea, so callers
 // that chain related solves (the general algorithm, the sea_serve warm
 // cache) program one warm-start API across the dense and sparse paths.
-// Construction builds the transposed pattern copies; ResetProblem swaps in
-// refreshed data of the same shape and mode without reallocating the
-// solver.
+// Construction builds the transposed copy of the centers; ResetProblem
+// swaps in refreshed data of the same shape and mode without reallocating
+// the solver.
 class SparseSea {
  public:
   explicit SparseSea(const SparseDiagonalProblem& problem);
 
   // Replaces the problem while keeping this solver object. Requires
   // identical dimensions and mode (the pattern may differ — the transposed
-  // copies are rebuilt).
+  // copy is rebuilt).
   void ResetProblem(const SparseDiagonalProblem& problem);
 
   const SparseDiagonalProblem& problem() const { return *problem_; }
@@ -59,7 +59,6 @@ class SparseSea {
  private:
   const SparseDiagonalProblem* problem_ = nullptr;
   SparseMatrix x0_t_;
-  SparseMatrix gamma_t_;
 };
 
 // One-shot convenience wrapper.

@@ -24,8 +24,9 @@ class InternalError : public std::logic_error {
 
 namespace detail {
 
-[[noreturn]] inline void ThrowInvalidArgument(const char* expr, const char* file,
-                                              int line, const std::string& msg) {
+[[noreturn]] inline void ThrowInvalidArgument(const char* expr,
+                                              const char* file, int line,
+                                              const std::string& msg) {
   std::ostringstream os;
   os << "precondition failed: (" << expr << ") at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;

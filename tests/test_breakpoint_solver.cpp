@@ -445,11 +445,13 @@ TEST(KernelStages, BuildArcsFollowsFormula) {
   Rng rng(0xE1E3);
   for (std::size_t n : kStageSizes) {
     const StageRow row = RandomStageRow(n, rng);
-    std::vector<double> p(n), q(n);
-    BuildArcs(row.centers, row.weights, row.mult, p, q);
+    std::vector<double> slopes(n), p(n), q(n);
+    ArcSlopes(row.weights, slopes);
+    BuildArcs(row.centers, slopes, row.mult, p, q);
     for (std::size_t j = 0; j < n; ++j) {
       const double qj = 1.0 / (2.0 * row.weights[j]);
       const double pj = row.centers[j] + RoundedProduct(row.mult[j], qj);
+      EXPECT_TRUE(SameBits(slopes[j], qj)) << "n=" << n << " j=" << j;
       EXPECT_TRUE(SameBits(q[j], qj)) << "n=" << n << " j=" << j;
       EXPECT_TRUE(SameBits(p[j], pj)) << "n=" << n << " j=" << j;
     }
@@ -471,9 +473,10 @@ TEST(KernelStages, BuildArcsGatherMatchesBuildArcsOnGatheredRow) {
       cols[j] = 2 * (n - 1 - j);
       gathered[j] = wide[cols[j]];
     }
-    std::vector<double> pg(n), qg(n), pd(n), qd(n);
-    BuildArcsGather(row.centers, row.weights, wide, cols, pg, qg);
-    BuildArcs(row.centers, row.weights, gathered, pd, qd);
+    std::vector<double> slopes(n), pg(n), qg(n), pd(n), qd(n);
+    ArcSlopes(row.weights, slopes);
+    BuildArcsGather(row.centers, slopes, wide, cols, pg, qg);
+    BuildArcs(row.centers, slopes, gathered, pd, qd);
     for (std::size_t j = 0; j < n; ++j) {
       EXPECT_TRUE(SameBits(pg[j], pd[j])) << "n=" << n << " j=" << j;
       EXPECT_TRUE(SameBits(qg[j], qd[j])) << "n=" << n << " j=" << j;
@@ -700,6 +703,193 @@ TEST(BreakpointSolver, NaNBreakpointStaysInBounds) {
     std::sort(sorted.begin(), sorted.end());
     for (std::size_t j = 0; j < n; ++j) EXPECT_EQ(sorted[j], j);
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// The order repair's insertion sort leaves a key already in place where it
+// is, and the sweep reads the sorted market through the keys, with a +inf
+// edge after the last one. Both must do exactly what plain straight
+// insertion and a gathered, sentinel-terminated sweep did.
+
+using detail::SortKey;
+
+struct InsertionCounts {
+  std::uint64_t comparisons = 0;
+  std::uint64_t shifts = 0;
+  bool complete = true;
+};
+
+// Plain straight insertion (paper Section 5.1.1) under the same budget
+// rule: every key is lifted and stored back, in place or not.
+InsertionCounts ReferenceInsertion(std::vector<SortKey>& v,
+                                   std::uint64_t max_shifts) {
+  InsertionCounts s;
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    if (s.shifts > max_shifts) {
+      s.complete = false;
+      break;
+    }
+    const SortKey key = v[i];
+    std::size_t j = i;
+    while (j > 0) {
+      ++s.comparisons;
+      const SortKey& left = v[j - 1];
+      if (!(key.b < left.b || (key.b == left.b && key.idx < left.idx)))
+        break;
+      v[j] = left;
+      ++s.shifts;
+      --j;
+    }
+    v[j] = key;
+  }
+  return s;
+}
+
+std::vector<SortKey> KeysOf(const std::vector<double>& b) {
+  std::vector<SortKey> keys(b.size());
+  for (std::size_t j = 0; j < b.size(); ++j)
+    keys[j] = {b[j], static_cast<std::uint32_t>(j)};
+  return keys;
+}
+
+std::vector<SortKey> Shuffled(std::vector<SortKey> keys, Rng& rng) {
+  for (std::size_t j = keys.size(); j > 1; --j)
+    std::swap(keys[j - 1], keys[rng.NextIndex(j)]);
+  return keys;
+}
+
+void ExpectSameAsStraightInsertion(std::vector<SortKey> keys,
+                                   std::uint64_t max_shifts,
+                                   bool expect_complete) {
+  std::vector<SortKey> want = keys;
+  const InsertionCounts ref = ReferenceInsertion(want, max_shifts);
+  const detail::InsertionStats got = detail::InsertionSort(keys, max_shifts);
+  EXPECT_EQ(got.comparisons, ref.comparisons);
+  EXPECT_EQ(got.shifts, ref.shifts);
+  EXPECT_EQ(got.complete, ref.complete);
+  EXPECT_EQ(got.complete, expect_complete);
+  ASSERT_EQ(keys.size(), want.size());
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    EXPECT_EQ(keys[k].idx, want[k].idx) << "k=" << k;
+    EXPECT_TRUE(SameBits(keys[k].b, want[k].b)) << "k=" << k;
+  }
+}
+
+TEST(InsertionRepair, SkipMatchesStraightInsertion) {
+  Rng rng(0x1A5E);
+  const std::uint64_t unlimited = std::numeric_limits<std::uint64_t>::max();
+  for (std::size_t n : {0u, 1u, 2u, 17u, 128u, 300u}) {
+    SCOPED_TRACE(n);
+    std::vector<double> b(n);
+    for (double& x : b) x = rng.Uniform(-10.0, 10.0);
+    std::vector<double> sorted = b;
+    std::sort(sorted.begin(), sorted.end());
+    const std::vector<double> reversed(sorted.rbegin(), sorted.rend());
+    ExpectSameAsStraightInsertion(KeysOf(sorted), unlimited, true);
+    ExpectSameAsStraightInsertion(KeysOf(reversed), unlimited, true);
+    ExpectSameAsStraightInsertion(KeysOf(b), unlimited, true);
+    // All tied: the arc index alone orders the keys.
+    ExpectSameAsStraightInsertion(
+        Shuffled(KeysOf(std::vector<double>(n, 1.5)), rng), unlimited, true);
+    // -0.0 and +0.0 tie under KeyLess, so the arc index orders them too.
+    std::vector<double> zeros(n);
+    for (double& z : zeros) z = rng.Bernoulli(0.5) ? -0.0 : 0.0;
+    ExpectSameAsStraightInsertion(Shuffled(KeysOf(zeros), rng), unlimited,
+                                  true);
+  }
+}
+
+TEST(InsertionRepair, BudgetStopMatchesStraightInsertion) {
+  // Reversed 60 keys: the last key starts with 1 + ... + 58 = 1711 shifts
+  // behind it, so any smaller budget stops the repair part-way, and the
+  // partial permutation must be plain straight insertion's.
+  std::vector<double> b(60);
+  for (std::size_t j = 0; j < b.size(); ++j) b[j] = double(b.size() - j);
+  for (const auto& [budget, complete] :
+       {std::pair{0u, false}, std::pair{1u, false}, std::pair{40u, false},
+        std::pair{1710u, false}, std::pair{1711u, true}}) {
+    SCOPED_TRACE(budget);
+    ExpectSameAsStraightInsertion(KeysOf(b), budget, complete);
+  }
+}
+
+TEST(SweepEdges, SingleArcAcceptsAtInfiniteEdge) {
+  // n = 1: the only segment's right edge is the +inf after the last key.
+  BreakpointWorkspace ws;
+  ws.Assign({{2.0, 0.5}});
+  for (double v : {0.0, -0.25}) {
+    SCOPED_TRACE(v);
+    const auto r = SolveMarket(ws, 5.0, v);
+    EXPECT_EQ(r.active_count, 1u);
+    EXPECT_TRUE(SameBits(r.lambda, (5.0 - 2.0) / (0.5 - v)));
+  }
+}
+
+TEST(SweepEdges, EveryArcActiveAcceptsAtInfiniteEdge) {
+  // A total far above the supply at the last breakpoint activates every
+  // arc; the multiplier is the last segment's, with prefix sums taken in
+  // the one total order, on a cold sort and on a repair.
+  Rng rng(0x5EE9);
+  for (std::size_t n : {2u, 17u, 128u, 300u}) {
+    std::vector<Arc> arcs(n);
+    for (auto& a : arcs) a = {rng.Uniform(-10, 10), rng.Uniform(0.05, 3.0)};
+    const double u = 1e6;
+    for (double v : {0.0, -0.5}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " v=" << v);
+      double p_sum = 0.0, q_sum = 0.0;
+      for (std::uint32_t j : ReferencePerm(arcs)) {
+        p_sum += arcs[j].p;
+        q_sum += arcs[j].q;
+      }
+      const double want = (u - p_sum) / (q_sum - v);
+      BreakpointWorkspace ws;
+      ws.Assign(arcs);
+      MarketOrder order;
+      for (int solve = 0; solve < 2; ++solve) {
+        const auto r = SolveMarket(ws, u, v, &order);
+        EXPECT_EQ(r.active_count, n);
+        EXPECT_EQ(r.order_reused, solve == 1);
+        EXPECT_TRUE(SameBits(r.lambda, want));
+      }
+    }
+  }
+}
+
+TEST(SweepEdges, ElasticClearingAtOrBeforeFirstBreakpoint) {
+  // Breakpoints 2 and 3. -u/v at or below 2 clears with every arc idle;
+  // just above it the first segment accepts against the second breakpoint.
+  BreakpointWorkspace ws;
+  ws.Assign({{-6.0, 2.0}, {-2.0, 1.0}});
+  auto r = SolveMarket(ws, 2.0, -1.0);
+  EXPECT_EQ(r.active_count, 0u);
+  EXPECT_TRUE(SameBits(r.lambda, 2.0));
+  r = SolveMarket(ws, 1.0, -1.0);
+  EXPECT_EQ(r.active_count, 0u);
+  EXPECT_TRUE(SameBits(r.lambda, 1.0));
+  r = SolveMarket(ws, 2.5, -1.0);
+  EXPECT_EQ(r.active_count, 1u);
+  EXPECT_TRUE(SameBits(r.lambda, (2.5 - -2.0) / (1.0 - -1.0)));
+}
+
+TEST(SweepEdges, ZeroTotalReturnsFirstBreakpoint) {
+  // u = v = 0: every lambda up to the first breakpoint clears, and the
+  // solver returns the first key's breakpoint, bit for bit: -3 here, and
+  // -0.0 where -0.0 (arc 0) and +0.0 (arc 1) tie and arc 0 sorts first.
+  BreakpointWorkspace ws;
+  ws.Assign({{3.0, 1.0}, {-4.0, 2.0}, {5.0, 2.0}});
+  MarketOrder order;
+  for (int solve = 0; solve < 2; ++solve) {
+    const auto r = SolveMarket(ws, 0.0, 0.0, &order);
+    EXPECT_EQ(r.active_count, 0u);
+    EXPECT_TRUE(SameBits(r.lambda, -3.0));
+  }
+  ws.Assign({{0.0, 1.0}, {-0.0, 1.0}});
+  const auto r = SolveMarket(ws, 0.0, 0.0);
+  EXPECT_EQ(r.active_count, 0u);
+  EXPECT_TRUE(SameBits(r.lambda, -0.0));
+  ws.Assign({{4.0, 2.0}});
+  EXPECT_TRUE(SameBits(SolveMarket(ws, 0.0, 0.0).lambda, -2.0));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include "core/diagonal_sea.hpp"
 #include "equilibration/breakpoint_solver.hpp"
+#include "equilibration/equilibrator.hpp"
 #include "problems/feasibility.hpp"
 #include "problems/solution.hpp"
 #include "support/rng.hpp"
@@ -179,7 +180,7 @@ TEST(ConvergenceTheory, OperationCountTracksComplexityModel) {
   auto ops_for = [&rng](std::size_t n) {
     const DenseMatrix x0 = Fill(n, n, rng, 0.1, 100.0);
     const DenseMatrix x0_t = x0.Transposed();
-    const DenseMatrix gamma(n, n, 1.0);
+    const DenseMatrix slopes = ArcSlopes(DenseMatrix(n, n, 1.0));
     const Vector s0 = x0.RowSums(), d0 = x0.ColSums();
     const Vector zero(n, 0.0);
     Vector lambda(n);
@@ -188,13 +189,13 @@ TEST(ConvergenceTheory, OperationCountTracksComplexityModel) {
     ws.Resize(n);
     // Row sweep against mu = 0, then the column sweep against its lambda.
     for (std::size_t i = 0; i < n; ++i) {
-      BuildArcs(x0.Row(i), gamma.Row(i), zero, ws.p(), ws.q());
+      BuildArcs(x0.Row(i), slopes.Row(i), zero, ws.p(), ws.q());
       const auto r = SolveMarket(ws, s0[i], 0.0, ColdSort::kHeapsort);
       lambda[i] = r.lambda;
       ops += r.ops;
     }
     for (std::size_t j = 0; j < n; ++j) {
-      BuildArcs(x0_t.Row(j), gamma.Row(j), lambda, ws.p(), ws.q());
+      BuildArcs(x0_t.Row(j), slopes.Row(j), lambda, ws.p(), ws.q());
       ops += SolveMarket(ws, d0[j], 0.0, ColdSort::kHeapsort).ops;
     }
     return ops.Work();

@@ -68,9 +68,10 @@ TEST(EquilibrateMarket, FixedTotalKkt) {
     Vector weights = rng.UniformVector(n, 0.1, 3.0);
     Vector mu = rng.UniformVector(n, -2.0, 2.0);
     const double total = rng.Uniform(1.0, 50.0);
-    Vector x(n);
+    Vector slopes(n), x(n);
+    ArcSlopes(weights, slopes);
     BreakpointWorkspace ws;
-    const auto res = EquilibrateMarket(centers, weights, mu, total, 0.0, ws, x);
+    const auto res = EquilibrateMarket(centers, slopes, mu, total, 0.0, ws, x);
     ASSERT_TRUE(res.feasible);
     ExpectMarketKkt(centers, weights, mu, total, res.lambda, x);
   }
@@ -86,9 +87,10 @@ TEST(EquilibrateMarket, ElasticTargetConsistency) {
     Vector mu(n, 0.0);
     const double u = rng.Uniform(0.0, 40.0);
     const double v = -rng.Uniform(0.05, 2.0);
-    Vector x(n);
+    Vector slopes(n), x(n);
+    ArcSlopes(weights, slopes);
     BreakpointWorkspace ws;
-    const auto res = EquilibrateMarket(centers, weights, mu, u, v, ws, x);
+    const auto res = EquilibrateMarket(centers, slopes, mu, u, v, ws, x);
     double sum = 0.0;
     for (double xi : x) sum += xi;
     EXPECT_NEAR(sum, u + v * res.lambda, 1e-9 * std::max(1.0, std::abs(sum)));
@@ -116,7 +118,7 @@ TEST(EquilibrateSide, MatchesPerMarketCalls) {
   Rng rng(3);
   const std::size_t m = 9, n = 13;
   const auto centers = RandomPositiveMatrix(m, n, rng, -3.0, 10.0);
-  const auto weights = RandomPositiveMatrix(m, n, rng, 0.2, 2.0);
+  const auto slopes = ArcSlopes(RandomPositiveMatrix(m, n, rng, 0.2, 2.0));
   const Vector mu = rng.UniformVector(n, -1.0, 1.0);
   Vector s0 = rng.UniformVector(m, 5.0, 50.0);
 
@@ -127,13 +129,13 @@ TEST(EquilibrateSide, MatchesPerMarketCalls) {
   Vector mult(m);
   DenseMatrix x(m, n);
   std::vector<SweepSlot> scratch;
-  EquilibrateSide(centers, weights, mu, side, mult, &x,
+  EquilibrateSide(centers, slopes, mu, side, mult, &x,
                   OptionsOn(nullptr, scratch));
 
   for (std::size_t i = 0; i < m; ++i) {
     BreakpointWorkspace ws;
     Vector xi(n);
-    const auto res = EquilibrateMarket(centers.Row(i), weights.Row(i), mu,
+    const auto res = EquilibrateMarket(centers.Row(i), slopes.Row(i), mu,
                                        s0[i], 0.0, ws, xi);
     EXPECT_DOUBLE_EQ(mult[i], res.lambda);
     for (std::size_t j = 0; j < n; ++j) EXPECT_DOUBLE_EQ(x(i, j), xi[j]);
@@ -144,7 +146,7 @@ TEST(EquilibrateSide, ParallelBitIdenticalToSerial) {
   Rng rng(4);
   const std::size_t m = 63, n = 41;
   const auto centers = RandomPositiveMatrix(m, n, rng, -3.0, 10.0);
-  const auto weights = RandomPositiveMatrix(m, n, rng, 0.2, 2.0);
+  const auto slopes = ArcSlopes(RandomPositiveMatrix(m, n, rng, 0.2, 2.0));
   const Vector mu = rng.UniformVector(n, -1.0, 1.0);
   const Vector s0 = rng.UniformVector(m, 5.0, 50.0);
 
@@ -155,11 +157,11 @@ TEST(EquilibrateSide, ParallelBitIdenticalToSerial) {
   Vector mult_serial(m), mult_par(m);
   DenseMatrix x_serial(m, n), x_par(m, n);
   std::vector<SweepSlot> scratch;
-  EquilibrateSide(centers, weights, mu, side, mult_serial, &x_serial,
+  EquilibrateSide(centers, slopes, mu, side, mult_serial, &x_serial,
                   OptionsOn(nullptr, scratch));
 
   ThreadPool pool(4);
-  EquilibrateSide(centers, weights, mu, side, mult_par, &x_par,
+  EquilibrateSide(centers, slopes, mu, side, mult_par, &x_par,
                   OptionsOn(&pool, scratch));
 
   for (std::size_t i = 0; i < m; ++i)
@@ -171,7 +173,7 @@ TEST(EquilibrateSide, TaskCostsRecorded) {
   Rng rng(5);
   const std::size_t m = 7, n = 11;
   const auto centers = RandomPositiveMatrix(m, n, rng, 0.0, 5.0);
-  const auto weights = RandomPositiveMatrix(m, n, rng, 0.5, 1.5);
+  const auto slopes = ArcSlopes(RandomPositiveMatrix(m, n, rng, 0.5, 1.5));
   const Vector mu(n, 0.0);
   const Vector s0 = rng.UniformVector(m, 1.0, 10.0);
 
@@ -183,7 +185,7 @@ TEST(EquilibrateSide, TaskCostsRecorded) {
   SweepOptions opts = OptionsOn(nullptr, scratch);
   opts.record_task_costs = true;
   const auto stats =
-      EquilibrateSide(centers, weights, mu, side, mult, nullptr, opts);
+      EquilibrateSide(centers, slopes, mu, side, mult, nullptr, opts);
   ASSERT_EQ(stats.task_costs.size(), m);
   double total = 0.0;
   for (double c : stats.task_costs) {
@@ -200,7 +202,7 @@ TEST(EquilibrateSide, SamCouplingEntersTarget) {
   Rng rng(6);
   const std::size_t n = 6;
   const auto centers = RandomPositiveMatrix(n, n, rng, 0.0, 5.0);
-  const auto weights = RandomPositiveMatrix(n, n, rng, 0.5, 1.5);
+  const auto slopes = ArcSlopes(RandomPositiveMatrix(n, n, rng, 0.5, 1.5));
   const Vector cross = rng.UniformVector(n, -1.0, 1.0);
   const Vector coupling = rng.UniformVector(n, -2.0, 2.0);
   const Vector t0 = rng.UniformVector(n, 5.0, 15.0);
@@ -213,14 +215,14 @@ TEST(EquilibrateSide, SamCouplingEntersTarget) {
   side.coupling = coupling;
   Vector mult(n);
   std::vector<SweepSlot> scratch;
-  EquilibrateSide(centers, weights, cross, side, mult, nullptr,
+  EquilibrateSide(centers, slopes, cross, side, mult, nullptr,
                   OptionsOn(nullptr, scratch));
 
   for (std::size_t i = 0; i < n; ++i) {
     BreakpointWorkspace ws;
     const double u = t0[i] - coupling[i] / (2.0 * w[i]);
     const double v = -1.0 / (2.0 * w[i]);
-    const auto res = EquilibrateMarket(centers.Row(i), weights.Row(i), cross,
+    const auto res = EquilibrateMarket(centers.Row(i), slopes.Row(i), cross,
                                        u, v, ws, {});
     EXPECT_DOUBLE_EQ(mult[i], res.lambda);
   }
@@ -236,7 +238,7 @@ TEST(SweepScheduling, PooledSweepsMatchSerialExactly) {
   Rng rng(7);
   const std::size_t m = 57, n = 23;
   const auto centers = RandomPositiveMatrix(m, n, rng, -3.0, 10.0);
-  const auto weights = RandomPositiveMatrix(m, n, rng, 0.2, 2.0);
+  const auto slopes = ArcSlopes(RandomPositiveMatrix(m, n, rng, 0.2, 2.0));
   const Vector mu = rng.UniformVector(n, -1.0, 1.0);
   const Vector s0 = rng.UniformVector(m, 5.0, 50.0);
 
@@ -248,7 +250,7 @@ TEST(SweepScheduling, PooledSweepsMatchSerialExactly) {
   DenseMatrix x_serial(m, n);
   std::vector<SweepSlot> serial_scratch;
   const auto stats_serial =
-      EquilibrateSide(centers, weights, mu, side, mult_serial, &x_serial,
+      EquilibrateSide(centers, slopes, mu, side, mult_serial, &x_serial,
                       OptionsOn(nullptr, serial_scratch));
 
   for (std::size_t threads : {2u, 3u, 4u, 7u}) {
@@ -257,7 +259,7 @@ TEST(SweepScheduling, PooledSweepsMatchSerialExactly) {
     for (int sweep = 0; sweep < 4; ++sweep) {
       Vector mult(m);
       DenseMatrix x(m, n);
-      const auto stats = EquilibrateSide(centers, weights, mu, side, mult, &x,
+      const auto stats = EquilibrateSide(centers, slopes, mu, side, mult, &x,
                                          OptionsOn(&pool, scratch));
       for (std::size_t i = 0; i < m; ++i)
         EXPECT_EQ(mult_serial[i], mult[i]) << "threads " << threads;
@@ -275,7 +277,7 @@ TEST(SweepScheduling, ReuseAcrossSweepsViaCache) {
   Rng rng(9);
   const std::size_t m = 15, n = 140;  // n > threshold: radix vs repair
   const auto centers = RandomPositiveMatrix(m, n, rng, -3.0, 10.0);
-  const auto weights = RandomPositiveMatrix(m, n, rng, 0.2, 2.0);
+  const auto slopes = ArcSlopes(RandomPositiveMatrix(m, n, rng, 0.2, 2.0));
   const Vector mu = rng.UniformVector(n, -1.0, 1.0);
   const Vector s0 = rng.UniformVector(m, 5.0, 50.0);
   MarketSide side;
@@ -286,7 +288,7 @@ TEST(SweepScheduling, ReuseAcrossSweepsViaCache) {
   Vector mult_cold(m);
   std::vector<SweepSlot> scratch;
   const auto cold_stats =
-      EquilibrateSide(centers, weights, mu, side, mult_cold, nullptr,
+      EquilibrateSide(centers, slopes, mu, side, mult_cold, nullptr,
                       OptionsOn(nullptr, scratch));
 
   SortOrderCache cache;
@@ -295,10 +297,10 @@ TEST(SweepScheduling, ReuseAcrossSweepsViaCache) {
   reuse_opts.sort_cache = &cache;
   Vector mult_reuse(m);
   auto stats =
-      EquilibrateSide(centers, weights, mu, side, mult_reuse, nullptr,
+      EquilibrateSide(centers, slopes, mu, side, mult_reuse, nullptr,
                       reuse_opts);
   EXPECT_EQ(stats.order_reuses, 0u);  // first sweep establishes the orders
-  stats = EquilibrateSide(centers, weights, mu, side, mult_reuse, nullptr,
+  stats = EquilibrateSide(centers, slopes, mu, side, mult_reuse, nullptr,
                           reuse_opts);
   EXPECT_EQ(stats.order_reuses, static_cast<std::uint64_t>(m));
   // Repairing an unchanged order is a pure verify pass, one comparison per
@@ -317,7 +319,7 @@ TEST(SweepScheduling, ReuseUnderPool) {
   Rng rng(10);
   const std::size_t m = 33, n = 20;
   const auto centers = RandomPositiveMatrix(m, n, rng, -3.0, 10.0);
-  const auto weights = RandomPositiveMatrix(m, n, rng, 0.2, 2.0);
+  const auto slopes = ArcSlopes(RandomPositiveMatrix(m, n, rng, 0.2, 2.0));
   const Vector mu = rng.UniformVector(n, -1.0, 1.0);
   const Vector s0 = rng.UniformVector(m, 5.0, 50.0);
   MarketSide side;
@@ -326,7 +328,7 @@ TEST(SweepScheduling, ReuseUnderPool) {
 
   Vector mult_ref(m);
   std::vector<SweepSlot> scratch;
-  EquilibrateSide(centers, weights, mu, side, mult_ref, nullptr,
+  EquilibrateSide(centers, slopes, mu, side, mult_ref, nullptr,
                   OptionsOn(nullptr, scratch));
 
   ThreadPool pool(4);
@@ -337,7 +339,7 @@ TEST(SweepScheduling, ReuseUnderPool) {
     SweepOptions opts = OptionsOn(&pool, scratch);
     opts.sort_cache = &cache;
     const auto stats =
-        EquilibrateSide(centers, weights, mu, side, mult, nullptr, opts);
+        EquilibrateSide(centers, slopes, mu, side, mult, nullptr, opts);
     for (std::size_t i = 0; i < m; ++i) EXPECT_EQ(mult_ref[i], mult[i]);
     if (sweep > 0) {
       EXPECT_EQ(stats.order_reuses, static_cast<std::uint64_t>(m));
@@ -352,9 +354,9 @@ TEST(SweepScheduling, SparseLayoutMatchesDenseOnFullPattern) {
   Rng rng(11);
   const std::size_t m = 29, n = 18;
   const auto centers = RandomPositiveMatrix(m, n, rng, 0.5, 10.0);
-  const auto weights = RandomPositiveMatrix(m, n, rng, 0.2, 2.0);
+  const auto slopes = ArcSlopes(RandomPositiveMatrix(m, n, rng, 0.2, 2.0));
   const SparseMatrix sc = SparseMatrix::FromDense(centers);
-  const SparseMatrix sw = SparseMatrix::FromDense(weights);
+  const SparseMatrix sq = SparseMatrix::FromDense(slopes);
   ASSERT_EQ(sc.nnz(), m * n);
   const Vector mu = rng.UniformVector(n, -1.0, 1.0);
   const Vector t0 = rng.UniformVector(m, 5.0, 50.0);
@@ -373,10 +375,10 @@ TEST(SweepScheduling, SparseLayoutMatchesDenseOnFullPattern) {
       Vector mult_dense(m), mult_sparse(m);
       DenseMatrix x_dense(m, n);
       SparseMatrix x_sparse = sc;
-      const auto dense = EquilibrateSide(centers, weights, mu, side,
+      const auto dense = EquilibrateSide(centers, slopes, mu, side,
                                          mult_dense, &x_dense, opts);
       const auto sparse =
-          EquilibrateSide(sc, sw, mu, side, mult_sparse, &x_sparse, opts);
+          EquilibrateSide(sc, sq, mu, side, mult_sparse, &x_sparse, opts);
       for (std::size_t i = 0; i < m; ++i)
         EXPECT_EQ(mult_dense[i], mult_sparse[i]) << i;
       const auto xs = x_sparse.Values();
@@ -402,9 +404,9 @@ TEST(EquilibrateSide, OrderCacheSweepsBitIdenticalToColdSweeps) {
   Rng rng(12);
   const std::size_t m = 21, n = 150;  // column markets insertion, rows radix
   const auto centers = RandomPositiveMatrix(m, n, rng, -3.0, 10.0);
-  const auto weights = RandomPositiveMatrix(m, n, rng, 0.2, 2.0);
+  const auto slopes = ArcSlopes(RandomPositiveMatrix(m, n, rng, 0.2, 2.0));
   const DenseMatrix centers_t = centers.Transposed();
-  const DenseMatrix weights_t = weights.Transposed();
+  const DenseMatrix slopes_t = slopes.Transposed();
   const Vector s0 = rng.UniformVector(m, 50.0, 400.0);
   const Vector d0 = rng.UniformVector(n, 2.0, 30.0);
   const Vector alpha = rng.UniformVector(m, 0.3, 2.0);
@@ -441,16 +443,16 @@ TEST(EquilibrateSide, OrderCacheSweepsBitIdenticalToColdSweeps) {
       SweepOptions warm = cold;
       std::uint64_t row_reuses = 0, col_reuses = 0;
       for (int sweep = 0; sweep < 6; ++sweep) {
-        EquilibrateSide(centers, weights, mu_cold, rows, lambda_cold, nullptr,
+        EquilibrateSide(centers, slopes, mu_cold, rows, lambda_cold, nullptr,
                         cold);
         warm.sort_cache = &row_orders;
-        row_reuses += EquilibrateSide(centers, weights, mu_warm, rows,
+        row_reuses += EquilibrateSide(centers, slopes, mu_warm, rows,
                                       lambda_warm, nullptr, warm)
                           .order_reuses;
-        EquilibrateSide(centers_t, weights_t, lambda_cold, cols, mu_cold,
+        EquilibrateSide(centers_t, slopes_t, lambda_cold, cols, mu_cold,
                         &xt_cold, cold);
         warm.sort_cache = &col_orders;
-        col_reuses += EquilibrateSide(centers_t, weights_t, lambda_warm, cols,
+        col_reuses += EquilibrateSide(centers_t, slopes_t, lambda_warm, cols,
                                       mu_warm, &xt_warm, warm)
                           .order_reuses;
         const std::string tag = "mode=" + std::to_string(int(mode)) +
@@ -521,13 +523,13 @@ TEST(FusedCheck, MaxChangeMatchesBruteForceDenseAndCsr) {
   // pattern.
   auto centers = RandomPositiveMatrix(m, n, rng, -3.0, 10.0);
   for (std::size_t k = 0; k < centers.size(); k += 4) centers.Flat()[k] = 0.0;
-  const auto weights = RandomPositiveMatrix(m, n, rng, 0.2, 2.0);
+  const auto slopes = ArcSlopes(RandomPositiveMatrix(m, n, rng, 0.2, 2.0));
   const SparseMatrix sc = SparseMatrix::FromDense(centers);
-  SparseMatrix sw = sc;
+  SparseMatrix sq = sc;
   for (std::size_t i = 0; i < m; ++i) {
     const auto cols = sc.RowCols(i);
-    const auto vals = sw.MutableRowValues(i);
-    for (std::size_t k = 0; k < cols.size(); ++k) vals[k] = weights(i, cols[k]);
+    const auto vals = sq.MutableRowValues(i);
+    for (std::size_t k = 0; k < cols.size(); ++k) vals[k] = slopes(i, cols[k]);
   }
   ASSERT_LT(sc.nnz(), m * n);
   const Vector mu = rng.UniformVector(n, -1.0, 1.0);
@@ -541,9 +543,9 @@ TEST(FusedCheck, MaxChangeMatchesBruteForceDenseAndCsr) {
   Vector mult(m);
   DenseMatrix fresh_dense(m, n);
   SparseMatrix fresh_sparse = sc;
-  EquilibrateSide(centers, weights, mu, side, mult, &fresh_dense,
+  EquilibrateSide(centers, slopes, mu, side, mult, &fresh_dense,
                   OptionsOn(nullptr, scratch));
-  EquilibrateSide(sc, sw, mu, side, mult, &fresh_sparse,
+  EquilibrateSide(sc, sq, mu, side, mult, &fresh_sparse,
                   OptionsOn(nullptr, scratch));
   ASSERT_GT(std::count(fresh_dense.Flat().begin(), fresh_dense.Flat().end(),
                        0.0),
@@ -559,7 +561,7 @@ TEST(FusedCheck, MaxChangeMatchesBruteForceDenseAndCsr) {
       SeedPrevious(fresh_dense.Flat(), x.Flat(), with_inf, rng);
       double expect = BruteForceChange(fresh_dense.Flat(), x.Flat());
       ASSERT_EQ(std::isinf(expect), with_inf) << tag;
-      auto stats = EquilibrateSide(centers, weights, mu, side, mult, &x, opts);
+      auto stats = EquilibrateSide(centers, slopes, mu, side, mult, &x, opts);
       EXPECT_TRUE(SameBits(stats.max_change, expect)) << tag;
       EXPECT_EQ(0, std::memcmp(x.Flat().data(), fresh_dense.Flat().data(),
                                m * n * sizeof(double)))
@@ -568,7 +570,7 @@ TEST(FusedCheck, MaxChangeMatchesBruteForceDenseAndCsr) {
       SparseMatrix xs = sc;
       SeedPrevious(fresh_sparse.Values(), xs.MutableValues(), with_inf, rng);
       expect = BruteForceChange(fresh_sparse.Values(), xs.Values());
-      stats = EquilibrateSide(sc, sw, mu, side, mult, &xs, opts);
+      stats = EquilibrateSide(sc, sq, mu, side, mult, &xs, opts);
       EXPECT_TRUE(SameBits(stats.max_change, expect)) << tag;
     }
 
@@ -576,13 +578,13 @@ TEST(FusedCheck, MaxChangeMatchesBruteForceDenseAndCsr) {
     // unmaterialized sweep reports 0.
     DenseMatrix x(m, n);
     std::fill(x.Flat().begin(), x.Flat().end(), std::nan(""));
-    auto stats = EquilibrateSide(centers, weights, mu, side, mult, &x, opts);
+    auto stats = EquilibrateSide(centers, slopes, mu, side, mult, &x, opts);
     EXPECT_TRUE(SameBits(stats.max_change, 0.0)) << threads;
     for (std::size_t k = 0; k < x.size(); ++k)
       if (x.Flat()[k] == 0.0) x.Flat()[k] = -0.0;
-    stats = EquilibrateSide(centers, weights, mu, side, mult, &x, opts);
+    stats = EquilibrateSide(centers, slopes, mu, side, mult, &x, opts);
     EXPECT_TRUE(SameBits(stats.max_change, 0.0)) << threads;
-    stats = EquilibrateSide(centers, weights, mu, side, mult, nullptr, opts);
+    stats = EquilibrateSide(centers, slopes, mu, side, mult, nullptr, opts);
     EXPECT_TRUE(SameBits(stats.max_change, 0.0)) << threads;
   }
 }
@@ -593,7 +595,7 @@ TEST(FusedCheck, WarmSweepAllocatesNothing) {
   Rng rng(14);
   const std::size_t m = 40, n = 150;  // both cold-sort kinds over the rows
   const auto centers = RandomPositiveMatrix(m, n, rng, -3.0, 10.0);
-  const auto weights = RandomPositiveMatrix(m, n, rng, 0.2, 2.0);
+  const auto slopes = ArcSlopes(RandomPositiveMatrix(m, n, rng, 0.2, 2.0));
   const Vector mu = rng.UniformVector(n, -1.0, 1.0);
   const Vector s0 = rng.UniformVector(m, 5.0, 50.0);
   MarketSide side;
@@ -608,15 +610,15 @@ TEST(FusedCheck, WarmSweepAllocatesNothing) {
   Vector mult(m);
   DenseMatrix x(m, n);
   for (int sweep = 0; sweep < 2; ++sweep)  // every worker meets every size
-    EquilibrateSide(centers, weights, mu, side, mult, &x, opts);
+    EquilibrateSide(centers, slopes, mu, side, mult, &x, opts);
   const std::size_t before = g_allocations.load();
   for (int sweep = 0; sweep < 3; ++sweep)
-    EquilibrateSide(centers, weights, mu, side, mult, &x, opts);
+    EquilibrateSide(centers, slopes, mu, side, mult, &x, opts);
   EXPECT_EQ(g_allocations.load() - before, 0u);
 }
 
 TEST(SweepScheduling, TooLittleScratchRejected) {
-  DenseMatrix centers(3, 2, 1.0), weights(3, 2, 1.0);
+  DenseMatrix centers(3, 2, 1.0), slopes(3, 2, 1.0);
   Vector mu(2, 0.0), mult(3), s0{1.0, 2.0, 3.0};
   MarketSide side;
   side.mode = TotalsMode::kFixed;
@@ -627,12 +629,12 @@ TEST(SweepScheduling, TooLittleScratchRejected) {
   opts.pool = &pool;
   opts.scratch = scratch;
   EXPECT_THROW(
-      EquilibrateSide(centers, weights, mu, side, mult, nullptr, opts),
+      EquilibrateSide(centers, slopes, mu, side, mult, nullptr, opts),
       InvalidArgument);
 }
 
 TEST(SweepScheduling, MisSizedSortCacheRejected) {
-  DenseMatrix centers(3, 2, 1.0), weights(3, 2, 1.0);
+  DenseMatrix centers(3, 2, 1.0), slopes(3, 2, 1.0);
   Vector mu(2, 0.0), mult(3), s0{1.0, 2.0, 3.0};
   MarketSide side;
   side.mode = TotalsMode::kFixed;
@@ -643,18 +645,18 @@ TEST(SweepScheduling, MisSizedSortCacheRejected) {
   SweepOptions opts = OptionsOn(nullptr, scratch);
   opts.sort_cache = &cache;
   EXPECT_THROW(
-      EquilibrateSide(centers, weights, mu, side, mult, nullptr, opts),
+      EquilibrateSide(centers, slopes, mu, side, mult, nullptr, opts),
       InvalidArgument);
 }
 
 TEST(EquilibrateSide, RejectsShapeMismatch) {
-  DenseMatrix centers(2, 3, 1.0), weights(2, 3, 1.0);
+  DenseMatrix centers(2, 3, 1.0), slopes(2, 3, 1.0);
   Vector bad_mu(2, 0.0), mult(2), s0{1.0, 2.0};
   MarketSide side;
   side.mode = TotalsMode::kFixed;
   side.t0 = s0;
   std::vector<SweepSlot> scratch;
-  EXPECT_THROW(EquilibrateSide(centers, weights, bad_mu, side, mult, nullptr,
+  EXPECT_THROW(EquilibrateSide(centers, slopes, bad_mu, side, mult, nullptr,
                                OptionsOn(nullptr, scratch)),
                InvalidArgument);
 }

@@ -50,7 +50,10 @@ DiagonalProblem SmallFixedProblem() {
   double v = 1.0;
   for (double& c : x0.Flat()) c = v++;
   v = 0.0;
-  for (double& c : gamma.Flat()) c = 0.5 + 0.37 * (v++ * v / 9.0);
+  for (double& c : gamma.Flat()) {
+    c = 0.5 + 0.37 * (v * (v + 1.0) / 9.0);
+    v += 1.0;
+  }
   Vector s0 = x0.RowSums(), d0 = x0.ColSums();
   for (double& t : s0) t *= 1.3;
   for (double& t : d0) t *= 1.3;

@@ -205,6 +205,30 @@ TEST(Integration, PinnedWideKernelBits) {
   }
 }
 
+// Pinned SP120 trajectory under the Table 5 protocol (kXChange, eps 0.01,
+// checked every other iteration): the iteration count and the FNV-1a of x,
+// lambda and mu, serially and on a 2-thread pool. perfbench's
+// core.iterations is a mean over however many solves fit its window; this
+// pins one solve exactly. Recorded before the market kernel took its arc
+// slopes per solve.
+TEST(Integration, PinnedSp120Trajectory) {
+  Rng rng(120);
+  const auto diag = spe::Generate(120, 120, rng).ToDiagonalProblem();
+  ThreadPool pool2(2);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2}) {
+    SCOPED_TRACE(pool != nullptr ? pool->num_threads() : 1);
+    SeaOptions o;
+    o.epsilon = 0.01;
+    o.criterion = StopCriterion::kXChange;
+    o.check_every = 2;
+    o.pool = pool;
+    const auto run = SolveDiagonal(diag, o);
+    ASSERT_TRUE(run.result.converged());
+    EXPECT_EQ(run.result.iterations, 492u);
+    EXPECT_EQ(HashDense(run), "0fc73bd731651384");
+  }
+}
+
 // Pinned observer outputs: the FNV-1a of what the telemetry observers emit
 // over three solves, with wall-clock fields masked. Hashed per solve: the
 // JSONL trace lines, the postmortem events (kind, iteration, value), the

@@ -55,9 +55,10 @@ TEST(ThreadPool, WorkerIndexWithinBounds) {
 TEST(ThreadPool, DistinctWorkersWriteDistinctSlots) {
   ThreadPool pool(4);
   std::vector<int> counts(4, 0);
-  pool.ParallelForWorker(4000, [&](std::size_t b, std::size_t e, std::size_t w) {
-    counts[w] += static_cast<int>(e - b);
-  });
+  pool.ParallelForWorker(
+      4000, [&](std::size_t b, std::size_t e, std::size_t w) {
+        counts[w] += static_cast<int>(e - b);
+      });
   EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0), 4000);
 }
 

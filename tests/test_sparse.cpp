@@ -195,8 +195,8 @@ TEST_P(FullPatternTrajectory, SparseMatchesDenseBitForBit) {
       break;
     case TotalsMode::kElastic:
       dense = DiagonalProblem::MakeElastic(x0, gamma, s0, alpha, rows, beta);
-      sparse =
-          SparseDiagonalProblem::MakeElastic(sx0, sgamma, s0, alpha, rows, beta);
+      sparse = SparseDiagonalProblem::MakeElastic(sx0, sgamma, s0, alpha, rows,
+                                                  beta);
       break;
     default: {
       Vector t0(k);
@@ -208,7 +208,8 @@ TEST_P(FullPatternTrajectory, SparseMatchesDenseBitForBit) {
   }
 
   ThreadPool pool(3);
-  for (StopCriterion c : {StopCriterion::kResidualRel, StopCriterion::kXChange}) {
+  for (StopCriterion c :
+       {StopCriterion::kResidualRel, StopCriterion::kXChange}) {
     for (ThreadPool* use_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
       SeaOptions o;
       o.epsilon = 1e-9;
@@ -355,7 +356,8 @@ TEST(SparseSea, OrderRepairBitIdenticalToColdSweeps) {
   Rng rng(0x59A2);
   const auto p = RandomSparseFixed(40, 40, 0.25, rng);
   const SparseMatrix x0_t = p.x0().Transposed();
-  const SparseMatrix gamma_t = p.gamma().Transposed();
+  const SparseMatrix slopes = ArcSlopes(p.gamma());
+  const SparseMatrix slopes_t = slopes.Transposed();
   MarketSide rows, cols;
   rows.t0 = p.s0();
   cols.t0 = p.d0();
@@ -377,16 +379,16 @@ TEST(SparseSea, OrderRepairBitIdenticalToColdSweeps) {
     cold.scratch = warm.scratch = scratch;
     std::uint64_t reuses = 0;
     for (int sweep = 0; sweep < 8; ++sweep) {
-      EquilibrateSide(p.x0(), p.gamma(), mu_cold, rows, lambda_cold, nullptr,
+      EquilibrateSide(p.x0(), slopes, mu_cold, rows, lambda_cold, nullptr,
                       cold);
       warm.sort_cache = &row_orders;
-      reuses += EquilibrateSide(p.x0(), p.gamma(), mu_warm, rows, lambda_warm,
+      reuses += EquilibrateSide(p.x0(), slopes, mu_warm, rows, lambda_warm,
                                 nullptr, warm)
                     .order_reuses;
-      EquilibrateSide(x0_t, gamma_t, lambda_cold, cols, mu_cold, &xt_cold,
+      EquilibrateSide(x0_t, slopes_t, lambda_cold, cols, mu_cold, &xt_cold,
                       cold);
       warm.sort_cache = &col_orders;
-      reuses += EquilibrateSide(x0_t, gamma_t, lambda_warm, cols, mu_warm,
+      reuses += EquilibrateSide(x0_t, slopes_t, lambda_warm, cols, mu_warm,
                                 &xt_warm, warm)
                     .order_reuses;
       const std::string tag = std::string(use_pool ? "pool" : "serial") +

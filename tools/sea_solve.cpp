@@ -257,7 +257,8 @@ int main(int argc, char** argv) {
   std::map<std::string, std::string> args;
   for (int i = 1; i < argc; ++i) {
     std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) Usage(argv[0], "unexpected argument '" + key + "'");
+    if (key.rfind("--", 0) != 0)
+      Usage(argv[0], "unexpected argument '" + key + "'");
     key = key.substr(2);
     if (SwitchFlags().count(key)) {
       args[key] = "1";
@@ -669,8 +670,9 @@ int main(int argc, char** argv) {
       if (args.count("listen-port-file")) {
         support::AtomicFileWriter port_writer;
         const std::uint16_t bound = server->port();
-        if (!port_writer.Write(args["listen-port-file"],
-                               [bound](std::ostream& f) { f << bound << '\n'; }))
+        if (!port_writer.Write(
+                args["listen-port-file"],
+                [bound](std::ostream& f) { f << bound << '\n'; }))
           std::cerr << "warning: could not write port file "
                     << args["listen-port-file"] << '\n';
       }
