@@ -133,17 +133,16 @@ void AblateCheckSpacing(bool quick) {
   Rng rng(3);
   const auto diag = spe::Generate(size, size, rng).ToDiagonalProblem();
 
-  TablePrinter t({"check every", "iterations", "serial work fraction",
+  TablePrinter t({"check every", "iterations", "check share of wall",
                   "CPU (s)"});
   for (std::size_t k : {1u, 2u, 5u, 10u}) {
     SeaOptions o;
     o.epsilon = 0.01;
     o.criterion = StopCriterion::kXChange;
     o.check_every = k;
-    o.record_trace = true;
     const auto run = SolveDiagonal(diag, o);
     const double frac =
-        run.result.trace.SerialWork() / run.result.trace.TotalWork();
+        run.result.check_phase_seconds / run.result.wall_seconds;
     t.AddRow({TablePrinter::Int(long(k)),
               TablePrinter::Int(long(run.result.iterations)),
               TablePrinter::Num(100.0 * frac, 2) + "%",

@@ -1,5 +1,6 @@
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <ctime>
 #include <fstream>
@@ -11,6 +12,7 @@
 #include "core/engine_observer.hpp"
 #include "obs/json_export.hpp"
 #include "obs/profiler.hpp"
+#include "parallel/thread_pool.hpp"
 #include "support/check.hpp"
 #include "support/rusage.hpp"
 #include "support/stopwatch.hpp"
@@ -197,6 +199,71 @@ void Finish(const ExperimentLog& log, const BenchOptions& opts,
     }
   }
   std::cout.flush();
+}
+
+bool MeasureScaling(const std::string& experiment, const std::string& name,
+                    const std::vector<PaperPoint>& paper,
+                    const std::function<ScalingRun(ThreadPool*)>& solve,
+                    TablePrinter& table, ExperimentLog& log) {
+  constexpr int kRepeats = 3;
+  const std::size_t host_threads =
+      std::max(1u, std::thread::hardware_concurrency());
+  const ScalingRun reference = solve(nullptr);  // also the warm-up
+  bool ok = true;
+  double t1 = 0.0;
+
+  std::vector<PaperPoint> points = {{1, 1.0, 100.0}};
+  points.insert(points.end(), paper.begin(), paper.end());
+  for (const PaperPoint& pt : points) {
+    const std::size_t n = pt.n_procs;
+    const std::string paper_s = TablePrinter::Num(pt.speedup, 2);
+    const std::string paper_e = TablePrinter::Num(pt.efficiency_pct, 2) + "%";
+    if (n > host_threads) {
+      const std::string why =
+          "not measured (" + std::to_string(host_threads) + "-thread host)";
+      table.AddRow({name, TablePrinter::Int(long(n)), why, "", paper_s, "",
+                    paper_e});
+      continue;
+    }
+    std::unique_ptr<ThreadPool> pool;
+    if (n > 1) pool = std::make_unique<ThreadPool>(n);
+    std::vector<double> seconds;
+    for (int r = 0; r < kRepeats; ++r) {
+      const ScalingRun run = solve(pool.get());
+      const std::string tag = name + " at " + std::to_string(n) + " threads";
+      if (!run.converged) {
+        std::cerr << "FAIL: " << tag << " did not converge\n";
+        ok = false;
+      }
+      if (run.iterations != reference.iterations) {
+        std::cerr << "FAIL: " << tag << " ran other iteration counts than "
+                  << "the serial run\n";
+        ok = false;
+      }
+      if (run.x.size() != reference.x.size() ||
+          std::memcmp(run.x.data(), reference.x.data(),
+                      run.x.size() * sizeof(double)) != 0) {
+        std::cerr << "FAIL: " << tag << " solution bits differ from the "
+                  << "serial run\n";
+        ok = false;
+      }
+      seconds.push_back(run.wall_seconds);
+    }
+    std::sort(seconds.begin(), seconds.end());
+    const double tn = seconds[kRepeats / 2];
+    if (n == 1) t1 = tn;
+    const double speedup = t1 / tn;
+    table.AddRow({name, TablePrinter::Int(long(n)), TablePrinter::Num(tn, 4),
+                  TablePrinter::Num(speedup, 2), paper_s,
+                  TablePrinter::Num(100.0 * speedup / double(n), 2) + "%",
+                  paper_e});
+    log.Add(experiment, name, "wall_seconds_t" + std::to_string(n), tn,
+            std::nullopt, "median of 3");
+    if (n > 1)
+      log.Add(experiment, name, "speedup_p" + std::to_string(n), speedup,
+              pt.speedup, "measured, median of 3");
+  }
+  return ok;
 }
 
 }  // namespace sea::bench

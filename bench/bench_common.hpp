@@ -27,11 +27,15 @@
 // run by ParseArgs (obs/profiler.hpp).
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/options.hpp"
 #include "io/experiment_record.hpp"
+#include "io/table_printer.hpp"
 
 namespace sea::bench {
 
@@ -66,5 +70,38 @@ void Finish(const ExperimentLog& log, const BenchOptions& opts,
 // the phase breakdown of the profiler attached by ParseArgs, when any.
 std::string BenchJson(const ExperimentLog& log, const BenchOptions& opts,
                       const std::string& bench_name);
+
+// ---- Measured parallel speedup (Tables 6 and 9).
+
+// What one solve reports to MeasureScaling: its wall time, whether it
+// converged, and the work it did — every iteration count it reports and its
+// solution, which must repeat bit for bit at every thread count.
+struct ScalingRun {
+  double wall_seconds = 0.0;
+  bool converged = false;
+  std::vector<std::size_t> iterations;
+  std::vector<double> x;
+};
+
+// The paper's speedup and efficiency at one processor count.
+struct PaperPoint {
+  std::size_t n_procs;
+  double speedup;
+  double efficiency_pct;
+};
+
+// Solves once serially to warm up, then three times serially and three
+// times on a ThreadPool(N) for each paper processor count N up to the
+// host's thread count. Adds a table row per N: the median wall time T_N,
+// S_N = T_1 / T_N and E_N = S_N / N beside the paper's values; a count
+// above the host's threads prints "not measured". Logs wall_seconds_t<N>
+// and speedup_p<N> records under `experiment`. Returns false, after saying
+// why on stderr, when a run did not converge or did different work from the
+// serial run (other iteration counts or solution bits): a speedup between
+// such runs is meaningless.
+bool MeasureScaling(const std::string& experiment, const std::string& name,
+                    const std::vector<PaperPoint>& paper,
+                    const std::function<ScalingRun(ThreadPool*)>& solve,
+                    TablePrinter& table, ExperimentLog& log);
 
 }  // namespace sea::bench

@@ -66,7 +66,6 @@ std::size_t RunPhase(RcState& st, bool by_rows, double projection_epsilon) {
   SweepOptions sweep_opts;
   sweep_opts.pool = st.opts->pool;
   sweep_opts.scratch = st.scratch;
-  sweep_opts.record_task_costs = st.opts->record_trace;
   sweep_opts.sort_cache = by_rows ? &st.row_orders : &st.col_orders;
   sweep_opts.profile_phase =
       by_rows ? "equilibrate.rows" : "equilibrate.cols";
@@ -88,12 +87,6 @@ std::size_t RunPhase(RcState& st, bool by_rows, double projection_epsilon) {
     }
     st.result.ops.flops +=
         2 * static_cast<std::uint64_t>(st.m * st.n) * (st.m * st.n);
-    if (st.opts->record_trace)
-      st.result.trace.AddParallelPhase(
-          by_rows ? "rc-linearize-row" : "rc-linearize-col",
-          std::vector<double>(st.m * st.n,
-                              2.0 * static_cast<double>(st.m * st.n)),
-          /*bandwidth_bound=*/true);
     for (std::size_t i = 0; i < st.m; ++i) {
       for (std::size_t j = 0; j < st.n; ++j) {
         const std::size_t k = i * st.n + j;
@@ -106,13 +99,10 @@ std::size_t RunPhase(RcState& st, bool by_rows, double projection_epsilon) {
     }
 
     // Parallel equilibration of the phase's markets.
-    SweepStats stats =
+    st.result.ops +=
         EquilibrateSide(st.centers, slopes, cross, side,
-                        {st.mult.data(), markets}, &st.xs, sweep_opts);
-    st.result.ops += stats.total_ops;
-    if (st.opts->record_trace)
-      st.result.trace.AddParallelPhase(by_rows ? "rc-row" : "rc-col",
-                                       std::move(stats.task_costs));
+                        {st.mult.data(), markets}, &st.xs, sweep_opts)
+            .total_ops;
 
     // Serial projection-convergence verification (RC's extra serial stage,
     // absent from general SEA — cf. Figures 4 and 6).
@@ -126,9 +116,6 @@ std::size_t RunPhase(RcState& st, bool by_rows, double projection_epsilon) {
       }
     }
     st.result.ops.flops += static_cast<std::uint64_t>(st.m) * st.n;
-    if (st.opts->record_trace)
-      st.result.trace.AddSerialPhase("rc-projection-check",
-                                     static_cast<double>(st.m * st.n));
     if (change <= projection_epsilon) break;
   }
   std::copy(st.mult.begin(), st.mult.begin() + markets, own.begin());
@@ -196,9 +183,6 @@ RcRun SolveRc(const GeneralProblem& problem, const RcOptions& opts) {
       max_rel = std::max(max_rel, r);
     }
     st.result.ops.flops += static_cast<std::uint64_t>(st.m) * st.n;
-    if (opts.record_trace)
-      st.result.trace.AddSerialPhase("rc-outer-check",
-                                     static_cast<double>(st.m * st.n));
     st.result.final_residual = max_rel;
     if (max_rel <= opts.epsilon) {
       st.result.converged = true;
@@ -213,7 +197,7 @@ RcRun SolveRc(const GeneralProblem& problem, const RcOptions& opts) {
   run.solution.lambda = st.lambda;
   run.solution.mu = st.mu;
 
-  st.result.objective = problem.Objective(st.x, {}, {});
+  st.result.objective = problem.Objective(st.x, {}, {}, opts.pool);
   st.result.wall_seconds = wall.Seconds();
   st.result.cpu_seconds = ProcessCpuSeconds() - cpu0;
   run.result = std::move(st.result);

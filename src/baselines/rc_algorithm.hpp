@@ -39,7 +39,6 @@ struct RcOptions {
   double projection_epsilon = 0.0;
   std::size_t max_projection_iterations = 200;
   ThreadPool* pool = nullptr;
-  bool record_trace = false;
 };
 
 struct RcResult {
@@ -54,7 +53,6 @@ struct RcResult {
   double wall_seconds = 0.0;
   double cpu_seconds = 0.0;
   OpCounts ops;
-  ExecutionTrace trace;
 };
 
 struct RcRun {

@@ -97,13 +97,6 @@ GeneralSeaRun SolveGeneral(const GeneralProblem& problem,
     }
     result.linearization_seconds += lin_sw.Seconds();
     result.ops.flops += 2 * static_cast<std::uint64_t>(mn) * mn;
-    if (inner.record_trace) {
-      // One task per row of G, each a dense dot of length mn; streaming the
-      // dense G makes this phase memory-bandwidth-bound.
-      result.trace.AddParallelPhase(
-          "linearize", std::vector<double>(mn, 2.0 * static_cast<double>(mn)),
-          /*bandwidth_bound=*/true);
-    }
 
     // ---- Inner solve: diagonal SEA on the constructed subproblem, warm-
     // started from the previous outer iteration's column multipliers.
@@ -119,7 +112,6 @@ GeneralSeaRun SolveGeneral(const GeneralProblem& problem,
     mu_warm = inner_run.solution.mu;
     result.total_inner_iterations += inner_run.result.iterations;
     result.ops += inner_run.result.ops;
-    if (inner.record_trace) result.trace.Append(inner_run.result.trace);
 
     // ---- Convergence verification (single serial phase; paper Fig. 4).
     const auto xf = inner_run.solution.x.Flat();
@@ -129,8 +121,6 @@ GeneralSeaRun SolveGeneral(const GeneralProblem& problem,
       for (std::size_t k = 0; k < mn; ++k)
         change = std::max(change, std::abs(xf[k] - x[k]));
     }
-    if (inner.record_trace)
-      result.trace.AddSerialPhase("outer-check", static_cast<double>(mn));
     result.ops.flops += mn;
 
     x.assign(xf.begin(), xf.end());
@@ -173,7 +163,7 @@ GeneralSeaRun SolveGeneral(const GeneralProblem& problem,
     if (result.status != SolveStatus::kMaxIterations) break;
   }
 
-  result.objective = problem.Objective(x, s, d);
+  result.objective = problem.Objective(x, s, d, inner.pool);
   result.wall_seconds = wall.Seconds();
   result.cpu_seconds = ProcessCpuSeconds() - cpu0;
   run.result = std::move(result);

@@ -192,14 +192,12 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
     {
       obs::ProfScope prof("engine.row_sweep");
       Stopwatch sw;
-      SweepStats stats = backend.RowSweep();
+      const SweepStats stats = backend.RowSweep();
       if (damp_now) backend.BlendRowDuals(damp_prev, opts.recovery_damping);
       result.ops += stats.total_ops;
       result.order_reuses += stats.order_reuses;
       result.kernel_markets += stats.markets;
       result.row_phase_seconds += sw.Seconds();
-      if (opts.record_trace && !stats.task_costs.empty())
-        result.trace.AddParallelPhase("row", std::move(stats.task_costs));
     }
 
     // ---- Step 2: column equilibration (parallel across the column
@@ -207,13 +205,11 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
     {
       obs::ProfScope prof("engine.col_sweep");
       Stopwatch sw;
-      SweepStats stats = backend.ColSweep(check_now);
+      const SweepStats stats = backend.ColSweep(check_now);
       result.ops += stats.total_ops;
       result.order_reuses += stats.order_reuses;
       result.kernel_markets += stats.markets;
       result.col_phase_seconds += sw.Seconds();
-      if (opts.record_trace && !stats.task_costs.empty())
-        result.trace.AddParallelPhase("col", std::move(stats.task_costs));
     }
 
     result.iterations = t;
@@ -274,9 +270,6 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
       ++result.checks_compared;
       result.final_residual = measure;
       result.ops.flops += backend.CheckCost();
-      if (opts.record_trace)
-        result.trace.AddSerialPhase("check",
-                                    static_cast<double>(backend.CheckCost()));
       bool stalled_now = false;
       if (measure <= opts.epsilon) {
         result.status = SolveStatus::kConverged;

@@ -45,9 +45,6 @@ struct SeaOptions {
   // Workers claim chunks of markets dynamically (docs/PARALLELISM.md);
   // results are bit-identical at every thread count.
   ThreadPool* pool = nullptr;
-  // Record the phase-by-phase execution trace (per-market operation counts)
-  // for the N-processor schedule simulator.
-  bool record_trace = false;
   // Record the dual value zeta_l(lambda, mu) after every iteration (used by
   // the convergence-theory tests; costs one O(mn) pass per iteration).
   bool record_dual_values = false;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/solve_status.hpp"
-#include "parallel/speedup_model.hpp"
 #include "support/op_counter.hpp"
 
 namespace sea {
@@ -44,8 +43,6 @@ struct SeaResult {
   // at least one rescue happened.
   std::uint64_t recovered_count = 0;
   std::vector<std::uint8_t> recovery_rungs;
-  // Filled when SeaOptions::record_trace is set.
-  ExecutionTrace trace;
   // Filled when SeaOptions::record_dual_values is set: zeta_l(lambda^{t+1},
   // mu^{t+1}) after each iteration — nondecreasing by the paper's eq. (71).
   std::vector<double> dual_values;
@@ -64,7 +61,6 @@ struct GeneralSeaResult {
   double cpu_seconds = 0.0;
   double linearization_seconds = 0.0;  // dense matvec phases
   OpCounts ops;
-  ExecutionTrace trace;
 };
 
 }  // namespace sea

@@ -100,7 +100,6 @@ class SweepBackend : public SeaIterationBackend {
     scratch_.resize(WorkerCount(opts.pool));
     sweep_opts_.pool = opts.pool;
     sweep_opts_.scratch = scratch_;
-    sweep_opts_.record_task_costs = opts.record_trace;
     sweep_opts_.attribution = opts.attribution;
     if (opts.attribution != nullptr)
       opts.attribution->Reset(lambda.size(), mu.size());

@@ -90,7 +90,6 @@ SweepStats Sweep(std::size_t markets, const MarketSide& side,
   const std::span<SweepSlot> slots = opts.scratch.first(workers);
 
   SweepStats stats;
-  if (opts.record_task_costs) stats.task_costs.assign(markets, 0.0);
   for (SweepSlot& slot : slots) {
     slot.ops = OpCounts{};
     slot.reuses = 0;
@@ -135,7 +134,6 @@ SweepStats Sweep(std::size_t markets, const MarketSide& side,
       if (attr != nullptr)
         attr->RecordSolve(opts.attribution_base + i, res.active_count,
                           res.ops.breakpoints, market_sw.Seconds());
-      if (opts.record_task_costs) stats.task_costs[i] = res.ops.Work();
       if (res.order_reused) ++slot.reuses;
       slot.ops += res.ops;
     }

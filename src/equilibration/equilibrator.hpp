@@ -79,9 +79,6 @@ struct MarketSide {
 
 struct SweepStats {
   OpCounts total_ops;
-  // Per-market work (operation counts) for the schedule simulator; filled
-  // only when SweepOptions::record_task_costs is set.
-  std::vector<double> task_costs;
   // Markets solved by repairing a persisted breakpoint order this sweep
   // (0 without a sort cache, and on a market's first sweep).
   std::uint64_t order_reuses = 0;
@@ -110,7 +107,6 @@ struct alignas(64) SweepSlot {
 };
 
 struct SweepOptions {
-  bool record_task_costs = false;
   ThreadPool* pool = nullptr;
   // Per-worker scratch, at least WorkerCount(pool) slots (required).
   std::span<SweepSlot> scratch;

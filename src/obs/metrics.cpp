@@ -311,8 +311,7 @@ void RecordPoolMetrics(MetricsRegistry& registry, const PoolStats& stats) {
   }
   registry.GetGauge("pool.busy_seconds_total").Add(busy);
   // Utilization of the pool across its ParallelFor regions: busy worker
-  // seconds over (region wall x threads) — the measured counterpart to the
-  // schedule simulator's efficiency column (parallel/speedup_model.hpp).
+  // seconds over (region wall x threads).
   const double capacity =
       stats.region_wall_seconds * static_cast<double>(stats.threads);
   registry.GetGauge("pool.utilization")

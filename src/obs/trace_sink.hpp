@@ -2,9 +2,7 @@
 //
 // JsonlTraceSink is the engine observer (core/engine_observer.hpp) that
 // writes one line per convergence check of the shared iteration engine and
-// one per projection step of general SEA's outer loop. It layers *beside*
-// the ExecutionTrace machinery (SeaOptions::record_trace feeds the schedule
-// simulator with per-task operation counts); the sink instead captures the
+// one per projection step of general SEA's outer loop. It captures the
 // convergence trajectory and phase accounting in a diffable, append-only
 // format for cross-PR analysis. Attach via SeaOptions::observers.
 //

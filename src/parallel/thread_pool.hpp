@@ -28,10 +28,8 @@
 //
 // Utilization telemetry: EnableStats(true) makes every ParallelFor region
 // record per-worker busy seconds, region wall time, per-worker imbalance,
-// and chunk counts, exposed as a PoolStats snapshot — the measured
-// counterpart to the schedule simulator's idealized makespans
-// (parallel/speedup_model.hpp). Stats are off by default and the disabled
-// path adds only a branch.
+// and chunk counts, exposed as a PoolStats snapshot. Stats are off by
+// default and the disabled path adds only a branch.
 #pragma once
 
 #include <algorithm>

@@ -141,10 +141,10 @@ void GeneralProblem::Validate() const {
 }
 
 double GeneralProblem::Objective(const Vector& x, const Vector& s,
-                                 const Vector& d) const {
+                                 const Vector& d, ThreadPool* pool) const {
   SEA_CHECK(x.size() == num_x());
   Vector tmp(x.size());
-  Gemv(g_, x, tmp);
+  GemvParallel(g_, x, tmp, pool);
   double obj = Dot(tmp, x) + Dot(cx_, x) + constant_;
   if (mode_ == TotalsMode::kElastic || mode_ == TotalsMode::kSam) {
     SEA_CHECK(s.size() == a_.rows());

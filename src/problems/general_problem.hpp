@@ -73,8 +73,10 @@ class GeneralProblem {
 
   void Validate() const;
 
-  // Full objective value (includes the constant term).
-  double Objective(const Vector& x, const Vector& s, const Vector& d) const;
+  // Full objective value (includes the constant term). Optional pool
+  // parallelizes the dense G matvec; the value is bit-identical either way.
+  double Objective(const Vector& x, const Vector& s, const Vector& d,
+                   ThreadPool* pool = nullptr) const;
 
   // Gradient of the x-part: out = 2 G x + cx. Optional pool parallelizes the
   // dense matvec (the dominant cost of one projection step).

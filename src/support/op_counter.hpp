@@ -1,11 +1,9 @@
 // Operation accounting for the equilibration kernels.
 //
 // The paper's complexity analysis (Section 3.1) charges each row/column exact
-// equilibration 7n + n ln n + 2n operations and predicts the parallel speedup
-// from how this work distributes over processors against the serial
-// convergence-verification phase. We instrument the kernels with exact
-// per-subproblem counts so the schedule simulator (parallel/speedup_model.hpp)
-// can reproduce the paper's Tables 6 and 9 on any host.
+// equilibration 7n + n ln n + 2n operations. The kernels are instrumented
+// with exact per-subproblem counts, summed into each solve's OpCounts; the
+// counts are deterministic, so tests pin them alongside the result bits.
 #pragma once
 
 #include <cstdint>
@@ -17,9 +15,8 @@ namespace sea {
 // markets (equilibration/breakpoint_solver.cpp) compares no keys; it charges
 // kRadixSortOpsPerKey per key instead: one histogram read plus one scatter
 // per 8-bit digit of the 64-bit key, whether or not a digit's pass is
-// skipped. The charge is a function of n alone, so it is deterministic,
-// independent of thread count, and prices a cold market for the schedule
-// simulator.
+// skipped. The charge is a function of n alone, so it is deterministic and
+// independent of thread count.
 inline constexpr std::uint64_t kRadixSortOpsPerKey = 9;
 
 struct OpCounts {
@@ -49,7 +46,7 @@ struct OpCounts {
     return *this;
   }
 
-  // Scalar "work" used as the task cost by the schedule simulator.
+  // Scalar "work": comparisons plus flops.
   double Work() const {
     return static_cast<double>(comparisons) + static_cast<double>(flops);
   }

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 
 namespace sea {
 
@@ -27,20 +26,5 @@ class Stopwatch {
 // Process CPU time in seconds (user + system), mirroring the paper's
 // "CPU time exclusive of input and output" reporting convention.
 double ProcessCpuSeconds();
-
-// Accumulates time attributed to named solver phases (row equilibration,
-// column equilibration, convergence verification, ...). The serial/parallel
-// phase breakdown feeds the speedup model for the parallel experiments.
-class PhaseTimer {
- public:
-  void Add(double seconds) { total_ += seconds; ++count_; }
-  double total() const { return total_; }
-  std::uint64_t count() const { return count_; }
-  void Reset() { total_ = 0.0; count_ = 0; }
-
- private:
-  double total_ = 0.0;
-  std::uint64_t count_ = 0;
-};
 
 }  // namespace sea

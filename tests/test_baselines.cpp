@@ -78,23 +78,6 @@ TEST(Rc, RejectsNonFixedProblems) {
   EXPECT_THROW(SolveRc(p, RcOptions{}), InvalidArgument);
 }
 
-TEST(Rc, TraceContainsProjectionChecks) {
-  Rng rng(5);
-  const auto p = datasets::MakeGeneralDense(3, 3, rng);
-  RcOptions opts;
-  opts.epsilon = 1e-6;
-  opts.record_trace = true;
-  const auto run = SolveRc(p, opts);
-  ASSERT_TRUE(run.result.converged);
-  std::size_t proj_checks = 0;
-  for (const auto& ph : run.result.trace.phases())
-    if (ph.label == "rc-projection-check") ++proj_checks;
-  std::size_t total_proj = 0;
-  for (std::size_t it : run.result.projection_iterations_per_phase)
-    total_proj += it;
-  EXPECT_EQ(proj_checks, total_proj);
-}
-
 // ---------------------------------------------------------------------------
 // Bachem-Korte (Hildreth-style reconstruction).
 

@@ -13,8 +13,11 @@
 #include <tuple>
 #include <vector>
 
+#include "baselines/rc_algorithm.hpp"
 #include "core/diagonal_sea.hpp"
 #include "core/engine_observer.hpp"
+#include "core/general_sea.hpp"
+#include "datasets/general_dense.hpp"
 #include "parallel/thread_pool.hpp"
 #include "problems/feasibility.hpp"
 #include "support/rng.hpp"
@@ -312,6 +315,49 @@ INSTANTIATE_TEST_SUITE_P(AllModes, ConfigTrajectory,
                                            TotalsMode::kElastic,
                                            TotalsMode::kSam,
                                            TotalsMode::kInterval));
+
+// The general solvers share the sweep kernel and split each dense G matvec
+// (linearization and final objective) by rows of G, one Dot per row, so
+// general SEA and RC are bit-identical across thread counts too.
+TEST(GeneralThreads, SeaAndRcBitIdentical) {
+  Rng rng(21);
+  const GeneralProblem p = datasets::MakeGeneralDense(6, 5, rng);
+  GeneralSeaOptions sea_opts;
+  sea_opts.outer_epsilon = 1e-6;
+  sea_opts.inner.criterion = StopCriterion::kResidualAbs;
+  RcOptions rc_opts;
+  rc_opts.epsilon = 1e-6;
+  const GeneralSeaRun sea_ref = SolveGeneral(p, sea_opts);
+  const RcRun rc_ref = SolveRc(p, rc_opts);
+  ASSERT_TRUE(sea_ref.result.converged());
+  ASSERT_TRUE(rc_ref.result.converged);
+  for (std::size_t threads : {2u, 4u}) {
+    const std::string tag = "threads=" + std::to_string(threads);
+    ThreadPool pool(threads);
+    sea_opts.inner.pool = &pool;
+    rc_opts.pool = &pool;
+    const GeneralSeaRun sea_got = SolveGeneral(p, sea_opts);
+    const RcRun rc_got = SolveRc(p, rc_opts);
+    EXPECT_EQ(sea_got.result.outer_iterations, sea_ref.result.outer_iterations)
+        << tag;
+    EXPECT_EQ(sea_got.result.total_inner_iterations,
+              sea_ref.result.total_inner_iterations)
+        << tag;
+    EXPECT_TRUE(SameBits(sea_got.solution.x.Flat(), sea_ref.solution.x.Flat()))
+        << tag;
+    EXPECT_TRUE(SameBits({&sea_got.result.objective, 1},
+                         {&sea_ref.result.objective, 1}))
+        << tag;
+    EXPECT_EQ(rc_got.result.projection_iterations_per_phase,
+              rc_ref.result.projection_iterations_per_phase)
+        << tag;
+    EXPECT_TRUE(SameBits(rc_got.solution.x.Flat(), rc_ref.solution.x.Flat()))
+        << tag;
+    EXPECT_TRUE(SameBits({&rc_got.result.objective, 1},
+                         {&rc_ref.result.objective, 1}))
+        << tag;
+  }
+}
 
 }  // namespace
 }  // namespace sea

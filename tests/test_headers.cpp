@@ -32,7 +32,6 @@
 #include "linalg/kernels.hpp"
 #include "linalg/spd_generators.hpp"
 #include "parallel/parallel_for.hpp"
-#include "parallel/speedup_model.hpp"
 #include "parallel/thread_pool.hpp"
 #include "problems/diagonal_problem.hpp"
 #include "problems/feasibility.hpp"

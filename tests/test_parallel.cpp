@@ -11,7 +11,6 @@
 
 #include "obs/profiler.hpp"
 #include "parallel/parallel_for.hpp"
-#include "parallel/speedup_model.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace sea {
@@ -305,169 +304,6 @@ TEST(Schedule, PoolStatsCountChunks) {
   EXPECT_EQ(stats.regions, 4u);
   EXPECT_EQ(stats.chunks, expect);
   EXPECT_EQ(expect, 1u + 7u + 17u + 17u);  // grains 1, 1, 6, 62
-}
-
-// ---------------------------------------------------------------------------
-// Schedule simulator.
-
-TEST(SpeedupModel, EqualTasksScaleLinearly) {
-  ExecutionTrace trace;
-  trace.AddParallelPhase("work", std::vector<double>(64, 10.0));
-  const auto r1 = SimulateSchedule(trace, 1);
-  const auto r4 = SimulateSchedule(trace, 4);
-  EXPECT_DOUBLE_EQ(r1.makespan, 640.0);
-  EXPECT_DOUBLE_EQ(r4.makespan, 160.0);
-}
-
-TEST(SpeedupModel, SerialPhaseNeverShrinks) {
-  ExecutionTrace trace;
-  trace.AddSerialPhase("check", 100.0);
-  for (std::size_t p : {1u, 2u, 8u})
-    EXPECT_DOUBLE_EQ(SimulateSchedule(trace, p).makespan, 100.0);
-}
-
-TEST(SpeedupModel, AmdahlLawReproduced) {
-  // 10% serial, 90% perfectly divisible parallel work.
-  ExecutionTrace trace;
-  trace.AddSerialPhase("serial", 100.0);
-  trace.AddParallelPhase("par", std::vector<double>(900, 1.0));
-  const auto rows = ComputeSpeedups(trace, {1, 2, 4, 6});
-  for (const auto& row : rows) {
-    const double p = static_cast<double>(row.n_processors);
-    const double expected = 1.0 / (0.1 + 0.9 / p);
-    EXPECT_NEAR(row.speedup, expected, 0.01) << "p=" << p;
-    EXPECT_NEAR(row.efficiency, expected / p, 0.01);
-  }
-}
-
-TEST(SpeedupModel, LptHandlesUnevenTasks) {
-  // One dominant task bounds the makespan from below.
-  ExecutionTrace trace;
-  std::vector<double> costs(10, 1.0);
-  costs[0] = 50.0;
-  trace.AddParallelPhase("uneven", costs);
-  const auto r = SimulateSchedule(trace, 4);
-  EXPECT_GE(r.makespan, 50.0);
-  EXPECT_LE(r.makespan, 59.0);
-}
-
-TEST(SpeedupModel, PerTaskOverheadDegradesSpeedup) {
-  ExecutionTrace trace;
-  trace.AddParallelPhase("work", std::vector<double>(100, 1.0));
-  ScheduleOptions none, heavy;
-  heavy.per_task_overhead = 1.0;
-  const auto clean = ComputeSpeedups(trace, {4}, none);
-  const auto loaded = ComputeSpeedups(trace, {4}, heavy);
-  // Overhead inflates both T1 and TN equally per task, so it does not change
-  // LPT speedups for equal tasks; but makespans must reflect it.
-  EXPECT_GT(SimulateSchedule(trace, 4, heavy).makespan,
-            SimulateSchedule(trace, 4, none).makespan);
-  EXPECT_NEAR(clean[0].speedup, loaded[0].speedup, 1e-9);
-}
-
-TEST(SpeedupModel, MoreProcessorsNeverSlower) {
-  ExecutionTrace trace;
-  std::vector<double> costs;
-  for (int i = 0; i < 37; ++i) costs.push_back(1.0 + (i % 5));
-  trace.AddParallelPhase("a", costs);
-  trace.AddSerialPhase("s", 3.0);
-  trace.AddParallelPhase("b", std::vector<double>(11, 2.0));
-  double prev = SimulateSchedule(trace, 1).makespan;
-  for (std::size_t p = 2; p <= 8; ++p) {
-    const double cur = SimulateSchedule(trace, p).makespan;
-    EXPECT_LE(cur, prev + 1e-12);
-    prev = cur;
-  }
-}
-
-TEST(SpeedupModel, TraceAccounting) {
-  ExecutionTrace trace;
-  trace.AddParallelPhase("p", {1.0, 2.0, 3.0});
-  trace.AddSerialPhase("s", 4.0);
-  EXPECT_DOUBLE_EQ(trace.TotalWork(), 10.0);
-  EXPECT_DOUBLE_EQ(trace.SerialWork(), 4.0);
-
-  ExecutionTrace other;
-  other.AddSerialPhase("s2", 6.0);
-  trace.Append(other);
-  EXPECT_DOUBLE_EQ(trace.SerialWork(), 10.0);
-  EXPECT_EQ(trace.phases().size(), 3u);
-}
-
-TEST(SpeedupModel, BandwidthCapLimitsBoundPhases) {
-  ExecutionTrace trace;
-  trace.AddParallelPhase("matvec", std::vector<double>(100, 10.0),
-                         /*bandwidth_bound=*/true);
-  ScheduleOptions so;
-  so.bandwidth_cap = 3.0;
-  // Speedup saturates at the cap even with more processors.
-  const auto rows = ComputeSpeedups(trace, {1, 2, 4, 8}, so);
-  EXPECT_NEAR(rows[0].speedup, 1.0, 1e-12);
-  EXPECT_NEAR(rows[1].speedup, 2.0, 1e-12);
-  EXPECT_NEAR(rows[2].speedup, 3.0, 1e-12);
-  EXPECT_NEAR(rows[3].speedup, 3.0, 1e-12);
-}
-
-TEST(SpeedupModel, BandwidthCapRespectsLongestTask) {
-  ExecutionTrace trace;
-  std::vector<double> costs(10, 1.0);
-  costs[0] = 100.0;
-  trace.AddParallelPhase("skewed", costs, /*bandwidth_bound=*/true);
-  ScheduleOptions so;
-  so.bandwidth_cap = 8.0;
-  EXPECT_GE(SimulateSchedule(trace, 8, so).makespan, 100.0);
-}
-
-TEST(SpeedupModel, ComputeBoundPhasesIgnoreBandwidthCap) {
-  ExecutionTrace trace;
-  trace.AddParallelPhase("compute", std::vector<double>(64, 1.0),
-                         /*bandwidth_bound=*/false);
-  ScheduleOptions so;
-  so.bandwidth_cap = 2.0;
-  EXPECT_NEAR(SimulateSchedule(trace, 8, so).makespan, 8.0, 1e-12);
-}
-
-TEST(SpeedupModel, SerialPhaseOverheadCharged) {
-  ExecutionTrace trace;
-  trace.AddSerialPhase("check", 5.0);
-  trace.AddSerialPhase("check", 5.0);
-  trace.AddParallelPhase("work", std::vector<double>(10, 1.0));
-  ScheduleOptions so;
-  so.serial_phase_overhead = 7.0;
-  const auto r = SimulateSchedule(trace, 2, so);
-  EXPECT_DOUBLE_EQ(r.serial_time, 10.0 + 2 * 7.0);
-  EXPECT_EQ(trace.SerialPhaseCount(), 2u);
-}
-
-TEST(SpeedupModel, MoreSyncPhasesScaleWorseUnderOverhead) {
-  // The structural mechanism behind Table 9: equal work, but one trace has
-  // 5x the serial synchronization phases.
-  ExecutionTrace few, many;
-  few.AddParallelPhase("w", std::vector<double>(100, 10.0));
-  few.AddSerialPhase("check", 1.0);
-  for (int k = 0; k < 5; ++k) {
-    many.AddParallelPhase("w", std::vector<double>(20, 10.0));
-    many.AddSerialPhase("check", 1.0);
-  }
-  ScheduleOptions so;
-  so.serial_phase_overhead = 20.0;
-  const double s_few = ComputeSpeedups(few, {4}, so)[0].speedup;
-  const double s_many = ComputeSpeedups(many, {4}, so)[0].speedup;
-  EXPECT_GT(s_few, s_many);
-}
-
-TEST(SpeedupModel, SpeedupRowsAreConsistent) {
-  ExecutionTrace trace;
-  trace.AddParallelPhase("p", std::vector<double>(48, 5.0));
-  trace.AddSerialPhase("s", 20.0);
-  const auto rows = ComputeSpeedups(trace, {1, 2, 4});
-  EXPECT_DOUBLE_EQ(rows[0].speedup, 1.0);
-  for (const auto& r : rows) {
-    EXPECT_GT(r.speedup, 0.0);
-    EXPECT_LE(r.speedup, static_cast<double>(r.n_processors) + 1e-12);
-    EXPECT_NEAR(r.efficiency * static_cast<double>(r.n_processors), r.speedup,
-                1e-12);
-  }
 }
 
 TEST(PoolStats, DisabledByDefaultAndCostsNothing) {
