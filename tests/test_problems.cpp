@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <tuple>
 
+#include "parallel/thread_pool.hpp"
 #include "problems/diagonal_problem.hpp"
 #include "problems/feasibility.hpp"
 #include "problems/general_problem.hpp"
@@ -355,6 +358,58 @@ TEST(GeneralProblem, ValidatesShapes) {
   EXPECT_THROW(
       GeneralProblem::MakeFixed(2, 2, g, Vector(4, 0.0), {1, 1}, {2, 2}),
       InvalidArgument);
+}
+
+// Objective's pooled G matvec computes one Dot per row of G, as the serial
+// Gemv does, so the value keeps its bits at any thread count, including
+// counts above the number of rows.
+class GeneralObjectiveOnPool
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, std::size_t, std::size_t>> {};
+
+TEST_P(GeneralObjectiveOnPool, BitIdenticalToSerial) {
+  const auto [m, n, threads] = GetParam();
+  const std::size_t mn = m * n;
+  Rng rng(14 + mn);
+  DenseMatrix g(mn, mn, 0.0);
+  for (std::size_t a = 0; a < mn; ++a) {
+    g(a, a) = rng.Uniform(1.0, 3.0);
+    for (std::size_t b = a + 1; b < mn; ++b)
+      g(a, b) = g(b, a) = rng.Uniform(-0.1, 0.1);
+  }
+  const DenseMatrix x0 = Fill(m, n, rng, 0.5, 2.0);
+  const auto p =
+      GeneralProblem::MakeFixedFromCenters(x0, g, x0.RowSums(), x0.ColSums());
+  const Vector x = rng.UniformVector(mn, 0.0, 3.0);
+  ThreadPool pool(threads);
+  const double serial = p.Objective(x, {}, {});
+  const double pooled = p.Objective(x, {}, {}, &pool);
+  EXPECT_EQ(std::memcmp(&serial, &pooled, sizeof(double)), 0)
+      << serial << " vs " << pooled;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShapesAndThreads, GeneralObjectiveOnPool,
+    ::testing::Combine(::testing::Values(1u, 7u), ::testing::Values(1u, 3u),
+                       ::testing::Values(2u, 3u, 4u)));
+
+TEST(GeneralProblem, ElasticObjectiveOnPoolBitIdenticalToSerial) {
+  Rng rng(15);
+  const std::size_t m = 3, n = 4, mn = m * n;
+  DenseMatrix g = DenseMatrix::Identity(mn);
+  for (std::size_t k = 0; k + 1 < mn; ++k) g(k, k + 1) = g(k + 1, k) = 0.2;
+  const DenseMatrix x0 = Fill(m, n, rng, 0.5, 2.0);
+  const auto p = GeneralProblem::MakeElasticFromCenters(
+      x0, g, x0.RowSums(), DenseMatrix::Identity(m), x0.ColSums(),
+      DenseMatrix::Identity(n));
+  const Vector x = rng.UniformVector(mn, 0.0, 3.0);
+  const Vector s = rng.UniformVector(m, 1.0, 5.0);
+  const Vector d = rng.UniformVector(n, 1.0, 5.0);
+  ThreadPool pool(4);
+  const double serial = p.Objective(x, s, d);
+  const double pooled = p.Objective(x, s, d, &pool);
+  EXPECT_EQ(std::memcmp(&serial, &pooled, sizeof(double)), 0)
+      << serial << " vs " << pooled;
 }
 
 TEST(GeneralProblem, ElasticGradientsCoverTotals) {
