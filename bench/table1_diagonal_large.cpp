@@ -4,8 +4,11 @@
 // Protocol (Section 4.1.1): m = n in {750, 1000, 2000, 3000}; 100% dense
 // X0 uniform [.1, 10000]; gamma = 1/x0; s0 = 2*rowsums, d0 = 2*colsums;
 // HEAPSORT exact equilibration; epsilon = .01 on |x^t - x^{t-1}|. Here each
-// market's first sweep cold-sorts (heapsort above kInsertionThreshold) and
-// every later sweep repairs that order (docs/PARALLELISM.md, "Sort reuse").
+// market's first sweep cold-sorts (the radix sort above kInsertionThreshold)
+// and every later sweep repairs that order (docs/PARALLELISM.md, "Sort
+// reuse"). The totals are twice the margins, so each side's multipliers are
+// equal up to rounding and no order is seeded from them (docs/KERNELS.md,
+// "One order per sweep"). Exits 1 when a run does not converge.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -37,6 +40,7 @@ int main(int argc, char** argv) {
   TablePrinter table({"m x n", "# nonzero variables", "CPU time (s)",
                       "paper CPU (s)", "iters", "max rel residual"});
   ExperimentLog log;
+  bool ok = true;
 
   for (const auto& row : rows) {
     Rng rng(0x7AB1E001 + row.n);
@@ -49,6 +53,8 @@ int main(int argc, char** argv) {
         std::to_string(row.n) + " x " + std::to_string(row.n);
     bench::MaybeAttachProgress(opts, sea_opts, "table1 " + dims);
     const auto run = SolveDiagonal(problem, sea_opts);
+
+    ok = ok && run.result.converged();
 
     const auto rep = CheckFeasibility(problem, run.solution);
     table.AddRow({dims, TablePrinter::Int(long(row.n) * long(row.n)),
@@ -70,5 +76,5 @@ int main(int argc, char** argv) {
 
   table.Print(std::cout);
   bench::Finish(log, opts, "table1");
-  return 0;
+  return ok ? 0 : 1;  // a non-converged run fails the bench
 }

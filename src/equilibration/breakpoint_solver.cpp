@@ -244,6 +244,60 @@ SweepHit SweepSearch(const std::vector<SortKey>& keys, const double* p,
   return hit;  // non-finite data poisoned the sums; caller reports breakdown
 }
 
+// Clears the market whose keys are sorted against u + v*lambda: sets
+// result's lambda, active_count and feasible, and adds the clearing's ops.
+// Markets with no arcs, and infeasible ones (v == 0, u < 0), need no keys.
+// Inline: it is the tail of every SolveMarket, and a call per market solve
+// shows on small markets.
+inline void ClearSorted(const std::vector<SortKey>& keys, const double* p,
+                        const double* q, std::size_t n, double u, double v,
+                        BreakpointResult& result) {
+  if (n == 0) {
+    // No arcs: total supply is 0; clearing requires u + v*lambda = 0.
+    if (v < 0.0) {
+      result.lambda = -u / v;
+    } else {
+      result.feasible = (u == 0.0);
+      result.lambda = 0.0;
+    }
+    return;
+  }
+  if (v == 0.0 && u < 0.0) {
+    result.feasible = false;
+    return;
+  }
+
+  // Segment before the first breakpoint: supply is 0.
+  // Clearing: 0 = u + v*lambda.
+  if (v < 0.0) {
+    const double lam = -u / v;
+    ++result.ops.flops;
+    ++result.ops.comparisons;
+    if (lam <= keys[0].b) {
+      result.lambda = lam;
+      result.active_count = 0;
+      return;
+    }
+  } else if (u == 0.0) {
+    // Degenerate fixed total of zero: every lambda <= first breakpoint
+    // clears; return the boundary (all allocations zero).
+    result.lambda = keys[0].b;
+    result.active_count = 0;
+    return;
+  }
+
+  // Sweep segments. After activating the arcs of keys [0..k],
+  // supply(lambda) = P_k + Q_k*lambda on [keys[k].b, keys[k+1].b].
+  const SweepHit hit = SweepSearch(keys, p, q, n, u, v);
+  // The last segment always accepts (its right edge is +inf), so a miss can
+  // only mean non-finite arc data poisoned the prefix sums.
+  SEA_INTERNAL_CHECK(hit.found);
+  result.ops.flops += 4 * (hit.k + 1);
+  result.ops.comparisons += hit.k + 1;
+  result.lambda = hit.lambda;
+  result.active_count = hit.k + 1;
+}
+
 }  // namespace
 
 BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
@@ -264,18 +318,8 @@ BreakpointResult detail::SolveMarket(BreakpointWorkspace& ws, double u,
 
   BreakpointResult result;
   SEA_CHECK_MSG(v <= 0.0, "elastic slope must be nonpositive");
-  if (n == 0) {
-    // No arcs: total supply is 0; clearing requires u + v*lambda = 0.
-    if (v < 0.0) {
-      result.lambda = -u / v;
-    } else {
-      result.feasible = (u == 0.0);
-      result.lambda = 0.0;
-    }
-    return result;
-  }
-  if (v == 0.0 && u < 0.0) {
-    result.feasible = false;
+  if (n == 0 || (v == 0.0 && u < 0.0)) {
+    ClearSorted(ws.keys_, nullptr, nullptr, n, u, v, result);
     return result;
   }
 
@@ -302,9 +346,9 @@ BreakpointResult detail::SolveMarket(BreakpointWorkspace& ws, double u,
     }
     // A churned order costs up to n^2/4 shifts; past n*log2(n) of them a
     // cold sort is cheaper, so above kInsertionThreshold the repair gives up
-    // and the market is cold-sorted below. Typical case: a market's second
-    // sweep when its first cleared against all-zero multipliers, so the
-    // stored order carries no information.
+    // and the market is cold-sorted below. The sweeps seed the orders that
+    // carry no information from the crossing multipliers' order
+    // (equilibration/equilibrator.hpp), so a hand-over is rare.
     const std::uint64_t budget =
         n > kInsertionThreshold ? n * std::bit_width(n)
                                 : std::numeric_limits<std::uint64_t>::max();
@@ -338,35 +382,7 @@ BreakpointResult detail::SolveMarket(BreakpointWorkspace& ws, double u,
     for (std::size_t k = 0; k < n; ++k) order->perm[k] = keys[k].idx;
   }
 
-  // Segment before the first breakpoint: supply is 0.
-  // Clearing: 0 = u + v*lambda.
-  if (v < 0.0) {
-    const double lam = -u / v;
-    ++result.ops.flops;
-    ++result.ops.comparisons;
-    if (lam <= keys[0].b) {
-      result.lambda = lam;
-      result.active_count = 0;
-      return result;
-    }
-  } else if (u == 0.0) {
-    // Degenerate fixed total of zero: every lambda <= first breakpoint
-    // clears; return the boundary (all allocations zero).
-    result.lambda = keys[0].b;
-    result.active_count = 0;
-    return result;
-  }
-
-  // Sweep segments. After activating the arcs of keys [0..k],
-  // supply(lambda) = P_k + Q_k*lambda on [keys[k].b, keys[k+1].b].
-  const SweepHit hit = SweepSearch(keys, ws.p_.data(), ws.q_.data(), n, u, v);
-  // The last segment always accepts (its right edge is +inf), so a miss can
-  // only mean non-finite arc data poisoned the prefix sums.
-  SEA_INTERNAL_CHECK(hit.found);
-  result.ops.flops += 4 * (hit.k + 1);
-  result.ops.comparisons += hit.k + 1;
-  result.lambda = hit.lambda;
-  result.active_count = hit.k + 1;
+  ClearSorted(keys, ws.p_.data(), ws.q_.data(), n, u, v, result);
   return result;
 }
 
@@ -378,34 +394,33 @@ BreakpointResult SolveMarketBox(BreakpointWorkspace& ws, double u, double v,
 
   // The response u + v*lambda is decreasing (v < 0): it sits at hi while
   // u + v*lambda >= hi, i.e. lambda <= (hi - u)/v, follows the affine middle
-  // piece in between, and sits at lo for lambda >= (lo - u)/v. Solve against
+  // piece in between, and sits at lo for lambda >= (lo - u)/v. Clear against
   // each piece and accept the candidate that lands on its own piece;
   // monotonicity guarantees exactly one does (ties at junctions agree).
-  // With an order, the first inner solve repairs the persisted permutation
-  // and the later pieces start from an already-sorted one.
   const double enter_mid = (hi - u) / v;  // lambda where response leaves hi
   const double leave_mid = (lo - u) / v;  // lambda where response hits lo
 
-  // Upper piece: constant hi.
-  BreakpointResult r = SolveMarket(ws, hi, 0.0, order);
-  if (r.lambda <= enter_mid) return r;
-  OpCounts ops = r.ops;
-  const bool reused = r.order_reused;
+  // Upper piece: constant hi. This solve sorts (or repairs) the breakpoints;
+  // the other pieces clear against the keys it leaves sorted in ws.
+  const BreakpointResult upper = SolveMarket(ws, hi, 0.0, order);
+  if (upper.lambda <= enter_mid) return upper;
+  OpCounts ops = upper.ops;
+  const auto clear = [&](double piece_u, double piece_v) {
+    BreakpointResult r;
+    ClearSorted(ws.keys_, ws.p_.data(), ws.q_.data(), ws.n_, piece_u, piece_v,
+                r);
+    ops += r.ops;
+    r.ops = ops;
+    r.order_reused = upper.order_reused;
+    return r;
+  };
 
   // Middle piece: the affine response itself.
-  r = SolveMarket(ws, u, v, order);
-  ops += r.ops;
-  if (r.lambda >= enter_mid && r.lambda <= leave_mid) {
-    r.ops = ops;
-    r.order_reused = reused;
-    return r;
-  }
+  BreakpointResult r = clear(u, v);
+  if (r.lambda >= enter_mid && r.lambda <= leave_mid) return r;
 
   // Lower piece: constant lo.
-  r = SolveMarket(ws, lo, 0.0, order);
-  ops += r.ops;
-  r.ops = ops;
-  r.order_reused = reused;
+  r = clear(lo, 0.0);
   SEA_INTERNAL_CHECK(r.feasible);
   // On this piece the candidate must sit at or beyond the junction; clamp
   // against degenerate ties.

@@ -37,7 +37,10 @@
 // stores the permutation; every later solve builds the breakpoint array
 // already permuted and repairs it with straight insertion — O(n + inversions)
 // instead of a fresh O(n log n) sort, and a key already in place costs one
-// comparison and no store — then persists the updated permutation. Above
+// comparison and no store — then persists the updated permutation. A sweep
+// may also hand in a seeded permutation, built from the crossing
+// multipliers' order (equilibration/equilibrator.hpp, SortOrderCache): to
+// the solver it is one more stored order to repair. Above
 // kInsertionThreshold arcs a repair that passes n*bit_width(n) shifts hands
 // over to the radix sort, rebuilding the keys in arc order, so a churned
 // order never costs O(n^2). Ties are broken by original arc index in every
@@ -196,6 +199,8 @@ class BreakpointWorkspace {
   friend BreakpointResult detail::SolveMarket(BreakpointWorkspace&, double,
                                               double, MarketOrder*,
                                               const ColdSort*);
+  friend BreakpointResult SolveMarketBox(BreakpointWorkspace&, double, double,
+                                         double, double, MarketOrder*);
   std::size_t n_ = 0;
   // The market bundle (caller-filled; only the first n_ entries are live).
   std::vector<double> p_;
@@ -218,7 +223,9 @@ class BreakpointWorkspace {
 // the closed form of a market whose total is both penalized and box
 // constrained (lo <= total <= hi). Requires v < 0 and 0 <= lo <= hi. The
 // left side is nondecreasing and the right side nonincreasing, so the
-// crossing is unique; it is found by testing the three response pieces.
+// crossing is unique; it is found by testing the three response pieces
+// against one sort (or repair) of the breakpoints, so each piece clears to
+// the bits a SolveMarket against it would.
 BreakpointResult SolveMarketBox(BreakpointWorkspace& ws, double u, double v,
                                 double lo, double hi,
                                 MarketOrder* order = nullptr);

@@ -1,6 +1,12 @@
 #include "equilibration/equilibrator.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <mutex>
+#include <numeric>
+#include <utility>
 
 #include "obs/market_stats.hpp"
 #include "obs/profiler.hpp"
@@ -65,14 +71,124 @@ BreakpointResult EquilibrateMarket(std::span<const double> centers,
 
 namespace {
 
+// A sweep's view of the crossing multipliers for seeding (see
+// SortOrderCache). The shared order is sorted by the first market that
+// needs it, so a sweep whose markets are not seedable never sorts.
+class SharedOrder {
+ public:
+  // Seeds when the sort cache is not yet informed and the multipliers are
+  // finite and not all zero.
+  SharedOrder(const SweepOptions& opts, std::span<const double> mult)
+      : mult_(mult) {
+    if (opts.sort_cache == nullptr || opts.sort_cache->informed()) return;
+    double lo = std::numeric_limits<double>::infinity(), hi = -lo;
+    bool nonzero = false;
+    for (const double mu : mult) {
+      if (!std::isfinite(mu)) return;
+      nonzero |= mu != 0.0;
+      lo = std::min(lo, mu);
+      hi = std::max(hi, mu);
+      magnitude_ = std::max(magnitude_, std::abs(mu));
+    }
+    seeding_ = nonzero;
+    spread_ = hi - lo;
+  }
+
+  bool seeding() const { return seeding_; }
+  double spread() const { return spread_; }        // max - min
+  double magnitude() const { return magnitude_; }  // max |multiplier|
+
+  // The crossing indices by descending multiplier, ties by index. Sorted
+  // once, by whichever worker asks first.
+  std::span<const std::uint32_t> ByMult() {
+    std::call_once(sorted_, [this] {
+      by_mult_.resize(mult_.size());
+      std::iota(by_mult_.begin(), by_mult_.end(), 0u);
+      std::sort(by_mult_.begin(), by_mult_.end(),
+                [this](std::uint32_t a, std::uint32_t b) {
+                  return mult_[a] > mult_[b] || (mult_[a] == mult_[b] && a < b);
+                });
+    });
+    return by_mult_;
+  }
+
+ private:
+  std::span<const double> mult_;
+  bool seeding_ = false;
+  double spread_ = 0.0, magnitude_ = 0.0;
+  std::once_flag sorted_;
+  std::vector<std::uint32_t> by_mult_;
+};
+
+// Seeds one market's order in its side's seeding sweep. Classifies the
+// offsets o_j = centers_j/slopes_j (the negated breakpoints at zero
+// multiplier, in the kernel's arithmetic) into `cls`. A market that is not
+// seedable keeps its order; a seedable one whose multiplier spread is noise
+// drops it (the market cold-sorts) and returns true; any other gets, from
+// the largest offset class to the smallest, each class's arcs in the order
+// arcs_by_mult() lists them (the shared order): b_j = -o_j - mu_j, so within
+// a class descending multipliers are ascending breakpoints.
+template <class ArcsByMultFn>
+bool SeedMarket(std::span<const double> centers,
+                std::span<const double> slopes, const SharedOrder& shared,
+                ArcsByMultFn arcs_by_mult, std::vector<std::uint8_t>& cls,
+                MarketOrder& order) {
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  const std::size_t n = centers.size();
+  const std::size_t max_classes =
+      std::min(kSeedMaxClasses, n / kSeedArcsPerClass);
+  if (max_classes == 0) return false;  // too few arcs to be seedable
+  cls.resize(n);
+  // Each arc tests every class so far without a branch on the outcome (the
+  // classes interleave unpredictably) and takes the first it matches.
+  double rep[kSeedMaxClasses] = {}, tol[kSeedMaxClasses] = {};
+  std::uint32_t count[kSeedMaxClasses] = {};
+  std::size_t classes = 0;
+  double deviation = 0.0, reach = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double o = centers[j] / slopes[j];
+    unsigned match = 0;
+    for (std::size_t c = 0; c < classes; ++c)
+      match |= static_cast<unsigned>(std::abs(o - rep[c]) <= tol[c]) << c;
+    std::size_t c = static_cast<std::size_t>(std::countr_zero(match));
+    if (match == 0) {
+      if (classes == max_classes) return false;  // not seedable
+      c = classes++;
+      rep[c] = o;
+      tol[c] = kSeedClassUlps * kEps * std::abs(o);
+      reach = std::max(reach, std::abs(o));
+    }
+    deviation = std::max(deviation, std::abs(o - rep[c]));
+    cls[j] = static_cast<std::uint8_t>(c);
+    ++count[c];
+  }
+  const double noise = deviation + kEps * (reach + shared.magnitude());
+  if (!(shared.spread() > kSeedNoiseMargin * noise)) {
+    order.perm.clear();
+    return true;
+  }
+  std::uint32_t start[kSeedMaxClasses] = {};
+  for (std::size_t c = 0; c < classes; ++c)
+    for (std::size_t d = 0; d < classes; ++d)
+      if (rep[d] > rep[c]) start[c] += count[d];
+  order.perm.resize(n);
+  for (const std::uint32_t j : arcs_by_mult()) order.perm[start[cls[j]]++] = j;
+  return false;
+}
+
 // The one sweep body: solves markets [0, markets) of a side, in chunks
-// claimed by the pool's workers. The layout enters through two callables:
+// claimed by the pool's workers. The layout enters through callables:
 // build_arcs(i, ws) fills ws with market i's arcs and returns their count;
-// allocations(i) is where market i's allocations go (empty = nowhere).
-template <class BuildArcsFn, class AllocationsFn>
+// allocations(i) is where market i's allocations go (empty = nowhere). A
+// seeding sweep also reads offsets(i), market i's (centers, slopes) pair,
+// and arcs_by_mult(i), its arcs (indices into them) in the shared order.
+template <class BuildArcsFn, class AllocationsFn, class OffsetsFn,
+          class ArcsByMultFn>
 SweepStats Sweep(std::size_t markets, const MarketSide& side,
                  std::span<double> mult_out, const SweepOptions& opts,
-                 BuildArcsFn build_arcs, AllocationsFn allocations) {
+                 const SharedOrder& shared, BuildArcsFn build_arcs,
+                 AllocationsFn allocations, OffsetsFn offsets,
+                 ArcsByMultFn arcs_by_mult) {
   SEA_CHECK(mult_out.size() == markets);
   SEA_CHECK(side.t0.size() == markets);
   if (side.mode != TotalsMode::kFixed)
@@ -88,12 +204,14 @@ SweepStats Sweep(std::size_t markets, const MarketSide& side,
   SEA_CHECK_MSG(opts.scratch.size() >= workers,
                 "sweep scratch needs one slot per pool worker");
   const std::span<SweepSlot> slots = opts.scratch.first(workers);
+  const bool seeding = shared.seeding();
 
   SweepStats stats;
   for (SweepSlot& slot : slots) {
     slot.ops = OpCounts{};
     slot.reuses = 0;
     slot.max_change = 0.0;
+    slot.seed_noise = false;
   }
 
   const char* phase =
@@ -113,6 +231,12 @@ SweepStats Sweep(std::size_t markets, const MarketSide& side,
       ClearingTarget(side, i, u, v);
       MarketOrder* order =
           opts.sort_cache != nullptr ? opts.sort_cache->At(i) : nullptr;
+      if (seeding) {
+        const auto [centers, slopes] = offsets(i);
+        slot.seed_noise |=
+            SeedMarket(centers, slopes, shared, [&] { return arcs_by_mult(i); },
+                       slot.offset_class, *order);
+      }
       const std::size_t arcs = build_arcs(i, wksp);
       BreakpointResult res =
           side.mode == TotalsMode::kInterval
@@ -141,13 +265,46 @@ SweepStats Sweep(std::size_t markets, const MarketSide& side,
 
   // Summed and maxed in worker order; max_change is order-free anyway
   // (MaxAbsChange never yields NaN).
+  bool seed_noise = false;
   for (const SweepSlot& slot : slots) {
     stats.total_ops += slot.ops;
     stats.order_reuses += slot.reuses;
     stats.max_change = std::max(stats.max_change, slot.max_change);
+    seed_noise |= slot.seed_noise;
   }
+  // Orders cold-sorted against noise carry no information either, so the
+  // side seeds again next sweep.
+  if (seeding && !seed_noise) opts.sort_cache->MarkInformed();
   stats.markets = markets;
   return stats;
+}
+
+// Each CSR row's pattern positions in the shared order, CSR-aligned with
+// `pattern`: a counting sort of all entries by their column's rank, O(nnz +
+// cols), instead of an O(cols) walk of the shared order per row.
+std::vector<std::uint32_t> RowsByMult(const SparseMatrix& pattern,
+                                      std::span<const std::uint32_t> by_mult) {
+  const std::span<const std::size_t> row_ptr = pattern.RowPtr();
+  const std::span<const std::size_t> col_idx = pattern.ColIdx();
+  std::vector<std::uint32_t> rank(by_mult.size());
+  for (std::size_t r = 0; r < by_mult.size(); ++r)
+    rank[by_mult[r]] = static_cast<std::uint32_t>(r);
+  std::vector<std::size_t> first(by_mult.size() + 1, 0);
+  for (const std::size_t c : col_idx) ++first[rank[c] + 1];
+  for (std::size_t r = 0; r < by_mult.size(); ++r) first[r + 1] += first[r];
+  struct Entry {
+    std::uint32_t row, k;  // row, and position within it
+  };
+  std::vector<Entry> entries(col_idx.size());  // by column rank
+  for (std::size_t i = 0; i + 1 < row_ptr.size(); ++i)
+    for (std::size_t e = row_ptr[i]; e < row_ptr[i + 1]; ++e)
+      entries[first[rank[col_idx[e]]]++] = {
+          static_cast<std::uint32_t>(i),
+          static_cast<std::uint32_t>(e - row_ptr[i])};
+  std::vector<std::uint32_t> out(col_idx.size());
+  std::vector<std::size_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
+  for (const Entry& entry : entries) out[cursor[entry.row]++] = entry.k;
+  return out;
 }
 
 }  // namespace
@@ -160,8 +317,9 @@ SweepStats EquilibrateSide(const DenseMatrix& centers,
   SEA_CHECK(slopes.SameShape(centers));
   SEA_CHECK(other_mult.size() == centers.cols());
   if (x_out != nullptr) SEA_CHECK(x_out->SameShape(centers));
+  SharedOrder shared(opts, other_mult);
   return Sweep(
-      centers.rows(), side, mult_out, opts,
+      centers.rows(), side, mult_out, opts, shared,
       [&](std::size_t i, BreakpointWorkspace& ws) {
         ws.Resize(centers.cols());
         BuildArcs(centers.Row(i), slopes.Row(i), other_mult, ws.p(), ws.q());
@@ -169,7 +327,10 @@ SweepStats EquilibrateSide(const DenseMatrix& centers,
       },
       [&](std::size_t i) {
         return x_out != nullptr ? x_out->Row(i) : std::span<double>{};
-      });
+      },
+      [&](std::size_t i) { return std::pair(centers.Row(i), slopes.Row(i)); },
+      // Arc j is crossing index j: every market walks the shared order.
+      [&](std::size_t) { return shared.ByMult(); });
 }
 
 SweepStats EquilibrateSide(const SparseMatrix& centers,
@@ -181,8 +342,11 @@ SweepStats EquilibrateSide(const SparseMatrix& centers,
   SEA_CHECK(other_mult.size() == centers.cols());
   if (x_out != nullptr)
     SEA_CHECK(x_out->rows() == centers.rows() && x_out->nnz() == centers.nnz());
+  SharedOrder shared(opts, other_mult);
+  std::once_flag scattered;
+  std::vector<std::uint32_t> rows_by_mult;
   return Sweep(
-      centers.rows(), side, mult_out, opts,
+      centers.rows(), side, mult_out, opts, shared,
       [&](std::size_t i, BreakpointWorkspace& ws) {
         const auto cols = centers.RowCols(i);
         ws.Resize(cols.size());
@@ -193,6 +357,17 @@ SweepStats EquilibrateSide(const SparseMatrix& centers,
       [&](std::size_t i) {
         return x_out != nullptr ? x_out->MutableRowValues(i)
                                 : std::span<double>{};
+      },
+      [&](std::size_t i) {
+        return std::pair(centers.RowValues(i), slopes.RowValues(i));
+      },
+      [&](std::size_t i) {
+        std::call_once(scattered, [&] {
+          rows_by_mult = RowsByMult(centers, shared.ByMult());
+        });
+        const std::size_t begin = centers.RowPtr()[i];
+        return std::span<const std::uint32_t>(rows_by_mult)
+            .subspan(begin, centers.RowPtr()[i + 1] - begin);
       });
 }
 

@@ -43,21 +43,57 @@ class MarketAttribution;
 // "Sort reuse"). One cache per sweep side (markets keep their index between
 // sweeps); each market is touched by exactly one worker per sweep, so slots
 // need no synchronization.
+//
+// A stored order carries no information about the crossing multipliers when
+// it is absent (a side's first sweep) or was made against all-zero ones (the
+// row side after a cold start). So each sweep of a side against nonzero
+// crossing multipliers is a seeding sweep until the side is informed
+// (docs/KERNELS.md, "One order per sweep"): it sorts those multipliers once,
+// and every market whose offsets c/q fall into at most kSeedMaxClasses
+// classes gets the arcs of each class in that shared order, classes from the
+// largest offset to the smallest, as the order SolveMarket repairs. Under
+// chi-square weights (gamma = 1/x0) that is every market of a table. The
+// side is informed after a seeding sweep in which no market found the
+// multipliers to be noise; later sweeps repair the stored orders.
 class SortOrderCache {
  public:
   // Drops all learned orders and sizes the cache for `markets` markets.
   void Reset(std::size_t markets) {
     orders_.clear();
     orders_.resize(markets);
+    informed_ = false;
   }
   std::size_t size() const { return orders_.size(); }
   MarketOrder* At(std::size_t market) {
     return market < orders_.size() ? &orders_[market] : nullptr;
   }
+  // True once a seeding sweep of this side met no noise (see above): from
+  // then on its stored orders are repaired as they are.
+  bool informed() const { return informed_; }
+  void MarkInformed() { informed_ = true; }
 
  private:
   std::vector<MarketOrder> orders_;
+  bool informed_ = false;
 };
+
+// Seeding limits (docs/KERNELS.md, "One order per sweep"). A market is
+// seedable when its offsets o = c/q fall into at most kSeedMaxClasses
+// classes, offsets within kSeedClassUlps ulps of a class's first sharing it,
+// with at least kSeedArcsPerClass arcs per class on average. The seeding
+// sweep classifies each market and stops at the first offset past
+// min(kSeedMaxClasses, arcs / kSeedArcsPerClass) classes. A seedable market
+// is seeded only when the spread (max - min) of the crossing multipliers
+// exceeds kSeedNoiseMargin times its breakpoint noise: its largest
+// within-class offset deviation plus one ulp of its largest |offset| +
+// |multiplier|. Otherwise the multipliers are equal up to rounding (Table
+// 1's totals are a factor times the margins), any order of them is noise,
+// and the market cold-sorts. The order that cold sort stores is noise too,
+// so the side stays uninformed.
+inline constexpr std::size_t kSeedMaxClasses = 4;
+inline constexpr std::size_t kSeedArcsPerClass = 4;
+inline constexpr double kSeedClassUlps = 4.0;
+inline constexpr double kSeedNoiseMargin = 0x1p20;
 
 // Describes the constraint side being equilibrated.
 struct MarketSide {
@@ -79,8 +115,9 @@ struct MarketSide {
 
 struct SweepStats {
   OpCounts total_ops;
-  // Markets solved by repairing a persisted breakpoint order this sweep
-  // (0 without a sort cache, and on a market's first sweep).
+  // Markets solved by completing the repair of a stored or seeded
+  // breakpoint order this sweep (0 without a sort cache, and on a market's
+  // first sweep unless the sweep seeded it).
   std::uint64_t order_reuses = 0;
   // Markets solved this sweep (feeds SeaResult::kernel_markets and the
   // sea.kernel.scalar.markets counter).
@@ -101,9 +138,12 @@ struct alignas(64) SweepSlot {
   BreakpointWorkspace ws;
   // The allocations a materializing writeback overwrites, for the change.
   std::vector<double> before;
+  // A seeding sweep's offset class of each arc of the market being seeded.
+  std::vector<std::uint8_t> offset_class;
   OpCounts ops;
   std::uint64_t reuses = 0;
   double max_change = 0.0;
+  bool seed_noise = false;  // a market's seeding met noise multipliers
 };
 
 struct SweepOptions {
@@ -111,8 +151,10 @@ struct SweepOptions {
   // Per-worker scratch, at least WorkerCount(pool) slots (required).
   std::span<SweepSlot> scratch;
   // Persisted per-market breakpoint orders: each market's first sweep
-  // cold-sorts and stores its order, every later sweep repairs it. Null =
-  // cold sorts every sweep. Must be sized to this side's market count.
+  // cold-sorts and stores its order, every later sweep repairs it, and a
+  // side's seeding sweep seeds the orders that carry no information (see
+  // SortOrderCache). Null = cold sorts every sweep. Must be sized to this
+  // side's market count.
   SortOrderCache* sort_cache = nullptr;
   // Profiler span name wrapping each worker's chunk of the sweep (string
   // literal; nullptr = unnamed "equilibrate.sweep"). Lets the profile tell

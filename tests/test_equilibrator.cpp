@@ -5,9 +5,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <string>
 
+#include "datasets/weights.hpp"
 #include "equilibration/equilibrator.hpp"
 #include "parallel/parallel_for.hpp"
 #include "support/rng.hpp"
@@ -593,13 +595,26 @@ TEST(FusedCheck, MaxChangeMatchesBruteForceDenseAndCsr) {
   }
 }
 
+// A chi-square side (slopes of gamma = 1/x0) over centers with ~45%
+// structural zeros: offsets c/q of 2 on the support and exactly 0 on a
+// zero, so every market holds two offset classes and is seedable.
+DenseMatrix ChiSquareCenters(std::size_t m, std::size_t n, Rng& rng) {
+  DenseMatrix x0(m, n, 0.0);
+  for (double& v : x0.Flat())
+    if (rng.Bernoulli(0.55)) v = rng.Uniform(1.0, 100.0);
+  return x0;
+}
+
 TEST(FusedCheck, WarmSweepAllocatesNothing) {
-  // Once the scratch slots and the order cache have seen a sweep, a pooled
-  // materializing sweep reuses every buffer.
+  // Once every scratch slot and the order cache have seen a sweep, a pooled
+  // materializing sweep reuses every buffer, also after a seeding sweep.
   Rng rng(14);
   const std::size_t m = 40, n = 150;  // both cold-sort kinds over the rows
-  const auto centers = RandomPositiveMatrix(m, n, rng, -3.0, 10.0);
-  const auto slopes = ArcSlopes(RandomPositiveMatrix(m, n, rng, 0.2, 2.0));
+  const auto random_centers = RandomPositiveMatrix(m, n, rng, -3.0, 10.0);
+  const auto random_slopes =
+      ArcSlopes(RandomPositiveMatrix(m, n, rng, 0.2, 2.0));
+  const auto chi_centers = ChiSquareCenters(m, n, rng);
+  const auto chi_slopes = ArcSlopes(datasets::ChiSquareWeights(chi_centers));
   const Vector mu = rng.UniformVector(n, -1.0, 1.0);
   const Vector s0 = rng.UniformVector(m, 5.0, 50.0);
   MarketSide side;
@@ -607,18 +622,152 @@ TEST(FusedCheck, WarmSweepAllocatesNothing) {
   side.t0 = s0;
   ThreadPool pool(2);
   std::vector<SweepSlot> scratch;
-  SortOrderCache cache;
-  cache.Reset(m);
-  SweepOptions opts = OptionsOn(&pool, scratch);
-  opts.sort_cache = &cache;
+  const SweepOptions pooled = OptionsOn(&pool, scratch);
   Vector mult(m);
   DenseMatrix x(m, n);
-  for (int sweep = 0; sweep < 2; ++sweep)  // every worker meets every size
-    EquilibrateSide(centers, slopes, mu, side, mult, &x, opts);
-  const std::size_t before = g_allocations.load();
-  for (int sweep = 0; sweep < 3; ++sweep)
-    EquilibrateSide(centers, slopes, mu, side, mult, &x, opts);
-  EXPECT_EQ(g_allocations.load() - before, 0u);
+  for (bool seeded : {false, true}) {
+    SCOPED_TRACE(seeded);
+    const DenseMatrix& centers = seeded ? chi_centers : random_centers;
+    const DenseMatrix& slopes = seeded ? chi_slopes : random_slopes;
+    SortOrderCache cache;
+    cache.Reset(m);
+    SweepOptions opts = pooled;
+    opts.sort_cache = &cache;
+    const auto first =
+        EquilibrateSide(centers, slopes, mu, side, mult, &x, opts);
+    ASSERT_TRUE(cache.informed());
+    EXPECT_EQ(first.order_reuses, seeded ? m : 0u);
+    // Whichever worker claims which chunk, each slot has grown every
+    // buffer: one serial sweep through each slot in turn.
+    for (SweepSlot& slot : scratch) {
+      SweepOptions one = opts;
+      one.pool = nullptr;
+      one.scratch = std::span<SweepSlot>(&slot, 1);
+      EquilibrateSide(centers, slopes, mu, side, mult, &x, one);
+    }
+    const std::size_t before = g_allocations.load();
+    for (int sweep = 0; sweep < 3; ++sweep)
+      EquilibrateSide(centers, slopes, mu, side, mult, &x, opts);
+    EXPECT_EQ(g_allocations.load() - before, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One order per sweep (docs/KERNELS.md): a side's first sweep against
+// nonzero crossing multipliers seeds each seedable market's order from the
+// multipliers' shared order.
+
+TEST(OrderSeeding, SeededSweepsRepairWithoutInversionsDenseAndCsr) {
+  Rng rng(21);
+  const std::size_t m = 12, n = 170;  // markets above kInsertionThreshold
+  const auto x0 = ChiSquareCenters(m, n, rng);
+  const auto gamma = datasets::ChiSquareWeights(x0);
+  const auto slopes = ArcSlopes(gamma);
+  // The CSR side is posed on x0's pattern: one offset class per market.
+  DenseMatrix pattern_gamma(m, n, 0.0);
+  for (std::size_t e = 0; e < x0.size(); ++e)
+    if (x0.Flat()[e] > 0.0) pattern_gamma.Flat()[e] = gamma.Flat()[e];
+  const SparseMatrix sx0 = SparseMatrix::FromDense(x0);
+  const SparseMatrix sslopes =
+      ArcSlopes(SparseMatrix::FromDense(pattern_gamma));
+  ASSERT_TRUE(sslopes.SamePattern(sx0));
+  const Vector zero(n, 0.0);
+  const Vector mu = rng.UniformVector(n, -0.5, 0.5);
+  Vector s0 = x0.RowSums();
+  for (double& v : s0) v *= 1.1;
+  MarketSide side;
+  side.mode = TotalsMode::kFixed;
+  side.t0 = s0;
+
+  std::vector<SweepSlot> scratch;
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    const SweepOptions cold = OptionsOn(threads > 1 ? &pool : nullptr, scratch);
+    // Reference: cache-less sweeps, which cold-sort every market.
+    Vector dense_cold(m), sparse_cold(m);
+    EquilibrateSide(x0, slopes, mu, side, dense_cold, nullptr, cold);
+    EquilibrateSide(sx0, sslopes, mu, side, sparse_cold, nullptr, cold);
+
+    for (bool sparse : {false, true}) {
+      SCOPED_TRACE(sparse);
+      SortOrderCache cache;
+      cache.Reset(m);
+      SweepOptions opts = cold;
+      opts.sort_cache = &cache;
+      Vector mult(m);
+      const auto sweep = [&](const Vector& other) {
+        return sparse ? EquilibrateSide(sx0, sslopes, other, side, mult,
+                                        nullptr, opts)
+                      : EquilibrateSide(x0, slopes, other, side, mult,
+                                        nullptr, opts);
+      };
+      // Against mu = 0 the stored orders carry no information, and the
+      // side stays uninformed.
+      EXPECT_EQ(sweep(zero).order_reuses, 0u);
+      EXPECT_FALSE(cache.informed());
+      // The seeding sweep: every market repairs its seed, which is already
+      // the KeyLess order.
+      const auto seeded = sweep(mu);
+      EXPECT_TRUE(cache.informed());
+      EXPECT_EQ(seeded.order_reuses, m);
+      EXPECT_EQ(seeded.total_ops.inversions, 0u);
+      const Vector& ref = sparse ? sparse_cold : dense_cold;
+      EXPECT_EQ(0, std::memcmp(mult.data(), ref.data(), m * sizeof(double)));
+    }
+  }
+}
+
+TEST(OrderSeeding, NoiseMultipliersColdSortAndNeverHandOver) {
+  // Table 1's shape: the crossing multipliers are equal up to rounding, so
+  // their order is noise. The seeding sweep drops the stale orders and
+  // cold-sorts instead of repairing (and handing over). The orders it
+  // stores are noise too, so the side stays uninformed: the next noise
+  // sweep cold-sorts again, and the first informative one seeds.
+  Rng rng(22);
+  const std::size_t m = 10, n = 200;
+  const auto x0 = ChiSquareCenters(m, n, rng);
+  const auto slopes = ArcSlopes(datasets::ChiSquareWeights(x0));
+  const Vector zero(n, 0.0);
+  Vector noise(n);
+  for (double& v : noise)
+    v = 0.25 * (1.0 + double(rng.NextIndex(4)) *
+                          std::numeric_limits<double>::epsilon());
+  Vector s0 = x0.RowSums();
+  for (double& v : s0) v *= 2.0;
+  MarketSide side;
+  side.mode = TotalsMode::kFixed;
+  side.t0 = s0;
+
+  std::vector<SweepSlot> scratch;
+  const SweepOptions cold = OptionsOn(nullptr, scratch);
+  Vector ref(m), mult(m);
+  const auto cold_stats =
+      EquilibrateSide(x0, slopes, noise, side, ref, nullptr, cold);
+  SortOrderCache cache;
+  cache.Reset(m);
+  SweepOptions opts = cold;
+  opts.sort_cache = &cache;
+  EquilibrateSide(x0, slopes, zero, side, mult, nullptr, opts);
+  const auto stats =
+      EquilibrateSide(x0, slopes, noise, side, mult, nullptr, opts);
+  EXPECT_EQ(stats.order_reuses, 0u);
+  EXPECT_EQ(stats.total_ops.inversions, 0u);
+  EXPECT_EQ(stats.total_ops.comparisons, cold_stats.total_ops.comparisons);
+  EXPECT_EQ(0, std::memcmp(mult.data(), ref.data(), m * sizeof(double)));
+  EXPECT_FALSE(cache.informed());
+  for (double& v : noise) v += std::numeric_limits<double>::epsilon();
+  const auto again =
+      EquilibrateSide(x0, slopes, noise, side, mult, nullptr, opts);
+  EXPECT_EQ(again.order_reuses, 0u);
+  EXPECT_EQ(again.total_ops.inversions, 0u);
+  EXPECT_FALSE(cache.informed());
+  const Vector mu = rng.UniformVector(n, -0.5, 0.5);
+  const auto seeded =
+      EquilibrateSide(x0, slopes, mu, side, mult, nullptr, opts);
+  EXPECT_EQ(seeded.order_reuses, m);
+  EXPECT_EQ(seeded.total_ops.inversions, 0u);
+  EXPECT_TRUE(cache.informed());
 }
 
 TEST(SweepScheduling, TooLittleScratchRejected) {

@@ -145,12 +145,13 @@ TEST(Integration, PinnedKernelBits) {
 
 // Pinned numerics of the long-market sort path: markets above
 // kInsertionThreshold arcs, so every first sweep cold-sorts them with the
-// long-market sort and churned repairs hand over to it. A dense chi-square
-// solve (gamma = 1/x0): its first row sweep clears against mu = 0, where
-// every row breakpoint ties at -2, so each row market's second-sweep repair
-// meets a fresh order and hands over. Plus a sparse solve whose rows and
-// columns hold ~180 arcs. Recorded while heapsort was the long-market sort;
-// a sort that yields the same total order (KeyLess) leaves them untouched.
+// long-market sort. A dense chi-square solve (gamma = 1/x0): its first row
+// sweep clears against mu = 0, where every row breakpoint ties at -2, so
+// the first column sweep and the second row sweep repair orders seeded from
+// one shared multiplier order, and no repair hands over. Plus a sparse solve
+// whose rows and columns hold ~180 arcs. Recorded while heapsort was the
+// long-market sort and before the seeding; a sort or seed that yields the
+// same total order (KeyLess) leaves them untouched.
 TEST(Integration, PinnedWideKernelBits) {
   Rng rng(0x51DE);
   const std::size_t m = 140, n = 205;
@@ -189,9 +190,9 @@ TEST(Integration, PinnedWideKernelBits) {
 
     const auto dense = SolveDiagonal(dense_p, o);
     ASSERT_TRUE(dense.result.converged());
-    // Each row market's second solve hands over instead of repairing.
-    EXPECT_LE(dense.result.order_reuses + (m + n) + m,
-              dense.result.kernel_markets);
+    // Only the first row sweep cold-sorts; every later solve completes a
+    // repair, the seeded ones included.
+    EXPECT_EQ(dense.result.order_reuses, dense.result.kernel_markets - m);
     EXPECT_EQ(HashDense(dense), "16062d47bbfdfa6f");
 
     const auto sparse = SolveSparse(sparse_p, o);
@@ -227,6 +228,159 @@ TEST(Integration, PinnedSp120Trajectory) {
     EXPECT_EQ(run.result.iterations, 492u);
     EXPECT_EQ(HashDense(run), "0fc73bd731651384");
   }
+}
+
+// One order per sweep (docs/KERNELS.md): under chi-square weights a side's
+// first sweep against nonzero crossing multipliers seeds every market's
+// order from one shared multiplier order. A seed is only a hint that the
+// repair completes into the KeyLess order, so the bits, pinned before the
+// seeding, stay; only the sort-work counters move. OpCounts are pinned as
+// an FNV-1a of (comparisons, flops, breakpoints, inversions, order_reuses):
+// the seeded solves' as the seeding left them, the unseedable ones' as they
+// were before it.
+std::string HashOps(const SeaResult& r) {
+  support::Fnv1a h;
+  h.MixU64(r.ops.comparisons);
+  h.MixU64(r.ops.flops);
+  h.MixU64(r.ops.breakpoints);
+  h.MixU64(r.ops.inversions);
+  h.MixU64(r.order_reuses);
+  return Hex(h.value());
+}
+
+// Chi-square weights on a table with ~45% structural zeros: offsets c/q of
+// 2 on the support and 0 on a zero, so every market holds two classes.
+// Totals grow unevenly, so the solve takes several sweeps.
+DiagonalProblem TwoClassChiSquare(Rng& rng, std::size_t m, std::size_t n) {
+  DenseMatrix x0(m, n, 0.0);
+  for (double& v : x0.Flat())
+    if (rng.Bernoulli(0.55)) v = rng.Uniform(1.0, 100.0);
+  Vector s0 = x0.RowSums(), d0 = x0.ColSums();
+  for (double& v : s0) v *= rng.Uniform(1.0, 1.3);
+  for (double& v : d0) v *= rng.Uniform(1.0, 1.3);
+  double s_total = 0.0, d_total = 0.0;
+  for (double v : s0) s_total += v;
+  for (double v : d0) d_total += v;
+  for (double& v : d0) v *= s_total / d_total;
+  return DiagonalProblem::MakeFixed(x0, datasets::ChiSquareWeights(x0), s0,
+                                    d0);
+}
+
+TEST(Integration, SeededDenseTwoClassSolve) {
+  Rng rng(0x5EED);
+  const std::size_t m = 60, n = 170;  // rows above kInsertionThreshold
+  const auto p = TwoClassChiSquare(rng, m, n);
+  SeaOptions o;
+  o.epsilon = 1e-8;
+  ThreadPool pool2(2), pool4(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2, &pool4}) {
+    SCOPED_TRACE(pool != nullptr ? pool->num_threads() : 1);
+    o.pool = pool;
+    const auto run = SolveDiagonal(p, o);
+    ASSERT_TRUE(run.result.converged());
+    EXPECT_EQ(HashDense(run), "bbd77905eb6c000e");
+    // Only the first row sweep (against mu = 0) cold-sorts.
+    EXPECT_EQ(run.result.order_reuses, run.result.kernel_markets - m);
+    // The same op totals on every pool.
+    EXPECT_EQ(HashOps(run.result), "4f3e644b5bd3acaf");
+  }
+}
+
+TEST(Integration, SeededSparseOneClassSolve) {
+  // Chi-square weights on the pattern alone: one offset class per market.
+  Rng rng(0x5EEE);
+  const std::size_t k = 220;
+  DenseMatrix x0(k, k, 0.0), gamma(k, k, 0.0);
+  for (std::size_t e = 0; e < x0.size(); ++e)
+    if (rng.Bernoulli(0.35)) {
+      x0.Flat()[e] = rng.Uniform(0.5, 80.0);
+      gamma.Flat()[e] = 1.0 / x0.Flat()[e];
+    }
+  for (std::size_t i = 0; i < k; ++i)
+    if (x0(i, i) == 0.0) {
+      x0(i, i) = 1.0;
+      gamma(i, i) = 1.0;
+    }
+  Vector s0 = x0.RowSums(), d0 = x0.ColSums();
+  for (double& v : s0) v *= rng.Uniform(1.0, 1.2);
+  double s_total = 0.0, d_total = 0.0;
+  for (double v : s0) s_total += v;
+  for (double v : d0) d_total += v;
+  for (double& v : d0) v *= s_total / d_total;
+  const auto p = SparseDiagonalProblem::MakeFixed(
+      SparseMatrix::FromDense(x0), SparseMatrix::FromDense(gamma), s0, d0);
+  SeaOptions o;
+  o.epsilon = 1e-8;
+  ThreadPool pool2(2), pool4(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2, &pool4}) {
+    SCOPED_TRACE(pool != nullptr ? pool->num_threads() : 1);
+    o.pool = pool;
+    const auto run = SolveSparse(p, o);
+    ASSERT_TRUE(run.result.converged());
+    support::Fnv1a h;
+    h.MixDoubles(run.solution.x.Values());
+    h.MixDoubles(run.solution.lambda);
+    h.MixDoubles(run.solution.mu);
+    h.MixU64(run.result.iterations);
+    EXPECT_EQ(Hex(h.value()), "7bd6b23654875e22");
+    EXPECT_EQ(run.result.order_reuses, run.result.kernel_markets - k);
+    EXPECT_EQ(HashOps(run.result), "898b9d3b7f371853");
+  }
+}
+
+TEST(Integration, SeededWarmStartSeedsTheFirstRowSweep) {
+  // A warm start from nonzero mu0 (the optimum of a nearby problem): the
+  // first row sweep already clears against informative multipliers, so it
+  // is seeded and every market solve of the run completes a repair.
+  Rng rng(0x5EEF);
+  const std::size_t m = 50, n = 160;
+  const auto p = TwoClassChiSquare(rng, m, n);
+  SeaOptions o;
+  o.epsilon = 1e-8;
+  const auto base = SolveDiagonal(p, o);
+  ASSERT_TRUE(base.result.converged());
+  Vector s0 = p.s0(), d0 = p.d0();
+  for (double& v : s0) v *= rng.Uniform(1.0, 1.01);
+  double s_total = 0.0, d_total = 0.0;
+  for (double v : s0) s_total += v;
+  for (double v : d0) d_total += v;
+  for (double& v : d0) v *= s_total / d_total;
+  const auto nearby = DiagonalProblem::MakeFixed(p.x0(), p.gamma(), s0, d0);
+  DiagonalSea solver(nearby);
+  const auto run = solver.SolveWarm(o, base.solution.mu);
+  ASSERT_TRUE(run.result.converged());
+  EXPECT_EQ(HashDense(run), "00623a663697bbcf");
+  EXPECT_EQ(run.result.order_reuses, run.result.kernel_markets);
+  EXPECT_EQ(HashOps(run.result), "49e0a4ea93ff1d0f");
+}
+
+TEST(Integration, UnseedableMarketsKeepTheirOpCounts) {
+  // Five offset classes per market (x0 constant, gamma from five values) and
+  // random weights: neither is seedable, so the op counts, recorded before
+  // the seeding, stay.
+  Rng rng(0x5EF0);
+  const std::size_t m = 40, n = 150;
+  DenseMatrix x0(m, n, 10.0), five(m, n), random(m, n);
+  for (double& v : five.Flat()) v = 0.5 * double(1 + rng.NextIndex(5));
+  for (double& v : random.Flat()) v = rng.Uniform(0.05, 2.0);
+  Vector s0 = x0.RowSums(), d0 = x0.ColSums();
+  for (double& v : s0) v *= rng.Uniform(1.0, 1.3);
+  double s_total = 0.0, d_total = 0.0;
+  for (double v : s0) s_total += v;
+  for (double v : d0) d_total += v;
+  for (double& v : d0) v *= s_total / d_total;
+  SeaOptions o;
+  o.epsilon = 1e-8;
+  const auto run5 =
+      SolveDiagonal(DiagonalProblem::MakeFixed(x0, five, s0, d0), o);
+  ASSERT_TRUE(run5.result.converged());
+  EXPECT_EQ(HashDense(run5), "4876fe97f312b6a2");
+  EXPECT_EQ(HashOps(run5.result), "2c29c45590c6b1cd");
+  const auto runr =
+      SolveDiagonal(DiagonalProblem::MakeFixed(x0, random, s0, d0), o);
+  ASSERT_TRUE(runr.result.converged());
+  EXPECT_EQ(HashDense(runr), "663c83beddbd5e91");
+  EXPECT_EQ(HashOps(runr.result), "24b3248a1e29825b");
 }
 
 // Pinned observer outputs: the FNV-1a of what the telemetry observers emit

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "baselines/reference_solvers.hpp"
@@ -49,6 +50,52 @@ TEST(SolveMarketBox, MiddlePieceMatchesElastic) {
     const auto boxed = SolveMarketBox(w2, u, v, 0.0, 1e9);
     EXPECT_NEAR(boxed.lambda, plain.lambda,
                 1e-9 * std::max(1.0, std::abs(plain.lambda)));
+  }
+}
+
+TEST(SolveMarketBox, OneSortClearsEachPieceLikeAFreshSolve) {
+  // The box solve sorts (or repairs) once and clears up to three response
+  // pieces against that one sorted array: each piece's multiplier has the
+  // bits of a fresh SolveMarket against it, and the breakpoints are computed
+  // once. Markets straddle kInsertionThreshold and the boxes put the
+  // crossing on every piece.
+  Rng rng(7);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + rng.NextIndex(300);
+    std::vector<Arc> arcs(n);
+    for (auto& a : arcs)
+      a = {rng.Uniform(-20.0, 20.0), rng.Uniform(0.05, 3.0)};
+    const double u = rng.Uniform(0.0, 10.0 * double(n));
+    const double v = -rng.Uniform(0.05, 2.0);
+    const double lo = rng.Uniform(0.0, 5.0 * double(n));
+    const double hi = lo + rng.Uniform(0.0, 5.0 * double(n));
+    BreakpointWorkspace fresh;
+    fresh.Assign(arcs);
+    const auto upper = SolveMarket(fresh, hi, 0.0);
+    const auto middle = SolveMarket(fresh, u, v);
+    const auto lower = SolveMarket(fresh, lo, 0.0);
+    const double enter_mid = (hi - u) / v, leave_mid = (lo - u) / v;
+    BreakpointResult expect = lower;
+    if (upper.lambda <= enter_mid) {
+      expect = upper;
+    } else if (middle.lambda >= enter_mid && middle.lambda <= leave_mid) {
+      expect = middle;
+    } else if (expect.lambda < leave_mid) {
+      expect.lambda = leave_mid;
+    }
+    // Cold without an order, cold storing one, and repairing it.
+    BreakpointWorkspace ws;
+    ws.Assign(arcs);
+    MarketOrder order;
+    MarketOrder* const orders[] = {nullptr, &order, &order};
+    for (MarketOrder* o : orders) {
+      const auto box = SolveMarketBox(ws, u, v, lo, hi, o);
+      EXPECT_EQ(std::memcmp(&box.lambda, &expect.lambda, sizeof(double)), 0)
+          << trial;
+      EXPECT_EQ(box.active_count, expect.active_count) << trial;
+      EXPECT_EQ(box.ops.breakpoints, n) << trial;
+    }
+    EXPECT_TRUE(SolveMarketBox(ws, u, v, lo, hi, &order).order_reused);
   }
 }
 
