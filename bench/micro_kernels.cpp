@@ -2,8 +2,9 @@
 //
 // 1. The market kernel's timings (full market solves across market sizes,
 //    cold-sorted and order-repaired, the elementwise stages alone, the
-//    churned-order hand-over against the cold sort, and the pool's region
-//    cost and a converged SP120 sweep at 1/2/4 threads) that
+//    churned-order hand-over against the cold sort, a cold start's first
+//    sweep with and without a sort cache, and the pool's region cost and a
+//    converged SP120 sweep at 1/2/4 threads) that
 //    always run and emit the bench schema v2 JSON (BENCH_micro_kernels.json)
 //    so tools/bench_diff can gate them across PRs. Accepts the standard
 //    bench flags (--quick/--csv/--json/...; see bench_common.hpp).
@@ -26,6 +27,7 @@
 #include "bench_common.hpp"
 #include "core/diagonal_sea.hpp"
 #include "datasets/large_diagonal.hpp"
+#include "datasets/weights.hpp"
 #include "equilibration/breakpoint_solver.hpp"
 #include "equilibration/equilibrator.hpp"
 #include "io/table_printer.hpp"
@@ -236,6 +238,68 @@ void RunChurnedRepair(const bench::BenchOptions& opts, ExperimentLog& log) {
     log.Add("churned_repair", ds, "breakeven_shifts_per_arc", breakeven,
             std::nullopt,
             "shifts per arc at which a completed repair costs a cold sort");
+  }
+  t.Print(std::cout);
+}
+
+// ---------------------------------------------------------------------------
+// The first sweep of a cold start (docs/KERNELS.md, "The zero sweep"): a
+// chi-square row sweep against mu = 0 on a table with ~45% structural
+// zeros, where each row's breakpoints sit within a few ulps of -2 or 0.
+// Without a sort cache every market cold-sorts; with a fresh one (as a
+// solve's first sweep meets it) each market is seeded with its exact order
+// from its offsets and the repair moves nothing.
+
+double TimeFirstSweepUs(const DenseMatrix& x0, const DenseMatrix& slopes,
+                        const MarketSide& side, bool cache, std::size_t reps) {
+  const std::size_t m = x0.rows();
+  const Vector zero(x0.cols(), 0.0);
+  Vector lambda(m);
+  std::vector<SweepSlot> scratch(1);
+  SortOrderCache orders;
+  SweepOptions opts;
+  opts.scratch = scratch;
+  opts.sort_cache = cache ? &orders : nullptr;
+  double seconds = 0.0;
+  for (std::size_t r = 0; r <= reps; ++r) {  // the first sweep warms up
+    orders.Reset(m);
+    Stopwatch sw;
+    EquilibrateSide(x0, slopes, zero, side, lambda, nullptr, opts);
+    if (r > 0) seconds += sw.Seconds();
+  }
+  return seconds * 1e6 / static_cast<double>(reps);
+}
+
+void RunFirstSweep(const bench::BenchOptions& opts, ExperimentLog& log) {
+  std::cout << "\nfirst sweep (chi-square row sweep against mu = 0):\n";
+  TablePrinter t({"m x n", "cold sort (us)", "offset seed (us)", "ratio"});
+  const std::size_t rounds = opts.quick ? 3 : 7;
+  for (std::size_t n : {205u, 1000u}) {
+    std::size_t reps = std::max<std::size_t>(3, 2000000 / (n * n));
+    if (opts.quick) reps = std::max<std::size_t>(2, reps / 4);
+    Rng rng(29);
+    DenseMatrix x0(n, n, 0.0);
+    for (double& v : x0.Flat())
+      if (rng.Bernoulli(0.55)) v = rng.Uniform(1.0, 100.0);
+    const DenseMatrix slopes = ArcSlopes(datasets::ChiSquareWeights(x0));
+    Vector s0 = x0.RowSums();
+    for (double& v : s0) v = 1.2 * v + 1.0;
+    MarketSide side;
+    side.mode = TotalsMode::kFixed;
+    side.t0 = s0;
+    // Minimum over interleaved rounds, so scheduler drift hits both arms.
+    double us[2] = {std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<double>::infinity()};
+    for (std::size_t round = 0; round < rounds; ++round)
+      for (int arm = 0; arm < 2; ++arm)
+        us[arm] = std::min(us[arm],
+                           TimeFirstSweepUs(x0, slopes, side, arm == 1, reps));
+    const std::string size = std::to_string(n) + "x" + std::to_string(n);
+    t.AddRow({size, TablePrinter::Num(us[0], 1), TablePrinter::Num(us[1], 1),
+              TablePrinter::Num(us[0] / us[1], 2)});
+    const std::string ds = "n=" + std::to_string(n) + ",chi2,mu=0";
+    log.Add("first_sweep", ds + ",cache=off", "us_per_sweep", us[0]);
+    log.Add("first_sweep", ds + ",cache=on", "us_per_sweep", us[1]);
   }
   t.Print(std::cout);
 }
@@ -585,6 +649,7 @@ int main(int argc, char** argv) {
   sea::ExperimentLog log;
   RunMarketKernel(opts, log);
   RunChurnedRepair(opts, log);
+  RunFirstSweep(opts, log);
   RunPoolAndSweep(opts, log);
   RunAttributionOverhead(opts, log);
   RunSamplerOverhead(opts, log);

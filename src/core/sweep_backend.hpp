@@ -112,6 +112,12 @@ class SweepBackend : public SeaIterationBackend {
     sweep_opts_.profile_phase = "equilibrate.rows";
     sweep_opts_.sort_cache = &row_orders_;
     sweep_opts_.attribution_base = 0;  // row markets: slots [0, m)
+    // Against mu = 0 (a cold start's first row sweep) lambda answers no
+    // column information, so the column side's seed from it is provisional
+    // (docs/KERNELS.md, "The provisional column seed").
+    if (!col_orders_.informed() &&
+        std::all_of(mu_.begin(), mu_.end(), [](double v) { return v == 0.0; }))
+      col_orders_.MarkSeedProvisional();
     return EquilibrateSide(x0_, slopes_, mu_, row_side_, lambda_, nullptr,
                            sweep_opts_);
   }
@@ -260,8 +266,8 @@ class SweepBackend : public SeaIterationBackend {
   MarketSide col_side_;
   SweepOptions sweep_opts_;
   // Persisted breakpoint orders, one cache per sweep side: each market's
-  // first sweep cold-sorts, every later sweep repairs (8 bytes per arc for a
-  // dense solve, 4 per side).
+  // first sweep seeds or cold-sorts, every later sweep repairs (8 bytes per
+  // arc for a dense solve, 4 per side).
   SortOrderCache row_orders_, col_orders_;
   // One slot per pool worker, reused by every sweep of the solve.
   std::vector<SweepSlot> scratch_;

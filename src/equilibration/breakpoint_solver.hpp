@@ -33,14 +33,16 @@
 // Order repair (docs/PARALLELISM.md, "Sort reuse"): across SEA sweeps a
 // market's breakpoint ORDER stabilizes as the multipliers converge — the same
 // nearly-sorted regime accelerated iterative-scaling methods exploit. Every
-// SEA sweep passes each market's MarketOrder: the first solve cold-sorts and
-// stores the permutation; every later solve builds the breakpoint array
-// already permuted and repairs it with straight insertion — O(n + inversions)
-// instead of a fresh O(n log n) sort, and a key already in place costs one
-// comparison and no store — then persists the updated permutation. A sweep
-// may also hand in a seeded permutation, built from the crossing
-// multipliers' order (equilibration/equilibrator.hpp, SortOrderCache): to
-// the solver it is one more stored order to repair. Above
+// SEA sweep passes each market's MarketOrder: a solve without a stored
+// order cold-sorts and stores the permutation; a solve with one builds the
+// breakpoint array already permuted and repairs it with straight insertion
+// — O(n + inversions) instead of a fresh O(n log n) sort, and a key already
+// in place costs one comparison and no store — then persists the updated
+// permutation. A sweep may also hand in a seeded permutation, built from
+// the offsets' classes or from the crossing multipliers' order
+// (equilibration/equilibrator.hpp, SortOrderCache): to the solver it is one
+// more stored order to repair, and a market's first solve repairs its seed
+// instead of cold-sorting. Above
 // kInsertionThreshold arcs a repair that passes n*bit_width(n) shifts hands
 // over to the radix sort, rebuilding the keys in arc order, so a churned
 // order never costs O(n^2). Ties are broken by original arc index in every

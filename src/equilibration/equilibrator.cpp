@@ -77,7 +77,8 @@ namespace {
 class SharedOrder {
  public:
   // Seeds when the sort cache is not yet informed and the multipliers are
-  // finite and not all zero.
+  // finite: from their order when they are not all zero, from the offsets
+  // alone when they are.
   SharedOrder(const SweepOptions& opts, std::span<const double> mult)
       : mult_(mult) {
     if (opts.sort_cache == nullptr || opts.sort_cache->informed()) return;
@@ -90,11 +91,12 @@ class SharedOrder {
       hi = std::max(hi, mu);
       magnitude_ = std::max(magnitude_, std::abs(mu));
     }
-    seeding_ = nonzero;
+    mode_ = nonzero ? Mode::kByMult : Mode::kZero;
     spread_ = hi - lo;
   }
 
-  bool seeding() const { return seeding_; }
+  bool seeding() const { return mode_ != Mode::kNone; }
+  bool zero() const { return mode_ == Mode::kZero; }
   double spread() const { return spread_; }        // max - min
   double magnitude() const { return magnitude_; }  // max |multiplier|
 
@@ -113,66 +115,149 @@ class SharedOrder {
   }
 
  private:
+  enum class Mode { kNone, kZero, kByMult };
   std::span<const double> mult_;
-  bool seeding_ = false;
+  Mode mode_ = Mode::kNone;
   double spread_ = 0.0, magnitude_ = 0.0;
   std::once_flag sorted_;
   std::vector<std::uint32_t> by_mult_;
 };
 
-// Seeds one market's order in its side's seeding sweep. Classifies the
-// offsets o_j = centers_j/slopes_j (the negated breakpoints at zero
-// multiplier, in the kernel's arithmetic) into `cls`. A market that is not
-// seedable keeps its order; a seedable one whose multiplier spread is noise
-// drops it (the market cold-sorts) and returns true; any other gets, from
-// the largest offset class to the smallest, each class's arcs in the order
-// arcs_by_mult() lists them (the shared order): b_j = -o_j - mu_j, so within
-// a class descending multipliers are ascending breakpoints.
-template <class ArcsByMultFn>
-bool SeedMarket(std::span<const double> centers,
-                std::span<const double> slopes, const SharedOrder& shared,
-                ArcsByMultFn arcs_by_mult, std::vector<std::uint8_t>& cls,
-                MarketOrder& order) {
+// Order-preserving bit image of an offset, as the radix sort's: unsigned
+// order on images is the value order, adjacent doubles differ by one, and
+// -0.0 folds into +0.0 so the two tie, as they do under KeyLess.
+inline std::uint64_t OffsetImage(double o) {
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  std::uint64_t u = std::bit_cast<std::uint64_t>(o);
+  if (u == kSign) u = 0;
+  return (u & kSign) != 0 ? ~u : u | kSign;
+}
+
+// The distance buckets per class (see kSeedClassUlps): bucket b holds the
+// offsets kClassSteps - b image steps above the class's first, so the
+// buckets run from the largest offset down. An arc's key is its class times
+// kClassBuckets plus its bucket.
+constexpr std::uint64_t kClassSteps =
+    2 * static_cast<std::uint64_t>(kSeedClassUlps);
+constexpr std::size_t kClassBuckets = 2 * kClassSteps + 1;
+static_assert(kSeedMaxClasses * kClassBuckets <= 256, "keys are bytes");
+
+// Classifies one market's offsets o_j = centers_j/slopes_j (the negated
+// breakpoints at zero multiplier, in the kernel's arithmetic), one division
+// each, into oc. Stops at the first offset past the class limit. The keys
+// go to the worker's scratch first, so a market found unseedable allocates
+// nothing. Only the zero sweep needs the buckets (kBuckets); without them
+// every key is its class's first and oc is not exact.
+template <bool kBuckets>
+void ClassifyOffsets(std::span<const double> centers,
+                     std::span<const double> slopes,
+                     std::vector<std::uint8_t>& key, OffsetClasses& oc) {
   constexpr double kEps = std::numeric_limits<double>::epsilon();
   const std::size_t n = centers.size();
   const std::size_t max_classes =
       std::min(kSeedMaxClasses, n / kSeedArcsPerClass);
-  if (max_classes == 0) return false;  // too few arcs to be seedable
-  cls.resize(n);
+  oc.state = OffsetClasses::kUnseedable;
+  if (max_classes == 0) return;  // too few arcs to be seedable
+  key.resize(n);
   // Each arc tests every class so far without a branch on the outcome (the
   // classes interleave unpredictably) and takes the first it matches.
-  double rep[kSeedMaxClasses] = {}, tol[kSeedMaxClasses] = {};
-  std::uint32_t count[kSeedMaxClasses] = {};
+  double tol[kSeedMaxClasses] = {};
+  std::uint64_t image[kSeedMaxClasses] = {};
   std::size_t classes = 0;
-  double deviation = 0.0, reach = 0.0;
+  bool exact = true;
   for (std::size_t j = 0; j < n; ++j) {
     const double o = centers[j] / slopes[j];
     unsigned match = 0;
     for (std::size_t c = 0; c < classes; ++c)
-      match |= static_cast<unsigned>(std::abs(o - rep[c]) <= tol[c]) << c;
+      match |= static_cast<unsigned>(std::abs(o - oc.rep[c]) <= tol[c]) << c;
     std::size_t c = static_cast<std::size_t>(std::countr_zero(match));
     if (match == 0) {
-      if (classes == max_classes) return false;  // not seedable
+      if (classes == max_classes) return;  // not seedable
       c = classes++;
-      rep[c] = o;
+      oc.rep[c] = o;
       tol[c] = kSeedClassUlps * kEps * std::abs(o);
-      reach = std::max(reach, std::abs(o));
+      if constexpr (kBuckets) image[c] = OffsetImage(o);
+      oc.reach = std::max(oc.reach, std::abs(o));
+      exact &= std::isfinite(o);
     }
-    deviation = std::max(deviation, std::abs(o - rep[c]));
-    cls[j] = static_cast<std::uint8_t>(c);
-    ++count[c];
+    std::uint64_t b = 0;
+    if constexpr (kBuckets) {
+      b = image[c] + kClassSteps - OffsetImage(o);
+      exact &= b < kClassBuckets;
+      if (b >= kClassBuckets) b = 0;
+    }
+    key[j] = static_cast<std::uint8_t>(c * kClassBuckets + b);
+    oc.deviation = std::max(oc.deviation, std::abs(o - oc.rep[c]));
+    ++oc.size[c];
   }
-  const double noise = deviation + kEps * (reach + shared.magnitude());
+  oc.state = OffsetClasses::kSeedable;
+  oc.exact = kBuckets && exact;
+  oc.key.assign(key.begin(), key.begin() + n);
+  oc.count = static_cast<std::uint8_t>(classes);
+}
+
+// The zero sweep's seed of a market that holds no order: its exact KeyLess
+// order at zero multipliers, where b_j = -o_j. Classes from the largest
+// first offset down, each class's buckets in turn (offsets descending), and
+// within a bucket (equal offsets) arc order, by a stable counting sort. The
+// classes' occupied buckets bound their offsets, so a market whose classes
+// interleave keeps no order, and cold-sorts.
+void SeedFromOffsets(const OffsetClasses& oc, MarketOrder& order) {
+  if (!oc.exact) return;
+  std::uint32_t start[kSeedMaxClasses * kClassBuckets] = {};
+  for (const std::uint8_t key : oc.key) ++start[key];
+  std::size_t by_rep[kSeedMaxClasses];  // classes by descending first
+  for (std::size_t c = 0; c < oc.count; ++c) {
+    std::size_t k = c;
+    for (; k > 0 && oc.rep[by_rep[k - 1]] < oc.rep[c]; --k)
+      by_rep[k] = by_rep[k - 1];
+    by_rep[k] = c;
+  }
+  std::uint32_t next = 0;
+  std::uint64_t floor = 0;  // image of the previous class's smallest offset
+  for (std::size_t r = 0; r < oc.count; ++r) {
+    std::uint32_t* bucket = start + by_rep[r] * kClassBuckets;
+    std::size_t first = kClassBuckets, last = 0;
+    for (std::size_t b = 0; b < kClassBuckets; ++b) {
+      const std::uint32_t size = bucket[b];
+      bucket[b] = next;
+      next += size;
+      if (size != 0) {
+        first = std::min(first, b);
+        last = b;
+      }
+    }
+    const std::uint64_t top = OffsetImage(oc.rep[by_rep[r]]) + kClassSteps;
+    if (r > 0 && top - first >= floor) return;  // interleaved
+    floor = top - last;
+  }
+  order.perm.resize(oc.key.size());
+  for (std::size_t j = 0; j < oc.key.size(); ++j)
+    order.perm[start[oc.key[j]]++] = static_cast<std::uint32_t>(j);
+}
+
+// Seeds one seedable market's order in a seeding sweep against nonzero
+// multipliers. A market whose multiplier spread is noise drops its order
+// (it cold-sorts) and returns true; any other gets, from the largest offset
+// class to the smallest, each class's arcs in the order arcs_by_mult()
+// lists them (the shared order): b_j = -o_j - mu_j, so within a class
+// descending multipliers are ascending breakpoints.
+template <class ArcsByMultFn>
+bool SeedFromMult(const OffsetClasses& oc, const SharedOrder& shared,
+                  ArcsByMultFn arcs_by_mult, MarketOrder& order) {
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  const double noise = oc.deviation + kEps * (oc.reach + shared.magnitude());
   if (!(shared.spread() > kSeedNoiseMargin * noise)) {
     order.perm.clear();
     return true;
   }
   std::uint32_t start[kSeedMaxClasses] = {};
-  for (std::size_t c = 0; c < classes; ++c)
-    for (std::size_t d = 0; d < classes; ++d)
-      if (rep[d] > rep[c]) start[c] += count[d];
-  order.perm.resize(n);
-  for (const std::uint32_t j : arcs_by_mult()) order.perm[start[cls[j]]++] = j;
+  for (std::size_t c = 0; c < oc.count; ++c)
+    for (std::size_t d = 0; d < oc.count; ++d)
+      if (oc.rep[d] > oc.rep[c]) start[c] += oc.size[d];
+  order.perm.resize(oc.key.size());
+  for (const std::uint32_t j : arcs_by_mult())
+    order.perm[start[oc.key[j] / kClassBuckets]++] = j;
   return false;
 }
 
@@ -233,9 +318,24 @@ SweepStats Sweep(std::size_t markets, const MarketSide& side,
           opts.sort_cache != nullptr ? opts.sort_cache->At(i) : nullptr;
       if (seeding) {
         const auto [centers, slopes] = offsets(i);
-        slot.seed_noise |=
-            SeedMarket(centers, slopes, shared, [&] { return arcs_by_mult(i); },
-                       slot.offset_class, *order);
+        OffsetClasses& oc = opts.sort_cache->Classes(i);
+        // The zero sweep seeds only the markets it finds without an order:
+        // a stored one is already exact unless the centers moved.
+        const bool seed =
+            !shared.zero() || order->perm.size() != centers.size();
+        if (seed && oc.state == OffsetClasses::kUnclassified) {
+          if (shared.zero())
+            ClassifyOffsets<true>(centers, slopes, slot.offset_class, oc);
+          else
+            ClassifyOffsets<false>(centers, slopes, slot.offset_class, oc);
+        }
+        if (seed && oc.state == OffsetClasses::kSeedable) {
+          if (shared.zero())
+            SeedFromOffsets(oc, *order);
+          else
+            slot.seed_noise |= SeedFromMult(
+                oc, shared, [&] { return arcs_by_mult(i); }, *order);
+        }
       }
       const std::size_t arcs = build_arcs(i, wksp);
       BreakpointResult res =
@@ -273,8 +373,8 @@ SweepStats Sweep(std::size_t markets, const MarketSide& side,
     seed_noise |= slot.seed_noise;
   }
   // Orders cold-sorted against noise carry no information either, so the
-  // side seeds again next sweep.
-  if (seeding && !seed_noise) opts.sort_cache->MarkInformed();
+  // side seeds again next sweep; so it does after the zero sweep.
+  if (seeding && !shared.zero()) opts.sort_cache->FinishSeeding(seed_noise);
   stats.markets = markets;
   return stats;
 }

@@ -39,51 +39,18 @@ namespace obs {
 class MarketAttribution;
 }  // namespace obs
 
-// Per-market breakpoint orders persisted across sweeps (docs/PARALLELISM.md,
-// "Sort reuse"). One cache per sweep side (markets keep their index between
-// sweeps); each market is touched by exactly one worker per sweep, so slots
-// need no synchronization.
-//
-// A stored order carries no information about the crossing multipliers when
-// it is absent (a side's first sweep) or was made against all-zero ones (the
-// row side after a cold start). So each sweep of a side against nonzero
-// crossing multipliers is a seeding sweep until the side is informed
-// (docs/KERNELS.md, "One order per sweep"): it sorts those multipliers once,
-// and every market whose offsets c/q fall into at most kSeedMaxClasses
-// classes gets the arcs of each class in that shared order, classes from the
-// largest offset to the smallest, as the order SolveMarket repairs. Under
-// chi-square weights (gamma = 1/x0) that is every market of a table. The
-// side is informed after a seeding sweep in which no market found the
-// multipliers to be noise; later sweeps repair the stored orders.
-class SortOrderCache {
- public:
-  // Drops all learned orders and sizes the cache for `markets` markets.
-  void Reset(std::size_t markets) {
-    orders_.clear();
-    orders_.resize(markets);
-    informed_ = false;
-  }
-  std::size_t size() const { return orders_.size(); }
-  MarketOrder* At(std::size_t market) {
-    return market < orders_.size() ? &orders_[market] : nullptr;
-  }
-  // True once a seeding sweep of this side met no noise (see above): from
-  // then on its stored orders are repaired as they are.
-  bool informed() const { return informed_; }
-  void MarkInformed() { informed_ = true; }
-
- private:
-  std::vector<MarketOrder> orders_;
-  bool informed_ = false;
-};
-
 // Seeding limits (docs/KERNELS.md, "One order per sweep"). A market is
 // seedable when its offsets o = c/q fall into at most kSeedMaxClasses
 // classes, offsets within kSeedClassUlps ulps of a class's first sharing it,
-// with at least kSeedArcsPerClass arcs per class on average. The seeding
-// sweep classifies each market and stops at the first offset past
-// min(kSeedMaxClasses, arcs / kSeedArcsPerClass) classes. A seedable market
-// is seeded only when the spread (max - min) of the crossing multipliers
+// with at least kSeedArcsPerClass arcs per class on average. Classifying a
+// market stops at the first offset past min(kSeedMaxClasses, arcs /
+// kSeedArcsPerClass) classes. Each offset also gets its distance, in
+// order-preserving bit-image steps, from its class's first: kSeedClassUlps
+// ulps of a class's binade are at most 2 * kSeedClassUlps steps of the
+// binade below, and the zero sweep orders a class by a counting sort of
+// those distances. A market whose offsets are not finite, or whose classes
+// interleave, is left to the zero sweep's cold sort. A seedable market is
+// seeded from nonzero multipliers only when their spread (max - min)
 // exceeds kSeedNoiseMargin times its breakpoint noise: its largest
 // within-class offset deviation plus one ulp of its largest |offset| +
 // |multiplier|. Otherwise the multipliers are equal up to rounding (Table
@@ -94,6 +61,87 @@ inline constexpr std::size_t kSeedMaxClasses = 4;
 inline constexpr std::size_t kSeedArcsPerClass = 4;
 inline constexpr double kSeedClassUlps = 4.0;
 inline constexpr double kSeedNoiseMargin = 0x1p20;
+
+// One market's offset classes (see the seeding limits above), found by the
+// first seeding sweep that meets the market.
+struct OffsetClasses {
+  enum State : std::uint8_t { kUnclassified, kUnseedable, kSeedable };
+  State state = kUnclassified;
+  // Classified by the zero sweep, with finite offsets each within its
+  // class's buckets.
+  bool exact = false;
+  std::uint8_t count = 0;  // classes
+  // Per arc: its class times the buckets per class, plus its bucket (the
+  // zero sweep's; 0 otherwise).
+  std::vector<std::uint8_t> key;
+  double rep[kSeedMaxClasses] = {};  // each class's first offset
+  std::uint32_t size[kSeedMaxClasses] = {};  // arcs per class
+  double deviation = 0.0;  // largest |offset - its class's first|
+  double reach = 0.0;      // largest |class first|
+};
+
+// Per-market breakpoint orders persisted across sweeps (docs/PARALLELISM.md,
+// "Sort reuse"), and the offset classes that seed them. One cache per sweep
+// side (markets keep their index between sweeps); each market is touched by
+// exactly one worker per sweep, so slots need no synchronization.
+//
+// A side seeds the orders it has not yet learned (docs/KERNELS.md, "One
+// order per sweep"). Under chi-square weights (gamma = 1/x0) every market
+// of a table is seedable.
+//  - Against all-zero crossing multipliers (the zero sweep of a cold start)
+//    the breakpoints are exactly -o, so each seedable market that holds no
+//    order yet gets its exact KeyLess order from its offsets alone: classes
+//    from the largest offset down, offsets descending within a class, ties
+//    by arc index. The repair finds nothing to move. Those orders say
+//    nothing about nonzero multipliers, so the side stays uninformed.
+//  - Against nonzero ones, each sweep is a seeding sweep until the side is
+//    informed: it sorts the multipliers once, and every seedable market gets
+//    the arcs of each class in that shared order, classes from the largest
+//    offset to the smallest, as the order SolveMarket repairs. The side is
+//    informed after a seeding sweep in which no market found the
+//    multipliers to be noise, unless that seed was provisional: the column
+//    side's first seed after a cold start answers multipliers that answered
+//    mu = 0, so it seeds once more, from the next sweep's multipliers.
+// Each market is classified once, by the first seeding sweep that meets it,
+// and keeps its classes until Reset: a solve's offsets do not change. (A
+// caller whose centers move between sweeps, like RC's projection steps,
+// seeds from the first classes; any seed is only a hint the repair
+// completes, so the bits do not depend on it.)
+class SortOrderCache {
+ public:
+  // Drops all learned orders and classes and sizes the cache for `markets`
+  // markets.
+  void Reset(std::size_t markets) {
+    orders_.clear();
+    orders_.resize(markets);
+    classes_.clear();
+    classes_.resize(markets);
+    informed_ = false;
+    provisional_ = false;
+  }
+  std::size_t size() const { return orders_.size(); }
+  MarketOrder* At(std::size_t market) {
+    return market < orders_.size() ? &orders_[market] : nullptr;
+  }
+  OffsetClasses& Classes(std::size_t market) { return classes_[market]; }
+  // True once a seeding sweep of this side met no noise (see above): from
+  // then on its stored orders are repaired as they are.
+  bool informed() const { return informed_; }
+  // Makes the side's next seeding sweep provisional: it seeds, and the side
+  // stays uninformed and seeds again the sweep after.
+  void MarkSeedProvisional() { provisional_ = true; }
+  // Ends a seeding sweep against nonzero multipliers.
+  void FinishSeeding(bool noise) {
+    informed_ = !noise && !provisional_;
+    provisional_ = false;
+  }
+
+ private:
+  std::vector<MarketOrder> orders_;
+  std::vector<OffsetClasses> classes_;
+  bool informed_ = false;
+  bool provisional_ = false;
+};
 
 // Describes the constraint side being equilibrated.
 struct MarketSide {
@@ -138,7 +186,8 @@ struct alignas(64) SweepSlot {
   BreakpointWorkspace ws;
   // The allocations a materializing writeback overwrites, for the change.
   std::vector<double> before;
-  // A seeding sweep's offset class of each arc of the market being seeded.
+  // The offset class keys of the market being classified (see
+  // OffsetClasses), kept only if it is seedable.
   std::vector<std::uint8_t> offset_class;
   OpCounts ops;
   std::uint64_t reuses = 0;
@@ -151,10 +200,10 @@ struct SweepOptions {
   // Per-worker scratch, at least WorkerCount(pool) slots (required).
   std::span<SweepSlot> scratch;
   // Persisted per-market breakpoint orders: each market's first sweep
-  // cold-sorts and stores its order, every later sweep repairs it, and a
-  // side's seeding sweep seeds the orders that carry no information (see
-  // SortOrderCache). Null = cold sorts every sweep. Must be sized to this
-  // side's market count.
+  // seeds or cold-sorts and stores its order, every later sweep repairs it,
+  // and a side's seeding sweep seeds the orders that carry no information
+  // (see SortOrderCache). Null = cold sorts every sweep. Must be sized to
+  // this side's market count.
   SortOrderCache* sort_cache = nullptr;
   // Profiler span name wrapping each worker's chunk of the sweep (string
   // literal; nullptr = unnamed "equilibrate.sweep"). Lets the profile tell

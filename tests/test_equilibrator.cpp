@@ -607,7 +607,8 @@ DenseMatrix ChiSquareCenters(std::size_t m, std::size_t n, Rng& rng) {
 
 TEST(FusedCheck, WarmSweepAllocatesNothing) {
   // Once every scratch slot and the order cache have seen a sweep, a pooled
-  // materializing sweep reuses every buffer, also after a seeding sweep.
+  // materializing sweep reuses every buffer, also after a seeding sweep and
+  // after a zero sweep that seeded every market from its offsets.
   Rng rng(14);
   const std::size_t m = 40, n = 150;  // both cold-sort kinds over the rows
   const auto random_centers = RandomPositiveMatrix(m, n, rng, -3.0, 10.0);
@@ -616,6 +617,7 @@ TEST(FusedCheck, WarmSweepAllocatesNothing) {
   const auto chi_centers = ChiSquareCenters(m, n, rng);
   const auto chi_slopes = ArcSlopes(datasets::ChiSquareWeights(chi_centers));
   const Vector mu = rng.UniformVector(n, -1.0, 1.0);
+  const Vector zero(n, 0.0);
   const Vector s0 = rng.UniformVector(m, 5.0, 50.0);
   MarketSide side;
   side.mode = TotalsMode::kFixed;
@@ -625,29 +627,35 @@ TEST(FusedCheck, WarmSweepAllocatesNothing) {
   const SweepOptions pooled = OptionsOn(&pool, scratch);
   Vector mult(m);
   DenseMatrix x(m, n);
-  for (bool seeded : {false, true}) {
-    SCOPED_TRACE(seeded);
-    const DenseMatrix& centers = seeded ? chi_centers : random_centers;
-    const DenseMatrix& slopes = seeded ? chi_slopes : random_slopes;
+  enum First { kCold, kByMult, kByOffsets };
+  for (First first_sweep : {kCold, kByMult, kByOffsets}) {
+    SCOPED_TRACE(first_sweep);
+    const DenseMatrix& centers =
+        first_sweep == kCold ? random_centers : chi_centers;
+    const DenseMatrix& slopes =
+        first_sweep == kCold ? random_slopes : chi_slopes;
+    // The zero sweep seeds every market and leaves the side uninformed, so
+    // the warm sweeps after it meet zero multipliers too.
+    const Vector& other = first_sweep == kByOffsets ? zero : mu;
     SortOrderCache cache;
     cache.Reset(m);
     SweepOptions opts = pooled;
     opts.sort_cache = &cache;
     const auto first =
-        EquilibrateSide(centers, slopes, mu, side, mult, &x, opts);
-    ASSERT_TRUE(cache.informed());
-    EXPECT_EQ(first.order_reuses, seeded ? m : 0u);
+        EquilibrateSide(centers, slopes, other, side, mult, &x, opts);
+    EXPECT_EQ(cache.informed(), first_sweep != kByOffsets);
+    EXPECT_EQ(first.order_reuses, first_sweep == kCold ? 0u : m);
     // Whichever worker claims which chunk, each slot has grown every
     // buffer: one serial sweep through each slot in turn.
     for (SweepSlot& slot : scratch) {
       SweepOptions one = opts;
       one.pool = nullptr;
       one.scratch = std::span<SweepSlot>(&slot, 1);
-      EquilibrateSide(centers, slopes, mu, side, mult, &x, one);
+      EquilibrateSide(centers, slopes, other, side, mult, &x, one);
     }
     const std::size_t before = g_allocations.load();
     for (int sweep = 0; sweep < 3; ++sweep)
-      EquilibrateSide(centers, slopes, mu, side, mult, &x, opts);
+      EquilibrateSide(centers, slopes, other, side, mult, &x, opts);
     EXPECT_EQ(g_allocations.load() - before, 0u);
   }
 }
@@ -702,9 +710,10 @@ TEST(OrderSeeding, SeededSweepsRepairWithoutInversionsDenseAndCsr) {
                       : EquilibrateSide(x0, slopes, other, side, mult,
                                         nullptr, opts);
       };
-      // Against mu = 0 the stored orders carry no information, and the
-      // side stays uninformed.
-      EXPECT_EQ(sweep(zero).order_reuses, 0u);
+      // Against mu = 0 every market repairs the order seeded from its
+      // offsets; those orders carry no information about nonzero
+      // multipliers, so the side stays uninformed.
+      EXPECT_EQ(sweep(zero).order_reuses, m);
       EXPECT_FALSE(cache.informed());
       // The seeding sweep: every market repairs its seed, which is already
       // the KeyLess order.
@@ -768,6 +777,170 @@ TEST(OrderSeeding, NoiseMultipliersColdSortAndNeverHandOver) {
   EXPECT_EQ(seeded.order_reuses, m);
   EXPECT_EQ(seeded.total_ops.inversions, 0u);
   EXPECT_TRUE(cache.informed());
+}
+
+// The zero sweep's fixtures: offsets placed bit by bit (slopes are powers
+// of two, so c/q is the offset exactly). Each row is one kind:
+//  0: a few ulps either side of 2.0, a binade edge (one to three classes);
+//  1: a few ulps either side of -4.0, and +-0 centers (two to four);
+//  2: exactly kSeedMaxClasses classes, 3, 1, +-0 and -2.5, with jitter;
+//  3: five classes, 5, 3, 1, +-0 and -2: not seedable, so it cold-sorts.
+double StepsFrom(double center, int steps) {
+  const double dir = steps > 0 ? HUGE_VAL : -HUGE_VAL;
+  for (int k = 0; k < std::abs(steps); ++k)
+    center = std::nextafter(center, dir);
+  return center;
+}
+
+double OffsetOfKind(std::size_t kind, std::size_t j, Rng& rng) {
+  const auto jitter = [&](int reach) {
+    return static_cast<int>(rng.NextIndex(2 * reach + 1)) - reach;
+  };
+  const auto zero = [&] { return rng.Bernoulli(0.5) ? 0.0 : -0.0; };
+  switch (kind) {
+    case 0:
+      return StepsFrom(2.0, jitter(6));
+    case 1:
+      return j % 4 == 0 ? zero() : StepsFrom(-4.0, jitter(4));
+    case 2: {
+      const std::size_t c = j < 4 ? j : rng.NextIndex(4);
+      if (c == 2) return zero();
+      return StepsFrom(c == 0 ? 3.0 : c == 1 ? 1.0 : -2.5, jitter(2));
+    }
+    default: {
+      const std::size_t c = j < 5 ? j : rng.NextIndex(5);
+      constexpr double kFive[] = {5.0, 3.0, 1.0, 0.0, -2.0};
+      return c == 3 ? zero() : kFive[c];
+    }
+  }
+}
+
+TEST(OrderSeeding, ZeroSweepSeedsExactOrdersDenseAndCsr) {
+  const std::size_t m = 12;
+  std::vector<SweepSlot> scratch;
+  for (std::size_t n : {60u, 170u}) {  // below and above kInsertionThreshold
+    for (std::size_t kinds : {3u, 4u}) {  // without and with five classes
+      SCOPED_TRACE(testing::Message() << "n=" << n << " kinds=" << kinds);
+      Rng rng(23 + n + kinds);
+      DenseMatrix centers(m, n), slopes(m, n);
+      std::vector<SparseMatrix::Triplet> pattern;
+      for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+          const double q =
+              std::ldexp(1.0, static_cast<int>(rng.NextIndex(4)) - 2);
+          slopes(i, j) = q;
+          centers(i, j) = OffsetOfKind(i % kinds, j, rng) * q;
+          if (j < 5 || rng.Bernoulli(0.8)) pattern.push_back({i, j, 1.0});
+        }
+      // The CSR side keeps ~80% of the arcs, the first five of each row
+      // (one of each class) among them; FromTriplets would sum -0 to +0,
+      // so the values are copied in afterwards.
+      SparseMatrix sc = SparseMatrix::FromTriplets(m, n, pattern);
+      SparseMatrix sq = sc;
+      for (std::size_t i = 0; i < m; ++i) {
+        const auto cols = sc.RowCols(i);
+        const auto cv = sc.MutableRowValues(i), qv = sq.MutableRowValues(i);
+        for (std::size_t k = 0; k < cols.size(); ++k) {
+          cv[k] = centers(i, cols[k]);
+          qv[k] = slopes(i, cols[k]);
+        }
+      }
+      Vector s0(m, 1.0);
+      for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+          s0[i] += 1.1 * std::max(0.0, centers(i, j));
+      MarketSide side;
+      side.mode = TotalsMode::kFixed;
+      side.t0 = s0;
+      const Vector zero(n, 0.0);
+      const Vector mu = rng.UniformVector(n, -0.4, 0.4);
+      const std::uint64_t seedable = m - (kinds == 4 ? m / 4 : 0);
+
+      for (std::size_t threads : {1u, 2u, 4u}) {
+        ThreadPool pool(threads);
+        const SweepOptions cold =
+            OptionsOn(threads > 1 ? &pool : nullptr, scratch);
+        for (bool sparse : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "threads=" << threads << " sparse=" << sparse);
+          const auto sweep = [&](const Vector& other, Vector& mult,
+                                 const SweepOptions& opts) {
+            return sparse ? EquilibrateSide(sc, sq, other, side, mult,
+                                            nullptr, opts)
+                          : EquilibrateSide(centers, slopes, other, side,
+                                            mult, nullptr, opts);
+          };
+          // Reference: cache-less sweeps, which cold-sort every market.
+          Vector zero_ref(m), mu_ref(m), mult(m);
+          sweep(zero, zero_ref, cold);
+          sweep(mu, mu_ref, cold);
+
+          SortOrderCache cache;
+          cache.Reset(m);
+          SweepOptions opts = cold;
+          opts.sort_cache = &cache;
+          // The zero sweep: every seedable market repairs an order that is
+          // already exact; the five-class ones cold-sort and are never
+          // classified again.
+          const auto first = sweep(zero, mult, opts);
+          EXPECT_EQ(first.order_reuses, seedable);
+          EXPECT_EQ(first.total_ops.inversions, 0u);
+          EXPECT_EQ(0, std::memcmp(mult.data(), zero_ref.data(),
+                                   m * sizeof(double)));
+          EXPECT_FALSE(cache.informed());
+          for (std::size_t i = 0; i < m; ++i)
+            EXPECT_EQ(cache.Classes(i).state == OffsetClasses::kUnseedable,
+                      i % kinds == 3)
+                << i;
+          // The first sweep against nonzero multipliers still seeds (only
+          // a seeding sweep informs the side). Here a value split into
+          // classes a few ulps apart seeds an order the repair must fix;
+          // SeededSweepsRepairWithoutInversionsDenseAndCsr pins the seed's
+          // own exactness.
+          sweep(mu, mult, opts);
+          EXPECT_TRUE(cache.informed());
+          EXPECT_EQ(0, std::memcmp(mult.data(), mu_ref.data(),
+                                   m * sizeof(double)));
+        }
+      }
+    }
+  }
+}
+
+TEST(OrderSeeding, ProvisionalSeedSeedsOnceMore) {
+  // The column side after a cold start: its first seed answers multipliers
+  // that answered mu = 0, so the side seeds again from the next ones, and
+  // only then repairs.
+  Rng rng(24);
+  const std::size_t m = 10, n = 140;
+  const auto x0 = ChiSquareCenters(m, n, rng);
+  const auto slopes = ArcSlopes(datasets::ChiSquareWeights(x0));
+  Vector s0 = x0.RowSums();
+  for (double& v : s0) v *= 1.1;
+  MarketSide side;
+  side.mode = TotalsMode::kFixed;
+  side.t0 = s0;
+  const Vector first = rng.UniformVector(n, -0.5, 0.5);
+  const Vector next = rng.UniformVector(n, -0.5, 0.5);
+  std::vector<SweepSlot> scratch;
+  SortOrderCache cache;
+  cache.Reset(m);
+  cache.MarkSeedProvisional();
+  SweepOptions opts = OptionsOn(nullptr, scratch);
+  opts.sort_cache = &cache;
+  Vector mult(m);
+  auto stats = EquilibrateSide(x0, slopes, first, side, mult, nullptr, opts);
+  EXPECT_EQ(stats.order_reuses, m);
+  EXPECT_EQ(stats.total_ops.inversions, 0u);
+  EXPECT_FALSE(cache.informed());
+  // Seeded again: nothing of the first order is left to repair.
+  stats = EquilibrateSide(x0, slopes, next, side, mult, nullptr, opts);
+  EXPECT_EQ(stats.order_reuses, m);
+  EXPECT_EQ(stats.total_ops.inversions, 0u);
+  EXPECT_TRUE(cache.informed());
+  // Informed: the next sweep repairs the stored order.
+  stats = EquilibrateSide(x0, slopes, first, side, mult, nullptr, opts);
+  EXPECT_GT(stats.total_ops.inversions, 0u);
 }
 
 TEST(SweepScheduling, TooLittleScratchRejected) {
