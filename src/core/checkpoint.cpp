@@ -1,9 +1,11 @@
 #include "core/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "core/extrapolation.hpp"
 #include "problems/diagonal_problem.hpp"
 #include "support/byte_io.hpp"
 #include "support/crc32.hpp"
@@ -32,8 +34,10 @@ CheckpointLoadResult Fail(DiagnosisCode code, std::string message) {
 
 std::string EncodeCheckpoint(const CheckpointState& s) {
   std::string out;
-  out.reserve(128 + sizeof(double) * (s.lambda.size() + s.mu.size() +
-                                      s.snapshot.size()) +
+  out.reserve(192 + sizeof(double) * (s.lambda.size() + s.mu.size() +
+                                      s.snapshot.size() + s.accel_f.size() +
+                                      s.accel_g.size() + s.accel_df.size() +
+                                      s.accel_dg.size()) +
               s.recovery_rungs.size());
   out.append(kMagic, sizeof(kMagic));
   PutU32(out, kCheckpointVersion);
@@ -57,6 +61,13 @@ std::string EncodeCheckpoint(const CheckpointState& s) {
   PutDoubles(out, s.lambda);
   PutDoubles(out, s.mu);
   PutDoubles(out, s.snapshot);
+  PutU64(out, s.extrapolations_accepted);
+  PutU64(out, s.extrapolations_rejected);
+  PutF64(out, s.accel_zeta);
+  PutDoubles(out, s.accel_f);
+  PutDoubles(out, s.accel_g);
+  PutDoubles(out, s.accel_df);
+  PutDoubles(out, s.accel_dg);
   PutU32(out, support::Crc32(out));
   return out;
 }
@@ -103,8 +114,12 @@ CheckpointLoadResult DecodeCheckpoint(std::string_view bytes) {
       r.GetU64(&s.rung_attempts) && r.GetU64(&s.damp_iters_left) &&
       r.GetU64(&s.recovered_count) && r.GetBytes(&s.recovery_rungs) &&
       r.GetDoubles(&s.lambda) && r.GetDoubles(&s.mu) &&
-      r.GetDoubles(&s.snapshot);
-  if (!parsed || r.Remaining() != 0)
+      r.GetDoubles(&s.snapshot) && r.GetU64(&s.extrapolations_accepted) &&
+      r.GetU64(&s.extrapolations_rejected) && r.GetF64(&s.accel_zeta) &&
+      r.GetDoubles(&s.accel_f) && r.GetDoubles(&s.accel_g) &&
+      r.GetDoubles(&s.accel_df) && r.GetDoubles(&s.accel_dg);
+  if (!parsed || r.Remaining() != 0 || s.accel_g.size() != s.accel_f.size() ||
+      s.accel_dg.size() != s.accel_df.size())
     return Fail(DiagnosisCode::kCheckpointMalformed,
                 "inconsistent checkpoint field lengths");
   if (criterion > static_cast<std::uint32_t>(StopCriterion::kResidualRel))
@@ -159,6 +174,11 @@ std::optional<Diagnosis> ValidateCheckpointFor(const CheckpointState& state,
   }
   if (state.lambda.size() != m || state.mu.size() != n)
     return mismatch("checkpoint multiplier lengths disagree with its shape");
+  const std::size_t base = state.accel_f.size();
+  if ((base != 0 && base != n) || (base == 0 && !state.accel_df.empty()) ||
+      state.accel_df.size() % std::max<std::size_t>(n, 1) != 0 ||
+      state.accel_df.size() > AndersonWindow::kDepth * n)
+    return mismatch("checkpoint extrapolation window disagrees with its shape");
   return std::nullopt;
 }
 

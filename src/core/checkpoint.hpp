@@ -5,13 +5,14 @@
 // (lambda, mu) determine the primal matrix in closed form, and the only
 // other cross-iteration memory the engine keeps is the stopping-detector
 // state (previous-check measure, stall streak, the kXChange snapshot) and
-// the recovery-ladder position. A CheckpointState captures exactly that,
+// the recovery-ladder position, plus, on elastic solves, the Anderson
+// window (core/extrapolation.hpp). A CheckpointState captures exactly that,
 // so a run restored from a checkpoint continues **bit-identically** to the
 // uninterrupted run — at any thread count, sweep schedule, and kernel
 // backend, because none of those affect the numerical trajectory (see
 // docs/PARALLELISM.md and docs/KERNELS.md for why).
 //
-// On-disk format (version 1, native-endian, little on every supported
+// On-disk format (version 2, native-endian, little on every supported
 // target):
 //
 //   "SEACKPT\0"  8-byte magic
@@ -27,7 +28,15 @@
 //   u64 count + f64[]  lambda
 //   u64 count + f64[]  mu
 //   u64 count + f64[]  snapshot (previous check's primal; kXChange only)
+//   u64 extrapolations_accepted, u64 extrapolations_rejected
+//   f64          accel_zeta (dual value at the last accepted point)
+//   u64 count + f64[]  accel_f, accel_g (the window's last residual and
+//                      output; empty outside elastic solves)
+//   u64 count + f64[]  accel_df, accel_dg (its pairs, oldest first)
 //   u32          CRC-32 of every preceding byte
+//
+// Version 2 added the extrapolation fields; a version-1 file is refused
+// with kCheckpointVersionSkew.
 //
 // Writes are atomic (support::AtomicFileWriter tmp+rename) with retry +
 // exponential backoff, so a crash mid-write leaves the previous checkpoint
@@ -52,7 +61,7 @@ namespace sea {
 
 class DiagonalProblem;
 
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 // Everything the engine + backend need to continue a run at iteration
 // `iteration + 1` as if it had never stopped.
@@ -88,6 +97,15 @@ struct CheckpointState {
   std::vector<double> lambda;
   std::vector<double> mu;
   std::vector<double> snapshot;
+
+  // Extrapolation (core/extrapolation.hpp): the safeguard's running tally
+  // and the Anderson window — its last residual f and output g (n each, or
+  // empty), its pairs (depth x n, oldest first) and the accepted zeta.
+  std::uint64_t extrapolations_accepted = 0;
+  std::uint64_t extrapolations_rejected = 0;
+  double accel_zeta = 0.0;
+  std::vector<double> accel_f, accel_g;
+  std::vector<double> accel_df, accel_dg;
 };
 
 struct CheckpointLoadResult {

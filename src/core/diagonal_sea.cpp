@@ -7,6 +7,7 @@
 #include "core/multiplier_rebalance.hpp"
 #include "core/sweep_backend.hpp"
 #include "problems/feasibility.hpp"
+#include "problems/solution.hpp"
 #include "support/check.hpp"
 
 namespace sea {
@@ -20,11 +21,8 @@ class DenseDiagonalBackend final : public SweepBackend<DenseMatrix> {
  public:
   DenseDiagonalBackend(const DiagonalProblem& p, const DenseMatrix& x0_t,
                        const SeaOptions& opts, Vector& lambda, Vector& mu)
-      : SweepBackend({.mode = p.mode(), .s0 = p.s0(), .alpha = p.alpha(),
-                      .d0 = p.d0(), .beta = p.beta(), .s_lo = p.s_lo(),
-                      .s_hi = p.s_hi(), .d_lo = p.d_lo(), .d_hi = p.d_hi()},
-                     p.x0(), p.gamma(), x0_t, DenseMatrix(p.n(), p.m(), 0.0),
-                     opts, lambda, mu),
+      : SweepBackend(p.totals(), p.x0(), p.gamma(), x0_t,
+                     DenseMatrix(p.n(), p.m(), 0.0), opts, lambda, mu),
         p_(p) {}
 
   std::uint64_t CheckCost() const override {
@@ -52,10 +50,6 @@ class DenseDiagonalBackend final : public SweepBackend<DenseMatrix> {
     if (max_abs > 0.0) RebalanceMultipliers(p_, lambda_, mu_, 0.5 * max_abs);
   }
 
-  void RecordDualValue(std::vector<double>& out) override {
-    out.push_back(DualValue(p_, lambda_, mu_));
-  }
-
  private:
   void AccumulateRowSums() override {
     std::fill(rowsum_.begin(), rowsum_.end(), 0.0);
@@ -67,6 +61,10 @@ class DenseDiagonalBackend final : public SweepBackend<DenseMatrix> {
   }
 
   std::uint64_t Fingerprint() const override { return FingerprintProblem(p_); }
+
+  double Zeta(const Vector& lambda, const Vector& mu) const override {
+    return DualValue(p_, lambda, mu);
+  }
 
   const DiagonalProblem& p_;
 };

@@ -69,6 +69,8 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
     ck.damp_iters_left = damp_left;
     ck.recovered_count = result.recovered_count;
     ck.recovery_rungs = result.recovery_rungs;
+    ck.extrapolations_accepted = result.extrapolations_accepted;
+    ck.extrapolations_rejected = result.extrapolations_rejected;
   };
 
   // Captures + writes a checkpoint of the current (post-rebalance) state;
@@ -120,6 +122,7 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
         damp_left = opts.recovery_damp_iters;
         break;
     }
+    backend.RestartExtrapolation();
     stall_prev = std::numeric_limits<double>::infinity();
     stall_streak = 0;
     ++result.recovered_count;
@@ -145,6 +148,8 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
     result.final_residual = ck.final_residual;
     result.recovered_count = ck.recovered_count;
     result.recovery_rungs = ck.recovery_rungs;
+    result.extrapolations_accepted = ck.extrapolations_accepted;
+    result.extrapolations_rejected = ck.extrapolations_rejected;
     stall_prev = ck.stall_prev;
     stall_streak = static_cast<std::size_t>(ck.stall_streak);
     have_snapshot = ck.have_snapshot;
@@ -194,6 +199,16 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
       Stopwatch sw;
       const SweepStats stats = backend.RowSweep();
       if (damp_now) backend.BlendRowDuals(damp_prev, opts.recovery_damping);
+      switch (backend.LastExtrapolation()) {
+        case Extrapolation::kNone:
+          break;
+        case Extrapolation::kAccepted:
+          ++result.extrapolations_accepted;
+          break;
+        case Extrapolation::kRejected:
+          ++result.extrapolations_rejected;
+          break;
+      }
       result.ops += stats.total_ops;
       result.order_reuses += stats.order_reuses;
       result.kernel_markets += stats.markets;
@@ -211,6 +226,7 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
       result.kernel_markets += stats.markets;
       result.col_phase_seconds += sw.Seconds();
     }
+    if (damp_now) backend.RestartExtrapolation();
 
     result.iterations = t;
     if (opts.record_dual_values) backend.RecordDualValue(result.dual_values);

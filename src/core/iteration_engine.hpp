@@ -18,9 +18,11 @@
 // The engine is also the instrumentation point: it emits one event stream
 // (core/engine_observer.hpp) — an IterationEvent per check with the
 // residual trajectory, phase times, and op deltas, plus begin, guardrail,
-// recovery, checkpoint, and end events — to SeaOptions::observers, where
-// future acceleration / stagnation-detection layers (Allen-Zhu et al. 2017;
-// Aristodemo & Gemignani 2018) attach too. No observers, no cost.
+// recovery, checkpoint, and end events — to SeaOptions::observers. No
+// observers, no cost. Acceleration is the backend's business: the shared
+// sweep core (core/sweep_backend.hpp) Anderson-extrapolates elastic solves'
+// column duals under a dual-ascent safeguard (core/extrapolation.hpp), and
+// the engine only restarts its window and tallies its outcomes.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +37,9 @@ namespace sea {
 
 // What a variant must provide to run on the engine. One instance drives one
 // solve; backends hold references to the problem and the dual iterates.
+// What a row sweep did with extrapolation (core/extrapolation.hpp).
+enum class Extrapolation : std::uint8_t { kNone, kAccepted, kRejected };
+
 class SeaIterationBackend {
  public:
   virtual ~SeaIterationBackend() = default;
@@ -42,6 +47,17 @@ class SeaIterationBackend {
   // Step 1: the row half-step. Returns the sweep's operation counts and
   // (when tracing) per-market task costs.
   virtual SweepStats RowSweep() = 0;
+
+  // Whether the last RowSweep ran against an extrapolated point, and if so
+  // whether the safeguard kept it (SeaResult::extrapolations_*).
+  virtual Extrapolation LastExtrapolation() const {
+    return Extrapolation::kNone;
+  }
+
+  // Drops any extrapolation history. The engine calls it on every
+  // recovery-ladder rung and after each damped iteration: a damped step is
+  // not the sweep map, so no window may span one.
+  virtual void RestartExtrapolation() {}
 
   // Step 2: the column half-step. When materialize is true the engine will
   // evaluate the stopping measure afterwards, so the backend must make the

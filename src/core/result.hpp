@@ -43,6 +43,11 @@ struct SeaResult {
   // at least one rescue happened.
   std::uint64_t recovered_count = 0;
   std::vector<std::uint8_t> recovery_rungs;
+  // Elastic solves' Anderson-extrapolated row sweeps (core/extrapolation.hpp)
+  // that the dual-ascent safeguard kept, and those it refused and redid
+  // against the plain column duals. 0 in every other regime.
+  std::uint64_t extrapolations_accepted = 0;
+  std::uint64_t extrapolations_rejected = 0;
   // Filled when SeaOptions::record_dual_values is set: zeta_l(lambda^{t+1},
   // mu^{t+1}) after each iteration — nondecreasing by the paper's eq. (71).
   std::vector<double> dual_values;

@@ -10,9 +10,11 @@
 // per-mode MarketSide setup, sweep options and sort caches, both
 // half-steps and their per-worker scratch, the residual measure and its
 // per-market attribution, the kXChange measure, good-iterate save/restore,
-// row-dual snapshot/blend, and checkpoint capture/restore of the duals. A
-// backend supplies only the primal's row sums, the check cost, and the
-// problem fingerprint (plus any regime-specific extras, such as the dense
+// row-dual snapshot/blend, checkpoint capture/restore of the duals, and,
+// on elastic problems, the Anderson extrapolation of the column duals
+// under its dual-ascent safeguard (see RowSweep). A backend supplies only
+// the primal's row sums, the check cost, the problem fingerprint and the
+// dual value (plus any regime-specific extras, such as the dense
 // rebalance).
 #pragma once
 
@@ -23,21 +25,16 @@
 #include <utility>
 #include <vector>
 
+#include "core/extrapolation.hpp"
 #include "core/iteration_engine.hpp"
 #include "core/stopping.hpp"
 #include "obs/market_stats.hpp"
+#include "obs/profiler.hpp"
 #include "parallel/parallel_for.hpp"
+#include "problems/types.hpp"
 #include "sparse/sparse_matrix.hpp"
 
 namespace sea {
-
-// The regime data both sweep sides clear against. The box bounds are read
-// only in kInterval mode.
-struct SweepTotals {
-  TotalsMode mode = TotalsMode::kFixed;
-  std::span<const double> s0, alpha, d0, beta;
-  std::span<const double> s_lo{}, s_hi{}, d_lo{}, d_hi{};
-};
 
 inline std::span<const double> PrimalValues(const DenseMatrix& x) {
   return x.Flat();
@@ -60,7 +57,7 @@ class SweepBackend : public SeaIterationBackend {
   // the column-sweep layout, written on check iterations only, so between
   // checks it holds the previous check's primal — the kXChange snapshot.
   // The referenced data, totals and duals must outlive the backend.
-  SweepBackend(const SweepTotals& totals, const Matrix& x0,
+  SweepBackend(const TotalsView& totals, const Matrix& x0,
                const Matrix& gamma, const Matrix& x0_t, Matrix xt,
                const SeaOptions& opts, Vector& lambda, Vector& mu)
       : lambda_(lambda),
@@ -105,22 +102,50 @@ class SweepBackend : public SeaIterationBackend {
       opts.attribution->Reset(lambda.size(), mu.size());
     row_orders_.Reset(lambda.size());
     col_orders_.Reset(mu.size());
+    if (totals.mode == TotalsMode::kElastic) {
+      window_.Reset(mu.size());
+      mu_in_.resize(mu.size());
+    }
   }
 
+  // On elastic problems the row sweep runs against mu_hat, the Anderson
+  // combination of the window's last column-sweep outputs, and keeps the
+  // result only if zeta(lambda(mu_hat), mu_hat) >= zeta at the last
+  // accepted point; otherwise it redoes the sweep against the plain mu and
+  // drops the window's pairs. Both sweeps' work is counted. Every point the
+  // column sweep, the checks and the observers see has a zeta no lower
+  // than the last, so the eq. (76) argument holds for that sequence. The
+  // other regimes sweep against mu alone: fixed and SAM problems converge
+  // in a few iterations, and their gauge freedom (lambda + c, mu - c)
+  // leaves the least squares singular.
   SweepStats RowSweep() override {
-    if (totals_.mode == TotalsMode::kSam) row_side_.coupling = mu_;
-    sweep_opts_.profile_phase = "equilibrate.rows";
-    sweep_opts_.sort_cache = &row_orders_;
-    sweep_opts_.attribution_base = 0;  // row markets: slots [0, m)
-    // Against mu = 0 (a cold start's first row sweep) lambda answers no
-    // column information, so the column side's seed from it is provisional
-    // (docs/KERNELS.md, "The provisional column seed").
-    if (!col_orders_.informed() &&
-        std::all_of(mu_.begin(), mu_.end(), [](double v) { return v == 0.0; }))
-      col_orders_.MarkSeedProvisional();
-    return EquilibrateSide(x0_, slopes_, mu_, row_side_, lambda_, nullptr,
-                           sweep_opts_);
+    last_extrapolation_ = Extrapolation::kNone;
+    if (totals_.mode != TotalsMode::kElastic) return SweepRows(mu_);
+    if (!window_.Extrapolate(mu_in_)) {
+      window_.DropPairs();  // no pairs yet, or a rank-deficient window
+      mu_in_ = mu_;
+      return SweepRows(mu_);
+    }
+    SweepStats stats = SweepRows(mu_in_);
+    if (DualValueAt(mu_in_) >= window_.zeta()) {
+      last_extrapolation_ = Extrapolation::kAccepted;
+      return stats;
+    }
+    last_extrapolation_ = Extrapolation::kRejected;
+    window_.DropPairs();
+    mu_in_ = mu_;
+    const SweepStats plain = SweepRows(mu_);
+    stats.total_ops += plain.total_ops;
+    stats.order_reuses += plain.order_reuses;
+    stats.markets += plain.markets;
+    return stats;
   }
+
+  Extrapolation LastExtrapolation() const override {
+    return last_extrapolation_;
+  }
+
+  void RestartExtrapolation() override { window_.Clear(); }
 
   SweepStats ColSweep(bool materialize) override {
     if (totals_.mode == TotalsMode::kSam) col_side_.coupling = lambda_;
@@ -135,7 +160,15 @@ class SweepBackend : public SeaIterationBackend {
     // max |new - old| as it went: the kXChange measure, verified inside
     // the parallel sweep instead of a serial pass after it.
     if (materialize) xt_change_ = stats.max_change;
+    if (totals_.mode == TotalsMode::kElastic) {
+      window_.Record(mu_in_, mu_);
+      window_.set_zeta(DualValueAt(mu_));
+    }
     return stats;
+  }
+
+  void RecordDualValue(std::vector<double>& out) override {
+    out.push_back(Zeta(lambda_, mu_));
   }
 
   double ResidualMeasure(StopCriterion c) override {
@@ -195,6 +228,7 @@ class SweepBackend : public SeaIterationBackend {
     out.n = mu_.size();
     out.lambda = lambda_;
     out.mu = mu_;
+    window_.Capture(out);
     if (out.have_snapshot) {
       const auto vals = PrimalValues(xt_);
       out.snapshot.assign(vals.begin(), vals.end());
@@ -206,6 +240,9 @@ class SweepBackend : public SeaIterationBackend {
     if (in.lambda.size() != lambda_.size() || in.mu.size() != mu_.size())
       return false;
     if (in.have_snapshot && in.snapshot.size() != PrimalValues(xt_).size())
+      return false;
+    if (totals_.mode == TotalsMode::kElastic ? !window_.Restore(in)
+                                             : !in.accel_f.empty())
       return false;
     lambda_ = in.lambda;
     mu_ = in.mu;
@@ -235,6 +272,9 @@ class SweepBackend : public SeaIterationBackend {
   // FNV-1a fingerprint of the problem data, taken on the first checkpoint
   // capture (one pass over the data per solve, only when checkpointing).
   virtual std::uint64_t Fingerprint() const = 0;
+  // The dual value zeta(lambda, mu) (problems/solution.hpp's DualValue or
+  // its sparse form): serial, in index order.
+  virtual double Zeta(const Vector& lambda, const Vector& mu) const = 0;
 
   Vector& lambda_;
   Vector& mu_;
@@ -242,6 +282,27 @@ class SweepBackend : public SeaIterationBackend {
   Vector rowsum_;
 
  private:
+  SweepStats SweepRows(const Vector& mu) {
+    if (totals_.mode == TotalsMode::kSam) row_side_.coupling = mu;
+    sweep_opts_.profile_phase = "equilibrate.rows";
+    sweep_opts_.sort_cache = &row_orders_;
+    sweep_opts_.attribution_base = 0;  // row markets: slots [0, m)
+    // Against mu = 0 (a cold start's first row sweep) lambda answers no
+    // column information, so the column side's seed from it is provisional
+    // (docs/KERNELS.md, "The provisional column seed").
+    if (!col_orders_.informed() &&
+        std::all_of(mu.begin(), mu.end(), [](double v) { return v == 0.0; }))
+      col_orders_.MarkSeedProvisional();
+    return EquilibrateSide(x0_, slopes_, mu, row_side_, lambda_, nullptr,
+                           sweep_opts_);
+  }
+
+  // zeta at the current lambda and the given column duals.
+  double DualValueAt(const Vector& mu) {
+    obs::ProfScope prof("sweep.dual_value");
+    return Zeta(lambda_, mu);
+  }
+
   ResidualTargets Targets() const {
     ResidualTargets targets;
     targets.mode = totals_.mode;
@@ -254,7 +315,7 @@ class SweepBackend : public SeaIterationBackend {
     return targets;
   }
 
-  const SweepTotals totals_;
+  const TotalsView totals_;
   const Matrix& x0_;
   const Matrix& x0_t_;
   // Arc slopes 1/(2 gamma) in the row- and column-sweep layouts: the
@@ -275,6 +336,12 @@ class SweepBackend : public SeaIterationBackend {
   double xt_change_ = 0.0;
   // Duals at the last finite check (empty until one passes).
   Vector lambda_good_, mu_good_;
+  // Elastic only: the Anderson window, and the column duals the last row
+  // sweep ran against (mu_hat when kept, else the plain mu) — the input of
+  // the step the next column sweep completes.
+  AndersonWindow window_;
+  Vector mu_in_;
+  Extrapolation last_extrapolation_ = Extrapolation::kNone;
   std::optional<std::uint64_t> fingerprint_;
 };
 

@@ -65,6 +65,10 @@ class DiagonalProblem {
   const Vector& s_hi() const { return s_hi_; }
   const Vector& d_lo() const { return d_lo_; }
   const Vector& d_hi() const { return d_hi_; }
+  // The totals data above as spans (the sweeps and the dual value read it).
+  TotalsView totals() const {
+    return {mode_, s0_, alpha_, d0_, beta_, s_lo_, s_hi_, d_lo_, d_hi_};
+  }
 
   // Throws InvalidArgument when shapes/signs/feasibility are inconsistent.
   void Validate() const;

@@ -65,46 +65,45 @@ double DualValue(const DiagonalProblem& p, const Vector& lambda,
   const std::size_t m = p.m(), n = p.n();
   SEA_CHECK(lambda.size() == m && mu.size() == n);
 
-  // Common x-part: -sum_ij (2 gamma x0 + lambda_i + mu_j)_+^2 / (4 gamma)
-  //                + sum_ij gamma x0^2.
   double val = 0.0;
   for (std::size_t i = 0; i < m; ++i) {
     const auto x0 = p.x0().Row(i);
     const auto g = p.gamma().Row(i);
-    const double li = lambda[i];
-    for (std::size_t j = 0; j < n; ++j) {
-      const double t = 2.0 * g[j] * x0[j] + li + mu[j];
-      if (t > 0.0) val -= t * t / (4.0 * g[j]);
-      val += g[j] * x0[j] * x0[j];
-    }
+    for (std::size_t j = 0; j < n; ++j)
+      AddDualArc(val, x0[j], g[j], lambda[i], mu[j]);
   }
+  return AddDualTotals(val, p.totals(), lambda, mu);
+}
 
-  switch (p.mode()) {
+double AddDualTotals(double val, const TotalsView& p,
+                     std::span<const double> lambda,
+                     std::span<const double> mu) {
+  const std::size_t m = lambda.size(), n = mu.size();
+  switch (p.mode) {
     case TotalsMode::kFixed:
       // zeta_3 (paper eq. (51)).
-      for (std::size_t i = 0; i < m; ++i) val += lambda[i] * p.s0()[i];
-      for (std::size_t j = 0; j < n; ++j) val += mu[j] * p.d0()[j];
+      for (std::size_t i = 0; i < m; ++i) val += lambda[i] * p.s0[i];
+      for (std::size_t j = 0; j < n; ++j) val += mu[j] * p.d0[j];
       break;
     case TotalsMode::kElastic:
       // zeta_1 (paper eq. (24)).
       for (std::size_t i = 0; i < m; ++i) {
-        const double t = 2.0 * p.alpha()[i] * p.s0()[i] - lambda[i];
-        val -= t * t / (4.0 * p.alpha()[i]);
-        val += p.alpha()[i] * p.s0()[i] * p.s0()[i];
+        const double t = 2.0 * p.alpha[i] * p.s0[i] - lambda[i];
+        val -= t * t / (4.0 * p.alpha[i]);
+        val += p.alpha[i] * p.s0[i] * p.s0[i];
       }
       for (std::size_t j = 0; j < n; ++j) {
-        const double t = 2.0 * p.beta()[j] * p.d0()[j] - mu[j];
-        val -= t * t / (4.0 * p.beta()[j]);
-        val += p.beta()[j] * p.d0()[j] * p.d0()[j];
+        const double t = 2.0 * p.beta[j] * p.d0[j] - mu[j];
+        val -= t * t / (4.0 * p.beta[j]);
+        val += p.beta[j] * p.d0[j] * p.d0[j];
       }
       break;
     case TotalsMode::kSam:
       // zeta_2 (paper eq. (41)).
       for (std::size_t i = 0; i < n; ++i) {
-        const double t =
-            2.0 * p.alpha()[i] * p.s0()[i] - lambda[i] - mu[i];
-        val -= t * t / (4.0 * p.alpha()[i]);
-        val += p.alpha()[i] * p.s0()[i] * p.s0()[i];
+        const double t = 2.0 * p.alpha[i] * p.s0[i] - lambda[i] - mu[i];
+        val -= t * t / (4.0 * p.alpha[i]);
+        val += p.alpha[i] * p.s0[i] * p.s0[i];
       }
       break;
     case TotalsMode::kInterval:
@@ -112,18 +111,16 @@ double DualValue(const DiagonalProblem& p, const Vector& lambda,
       // the clamped elastic response; evaluate directly (no closed square
       // completion once the clamp binds).
       for (std::size_t i = 0; i < m; ++i) {
-        const double s = std::clamp(
-            p.s0()[i] - lambda[i] / (2.0 * p.alpha()[i]), p.s_lo()[i],
-            p.s_hi()[i]);
-        const double dev = s - p.s0()[i];
-        val += p.alpha()[i] * dev * dev + lambda[i] * s;
+        const double s = std::clamp(p.s0[i] - lambda[i] / (2.0 * p.alpha[i]),
+                                    p.s_lo[i], p.s_hi[i]);
+        const double dev = s - p.s0[i];
+        val += p.alpha[i] * dev * dev + lambda[i] * s;
       }
       for (std::size_t j = 0; j < n; ++j) {
-        const double d = std::clamp(
-            p.d0()[j] - mu[j] / (2.0 * p.beta()[j]), p.d_lo()[j],
-            p.d_hi()[j]);
-        const double dev = d - p.d0()[j];
-        val += p.beta()[j] * dev * dev + mu[j] * d;
+        const double d = std::clamp(p.d0[j] - mu[j] / (2.0 * p.beta[j]),
+                                    p.d_lo[j], p.d_hi[j]);
+        const double dev = d - p.d0[j];
+        val += p.beta[j] * dev * dev + mu[j] * d;
       }
       break;
   }

@@ -1,6 +1,8 @@
 // Shared enums for the constrained matrix problem family (paper Section 2).
 #pragma once
 
+#include <span>
+
 namespace sea {
 
 // Which totals regime the constraints follow.
@@ -23,5 +25,14 @@ enum class TotalsMode {
 };
 
 const char* ToString(TotalsMode mode);
+
+// A problem's totals data as spans, the form the dense and sparse solvers
+// share (the sweeps clear against it, the dual value reads it). The box
+// bounds are read only in kInterval mode.
+struct TotalsView {
+  TotalsMode mode = TotalsMode::kFixed;
+  std::span<const double> s0, alpha, d0, beta;
+  std::span<const double> s_lo{}, s_hi{}, d_lo{}, d_hi{};
+};
 
 }  // namespace sea

@@ -37,6 +37,8 @@ class SparseDiagonalProblem {
   const Vector& alpha() const { return alpha_; }
   const Vector& d0() const { return d0_; }
   const Vector& beta() const { return beta_; }
+  // The totals data above as spans (no box bounds: kInterval is rejected).
+  TotalsView totals() const { return {mode_, s0_, alpha_, d0_, beta_}; }
 
   void Validate() const;
 

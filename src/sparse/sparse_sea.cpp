@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "core/sweep_backend.hpp"
+#include "problems/solution.hpp"
 #include "support/check.hpp"
 #include "support/hash.hpp"
 
@@ -46,11 +47,10 @@ class SparseBackend final : public SweepBackend<SparseMatrix> {
  public:
   SparseBackend(const SparseDiagonalProblem& p, const SparseMatrix& x0_t,
                 const SeaOptions& opts, Vector& lambda, Vector& mu)
-      // No box bounds: Validate rejects kInterval. xt reuses the
-      // transposed pattern; its values are overwritten per check.
-      : SweepBackend({.mode = p.mode(), .s0 = p.s0(), .alpha = p.alpha(),
-                      .d0 = p.d0(), .beta = p.beta()},
-                     p.x0(), p.gamma(), x0_t, x0_t, opts, lambda, mu),
+      // xt reuses the transposed pattern; its values are overwritten per
+      // check.
+      : SweepBackend(p.totals(), p.x0(), p.gamma(), x0_t, x0_t, opts, lambda,
+                     mu),
         p_(p) {}
 
   std::uint64_t CheckCost() const override { return 2 * p_.nnz(); }
@@ -67,6 +67,10 @@ class SparseBackend final : public SweepBackend<SparseMatrix> {
   }
 
   std::uint64_t Fingerprint() const override { return FingerprintProblem(p_); }
+
+  double Zeta(const Vector& lambda, const Vector& mu) const override {
+    return DualValue(p_, lambda, mu);
+  }
 
   const SparseDiagonalProblem& p_;
 };
@@ -172,6 +176,20 @@ FeasibilityReport CheckFeasibility(const SparseDiagonalProblem& p,
   }
   for (double v : sol.x.Values()) r.min_x = std::min(r.min_x, v);
   return r;
+}
+
+double DualValue(const SparseDiagonalProblem& p, const Vector& lambda,
+                 const Vector& mu) {
+  SEA_CHECK(lambda.size() == p.m() && mu.size() == p.n());
+  double val = 0.0;
+  for (std::size_t i = 0; i < p.m(); ++i) {
+    const auto cols = p.x0().RowCols(i);
+    const auto cvals = p.x0().RowValues(i);
+    const auto gvals = p.gamma().RowValues(i);
+    for (std::size_t k = 0; k < cols.size(); ++k)
+      AddDualArc(val, cvals[k], gvals[k], lambda[i], mu[cols[k]]);
+  }
+  return AddDualTotals(val, p.totals(), lambda, mu);
 }
 
 double KktStationarityError(const SparseDiagonalProblem& p,

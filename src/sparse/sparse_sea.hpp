@@ -69,6 +69,12 @@ SparseSeaRun SolveSparse(const SparseDiagonalProblem& problem,
 FeasibilityReport CheckFeasibility(const SparseDiagonalProblem& p,
                                    const SparseSolution& sol);
 
+// The dual value zeta (problems/solution.hpp's DualValue) summed over the
+// pattern: row by row, each row's arcs in column order, so on a full
+// pattern it equals the dense form bit for bit.
+double DualValue(const SparseDiagonalProblem& p, const Vector& lambda,
+                 const Vector& mu);
+
 // Max KKT stationarity violation on the pattern (off-pattern cells are not
 // variables and impose no condition).
 double KktStationarityError(const SparseDiagonalProblem& p,

@@ -22,6 +22,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/diagonal_sea.hpp"
+#include "core/extrapolation.hpp"
 #include "core/engine_observer.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
@@ -75,6 +76,26 @@ SparseDiagonalProblem SparseFixedProblem() {
                                           d0);
 }
 
+// Elastic versions of the two problems above: their solves extrapolate
+// (core/extrapolation.hpp), so the checkpoint carries a window too.
+DiagonalProblem DenseElasticProblem() {
+  const auto f = DenseFixedProblem();
+  Vector alpha(f.m()), beta(f.n());
+  for (std::size_t i = 0; i < f.m(); ++i) alpha[i] = 0.2 + 0.15 * double(i);
+  for (std::size_t j = 0; j < f.n(); ++j) beta[j] = 1.1 - 0.17 * double(j);
+  return DiagonalProblem::MakeElastic(f.x0(), f.gamma(), f.s0(), alpha,
+                                      f.d0(), beta);
+}
+
+SparseDiagonalProblem SparseElasticProblem() {
+  const auto f = SparseFixedProblem();
+  Vector alpha(f.m()), beta(f.n());
+  for (std::size_t i = 0; i < f.m(); ++i) alpha[i] = 0.3 + 0.11 * double(i);
+  for (std::size_t j = 0; j < f.n(); ++j) beta[j] = 0.9 - 0.09 * double(j);
+  return SparseDiagonalProblem::MakeElastic(f.x0(), f.gamma(), f.s0(), alpha,
+                                            f.d0(), beta);
+}
+
 SeaOptions BaseOptions() {
   SeaOptions o;
   o.epsilon = 1e-10;
@@ -102,6 +123,13 @@ CheckpointState NonTrivialState() {
   st.lambda = {1.5, -2.25, 0.0};
   st.mu = {0.125, -0.5, 3.75, -0.0};
   st.snapshot = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
+  st.extrapolations_accepted = 17;
+  st.extrapolations_rejected = 4;
+  st.accel_zeta = -2.5e6;
+  st.accel_f = {0.5, -1.5, 2.5, -0.0};
+  st.accel_g = {4.0, 3.0, -2.0, 1.0};
+  st.accel_df = {0.1, 0.2, 0.3, 0.4, -0.1, -0.2, -0.3, -0.4};
+  st.accel_dg = {1.1, 1.2, 1.3, 1.4, -1.1, -1.2, -1.3, -1.4};
   return st;
 }
 
@@ -131,6 +159,13 @@ TEST(CheckpointCodec, RoundTripPreservesEveryField) {
   EXPECT_TRUE(BitEqual(r.lambda, st.lambda));
   EXPECT_TRUE(BitEqual(r.mu, st.mu));
   EXPECT_TRUE(BitEqual(r.snapshot, st.snapshot));
+  EXPECT_EQ(r.extrapolations_accepted, st.extrapolations_accepted);
+  EXPECT_EQ(r.extrapolations_rejected, st.extrapolations_rejected);
+  EXPECT_EQ(r.accel_zeta, st.accel_zeta);
+  EXPECT_TRUE(BitEqual(r.accel_f, st.accel_f));
+  EXPECT_TRUE(BitEqual(r.accel_g, st.accel_g));
+  EXPECT_TRUE(BitEqual(r.accel_df, st.accel_df));
+  EXPECT_TRUE(BitEqual(r.accel_dg, st.accel_dg));
 }
 
 TEST(CheckpointCodec, RoundTripPreservesNonFiniteStallPrev) {
@@ -179,12 +214,24 @@ TEST(CheckpointCodec, RejectsTrailingBytes) {
 }
 
 TEST(CheckpointCodec, VersionSkewIsItsOwnDiagnosis) {
-  std::string bytes = EncodeCheckpoint(NonTrivialState());
   // The version field sits right after the 8-byte magic (little-endian u32).
-  bytes[8] = 2;
-  const auto loaded = DecodeCheckpoint(bytes);
+  // Version 1 predates the extrapolation fields; version 3 is a future one.
+  for (char version : {'\1', '\3'}) {
+    std::string bytes = EncodeCheckpoint(NonTrivialState());
+    ASSERT_EQ(bytes[8], static_cast<char>(kCheckpointVersion));
+    bytes[8] = version;
+    const auto loaded = DecodeCheckpoint(bytes);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.diagnosis->code, DiagnosisCode::kCheckpointVersionSkew);
+  }
+}
+
+TEST(CheckpointCodec, MismatchedWindowLengthsAreMalformed) {
+  CheckpointState st = NonTrivialState();
+  st.accel_dg.pop_back();
+  const auto loaded = DecodeCheckpoint(EncodeCheckpoint(st));
   ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.diagnosis->code, DiagnosisCode::kCheckpointVersionSkew);
+  EXPECT_EQ(loaded.diagnosis->code, DiagnosisCode::kCheckpointMalformed);
 }
 
 TEST(CheckpointCodec, LoadOfMissingFileIsMalformed) {
@@ -211,6 +258,12 @@ TEST(CheckpointCodec, ValidateRejectsEveryIdentityMismatch) {
           .has_value());
   EXPECT_TRUE(ValidateCheckpointFor(st, st.fingerprint, st.m, st.n,
                                     StopCriterion::kResidualRel)
+                  .has_value());
+  CheckpointState deep = st;  // one pair more than a window holds
+  deep.accel_df.resize((AndersonWindow::kDepth + 1) * st.n, 0.0);
+  deep.accel_dg = deep.accel_df;
+  EXPECT_TRUE(ValidateCheckpointFor(deep, st.fingerprint, st.m, st.n,
+                                    st.criterion)
                   .has_value());
 }
 
@@ -427,6 +480,92 @@ TEST_P(ResumeConfig, SparseXChangeResumeRestoresTheSnapshot) {
   const auto resumed = SolveSparse(p, resumed_opts);
   EXPECT_TRUE(resumed.result.converged());
   EXPECT_EQ(resumed.result.iterations, ref.result.iterations);
+  EXPECT_EQ(resumed.result.final_residual, ref.result.final_residual);
+  EXPECT_TRUE(BitEqual(resumed.solution.lambda, ref.solution.lambda));
+  EXPECT_TRUE(BitEqual(resumed.solution.mu, ref.solution.mu));
+  EXPECT_TRUE(
+      BitEqual(resumed.solution.x.Values(), ref.solution.x.Values()));
+}
+
+// Elastic solves keep an Anderson window across iterations; a checkpoint
+// taken once it holds its full kDepth pairs must carry it, or the resumed
+// run extrapolates from an empty window and leaves the reference's
+// trajectory. The interruption is the latest iteration before convergence
+// (the reference took `iterations`) whose checkpoint holds a full window
+// (a refused step empties it).
+template <class Solve>
+CheckpointState InterruptWithFullWindow(const Solve& solve,
+                                        const SeaOptions& base,
+                                        std::size_t iterations, std::size_t n,
+                                        const std::string& path) {
+  for (std::size_t stop = iterations - 1; stop >= AndersonWindow::kDepth + 2;
+       --stop) {
+    std::remove(path.c_str());
+    CheckpointWriter writer(path);
+    SeaOptions interrupted = base;
+    interrupted.checkpoint = &writer;
+    interrupted.max_iterations = stop;
+    EXPECT_EQ(solve(interrupted), SolveStatus::kMaxIterations);
+    auto loaded = LoadCheckpoint(path);
+    EXPECT_TRUE(loaded.ok());
+    EXPECT_EQ(loaded.state.iteration, stop);
+    if (loaded.state.accel_df.size() == AndersonWindow::kDepth * n)
+      return loaded.state;
+  }
+  ADD_FAILURE() << "no checkpoint before convergence holds a full window";
+  return {};
+}
+
+TEST_P(ResumeConfig, DenseElasticResumeCarriesTheWindow) {
+  const auto p = DenseElasticProblem();
+  ThreadPool pool(threads());
+  const SeaOptions base = Options(pool);
+
+  const auto ref = SolveDiagonal(p, base);
+  ASSERT_TRUE(ref.result.converged());
+  ASSERT_GT(ref.result.extrapolations_accepted, 0u);
+  const CheckpointState ck = InterruptWithFullWindow(
+      [&p](const SeaOptions& o) { return SolveDiagonal(p, o).result.status; },
+      base, ref.result.iterations, p.n(), CheckpointPath("dense_elastic"));
+  ASSERT_EQ(ck.accel_f.size(), p.n());
+
+  SeaOptions resumed_opts = base;
+  resumed_opts.resume = &ck;
+  const auto resumed = SolveDiagonal(p, resumed_opts);
+  EXPECT_TRUE(resumed.result.converged());
+  EXPECT_EQ(resumed.result.iterations, ref.result.iterations);
+  EXPECT_EQ(resumed.result.extrapolations_accepted,
+            ref.result.extrapolations_accepted);
+  EXPECT_EQ(resumed.result.extrapolations_rejected,
+            ref.result.extrapolations_rejected);
+  EXPECT_EQ(resumed.result.final_residual, ref.result.final_residual);
+  EXPECT_TRUE(BitEqual(resumed.solution.lambda, ref.solution.lambda));
+  EXPECT_TRUE(BitEqual(resumed.solution.mu, ref.solution.mu));
+  EXPECT_TRUE(BitEqual(resumed.solution.x.Flat(), ref.solution.x.Flat()));
+}
+
+TEST_P(ResumeConfig, SparseElasticResumeCarriesTheWindow) {
+  const auto p = SparseElasticProblem();
+  ThreadPool pool(threads());
+  const SeaOptions base = Options(pool);
+
+  const auto ref = SolveSparse(p, base);
+  ASSERT_TRUE(ref.result.converged());
+  ASSERT_GT(ref.result.extrapolations_accepted, 0u);
+  const CheckpointState ck = InterruptWithFullWindow(
+      [&p](const SeaOptions& o) { return SolveSparse(p, o).result.status; },
+      base, ref.result.iterations, p.n(), CheckpointPath("sparse_elastic"));
+  ASSERT_EQ(ck.accel_f.size(), p.n());
+
+  SeaOptions resumed_opts = base;
+  resumed_opts.resume = &ck;
+  const auto resumed = SolveSparse(p, resumed_opts);
+  EXPECT_TRUE(resumed.result.converged());
+  EXPECT_EQ(resumed.result.iterations, ref.result.iterations);
+  EXPECT_EQ(resumed.result.extrapolations_accepted,
+            ref.result.extrapolations_accepted);
+  EXPECT_EQ(resumed.result.extrapolations_rejected,
+            ref.result.extrapolations_rejected);
   EXPECT_EQ(resumed.result.final_residual, ref.result.final_residual);
   EXPECT_TRUE(BitEqual(resumed.solution.lambda, ref.solution.lambda));
   EXPECT_TRUE(BitEqual(resumed.solution.mu, ref.solution.mu));

@@ -399,6 +399,43 @@ TEST_F(FaultTest, ThirdBreakdownRestartsFromLastCheckpoint) {
   EXPECT_GE(writer.writes(), 1u);
 }
 
+// Elastic solves extrapolate (core/extrapolation.hpp); every rung clears
+// the Anderson window, damped iterations run without it, and the solve
+// still converges, extrapolating again once the window refills.
+TEST_F(FaultTest, ElasticLadderClearsTheWindowAndConverges) {
+  DenseMatrix x0(6, 5), gamma(6, 5);
+  double v = 1.0;
+  for (double& c : x0.Flat()) c = v++;
+  v = 0.0;
+  for (double& c : gamma.Flat()) {
+    v += 1.0;
+    c = 0.4 + 0.31 * (v * v / 30.0);
+  }
+  Vector s0 = x0.RowSums(), d0 = x0.ColSums();
+  for (double& t : s0) t *= 1.3;
+  for (double& t : d0) t *= 0.8;
+  const auto p = DiagonalProblem::MakeElastic(
+      x0, gamma, s0, Vector(6, 0.3), d0, Vector(5, 0.7));
+  SeaOptions o = RecoverOptions();
+  o.recovery_retries = 1;
+  const auto clean = SolveDiagonal(p, o);
+  ASSERT_TRUE(clean.result.converged());
+  ASSERT_GT(clean.result.extrapolations_accepted, 0u);
+  // Three poisoned checks from the 4th on, once the window holds pairs:
+  // one rescue per rung.
+  fail::Arm("sea.engine.poison_measure", 4, 3);
+  const auto run = SolveDiagonal(p, o);
+  EXPECT_TRUE(run.result.converged());
+  EXPECT_EQ(run.result.recovery_rungs,
+            std::vector<std::uint8_t>({1, 2, 3}));
+  EXPECT_GT(run.result.extrapolations_accepted, 0u);
+  EXPECT_LE(run.result.extrapolations_accepted +
+                run.result.extrapolations_rejected,
+            run.result.iterations);
+  EXPECT_TRUE(AllFinite(run.solution.x));
+  EXPECT_LT(run.solution.x.MaxAbsDiff(clean.solution.x), 1e-6);
+}
+
 TEST_F(FaultTest, ExhaustedLadderReturnsTheHistoricalStatus) {
   const auto p = SmallFixedProblem();
   SeaOptions o = RecoverOptions();

@@ -252,6 +252,14 @@ TEST(Fuzz, CheckpointDecoderSurvivesHostileBytes) {
   st.mu.assign(5, -0.5);
   st.have_snapshot = true;
   st.snapshot.assign(35, 1.0);
+  // A filled extrapolation window: two pairs of n-vectors.
+  st.extrapolations_accepted = 9;
+  st.extrapolations_rejected = 2;
+  st.accel_zeta = 1234.5;
+  st.accel_f.assign(5, 0.125);
+  st.accel_g.assign(5, -0.75);
+  st.accel_df.assign(10, 0.5);
+  st.accel_dg.assign(10, -0.25);
   const std::string clean = EncodeCheckpoint(st);
   ASSERT_TRUE(DecodeCheckpoint(clean).ok());
 
@@ -286,6 +294,8 @@ TEST(Fuzz, CheckpointDecoderSurvivesHostileBytes) {
       // carry structurally consistent vectors.
       EXPECT_EQ(out.state.lambda.size(), out.state.m);
       EXPECT_EQ(out.state.mu.size(), out.state.n);
+      EXPECT_EQ(out.state.accel_g.size(), out.state.accel_f.size());
+      EXPECT_EQ(out.state.accel_dg.size(), out.state.accel_df.size());
     } else {
       ++rejected;
       EXPECT_FALSE(out.diagnosis->message.empty());

@@ -6,7 +6,8 @@
 //
 // Prints the checkpoint header (format version, problem fingerprint, shape,
 // stop criterion), engine progress, stall-detector and recovery-ladder
-// state, and FNV-1a digests of the iterate vectors — the digests let two
+// state, the extrapolation window's depth and tally, and FNV-1a digests of
+// the iterate vectors — the digests let two
 // checkpoints (or a checkpoint and a reference run) be compared for
 // bit-identity without dumping megabytes of doubles. --json emits the same
 // facts as one JSON document for scripting.
@@ -68,6 +69,9 @@ int main(int argc, char** argv) {
     return 3;
   }
   const CheckpointState& st = loaded.state;
+  // Pairs in the Anderson window (core/extrapolation.hpp): depth x n values.
+  const std::uint64_t window_depth =
+      st.n == 0 ? 0 : st.accel_df.size() / st.n;
 
   if (json) {
     obs::JsonArr rungs;
@@ -89,6 +93,9 @@ int main(int argc, char** argv) {
         .Field("damp_iters_left", st.damp_iters_left)
         .Field("recovered_count", st.recovered_count)
         .Raw("recovery_rungs", rungs.Str())
+        .Field("window_depth", window_depth)
+        .Field("extrapolations_accepted", st.extrapolations_accepted)
+        .Field("extrapolations_rejected", st.extrapolations_rejected)
         .Field("have_snapshot", st.have_snapshot)
         .Field("lambda_len", static_cast<std::uint64_t>(st.lambda.size()))
         .Field("mu_len", static_cast<std::uint64_t>(st.mu.size()))
@@ -117,6 +124,9 @@ int main(int argc, char** argv) {
   for (std::uint8_t rung : st.recovery_rungs)
     std::cout << ' ' << static_cast<unsigned>(rung);
   std::cout << ")\n"
+            << "extrapolation:   window depth " << window_depth << ", "
+            << st.extrapolations_accepted << " accepted, "
+            << st.extrapolations_rejected << " rejected\n"
             << "lambda:          " << st.lambda.size() << " values, digest "
             << Hex64(Digest(st.lambda)) << '\n'
             << "mu:              " << st.mu.size() << " values, digest "
