@@ -186,9 +186,14 @@ void Finish(const ExperimentLog& log, const BenchOptions& opts,
     f << BenchJson(log, opts, bench_name) << '\n';
   }
   std::cout << "\nbench json: " << json_path << '\n';
+  if (g_run == nullptr) return;  // ParseArgs attaches the profiler
 
-  if (!opts.profile_json.empty() && g_run != nullptr) {
-    const auto spans = obs::ToRawSpans(g_run->profiler.Events());
+  // The same per-phase breakdown as the document's "phases" array.
+  const auto spans = obs::ToRawSpans(g_run->profiler.Events());
+  std::cout << '\n';
+  obs::PrintProfileSummary(std::cout, obs::SummarizeSpans(spans),
+                           obs::ProfileWallSeconds(spans));
+  if (!opts.profile_json.empty()) {
     if (obs::WriteChromeTrace(opts.profile_json, spans, bench_name)) {
       std::cout << "profile trace: " << opts.profile_json << " ("
                 << spans.size() << " spans, "

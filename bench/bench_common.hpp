@@ -62,7 +62,8 @@ void PrintHeader(const std::string& title, const std::string& protocol);
 
 // Prints the log's paper-vs-measured table, appends the CSV if requested,
 // appends one JSONL line to the machine-readable BENCH_<bench_name>.json,
-// and exports the Chrome trace when --profile-json was given.
+// prints the run's per-phase profile table (the document's "phases"), and
+// exports the Chrome trace when --profile-json was given.
 void Finish(const ExperimentLog& log, const BenchOptions& opts,
             const std::string& bench_name);
 

@@ -33,8 +33,6 @@
 #include "io/table_printer.hpp"
 #include "linalg/kernels.hpp"
 #include "obs/market_stats.hpp"
-#include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "parallel/thread_pool.hpp"
 #include "spe/spe_generator.hpp"
 #include "support/rng.hpp"
@@ -460,61 +458,6 @@ void RunAttributionOverhead(const bench::BenchOptions& opts,
 }
 
 // ---------------------------------------------------------------------------
-// Sampler overhead: full solve with a metrics registry attached, background
-// sampler off vs on at the default cadence. The sampler thread only READS
-// registry atomics, so the "on" arm should be indistinguishable from "off";
-// the trajectory record lets bench_diff flag any PR that couples the
-// sampler to the solve path (the <=2% wall-clock claim in OBSERVABILITY.md
-// — report-only, like the attribution record above). Rounds interleave
-// off/on so scheduler drift hits both arms equally.
-
-void RunSamplerOverhead(const bench::BenchOptions& opts, ExperimentLog& log) {
-  std::cout << "\nsampler overhead (full solve, metrics attached):\n";
-  TablePrinter t({"m x n", "off (ms)", "on (ms)", "on/off"});
-  const std::size_t rounds = opts.quick ? 9 : 25;
-  for (std::size_t n : {96u, 160u}) {
-    if (opts.quick && n > 96u) continue;
-    Rng rng(13);
-    const auto p = datasets::MakeLargeDiagonal(n, n, rng);
-    const auto solve_ms = [&](bool sampler_on) {
-      obs::MetricsRegistry metrics;
-      obs::MetricsObserver metrics_observer(metrics);
-      SeaOptions o;
-      o.epsilon = 1e-8;
-      o.observers.push_back(&metrics_observer);
-      obs::MetricsSampler sampler(&metrics);  // default 250 ms cadence
-      if (sampler_on) sampler.Start();
-      Stopwatch sw;
-      const auto res = SolveDiagonal(p, o);
-      const double ms = sw.Seconds() * 1e3;
-      benchmark::DoNotOptimize(&res);
-      sampler.Stop();
-      return ms;
-    };
-    // Warm-ups fault pages and settle the allocator before timing.
-    (void)solve_ms(false);
-    (void)solve_ms(true);
-    double off = std::numeric_limits<double>::infinity();
-    double on = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < rounds; ++r) {
-      off = std::min(off, solve_ms(false));
-      on = std::min(on, solve_ms(true));
-    }
-    const double ratio = off > 0.0 ? on / off : 0.0;
-    const std::string dim = std::to_string(n) + " x " + std::to_string(n);
-    t.AddRow({dim, TablePrinter::Num(off, 3), TablePrinter::Num(on, 3),
-              TablePrinter::Num(ratio, 4)});
-    const std::string ds = "n=" + std::to_string(n) + ",dense";
-    log.Add("sampler_overhead", ds, "solve_off_ms", off);
-    log.Add("sampler_overhead", ds, "solve_on_ms", on);
-    log.Add("sampler_overhead", ds, "overhead_ratio", ratio, std::nullopt,
-            "on/off, min over interleaved rounds; sampler reads registry "
-            "atomics from its own thread at the default 250 ms cadence");
-  }
-  t.Print(std::cout);
-}
-
-// ---------------------------------------------------------------------------
 // Part 2: google-benchmark suite (opt-in via --benchmark* flags).
 
 void BM_MarketSolveHeapsort(benchmark::State& state) {
@@ -652,7 +595,6 @@ int main(int argc, char** argv) {
   RunFirstSweep(opts, log);
   RunPoolAndSweep(opts, log);
   RunAttributionOverhead(opts, log);
-  RunSamplerOverhead(opts, log);
   sea::bench::Finish(log, opts, "micro_kernels");
 
   if (run_gbench) {

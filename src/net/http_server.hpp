@@ -14,9 +14,9 @@
 // concurrently — without touching the solver's ParallelFor region pool,
 // which a running solve owns. Handlers run on queue workers and must be
 // thread-safe against each other and the solve thread (the telemetry
-// sources already are: MetricsRegistry snapshots, sampler rings, and the
-// status writer's latest snapshot are all internally synchronized; the
-// serve layer's cache and admission queue are synchronized in src/serve/).
+// sources already are: MetricsRegistry snapshots and the status writer's
+// latest snapshot are internally synchronized; the serve layer's cache and
+// admission queue are synchronized in src/serve/).
 //
 // Shutdown: Stop() — or a tripped CancelToken, polled by the accept loop —
 // stops accepting, drains in-flight handlers, and joins both the accept

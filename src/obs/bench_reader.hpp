@@ -49,8 +49,8 @@ struct BenchDoc {
 // Splits a rendered JSON object into ordered (key, raw value fragment)
 // pairs at the object's top level. Values are returned verbatim — scalars,
 // strings (with quotes), arrays, and nested objects alike — so callers can
-// recurse into nested documents (e.g. trace_report digging histograms out
-// of a metrics JSON). Escape-aware; throws InvalidArgument when malformed.
+// recurse into nested documents. Escape-aware; throws InvalidArgument when
+// malformed.
 std::vector<std::pair<std::string, std::string>> JsonObjectFields(
     const std::string& json);
 

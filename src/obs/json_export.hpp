@@ -17,8 +17,8 @@
 // attribution JSONL, flight-recorder postmortems, and the --status-file
 // snapshot (obs/market_stats.hpp, obs/flight_recorder.hpp,
 // obs/status_file.hpp). Version 4 added the telemetry-plane documents:
-// /timeseries and its index (obs/sampler.hpp), /varz, and the wide-event
-// solve log (obs/solve_log.hpp).
+// /varz, the wide-event solve log (obs/solve_log.hpp), and a `timeseries`
+// document that version 5 removed (a removal takes a new version).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,7 @@ struct PoolStats;
 namespace obs {
 
 // Current version stamped into every exported document and trace event.
-inline constexpr int kTelemetrySchemaVersion = 4;
+inline constexpr int kTelemetrySchemaVersion = 5;
 
 std::string JsonEscape(const std::string& s);
 // Shortest decimal that round-trips to the same double; "null" for

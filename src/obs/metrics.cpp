@@ -318,33 +318,6 @@ void RecordPoolMetrics(MetricsRegistry& registry, const PoolStats& stats) {
       .Set(capacity > 0.0 ? busy / capacity : 0.0);
 }
 
-// ----------------------------------------------------------------- quantile
-
-double HistogramQuantile(const HistogramSnapshot& h, double q) {
-  if (h.total_count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank of the q-th observation (1-based); walk buckets cumulatively.
-  const double rank = q * static_cast<double>(h.total_count);
-  std::uint64_t cum = 0;
-  for (std::size_t b = 0; b < h.counts.size(); ++b) {
-    const std::uint64_t c = h.counts[b];
-    if (c == 0) continue;
-    const double cum_after = static_cast<double>(cum + c);
-    if (rank <= cum_after || b + 1 == h.counts.size()) {
-      // Bucket edges: the first populated edge is min, the overflow bucket
-      // tops out at max; interpolate by the rank's position in the bucket.
-      const double lo = (b == 0) ? h.min : h.bounds[b - 1];
-      const double hi = (b < h.bounds.size()) ? h.bounds[b] : h.max;
-      const double frac =
-          (rank - static_cast<double>(cum)) / static_cast<double>(c);
-      const double v = lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-      return std::clamp(v, h.min, h.max);
-    }
-    cum += c;
-  }
-  return h.max;
-}
-
 // ---------------------------------------------------------- MetricsObserver
 
 void MetricsObserver::OnBegin(const SeaOptions& opts) {

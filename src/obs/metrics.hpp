@@ -212,12 +212,5 @@ void RecordPoolMetrics(MetricsRegistry& registry, const PoolStats& stats);
 // its "# TYPE" line.
 void WritePrometheus(std::ostream& os, const MetricsSnapshot& snapshot);
 
-// Quantile estimate (q in [0, 1]) from a fixed-bucket snapshot: finds the
-// bucket containing the q-th ranked observation and interpolates linearly
-// within it, clamping to the recorded [min, max]. The estimate's resolution
-// is the bucket width — exact values were not retained. Returns 0 when the
-// histogram is empty.
-double HistogramQuantile(const HistogramSnapshot& h, double q);
-
 }  // namespace obs
 }  // namespace sea

@@ -256,7 +256,7 @@ bool WriteChromeTrace(const std::string& path,
 
   // One event object per line: the array is still valid Chrome trace JSON
   // (Perfetto's importer takes it verbatim) and stays line-parsable for
-  // tools/prof_report's flat reader.
+  // ReadChromeTrace's flat reader.
   out << "[\n";
   out << JsonObj()
              .Field("name", "process_name")

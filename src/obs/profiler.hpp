@@ -9,7 +9,7 @@
 //   * a Chrome trace-event JSON file (open in Perfetto / chrome://tracing;
 //     one track per recording thread), and
 //   * an aggregated per-phase table (count, total/self/mean/max seconds,
-//     % of wall) via tools/prof_report or `sea_solve --profile-summary`.
+//     % of wall) via `sea_solve --profile-summary` or any bench's stdout.
 //
 // Pay-for-use, same contract as MetricsRegistry: the profiler is attached
 // process-wide; with none attached a span site costs one relaxed atomic load
@@ -148,7 +148,7 @@ class ProfScopeFine : public ProfScope {
 // ---------------------------------------------------------------- analysis
 
 // Owned-string span form shared by the in-process profiler and the trace
-// file reader (tools/prof_report).
+// file reader (ReadChromeTrace).
 struct RawSpan {
   std::string name;
   std::uint64_t start_ns = 0;

@@ -14,12 +14,15 @@
 //   --report-only    print the comparison but always exit 0 (CI smoke mode)
 //
 // Lower-is-better metrics (names containing "seconds", "iterations",
-// "sweeps", or "rss") flag a REGRESSION when the candidate exceeds the
-// baseline by more than the noise band, and an IMPROVEMENT when it drops
-// below it; other metrics are reported as CHANGED/ok. Every schema version
-// compares, but the baseline must name the commit it was measured at: a
-// baseline whose git_sha is not 7-40 hex digits (missing, "unknown", or a
-// hand-written placeholder) is refused with exit 2, even under
+// "sweeps", "rss", or "errors", or a "us" or "ms" time-unit token between
+// underscores, as in "cold_us" or "us_per_sweep") flag a REGRESSION when
+// the candidate exceeds the baseline by more than the noise band, and an
+// IMPROVEMENT when it drops below it; other metrics are reported as
+// CHANGED/ok. Baseline records with no candidate counterpart (renamed or
+// deleted) are named and counted, never silently dropped. Every schema
+// version compares, but the baseline must name the commit it was measured
+// at: a baseline whose git_sha is not 7-40 hex digits (missing, "unknown",
+// or a hand-written placeholder) is refused with exit 2, even under
 // --report-only, since a gate against invented numbers is no gate.
 //
 // Exit codes: 0 ok / within noise, 1 at least one regression, 2 usage or a
@@ -40,10 +43,15 @@ using sea::obs::BenchDoc;
 using sea::obs::BenchRecord;
 
 bool LowerIsBetter(const std::string& metric) {
+  // Time units are whole tokens: "cold_us" is a time, "order_reuses" not.
+  const std::string tokens = "_" + metric + "_";
   return metric.find("seconds") != std::string::npos ||
          metric.find("iterations") != std::string::npos ||
          metric.find("sweeps") != std::string::npos ||
-         metric.find("rss") != std::string::npos;
+         metric.find("rss") != std::string::npos ||
+         metric.find("errors") != std::string::npos ||
+         tokens.find("_us_") != std::string::npos ||
+         tokens.find("_ms_") != std::string::npos;
 }
 
 std::string Label(const BenchDoc& doc) {
@@ -181,12 +189,24 @@ int main(int argc, char** argv) {
       std::cout.unsetf(std::ios::fixed);
     }
 
+    std::size_t dropped = 0;
+    for (const auto& r : base.records) {
+      if (Find(cand, r) != nullptr) continue;
+      if (dropped++ == 0)
+        std::cout << "\nbaseline records without a candidate counterpart:\n";
+      std::cout << "  " << r.experiment << " / " << r.dataset << " / "
+                << r.metric << '\n';
+    }
+
     std::cout << '\n'
               << compared << " compared, " << regressions << " regression(s), "
               << improvements << " improvement(s)";
     if (unmatched > 0)
       std::cout << ", " << unmatched << " candidate record(s) without a "
                 << "baseline counterpart";
+    if (dropped > 0)
+      std::cout << ", " << dropped << " baseline record(s) without a "
+                << "candidate counterpart";
     std::cout << '\n';
     if (regressions > 0 && report_only)
       std::cout << "(report-only: exiting 0 despite regressions)\n";

@@ -42,21 +42,29 @@ echo "scraping live solve on 127.0.0.1:$port"
 curl -fsS "http://127.0.0.1:$port/healthz" | grep -q ok
 curl -fsS "http://127.0.0.1:$port/statusz" | python3 -m json.tool
 curl -fsS "http://127.0.0.1:$port/varz" | python3 -m json.tool
-sleep 1.5  # a few sampler cadences, so the rate rings have data
 curl -fsS "http://127.0.0.1:$port/metrics" | grep '_total '
-curl -fsS "http://127.0.0.1:$port/metrics" \
-  | grep -q 'sea_iterations_total [1-9]'
-curl -fsS "http://127.0.0.1:$port/timeseries" \
-  | python3 -m json.tool > /dev/null
-curl -fsS \
-  "http://127.0.0.1:$port/timeseries?metric=sea.iterations&last=8" \
-  | python3 -c "
-import json, sys
-d = json.load(sys.stdin)
-assert d['type'] == 'timeseries' and d['kind'] == 'rate', d
-assert d['samples'], 'no rate samples mid-solve'
-print('iteration rate samples:', d['samples'])
-"
+# Mid-solve motion: two /metrics scrapes must see sea_iterations_total
+# strictly increase. Each wait polls for at most 10 s.
+iters() {
+  curl -fsS "http://127.0.0.1:$port/metrics" \
+    | awk '$1 == "sea_iterations_total" { v = $2 } END { print v + 0 }'
+}
+iters_above() {  # prints the first scraped count above $1
+  for _ in $(seq 1 50); do
+    v=$(iters)
+    if awk -v v="$v" -v floor="$1" 'BEGIN { exit !(v + 0 > floor + 0) }'
+    then
+      echo "$v"
+      return 0
+    fi
+    sleep 0.2
+  done
+  echo "sea_iterations_total stuck at $v (needed > $1)" >&2
+  return 1
+}
+first=$(iters_above 0) || { cat live_solve.out; exit 1; }
+second=$(iters_above "$first") || { cat live_solve.out; exit 1; }
+echo "sea_iterations_total moved mid-solve: $first -> $second"
 kill -INT "$pid"
 set +e
 wait "$pid"

@@ -20,7 +20,7 @@
 //   * per-market kernel-time hot spots (top-K by cumulative seconds).
 //
 // Malformed lines (e.g. the torn tail of a killed solve) are skipped and
-// counted, not fatal — same tolerant reader as trace_report.
+// counted, not fatal (ReadTraceJsonl's lines_skipped mode).
 //
 // Usage: market_report <attribution.jsonl> [--top K]
 #include <algorithm>

@@ -26,7 +26,7 @@
 // with the solve result, metric counters/histograms, and thread-pool
 // utilization; --metrics-prom writes the same registry in Prometheus text
 // exposition format; --trace-jsonl streams one JSON event per convergence
-// check (readable with tools/trace_report).
+// check.
 //
 // Convergence forensics (docs/OBSERVABILITY.md, "Convergence forensics"):
 // --attribution-json records per-market residual/breakpoint/active-set
@@ -41,13 +41,10 @@
 // --listen <port> starts an embedded loopback HTTP server (port 0 picks an
 // ephemeral port; --listen-port-file publishes the bound port) exposing
 // /healthz, /metrics (Prometheus text exposition), /statusz (the live
-// status snapshot), /timeseries (sampler rings; ?metric=...&last=K), and
-// /varz (build/config identity). A background sampler
-// (--sample-interval-ms, default 250) turns the metrics registry into
-// bounded time series while the solve runs. --solve-log <path> appends one
-// flat JSON wide event per invocation — success, infeasible, cancelled, or
-// error — for fleet-level forensics (docs/OBSERVABILITY.md, "Wide-event
-// solve log").
+// status snapshot), and /varz (build/config identity). --solve-log <path>
+// appends one flat JSON wide event per invocation — success, infeasible,
+// cancelled, or error — for fleet-level forensics (docs/OBSERVABILITY.md,
+// "Wide-event solve log").
 //
 // Durability + self-healing (docs/ROBUSTNESS.md): --checkpoint <path> writes
 // a crash-safe resume checkpoint every --checkpoint-every N compared checks
@@ -86,7 +83,6 @@
 #include "obs/market_stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/sampler.hpp"
 #include "obs/solve_log.hpp"
 #include "obs/status_file.hpp"
 #include "obs/trace_sink.hpp"
@@ -157,11 +153,9 @@ extern "C" void OnTerminationSignal(int /*signum*/) { g_cancel.Cancel(); }
          "           --status-file <path>     (live solve snapshot, "
          "atomically replaced per check)\n"
          "           --listen <port>          (serve /healthz /metrics "
-         "/statusz /timeseries /varz on 127.0.0.1; 0 = ephemeral port)\n"
+         "/statusz /varz on 127.0.0.1; 0 = ephemeral port)\n"
          "           --listen-port-file <path> (write the bound port, "
          "atomically)\n"
-         "           --sample-interval-ms <ms> (metrics sampler cadence, "
-         "default 250)\n"
          "           --solve-log <path>       (append one JSON wide event "
          "per invocation)\n"
          "           --checkpoint <path>      (crash-safe resume checkpoint, "
@@ -192,7 +186,7 @@ const std::set<std::string>& ValueFlags() {
       "stall-checks", "metrics-prom", "attribution-json",
       "postmortem-json", "status-file", "checkpoint", "checkpoint-every",
       "resume", "recovery-retries", "listen", "listen-port-file",
-      "sample-interval-ms", "solve-log"};
+      "solve-log"};
   return flags;
 }
 
@@ -577,24 +571,12 @@ int main(int argc, char** argv) {
       wide.options_fingerprint = fp.value();
     }
 
-    // Live telemetry plane: background sampler feeding ring time series +
-    // embedded loopback HTTP server. The handlers only touch internally
-    // synchronized telemetry (registry snapshots, sampler rings, the
+    // Live telemetry plane: embedded loopback HTTP server. The handlers
+    // only touch internally synchronized telemetry (registry snapshots, the
     // status writer's latest snapshot) — never the solve state — which is
-    // why sampler on/off cannot change solver results.
-    std::unique_ptr<obs::MetricsSampler> sampler;
+    // why scraping cannot change solver results.
     std::unique_ptr<net::HttpServer> server;
     if (args.count("listen")) {
-      obs::SamplerOptions sampler_opts;
-      if (args.count("sample-interval-ms")) {
-        sampler_opts.interval_ms =
-            ParseDouble(args["sample-interval-ms"], "--sample-interval-ms");
-        if (!(sampler_opts.interval_ms > 0.0))
-          Usage(argv[0], "--sample-interval-ms must be positive");
-      }
-      sampler = std::make_unique<obs::MetricsSampler>(&metrics, sampler_opts);
-      sampler->Start();
-
       const std::size_t port = ParseSize(args["listen"], "--listen");
       if (port > 65535) Usage(argv[0], "--listen port must be <= 65535");
       server =
@@ -619,27 +601,6 @@ int main(int argc, char** argv) {
                        resp.body = status->LatestJson() + "\n";
                        return resp;
                      });
-      server->Handle(
-          "/timeseries",
-          [rings = sampler.get()](const net::HttpRequest& req) {
-            net::HttpResponse resp;
-            resp.content_type = "application/json";
-            const std::string metric = req.Param("metric");
-            if (metric.empty()) {
-              resp.body = rings->SeriesIndexJson() + "\n";
-              return resp;
-            }
-            std::size_t last = 0;
-            try {
-              last = ParseSize(req.Param("last", "0"), "last");
-            } catch (const std::exception&) {
-              resp.status = 400;
-              resp.body = "{\"error\":\"malformed 'last' parameter\"}\n";
-              return resp;
-            }
-            resp.body = rings->TimeSeriesJson(metric, last) + "\n";
-            return resp;
-          });
       // /varz is immutable for the process lifetime: render once.
       const std::string varz =
           obs::JsonObj()
@@ -653,7 +614,6 @@ int main(int argc, char** argv) {
               .Field("epsilon", opts.epsilon)
               .Field("criterion", ToString(opts.criterion))
               .Field("threads", static_cast<std::uint64_t>(threads))
-              .Field("sample_interval_ms", sampler_opts.interval_ms)
               .Str();
       server->Handle("/varz", [varz](const net::HttpRequest&) {
         net::HttpResponse resp;
@@ -688,12 +648,8 @@ int main(int argc, char** argv) {
     const auto run = SolveDiagonal(problem, opts);
 
     if (profiling) profiler.Detach();
-    // Telemetry-plane shutdown, in dependency order: the engine has just
-    // recorded its result metrics, so the sampler's terminal sample (taken
-    // by Stop) captures them; the server stops after, once the final
-    // /statusz and /timeseries states exist. Exceptional exits run the
-    // same joins via the destructors.
-    if (sampler) sampler->Stop();
+    // The server stops once the final /statusz state exists. Exceptional
+    // exits run the same join via the destructor.
     if (server) server->Stop();
     const auto rep = CheckFeasibility(problem, run.solution);
 
@@ -789,8 +745,7 @@ int main(int argc, char** argv) {
     if (server)
       std::cout << "telemetry:      http://127.0.0.1:" << server->port()
                 << " (" << server->requests_ok() << " ok, "
-                << server->requests_error() << " error, "
-                << sampler->samples_taken() << " samples)\n";
+                << server->requests_error() << " error)\n";
     if (!solve_log.path().empty())
       std::cout << "solve log:      " << solve_log.path() << '\n';
     if (recorder.dumped())
