@@ -119,7 +119,6 @@ BachemKorteRun SolveBachemKorte(const GeneralProblem& problem,
   BachemKorteResult& res = run.result;
 
   for (std::size_t sweep = 1; sweep <= opts.max_sweeps; ++sweep) {
-    obs::ProfScopeFine prof("bk.sweep");
     // Row equality multipliers: enforce a^T x = s0_i exactly.
     for (std::size_t i = 0; i < m; ++i) {
       double ax = 0.0;

@@ -46,45 +46,39 @@ RasResult SolveRas(const DenseMatrix& x0, const Vector& s0, const Vector& d0,
   for (std::size_t iter = 1; iter <= opts.max_iterations; ++iter) {
     res.iterations = iter;
     // Row scaling.
-    {
-      obs::ProfScopeFine prof("ras.row_scale");
-      for (std::size_t i = 0; i < m; ++i) {
-        auto row = res.x.Row(i);
-        double sum = 0.0;
-        for (double v : row) sum += v;
-        if (sum == 0.0) {
-          if (s0[i] > 0.0) {
-            res.status = RasStatus::kInfeasibleSupport;
-            return res;
-          }
-          continue;
+    for (std::size_t i = 0; i < m; ++i) {
+      auto row = res.x.Row(i);
+      double sum = 0.0;
+      for (double v : row) sum += v;
+      if (sum == 0.0) {
+        if (s0[i] > 0.0) {
+          res.status = RasStatus::kInfeasibleSupport;
+          return res;
         }
-        const double f = s0[i] / sum;
-        for (double& v : row) v *= f;
-        res.row_multipliers[i] *= f;
+        continue;
       }
+      const double f = s0[i] / sum;
+      for (double& v : row) v *= f;
+      res.row_multipliers[i] *= f;
     }
     // Column scaling.
-    {
-      obs::ProfScopeFine prof("ras.col_scale");
-      Vector colsum(n, 0.0);
-      for (std::size_t i = 0; i < m; ++i) {
-        const auto row = res.x.Row(i);
-        for (std::size_t j = 0; j < n; ++j) colsum[j] += row[j];
-      }
-      for (std::size_t j = 0; j < n; ++j) {
-        if (colsum[j] == 0.0) {
-          if (d0[j] > 0.0) {
-            res.status = RasStatus::kInfeasibleSupport;
-            return res;
-          }
-          continue;
+    Vector colsum(n, 0.0);
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto row = res.x.Row(i);
+      for (std::size_t j = 0; j < n; ++j) colsum[j] += row[j];
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      if (colsum[j] == 0.0) {
+        if (d0[j] > 0.0) {
+          res.status = RasStatus::kInfeasibleSupport;
+          return res;
         }
-        const double f = d0[j] / colsum[j];
-        if (f != 1.0)
-          for (std::size_t i = 0; i < m; ++i) res.x(i, j) *= f;
-        res.col_multipliers[j] *= f;
+        continue;
       }
+      const double f = d0[j] / colsum[j];
+      if (f != 1.0)
+        for (std::size_t i = 0; i < m; ++i) res.x(i, j) *= f;
+      res.col_multipliers[j] *= f;
     }
     // Residual: after column scaling columns are exact; check rows.
     double max_rel = 0.0;

@@ -1,15 +1,15 @@
 // The engine's event stream (docs/OBSERVABILITY.md, "Engine observer").
 //
-// The JSONL trace, metrics, flight recorder, status file, and progress
-// printers are all views of the events the iteration engine and general
-// SEA's outer loop emit. Each event goes to every SeaOptions::observers
-// entry in list order, on the solve thread (never inside a sweep). Hooks
-// default to no-ops; an empty list costs nothing.
+// The JSONL trace (with its postmortem ring), metrics, status file, and
+// progress printers are all views of the events the iteration engine and
+// general SEA's outer loop emit. Each event goes to every
+// SeaOptions::observers entry in list order, on the solve thread (never
+// inside a sweep). Hooks default to no-ops; an empty list costs nothing.
 //
 // Per solve: OnBegin, OnResume when continuing from a checkpoint, then per
-// check any of OnGuardrail / OnGoodIterate / OnRecovery followed by OnCheck
-// (a cancel or budget poll ends the loop instead), OnCheckpointWrite after
-// each checkpoint attempt, and OnEnd. General SEA adds one OnOuterStep per
+// check any of OnGuardrail / OnRecovery followed by OnCheck (a cancel or
+// budget poll ends the loop instead), OnCheckpointWrite after each
+// checkpoint attempt, and OnEnd. General SEA adds one OnOuterStep per
 // projection step.
 #pragma once
 
@@ -78,8 +78,6 @@ class EngineObserver {
   virtual void OnResume(const CheckpointState& /*ck*/) {}
   virtual void OnGuardrail(Guardrail /*kind*/, std::size_t /*iteration*/,
                            double /*value*/) {}
-  // A check with a finite measure; its iterate is the new last-good one.
-  virtual void OnGoodIterate(std::size_t /*iteration*/, double /*measure*/) {}
   // A recovery-ladder rescue on `rung`; `recovered` counts the run's
   // rescues so far, this one included.
   virtual void OnRecovery(std::size_t /*iteration*/, std::uint8_t /*rung*/,

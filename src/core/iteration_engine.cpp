@@ -303,7 +303,6 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
       }
       stall_prev = measure;
       backend.SaveGoodIterate();
-      for (EngineObserver* o : opts.observers) o->OnGoodIterate(t, measure);
       // A stall trip recovers after the good-iterate bookkeeping: the
       // stalled-but-finite iterate IS the restart point, and the rescue
       // resets the detector (stall_prev back to +inf).

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/profiler.hpp"
 #include "support/check.hpp"
 
 namespace sea {
@@ -313,7 +312,6 @@ BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
 BreakpointResult detail::SolveMarket(BreakpointWorkspace& ws, double u,
                                      double v, MarketOrder* order,
                                      const ColdSort* forced) {
-  obs::ProfScopeFine prof("breakpoint.solve");
   const std::size_t n = ws.n_;
 
   BreakpointResult result;
@@ -388,7 +386,6 @@ BreakpointResult detail::SolveMarket(BreakpointWorkspace& ws, double u,
 
 BreakpointResult SolveMarketBox(BreakpointWorkspace& ws, double u, double v,
                                 double lo, double hi, MarketOrder* order) {
-  obs::ProfScopeFine prof("breakpoint.solve");
   SEA_CHECK_MSG(v < 0.0, "interval clearing needs a strictly elastic slope");
   SEA_CHECK_MSG(0.0 <= lo && lo <= hi, "invalid total interval");
 

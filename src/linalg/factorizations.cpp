@@ -30,7 +30,6 @@ std::optional<Cholesky> Cholesky::Factor(const DenseMatrix& a) {
 }
 
 void Cholesky::SolveInPlace(std::span<double> b) const {
-  obs::ProfScopeFine prof("linalg.cholesky_solve");
   const std::size_t n = dim();
   SEA_CHECK(b.size() == n);
   // Forward: L y = b.
@@ -92,7 +91,6 @@ std::optional<PartialPivLU> PartialPivLU::Factor(const DenseMatrix& a) {
 }
 
 Vector PartialPivLU::Solve(std::span<const double> b) const {
-  obs::ProfScopeFine prof("linalg.lu_solve");
   const std::size_t n = dim();
   SEA_CHECK(b.size() == n);
   Vector x(n);

@@ -86,63 +86,6 @@ std::vector<std::string> ArrayElements(const std::string& arr) {
   return out;
 }
 
-struct TopLevel {
-  std::string flat;  // scalar fields reassembled as one flat object
-  std::vector<std::pair<std::string, std::string>> arrays;  // name -> "[..]"
-};
-
-TopLevel SplitTopLevel(const std::string& line) {
-  TopLevel out;
-  std::string flat_body;
-  std::size_t i = 0;
-  SkipWs(line, i);
-  SEA_CHECK_MSG(i < line.size() && line[i] == '{',
-                "bench document must be a JSON object");
-  ++i;
-  for (;;) {
-    SkipWs(line, i);
-    if (i >= line.size())
-      throw InvalidArgument("unterminated bench document");
-    if (line[i] == '}') break;
-    if (line[i] == ',') {
-      ++i;
-      continue;
-    }
-    const std::size_t key_start = i;
-    SkipString(line, i);
-    const std::string key_json = line.substr(key_start, i - key_start);
-    SkipWs(line, i);
-    SEA_CHECK_MSG(i < line.size() && line[i] == ':',
-                  "expected ':' in bench document");
-    ++i;
-    SkipWs(line, i);
-    if (i >= line.size())
-      throw InvalidArgument("truncated bench document value");
-    if (line[i] == '[') {
-      // Strip the quotes off the key for the array name.
-      out.arrays.emplace_back(key_json.substr(1, key_json.size() - 2),
-                              SkipBalanced(line, i));
-    } else if (line[i] == '{') {
-      SkipBalanced(line, i);  // unknown nested object: tolerate, skip
-    } else {
-      const std::size_t val_start = i;
-      if (line[i] == '"') {
-        SkipString(line, i);
-      } else {
-        while (i < line.size() && line[i] != ',' && line[i] != '}') ++i;
-      }
-      std::string value = line.substr(val_start, i - val_start);
-      while (!value.empty() &&
-             (value.back() == ' ' || value.back() == '\t'))
-        value.pop_back();
-      if (!flat_body.empty()) flat_body += ',';
-      flat_body += key_json + ":" + value;
-    }
-  }
-  out.flat = "{" + flat_body + "}";
-  return out;
-}
-
 std::string StringField(const TraceEvent& ev, const std::string& key) {
   auto it = ev.strings.find(key);
   return it != ev.strings.end() ? it->second : std::string();
@@ -229,12 +172,18 @@ std::vector<double> JsonNumberArray(const std::string& json) {
 }
 
 BenchDoc ParseBenchDoc(const std::string& line) {
-  const TopLevel top = SplitTopLevel(line);
+  // Partition on each value's first character: scalars reassemble into one
+  // flat object for the trace parser, the "records" and "phases" arrays
+  // hold flat elements, and unknown arrays and nested objects are skipped
+  // (append-only schema tolerance).
   BenchDoc doc;
-  doc.meta = ParseTraceLine(top.flat);
-  for (const auto& [name, arr] : top.arrays) {
-    if (name == "records") {
-      for (const auto& elem : ArrayElements(arr)) {
+  std::string flat;
+  for (const auto& [key, value] : JsonObjectFields(line)) {
+    if (value.starts_with('{')) continue;
+    if (!value.starts_with('[')) {
+      flat += (flat.empty() ? "\"" : ",\"") + key + "\":" + value;
+    } else if (key == "records") {
+      for (const auto& elem : ArrayElements(value)) {
         const TraceEvent ev = ParseTraceLine(elem);
         BenchRecord r;
         r.experiment = StringField(ev, "experiment");
@@ -245,8 +194,8 @@ BenchDoc ParseBenchDoc(const std::string& line) {
         r.note = StringField(ev, "note");
         doc.records.push_back(std::move(r));
       }
-    } else if (name == "phases") {
-      for (const auto& elem : ArrayElements(arr)) {
+    } else if (key == "phases") {
+      for (const auto& elem : ArrayElements(value)) {
         const TraceEvent ev = ParseTraceLine(elem);
         BenchPhase p;
         p.phase = StringField(ev, "phase");
@@ -258,8 +207,8 @@ BenchDoc ParseBenchDoc(const std::string& line) {
         doc.phases.push_back(std::move(p));
       }
     }
-    // Unknown arrays: skipped (append-only schema tolerance).
   }
+  doc.meta = ParseTraceLine("{" + flat + "}");
   return doc;
 }
 

@@ -15,10 +15,12 @@
 // (git_sha/build_type/timestamp/wall/cpu/peak-RSS) and the per-phase
 // profiler breakdown. Version 3 added the forensics documents: per-market
 // attribution JSONL, flight-recorder postmortems, and the --status-file
-// snapshot (obs/market_stats.hpp, obs/flight_recorder.hpp,
+// snapshot (obs/market_stats.hpp, obs/trace_sink.hpp,
 // obs/status_file.hpp). Version 4 added the telemetry-plane documents:
 // /varz, the wide-event solve log (obs/solve_log.hpp), and a `timeseries`
-// document that version 5 removed (a removal takes a new version).
+// document that version 5 removed (a removal takes a new version). Version
+// 6 puts the engine's event lines in the trace and the trace's check lines
+// in the postmortem, whose `kind:"check"` events went away.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +38,7 @@ struct PoolStats;
 namespace obs {
 
 // Current version stamped into every exported document and trace event.
-inline constexpr int kTelemetrySchemaVersion = 5;
+inline constexpr int kTelemetrySchemaVersion = 6;
 
 std::string JsonEscape(const std::string& s);
 // Shortest decimal that round-trips to the same double; "null" for

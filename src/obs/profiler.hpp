@@ -43,10 +43,6 @@ struct ProfEvent {
 };
 
 struct ProfilerOptions {
-  // Enables the fine-grained span sites (per-market breakpoint solves).
-  // These multiply event counts by the market count per sweep, so they are
-  // off by default; the coarse phases already account for their total time.
-  bool fine_grained = false;
   // Events beyond this per-thread cap are counted in dropped() instead of
   // recorded, bounding profiler memory on very long runs.
   std::size_t max_events_per_thread = 1u << 20;
@@ -65,8 +61,6 @@ class Profiler {
   void Attach();
   void Detach();
   static Profiler* Current();
-
-  bool fine_grained() const { return opts_.fine_grained; }
 
   // Records a completed span with explicit timestamps onto the calling
   // thread's track (used for spans whose start was observed elsewhere, e.g.
@@ -116,11 +110,6 @@ class ProfScope {
   ProfScope(const ProfScope&) = delete;
   ProfScope& operator=(const ProfScope&) = delete;
 
- protected:
-  ProfScope(const char* name, Profiler* profiler) : profiler_(profiler) {
-    if (profiler_) Begin(name);
-  }
-
  private:
   void Begin(const char* name);
   void End();
@@ -129,20 +118,6 @@ class ProfScope {
   const char* name_ = nullptr;
   std::uint64_t start_ns_ = 0;
   Profiler::ThreadBuffer* buffer_ = nullptr;
-};
-
-// Span guard for fine-grained sites (per-market solves): records only when
-// the attached profiler was built with fine_grained = true.
-class ProfScopeFine : public ProfScope {
- public:
-  explicit ProfScopeFine(const char* name)
-      : ProfScope(name, FineProfiler()) {}
-
- private:
-  static Profiler* FineProfiler() {
-    Profiler* p = prof_internal::g_current.load(std::memory_order_acquire);
-    return (p != nullptr && p->fine_grained()) ? p : nullptr;
-  }
 };
 
 // ---------------------------------------------------------------- analysis

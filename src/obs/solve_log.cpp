@@ -31,6 +31,19 @@ std::string HexU64(std::uint64_t v) {
 
 }  // namespace
 
+void SetResultFields(SolveWideEvent& event, const SeaResult& result) {
+  event.iterations = result.iterations;
+  event.checks_compared = result.checks_compared;
+  event.final_residual = result.final_residual;
+  event.objective = result.objective;
+  event.cpu_seconds = result.cpu_seconds;
+  event.row_phase_seconds = result.row_phase_seconds;
+  event.col_phase_seconds = result.col_phase_seconds;
+  event.check_phase_seconds = result.check_phase_seconds;
+  event.recoveries = result.recovered_count;
+  event.recovery_rungs = result.recovery_rungs;
+}
+
 std::string RenderWideEvent(const SolveWideEvent& event) {
   // The document is FLAT by contract (readable with obs::ReadTraceJsonl,
   // which rejects nesting), so the rung sequence renders as a compact

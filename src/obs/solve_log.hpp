@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "core/result.hpp"
 #include "obs/json_export.hpp"
 
 namespace sea::obs {
@@ -73,6 +74,10 @@ struct SolveWideEvent {
   // exit (usage/IO errors, rejected resume, pre-flight infeasibility).
   std::string error;
 };
+
+// Copies the engine result's fields (iterations through recovery_rungs,
+// wall_seconds excepted: each caller times its own) into the event.
+void SetResultFields(SolveWideEvent& event, const SeaResult& result);
 
 // Renders the event as a single-line flat JSON document (no trailing
 // newline). Split from the writer so tests can assert on bytes without

@@ -21,32 +21,6 @@ double SanitizeEta(double eta) {
   return eta;
 }
 
-std::string RenderStatusJson(const StatusSnapshot& snap) {
-  JsonObj obj;
-  obj.Field("schema", kTelemetrySchemaVersion)
-      .Field("type", "status")
-      .Field("phase", snap.phase);
-  if (*snap.status != '\0') obj.Field("status", snap.status);
-  obj.Field("iter", snap.iteration)
-      .Field("measure_defined", snap.measure_defined)
-      .Field("measure", snap.measure_defined ? snap.measure : kNan)
-      .Field("converged", snap.converged)
-      .Field("checks_compared", snap.checks_compared)
-      .Field("epsilon", snap.epsilon)
-      // NaN renders as null: "no estimate yet" is distinguishable from 0.
-      .Field("eta_iterations", snap.eta_iterations)
-      .Field("eta_seconds", snap.eta_seconds)
-      .Field("elapsed_seconds", snap.elapsed_seconds)
-      .Field("row_phase_seconds", snap.row_phase_seconds)
-      .Field("col_phase_seconds", snap.col_phase_seconds)
-      .Field("check_phase_seconds", snap.check_phase_seconds)
-      .Field("recoveries", snap.recoveries);
-  if (*snap.last_recovery_rung != '\0')
-    obj.Field("last_recovery_rung", snap.last_recovery_rung)
-        .Field("last_recovery_iter", snap.last_recovery_iteration);
-  return obj.Str();
-}
-
 StatusFileWriter::StatusFileWriter(std::string path, double epsilon,
                                    double min_interval_seconds)
     : path_(std::move(path)),
@@ -54,7 +28,7 @@ StatusFileWriter::StatusFileWriter(std::string path, double epsilon,
       min_interval_(min_interval_seconds),
       eta_iterations_(kNan) {
   // /statusz must answer before the first check fires.
-  latest_json_ = RenderStatusJson(BuildSnapshot(last_event_, "starting", ""));
+  latest_json_ = Render("starting", "");
 }
 
 void StatusFileWriter::OnCheck(const IterationEvent& ev) {
@@ -70,11 +44,11 @@ void StatusFileWriter::OnCheck(const IterationEvent& ev) {
   const double now = clock_.Seconds();
   if (last_write_seconds_ >= 0.0 && now - last_write_seconds_ < min_interval_)
     return;  // throttled; the snapshot catches up at the next check
-  if (Publish(ev, "iterating", "")) last_write_seconds_ = now;
+  if (Publish("iterating", "")) last_write_seconds_ = now;
 }
 
 void StatusFileWriter::OnEnd(const SeaResult& result) {
-  Publish(last_event_, "terminated", sea::ToString(result.status));
+  Publish("terminated", sea::ToString(result.status));
 }
 
 void StatusFileWriter::OnRecovery(std::size_t iteration, std::uint8_t rung,
@@ -84,43 +58,45 @@ void StatusFileWriter::OnRecovery(std::size_t iteration, std::uint8_t rung,
   last_recovery_iteration_ = iteration;
   // Bypass the throttle: a rescue must be visible live, not a throttle
   // interval later.
-  if (Publish(last_event_, "recovering", ""))
-    last_write_seconds_ = clock_.Seconds();
+  if (Publish("recovering", "")) last_write_seconds_ = clock_.Seconds();
 }
 
-StatusSnapshot StatusFileWriter::BuildSnapshot(const IterationEvent& ev,
-                                               const char* phase,
-                                               const char* status) const {
+std::string StatusFileWriter::Render(const char* phase,
+                                     const char* status) const {
+  const IterationEvent& ev = last_event_;
   const double elapsed = clock_.Seconds();
-  StatusSnapshot snap;
-  snap.phase = phase;
-  snap.status = status;
-  snap.iteration = static_cast<std::uint64_t>(ev.iteration);
-  snap.measure_defined = ev.measure_defined;
-  snap.measure = ev.measure;
-  snap.converged = ev.converged;
-  snap.checks_compared = static_cast<std::uint64_t>(ev.checks_compared);
-  snap.epsilon = epsilon_;
-  snap.eta_iterations = SanitizeEta(eta_iterations_);
   // Seconds-per-iteration so far scales the iteration ETA to wall time.
-  snap.eta_seconds = SanitizeEta(
+  const double eta_seconds = SanitizeEta(
       ev.iteration > 0
-          ? snap.eta_iterations * (elapsed / static_cast<double>(ev.iteration))
+          ? eta_iterations_ * (elapsed / static_cast<double>(ev.iteration))
           : kNan);
-  snap.elapsed_seconds = elapsed;
-  snap.row_phase_seconds = ev.row_phase_seconds;
-  snap.col_phase_seconds = ev.col_phase_seconds;
-  snap.check_phase_seconds = ev.check_phase_seconds;
-  snap.recoveries = recovered_count_;
-  snap.last_recovery_rung = last_recovery_rung_;
-  snap.last_recovery_iteration =
-      static_cast<std::uint64_t>(last_recovery_iteration_);
-  return snap;
+  JsonObj obj;
+  obj.Field("schema", kTelemetrySchemaVersion)
+      .Field("type", "status")
+      .Field("phase", phase);
+  if (*status != '\0') obj.Field("status", status);
+  obj.Field("iter", ev.iteration)
+      .Field("measure_defined", ev.measure_defined)
+      .Field("measure", ev.measure_defined ? ev.measure : kNan)
+      .Field("converged", ev.converged)
+      .Field("checks_compared", ev.checks_compared)
+      .Field("epsilon", epsilon_)
+      // NaN renders as null: "no estimate yet" is distinguishable from 0.
+      .Field("eta_iterations", eta_iterations_)
+      .Field("eta_seconds", eta_seconds)
+      .Field("elapsed_seconds", elapsed)
+      .Field("row_phase_seconds", ev.row_phase_seconds)
+      .Field("col_phase_seconds", ev.col_phase_seconds)
+      .Field("check_phase_seconds", ev.check_phase_seconds)
+      .Field("recoveries", recovered_count_);
+  if (*last_recovery_rung_ != '\0')
+    obj.Field("last_recovery_rung", last_recovery_rung_)
+        .Field("last_recovery_iter", last_recovery_iteration_);
+  return obj.Str();
 }
 
-bool StatusFileWriter::Publish(const IterationEvent& ev, const char* phase,
-                               const char* status) {
-  const std::string line = RenderStatusJson(BuildSnapshot(ev, phase, status));
+bool StatusFileWriter::Publish(const char* phase, const char* status) {
+  const std::string line = Render(phase, status);
   {
     std::lock_guard lk(latest_mu_);
     latest_json_ = line;

@@ -1,29 +1,17 @@
 // Live solve introspection via an atomically-replaced status file and the
 // /statusz endpoint (docs/OBSERVABILITY.md, "Live status file").
 //
-// A long-running solve is a black box to the outside world until it
-// returns. StatusFileWriter, an engine observer, receives the per-check
-// IterationEvents and maintains a single-line flat-JSON snapshot —
-// iteration, stopping measure, phase seconds, and an ETA extrapolated from
+// StatusFileWriter, an engine observer, renders a single-line flat-JSON
+// snapshot from the latest IterationEvent plus its own state: an ETA from
 // the geometric convergence rate of the last two defined measures
-// (core/stopping.hpp, EstimateItersToEpsilon). Construction and publication
-// are split:
-//
-//   * BuildSnapshot() -> StatusSnapshot: the point-in-time struct, with
-//     the ETA already sanitized (never Inf/negative — NaN means "no
-//     estimate", rendered as JSON null);
-//   * RenderStatusJson(snapshot): the one serializer, so the status FILE
-//     and the /statusz ENDPOINT emit byte-identical schemas;
-//   * the writer itself throttles file writes to min_interval_seconds
-//     (first check and termination always write), replaces the file
-//     atomically (temp + rename, support/atomic_file.hpp), and keeps the
-//     latest rendered line for LatestJson() — which the telemetry
-//     server's handler threads read under the writer's lock while the
-//     solve thread keeps checking.
-//
-// A path-less writer (path == "") skips the file entirely and only serves
-// LatestJson() — how `sea_solve --listen` exposes /statusz without
-// requiring --status-file. Attach it through SeaOptions::observers.
+// (EstimateItersToEpsilon, core/stopping.hpp; null when there is none) and
+// the recovery-ladder count and rung. One renderer feeds both the file and
+// /statusz. File writes are throttled to min_interval_seconds (first check
+// and termination always write) and replace the file atomically
+// (support/atomic_file.hpp); LatestJson() serves the newest line to the
+// telemetry server's handler threads under the writer's lock. A path-less
+// writer (path == "") only serves LatestJson(), which is how
+// `sea_solve --listen` exposes /statusz without --status-file.
 #pragma once
 
 #include <cstddef>
@@ -35,33 +23,6 @@
 #include "support/stopwatch.hpp"
 
 namespace sea::obs {
-
-// Point-in-time view of a running solve; the schema behind both the
-// --status-file line and /statusz. Doubles may be NaN ("no value yet"),
-// which RenderStatusJson emits as null — never Inf/NaN text.
-struct StatusSnapshot {
-  const char* phase = "starting";  // "starting"/"iterating"/"recovering"/
-                                   // "terminated"
-  const char* status = "";         // SolveStatus name once terminated
-  std::uint64_t iteration = 0;
-  bool measure_defined = false;
-  double measure = 0.0;
-  bool converged = false;
-  std::uint64_t checks_compared = 0;
-  double epsilon = 0.0;
-  double eta_iterations = 0.0;  // NaN = no estimate
-  double eta_seconds = 0.0;     // NaN = no estimate
-  double elapsed_seconds = 0.0;
-  double row_phase_seconds = 0.0;
-  double col_phase_seconds = 0.0;
-  double check_phase_seconds = 0.0;
-  std::uint64_t recoveries = 0;
-  const char* last_recovery_rung = "";  // "" = never recovered
-  std::uint64_t last_recovery_iteration = 0;
-};
-
-// The single serializer for status snapshots (single-line flat JSON).
-std::string RenderStatusJson(const StatusSnapshot& snap);
 
 // ETA sanitizer: raw geometric-rate estimates can be Inf (rate estimate
 // collapsing toward 1) or negative (clock skew in the seconds scaling);
@@ -94,10 +55,10 @@ class StatusFileWriter final : public EngineObserver {
   std::size_t writes() const { return writes_; }
 
  private:
-  StatusSnapshot BuildSnapshot(const IterationEvent& ev, const char* phase,
-                               const char* status) const;
-  bool Publish(const IterationEvent& ev, const char* phase,
-               const char* status);
+  // Renders the snapshot of last_event_ (the one serializer: NaN doubles
+  // render as null, never Inf/NaN text).
+  std::string Render(const char* phase, const char* status) const;
+  bool Publish(const char* phase, const char* status);
 
   std::string path_;
   double epsilon_;

@@ -1,27 +1,30 @@
-// Structured run traces.
+// Structured run traces and solver postmortems (docs/OBSERVABILITY.md,
+// "Trace JSONL schema" and "Flight recorder and postmortems").
 //
 // JsonlTraceSink is the engine observer (core/engine_observer.hpp) that
-// writes one line per convergence check of the shared iteration engine and
-// one per projection step of general SEA's outer loop. It captures the
-// convergence trajectory and phase accounting in a diffable, append-only
-// format for cross-PR analysis. Attach via SeaOptions::observers.
-//
-// JSONL event schema (version 1, append-only; see docs/OBSERVABILITY.md):
-//   check {"schema":1,"type":"check","iter":..,"measure":..,
-//          "measure_defined":..,"converged":..,"checks_compared":..,
-//          "row_seconds":..,"col_seconds":..,"check_seconds":..,
-//          "flops_delta":..,"comparisons_delta":..,"breakpoints_delta":..,
-//          "flops_total":..,"comparisons_total":..,"breakpoints_total":..}
-//   outer {"schema":1,"type":"outer","iter":..,"change":..,"converged":..,
-//          "inner_iterations":..,"inner_iterations_total":..,
-//          "linearize_seconds":..}
+// renders every engine hook once, as one flat JSON line: a "check" line per
+// convergence check, an "outer" line per general-SEA projection step, and
+// an "event" line ({"type":"event","kind":..,"t":..,"iter":..,"value":..})
+// for begin, resume, breakdown, stall, cancel, budget, recovery and
+// termination. Each line goes to the trace file, when a path is given, and
+// to a bounded ring of the newest lines that survives across chained
+// solves. When a solve ends in a guardrail failure class (stalled,
+// numerical-breakdown, cancelled, time-budget-exceeded) and a dump path is
+// set, the ring is written atomically as the postmortem: a header, the
+// last-good check, then the ring oldest first. All hooks run on the solve
+// thread; attach via SeaOptions::observers.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/engine_observer.hpp"
+#include "core/result.hpp"
+#include "support/stopwatch.hpp"
 
 namespace sea::obs {
 
@@ -30,35 +33,63 @@ namespace sea::obs {
 std::string ToJsonLine(const IterationEvent& ev);
 std::string ToJsonLine(const OuterStepEvent& ev);
 
-// Appends one JSON object per line to a file. Throws InvalidArgument when
-// the file cannot be opened. Flushes at the end of every engine solve.
-//
-// Mid-run write failures (disk full, pipe closed; injectable via the
-// sea.obs.trace_write failpoint) degrade rather than abort the solve:
-// the sink stops writing, write_failed() reports the condition, and
-// events_written() counts only the lines that actually reached the stream.
-// A trace is telemetry — losing it must never lose the solve.
+// Mid-run trace write failures (disk full, pipe closed; injectable via the
+// sea.obs.trace_write failpoint) degrade rather than abort the solve: the
+// sink stops writing the file, write_failed() reports the condition, and
+// events_written() counts only the lines that reached the stream. The ring
+// keeps recording. Telemetry must never lose the solve.
 class JsonlTraceSink final : public EngineObserver {
  public:
-  explicit JsonlTraceSink(const std::string& path);
+  // `path` names the trace file; an empty path keeps the lines in the ring
+  // only. Throws InvalidArgument when a named file cannot be opened.
+  explicit JsonlTraceSink(const std::string& path,
+                          std::size_t ring_capacity = 256);
 
-  void OnCheck(const IterationEvent& ev) override {
-    WriteLine(ToJsonLine(ev));
+  // Enables the automatic postmortem dump on guardrail termination.
+  void SetDumpPath(std::string path) { dump_path_ = std::move(path); }
+
+  void OnBegin(const SeaOptions& opts) override;
+  void OnResume(const CheckpointState& ck) override;
+  void OnGuardrail(Guardrail kind, std::size_t iteration,
+                   double value) override;
+  void OnRecovery(std::size_t iteration, std::uint8_t rung,
+                  std::uint64_t /*recovered*/) override {
+    Event("recovery", iteration, static_cast<double>(rung));
   }
-  void OnOuterStep(const OuterStepEvent& ev) override {
-    WriteLine(ToJsonLine(ev));
-  }
-  void OnEnd(const SeaResult& /*result*/) override { out_.flush(); }
+  void OnCheck(const IterationEvent& ev) override;
+  void OnOuterStep(const OuterStepEvent& ev) override { Emit(ToJsonLine(ev)); }
+  // Emits the termination line, flushes the file, and dumps the postmortem
+  // when the status is a guardrail failure class and a dump path is set.
+  void OnEnd(const SeaResult& result) override;
+
+  // Writes the postmortem JSONL atomically. Fail-soft: returns false and
+  // leaves any existing file untouched on a write failure (failpoint
+  // sea.obs.postmortem_write forces that path).
+  bool WritePostmortem(const std::string& path) const;
 
   std::size_t events_written() const { return events_written_; }
   bool write_failed() const { return write_failed_; }
+  std::size_t capacity() const { return ring_.size(); }
+  std::size_t recorded() const { return recorded_; }  // lines ever ringed
+  bool dumped() const { return dumped_; }
 
  private:
-  void WriteLine(const std::string& line);
+  void Event(const char* kind, std::size_t iteration, double value);
+  void Emit(std::string line);
 
   std::ofstream out_;
   std::size_t events_written_ = 0;
   bool write_failed_ = false;
+  std::vector<std::string> ring_;
+  std::size_t recorded_ = 0;
+  Stopwatch clock_;  // one time base across chained solves
+  std::string dump_path_;
+  bool dumped_ = false;
+  SeaResult last_result_;  // the postmortem header's outcome
+  // The last check with a finite measure.
+  bool have_good_ = false;
+  std::size_t last_good_iteration_ = 0;
+  double last_good_measure_ = 0.0;
 };
 
 }  // namespace sea::obs

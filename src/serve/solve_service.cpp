@@ -203,17 +203,8 @@ void SolveService::Record(const SolveRequest& request,
     }
     ev.status = out.ok ? ToString(out.status) : "error";
     ev.exit_code = out.ok ? ExitCodeFor(out.status) : 3;
-    ev.iterations = out.result.iterations;
-    ev.checks_compared = out.result.checks_compared;
-    ev.final_residual = out.result.final_residual;
-    ev.objective = out.result.objective;
+    obs::SetResultFields(ev, out.result);
     ev.wall_seconds = out.wall_seconds;
-    ev.cpu_seconds = out.result.cpu_seconds;
-    ev.row_phase_seconds = out.result.row_phase_seconds;
-    ev.col_phase_seconds = out.result.col_phase_seconds;
-    ev.check_phase_seconds = out.result.check_phase_seconds;
-    ev.recoveries = out.result.recovered_count;
-    ev.recovery_rungs = out.result.recovery_rungs;
     ev.peak_rss_bytes = support::PeakRssBytes();
     ev.cache_tier = out.cache_tier;
     ev.queue_seconds = out.queue_seconds;

@@ -21,7 +21,6 @@
 #include "core/engine_observer.hpp"
 #include "core/solve_status.hpp"
 #include "entropy/entropy_sea.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/solve_log.hpp"
 #include "obs/status_file.hpp"
@@ -260,7 +259,7 @@ TEST_F(FaultTest, StalledSolveDumpsPostmortem) {
   SeaOptions o = TightOptions();
   o.stall_checks = 3;
   fail::Arm("sea.engine.freeze_measure", 2);  // pin from the 2nd check on
-  obs::FlightRecorder recorder;
+  obs::JsonlTraceSink recorder("");
   const std::string path = ::testing::TempDir() + "/postmortem_stall.jsonl";
   std::remove(path.c_str());
   recorder.SetDumpPath(path);
@@ -271,11 +270,73 @@ TEST_F(FaultTest, StalledSolveDumpsPostmortem) {
   ExpectPostmortem(path, "stalled");
 }
 
+std::vector<std::string> ReadLines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::ifstream f(path);
+  for (std::string line; std::getline(f, line);) lines.push_back(line);
+  return lines;
+}
+
+// One sink writes the trace and the postmortem: the postmortem's ring is
+// the trace's tail, byte for byte, after the header and last_good lines.
+// The last_good line is pinned to what the separate recorder wrote before
+// the two were merged (it then came from a dedicated good-iterate hook).
+TEST_F(FaultTest, StallPostmortemIsTheTraceTail) {
+  const auto p = SmallFixedProblem();
+  SeaOptions o = TightOptions();
+  o.stall_checks = 3;
+  fail::Arm("sea.engine.freeze_measure", 2);  // pin from the 2nd check on
+  const std::string trace_path = ::testing::TempDir() + "/stall_trace.jsonl";
+  const std::string pm_path = ::testing::TempDir() + "/stall_pm.jsonl";
+  std::remove(pm_path.c_str());
+  {
+    obs::JsonlTraceSink sink(trace_path, /*ring_capacity=*/5);
+    sink.SetDumpPath(pm_path);
+    o.observers.push_back(&sink);
+    const auto run = SolveDiagonal(p, o);
+    EXPECT_EQ(run.result.status, SolveStatus::kStalled);
+    EXPECT_TRUE(sink.dumped());
+    EXPECT_EQ(sink.recorded(), sink.events_written());
+  }
+  const auto trace = ReadLines(trace_path);
+  const auto pm = ReadLines(pm_path);
+  // begin, checks 1-3, the stall trip, check 4, termination.
+  ASSERT_EQ(trace.size(), 7u);
+  EXPECT_NE(trace[4].find("\"kind\":\"stall\""), std::string::npos);
+  ASSERT_EQ(pm.size(), 2u + 5u);
+  EXPECT_NE(pm[0].find("\"events_dropped\":2"), std::string::npos) << pm[0];
+  EXPECT_EQ(pm[1],
+            "{\"type\":\"last_good\",\"iter\":4,"
+            "\"measure\":0.05892881645960557}");
+  EXPECT_EQ(std::vector<std::string>(pm.begin() + 2, pm.end()),
+            std::vector<std::string>(trace.end() - 5, trace.end()));
+  ExpectPostmortem(pm_path, "stalled");
+}
+
+// last_good skips a check whose measure is not finite: after a breakdown at
+// check 3 it is still check 2 (pinned like the stall case above).
+TEST_F(FaultTest, BreakdownPostmortemKeepsLastFiniteCheck) {
+  const auto p = SmallFixedProblem();
+  SeaOptions o = TightOptions();
+  fail::Arm("sea.engine.poison_measure", 3);
+  obs::JsonlTraceSink sink("");
+  o.observers.push_back(&sink);
+  const auto run = SolveDiagonal(p, o);
+  EXPECT_EQ(run.result.status, SolveStatus::kNumericalBreakdown);
+  const std::string path = ::testing::TempDir() + "/breakdown_pm.jsonl";
+  ASSERT_TRUE(sink.WritePostmortem(path));
+  const auto pm = ReadLines(path);
+  ASSERT_GE(pm.size(), 2u);
+  EXPECT_EQ(pm[1],
+            "{\"type\":\"last_good\",\"iter\":2,"
+            "\"measure\":5.722569919353049e-05}");
+}
+
 TEST_F(FaultTest, BreakdownDumpsPostmortem) {
   const auto p = SmallFixedProblem();
   SeaOptions o = TightOptions();
   fail::Arm("sea.engine.poison_measure", 3);
-  obs::FlightRecorder recorder;
+  obs::JsonlTraceSink recorder("");
   const std::string path =
       ::testing::TempDir() + "/postmortem_breakdown.jsonl";
   std::remove(path.c_str());
@@ -298,7 +359,7 @@ TEST_F(FaultTest, CancelledSolveDumpsPostmortem) {
     if (ev.iteration >= 2) cancel.Cancel();
   });
   o.observers.push_back(&progress);
-  obs::FlightRecorder recorder;
+  obs::JsonlTraceSink recorder("");
   const std::string path = ::testing::TempDir() + "/postmortem_cancel.jsonl";
   std::remove(path.c_str());
   recorder.SetDumpPath(path);
@@ -314,7 +375,7 @@ TEST_F(FaultTest, BudgetExceededDumpsPostmortem) {
   SeaOptions o = TightOptions();
   o.max_iterations = 1000000;
   o.time_budget_seconds = 1e-12;
-  obs::FlightRecorder recorder;
+  obs::JsonlTraceSink recorder("");
   const std::string path = ::testing::TempDir() + "/postmortem_budget.jsonl";
   std::remove(path.c_str());
   recorder.SetDumpPath(path);
@@ -328,7 +389,7 @@ TEST_F(FaultTest, BudgetExceededDumpsPostmortem) {
 TEST_F(FaultTest, ConvergedSolveDoesNotDump) {
   const auto p = SmallFixedProblem();
   SeaOptions o;  // default epsilon: converges
-  obs::FlightRecorder recorder;
+  obs::JsonlTraceSink recorder("");
   const std::string path = ::testing::TempDir() + "/postmortem_none.jsonl";
   std::remove(path.c_str());
   recorder.SetDumpPath(path);
@@ -502,7 +563,7 @@ TEST_F(FaultTest, RecoveryEmitsLiveTelemetry) {
   obs::MetricsRegistry metrics;
   obs::MetricsObserver metrics_observer(metrics);
   o.observers.push_back(&metrics_observer);
-  obs::FlightRecorder recorder;
+  obs::JsonlTraceSink recorder("");
   o.observers.push_back(&recorder);
   const std::string status_path =
       ::testing::TempDir() + "/recovery_status.json";
@@ -645,7 +706,7 @@ TEST_F(FaultTest, PostmortemWriteFailureDegradesNotTheResult) {
   o.stall_checks = 3;
   fail::Arm("sea.engine.freeze_measure", 2);
   fail::Arm("sea.obs.postmortem_write");
-  obs::FlightRecorder recorder;
+  obs::JsonlTraceSink recorder("");
   const std::string path = ::testing::TempDir() + "/postmortem_fail.jsonl";
   std::remove(path.c_str());
   recorder.SetDumpPath(path);

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -28,7 +27,6 @@
 #include "datasets/io_tables.hpp"
 #include "datasets/large_diagonal.hpp"
 #include "obs/bench_reader.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/json_export.hpp"
 #include "obs/market_stats.hpp"
 #include "obs/metrics.hpp"
@@ -244,9 +242,6 @@ class RecordingSink : public EngineObserver {
     Note("guardrail " + std::to_string(static_cast<int>(kind)) + " @" +
          std::to_string(t));
   }
-  void OnGoodIterate(std::size_t t, double) override {
-    Note("good @" + std::to_string(t));
-  }
   void OnRecovery(std::size_t t, std::uint8_t rung, std::uint64_t) override {
     Note(std::string("recovery ") + RecoveryRungName(rung) + " @" +
          std::to_string(t));
@@ -461,11 +456,15 @@ TEST(TraceContract, JsonlSinkWritesParseableFile) {
     SolveDiagonal(problem, opts);
     EXPECT_GT(sink.events_written(), 0u);
   }
+  // The solve's begin and termination events bracket its check lines;
+  // every check line carries the schema version.
   const auto events = obs::ReadTraceJsonl(path);
-  ASSERT_FALSE(events.empty());
-  for (const auto& ev : events) {
-    EXPECT_EQ(ev.Type(), "check");
-    EXPECT_EQ(ev.Number("schema"), obs::kTelemetrySchemaVersion);
+  ASSERT_GE(events.size(), 3u);
+  EXPECT_EQ(events.front().strings.at("kind"), "begin");
+  EXPECT_EQ(events.back().strings.at("kind"), "termination");
+  for (std::size_t k = 1; k + 1 < events.size(); ++k) {
+    EXPECT_EQ(events[k].Type(), "check");
+    EXPECT_EQ(events[k].Number("schema"), obs::kTelemetrySchemaVersion);
   }
   std::remove(path.c_str());
 }
@@ -490,8 +489,11 @@ TEST(TraceContract, JsonlTraceLastCheckMatchesResultJson) {
     result_json = obs::ToJson(run.result);
     iterations = run.result.iterations;
   }
-  const auto events = obs::ReadTraceJsonl(path);
+  auto events = obs::ReadTraceJsonl(path);
   std::remove(path.c_str());
+  std::erase_if(events, [](const obs::TraceEvent& ev) {
+    return ev.Type() != "check";
+  });
   ASSERT_FALSE(events.empty());
   const auto& last = events.back();
 
@@ -532,7 +534,6 @@ TEST(Profiler, DetachedSitesRecordNothing) {
   ASSERT_EQ(obs::Profiler::Current(), nullptr);
   for (int i = 0; i < 100; ++i) {
     obs::ProfScope scope("test.detached");
-    obs::ProfScopeFine fine("test.detached_fine");
   }
   obs::Profiler prof;
   prof.Attach();
@@ -646,25 +647,6 @@ TEST(Profiler, RecordsSpansFromMultipleThreads) {
   for (const auto& ev : events) tracks.insert(ev.thread);
   EXPECT_EQ(tracks.size(), 4u);  // dense per-thread track indices
   for (std::uint32_t t : tracks) EXPECT_LT(t, 4u);
-}
-
-TEST(Profiler, FineGrainedSitesAreGatedByOption) {
-  {
-    obs::Profiler coarse;
-    coarse.Attach();
-    { obs::ProfScopeFine fine("test.fine"); }
-    { obs::ProfScope scope("test.coarse"); }
-    coarse.Detach();
-    EXPECT_EQ(coarse.Events().size(), 1u);
-    EXPECT_EQ(coarse.Events()[0].name, std::string("test.coarse"));
-  }
-  obs::ProfilerOptions opts;
-  opts.fine_grained = true;
-  obs::Profiler fine(opts);
-  fine.Attach();
-  { obs::ProfScopeFine scope("test.fine"); }
-  fine.Detach();
-  EXPECT_EQ(fine.Events().size(), 1u);
 }
 
 TEST(Profiler, CapsPerThreadEventsAndCountsDrops) {
@@ -986,70 +968,17 @@ TEST(Attribution, ChurnCountsActiveSetMovement) {
   EXPECT_EQ(from_checks, attr.total_churn());
 }
 
-TEST(Attribution, DisabledPathStaysPayForUse) {
-  // Satellite gate: forensics must cost nothing when off. The disabled path
-  // is one pointer test per market solve, which cannot be isolated from the
-  // rest of the sweep at runtime — but FULL recording (the branch taken,
-  // plus two clock reads and four array writes per market) is a strict
-  // upper bound on it. On this table1-shaped instance full recording
-  // measures ~0-2% (bench/micro_kernels tracks the exact figure in the
-  // bench trajectory); gating at 5% keeps the assertion robust to container
-  // noise while still pinning the disabled branch well inside the
-  // documented <2% pay-for-use budget.
-  Rng rng(11);
-  const auto p = datasets::MakeLargeDiagonal(160, 160, rng);
-  SeaOptions base;
-  base.epsilon = 1e-8;
-  obs::MarketAttribution attr;
-
-  // The solve is serial, so this thread's CPU time is its cost; unlike wall
-  // time it does not charge one configuration for being preempted by other
-  // processes (a parallel ctest run).
-  auto thread_cpu_seconds = [] {
-    timespec ts{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           1e-9 * static_cast<double>(ts.tv_nsec);
-  };
-  auto solve_seconds = [&](bool enabled) {
-    SeaOptions o = base;
-    if (enabled) o.attribution = &attr;
-    const double start = thread_cpu_seconds();
-    const auto run = SolveDiagonal(p, o);
-    const double s = thread_cpu_seconds() - start;
-    EXPECT_TRUE(run.result.converged());
-    return s;
-  };
-  // Warm up caches and clocks, then time disabled/enabled back to back,
-  // alternating which goes first. Each pair's ratio sees one host speed, so
-  // drift between pairs cancels; the median ignores the odd disturbed pair.
-  for (int i = 0; i < 4; ++i) (void)solve_seconds(i % 2 == 0);
-  std::vector<double> ratios;
-  for (int round = 0; round < 31; ++round) {
-    double off = 0.0, on = 0.0;
-    if (round % 2 == 0) {
-      off = solve_seconds(false);
-      on = solve_seconds(true);
-    } else {
-      on = solve_seconds(true);
-      off = solve_seconds(false);
-    }
-    ratios.push_back(on / off);
-  }
-  std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
-                   ratios.end());
-  const double median = ratios[ratios.size() / 2];
-  EXPECT_LE(median, 1.05)
-      << "attribution recording overhead out of budget: median on/off ratio "
-      << median;
-}
-
 // ------------------------------------------------------- flight recorder
 
 TEST(FlightRecorder, RingWrapsKeepingNewestEvents) {
-  obs::FlightRecorder rec(4);
-  for (std::size_t i = 1; i <= 10; ++i)
-    rec.Record("check", i, 0.1 * i);
+  obs::JsonlTraceSink rec("", 4);  // ring only, no trace file
+  for (std::size_t i = 1; i <= 10; ++i) {
+    IterationEvent ev;
+    ev.iteration = i;
+    ev.measure_defined = true;
+    ev.measure = 0.1 * static_cast<double>(i);
+    rec.OnCheck(ev);
+  }
   EXPECT_EQ(rec.capacity(), 4u);
   EXPECT_EQ(rec.recorded(), 10u);
   const std::string path = TempPath("flight_ring.jsonl");
@@ -1059,9 +988,11 @@ TEST(FlightRecorder, RingWrapsKeepingNewestEvents) {
   EXPECT_EQ(events.front().Type(), "postmortem");
   EXPECT_EQ(events.front().Number("events_dropped"), 6.0);
   // Only the newest four survive, oldest first.
+  EXPECT_EQ(events[1].Type(), "last_good");
+  EXPECT_EQ(events[1].Number("iter"), 10.0);
   std::vector<double> iters;
   for (const auto& ev : events)
-    if (ev.Type() == "event") iters.push_back(ev.Number("iter"));
+    if (ev.Type() == "check") iters.push_back(ev.Number("iter"));
   ASSERT_EQ(iters.size(), 4u);
   EXPECT_EQ(iters.front(), 7.0);
   EXPECT_EQ(iters.back(), 10.0);
@@ -1070,7 +1001,7 @@ TEST(FlightRecorder, RingWrapsKeepingNewestEvents) {
 
 TEST(FlightRecorder, SurvivesAcrossChainedSolves) {
   const auto p = SmallFixedProblem(6, 7);
-  obs::FlightRecorder rec;
+  obs::JsonlTraceSink rec("");
   SeaOptions o;
   o.observers.push_back(&rec);
   const auto first = SolveDiagonal(p, o);
@@ -1311,10 +1242,9 @@ TEST(StatusFile, SanitizeEtaMapsBadValuesToNan) {
 }
 
 TEST(StatusFile, EtaRendersAsNullNeverInfOrNan) {
-  obs::StatusSnapshot snap;
-  snap.eta_iterations = std::numeric_limits<double>::quiet_NaN();
-  snap.eta_seconds = std::numeric_limits<double>::quiet_NaN();
-  const std::string json = obs::RenderStatusJson(snap);
+  // Before two finite measures there is no ETA estimate.
+  const obs::StatusFileWriter writer("", 1e-6);
+  const std::string json = writer.LatestJson();
   EXPECT_NE(json.find("\"eta_iterations\":null"), std::string::npos) << json;
   EXPECT_NE(json.find("\"eta_seconds\":null"), std::string::npos) << json;
   EXPECT_EQ(json.find("inf"), std::string::npos) << json;

@@ -14,16 +14,16 @@
 //   --report-only    print the comparison but always exit 0 (CI smoke mode)
 //
 // Lower-is-better metrics (names containing "seconds", "iterations",
-// "sweeps", "rss", or "errors", or a "us" or "ms" time-unit token between
-// underscores, as in "cold_us" or "us_per_sweep") flag a REGRESSION when
-// the candidate exceeds the baseline by more than the noise band, and an
-// IMPROVEMENT when it drops below it; other metrics are reported as
-// CHANGED/ok. Baseline records with no candidate counterpart (renamed or
-// deleted) are named and counted, never silently dropped. Every schema
-// version compares, but the baseline must name the commit it was measured
-// at: a baseline whose git_sha is not 7-40 hex digits (missing, "unknown",
-// or a hand-written placeholder) is refused with exit 2, even under
-// --report-only, since a gate against invented numbers is no gate.
+// "sweeps", "rss", or "errors", or a "us", "ms" or "overhead" token between
+// underscores, as in "cold_us", "us_per_sweep" or "overhead_ratio") flag a
+// REGRESSION when the candidate exceeds the baseline by more than the noise
+// band, and an IMPROVEMENT when it drops below it; other metrics are
+// reported as CHANGED/ok. Baseline records with no candidate counterpart
+// (renamed or deleted) are named and counted, never silently dropped. Every
+// schema version compares, but the baseline must name the commit it was
+// measured at: a baseline whose git_sha is not 7-40 hex digits (missing,
+// "unknown", or a hand-written placeholder) is refused with exit 2, even
+// under --report-only, since a gate against invented numbers is no gate.
 //
 // Exit codes: 0 ok / within noise, 1 at least one regression, 2 usage or a
 // baseline without a real git sha, 3 missing/malformed input.
@@ -44,6 +44,7 @@ using sea::obs::BenchRecord;
 
 bool LowerIsBetter(const std::string& metric) {
   // Time units are whole tokens: "cold_us" is a time, "order_reuses" not.
+  // So is "overhead": a ratio of instrumented to plain cost.
   const std::string tokens = "_" + metric + "_";
   return metric.find("seconds") != std::string::npos ||
          metric.find("iterations") != std::string::npos ||
@@ -51,7 +52,8 @@ bool LowerIsBetter(const std::string& metric) {
          metric.find("rss") != std::string::npos ||
          metric.find("errors") != std::string::npos ||
          tokens.find("_us_") != std::string::npos ||
-         tokens.find("_ms_") != std::string::npos;
+         tokens.find("_ms_") != std::string::npos ||
+         tokens.find("_overhead_") != std::string::npos;
 }
 
 std::string Label(const BenchDoc& doc) {

@@ -25,13 +25,13 @@
 // Telemetry (docs/OBSERVABILITY.md): --metrics-json writes one JSON document
 // with the solve result, metric counters/histograms, and thread-pool
 // utilization; --metrics-prom writes the same registry in Prometheus text
-// exposition format; --trace-jsonl streams one JSON event per convergence
-// check.
+// exposition format; --trace-jsonl streams one JSON line per convergence
+// check and per engine event (begin, guardrail trips, rescues, termination).
 //
 // Convergence forensics (docs/OBSERVABILITY.md, "Convergence forensics"):
 // --attribution-json records per-market residual/breakpoint/active-set
-// attribution (summarize with tools/market_report); --postmortem-json arms
-// the flight recorder to dump a JSONL postmortem when the solve ends in a
+// attribution (summarize with tools/market_report); --postmortem-json dumps
+// the trace's newest lines as a JSONL postmortem when the solve ends in a
 // guardrail failure class; --status-file maintains a live, atomically
 // replaced JSON snapshot of the running solve. The SEA_FAILPOINTS
 // environment variable ("site[:at_hit[:count]],...") arms fault-injection
@@ -78,7 +78,6 @@
 #include "datasets/weights.hpp"
 #include "io/csv.hpp"
 #include "net/http_server.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/json_export.hpp"
 #include "obs/market_stats.hpp"
 #include "obs/metrics.hpp"
@@ -144,12 +143,12 @@ extern "C" void OnTerminationSignal(int /*signum*/) { g_cancel.Cancel(); }
          "JSON)\n"
          "           --metrics-prom <path>    (write metrics in Prometheus "
          "text exposition format)\n"
-         "           --trace-jsonl <path>     (stream per-check trace "
-         "events)\n"
+         "           --trace-jsonl <path>     (stream per-check and engine "
+         "trace events)\n"
          "           --attribution-json <path> (per-market attribution "
          "JSONL; summarize with market_report)\n"
-         "           --postmortem-json <path> (flight-recorder dump on "
-         "stall/breakdown/cancel/budget failures)\n"
+         "           --postmortem-json <path> (dump the trace's newest lines "
+         "on stall/breakdown/cancel/budget failures)\n"
          "           --status-file <path>     (live solve snapshot, "
          "atomically replaced per check)\n"
          "           --listen <port>          (serve /healthz /metrics "
@@ -469,10 +468,14 @@ int main(int argc, char** argv) {
     if (threads > 1) opts.pool = &pool;
 
     // Opt-in telemetry: structured trace + metrics registry + pool stats;
-    // one metrics observer however many exports (and --listen) read it.
+    // one metrics observer however many exports (and --listen) read it. One
+    // trace observer serves the trace file, the postmortem ring, or both.
     std::unique_ptr<obs::JsonlTraceSink> trace_sink;
-    if (args.count("trace-jsonl")) {
-      trace_sink = std::make_unique<obs::JsonlTraceSink>(args["trace-jsonl"]);
+    if (args.count("trace-jsonl") || args.count("postmortem-json")) {
+      trace_sink = std::make_unique<obs::JsonlTraceSink>(
+          args.count("trace-jsonl") ? args["trace-jsonl"] : std::string());
+      if (args.count("postmortem-json"))
+        trace_sink->SetDumpPath(args["postmortem-json"]);
       opts.observers.push_back(trace_sink.get());
     }
     obs::MetricsObserver metrics_observer(metrics);
@@ -481,15 +484,10 @@ int main(int argc, char** argv) {
       pool.EnableStats(true);
     }
 
-    // Convergence forensics: per-market attribution table, guardrail flight
-    // recorder, and live status snapshot — pay-for-use, wired on request.
+    // Convergence forensics: per-market attribution table and live status
+    // snapshot — pay-for-use, wired on request.
     obs::MarketAttribution attribution;
     if (args.count("attribution-json")) opts.attribution = &attribution;
-    obs::FlightRecorder recorder;
-    if (args.count("postmortem-json")) {
-      recorder.SetDumpPath(args["postmortem-json"]);
-      opts.observers.push_back(&recorder);
-    }
     // --listen implies a (possibly path-less) status writer: /statusz
     // serves its latest snapshot without requiring --status-file.
     std::unique_ptr<obs::StatusFileWriter> status_writer;
@@ -653,20 +651,10 @@ int main(int argc, char** argv) {
     if (server) server->Stop();
     const auto rep = CheckFeasibility(problem, run.solution);
 
-    wide.iterations = static_cast<std::uint64_t>(run.result.iterations);
-    wide.checks_compared =
-        static_cast<std::uint64_t>(run.result.checks_compared);
-    wide.final_residual = run.result.final_residual;
-    wide.objective = run.result.objective;
+    obs::SetResultFields(wide, run.result);
+    wide.wall_seconds = run.result.wall_seconds;
     wide.feasibility_max_abs = rep.MaxAbs();
     wide.feasibility_max_rel = rep.MaxRel();
-    wide.wall_seconds = run.result.wall_seconds;
-    wide.cpu_seconds = run.result.cpu_seconds;
-    wide.row_phase_seconds = run.result.row_phase_seconds;
-    wide.col_phase_seconds = run.result.col_phase_seconds;
-    wide.check_phase_seconds = run.result.check_phase_seconds;
-    wide.recoveries = run.result.recovered_count;
-    wide.recovery_rungs = run.result.recovery_rungs;
 
     std::cout << "mode:           " << mode << " (" << x0.rows() << " x "
               << x0.cols() << ", weights: " << scheme << ")\n"
@@ -723,7 +711,7 @@ int main(int argc, char** argv) {
                   << " spans (per-thread buffer cap)\n";
     }
 
-    if (trace_sink)
+    if (args.count("trace-jsonl"))
       std::cout << "trace jsonl:    " << args["trace-jsonl"] << " ("
                 << trace_sink->events_written() << " events)\n";
     if (args.count("attribution-json")) {
@@ -748,9 +736,9 @@ int main(int argc, char** argv) {
                 << server->requests_error() << " error)\n";
     if (!solve_log.path().empty())
       std::cout << "solve log:      " << solve_log.path() << '\n';
-    if (recorder.dumped())
+    if (trace_sink && trace_sink->dumped())
       std::cout << "postmortem:     " << args["postmortem-json"] << " ("
-                << recorder.recorded() << " events recorded)\n";
+                << trace_sink->recorded() << " events recorded)\n";
     if (want_metrics_json || want_metrics_prom)
       obs::RecordPoolMetrics(metrics, pool.Stats());
     if (want_metrics_json) {
