@@ -12,10 +12,11 @@
 // per-market attribution, the kXChange measure, good-iterate save/restore,
 // row-dual snapshot/blend, checkpoint capture/restore of the duals, and,
 // on elastic problems, the Anderson extrapolation of the column duals
-// under its dual-ascent safeguard (see RowSweep). A backend supplies only
-// the primal's row sums, the check cost, the problem fingerprint and the
-// dual value (plus any regime-specific extras, such as the dense
-// rebalance).
+// under its dual-ascent safeguard (see RowSweep), which reads the dual
+// value the sweeps compute. A backend supplies only the primal's row sums,
+// the check cost, the problem fingerprint and, for the recorded dual
+// values of the other regimes, a serial dual value (plus any
+// regime-specific extras, such as the dense rebalance).
 #pragma once
 
 #include <algorithm>
@@ -29,7 +30,6 @@
 #include "core/iteration_engine.hpp"
 #include "core/stopping.hpp"
 #include "obs/market_stats.hpp"
-#include "obs/profiler.hpp"
 #include "parallel/parallel_for.hpp"
 #include "problems/types.hpp"
 #include "sparse/sparse_matrix.hpp"
@@ -112,7 +112,9 @@ class SweepBackend : public SeaIterationBackend {
   // combination of the window's last column-sweep outputs, and keeps the
   // result only if zeta(lambda(mu_hat), mu_hat) >= zeta at the last
   // accepted point; otherwise it redoes the sweep against the plain mu and
-  // drops the window's pairs. Both sweeps' work is counted. Every point the
+  // drops the window's pairs. Both sweeps' work is counted. Each zeta is
+  // summed from the shares the sweep's markets wrote (SideDual), in market
+  // order, so it has the same bits at any thread count. Every point the
   // column sweep, the checks and the observers see has a zeta no lower
   // than the last, so the eq. (76) argument holds for that sequence. The
   // other regimes sweep against mu alone: fixed and SAM problems converge
@@ -126,8 +128,8 @@ class SweepBackend : public SeaIterationBackend {
       mu_in_ = mu_;
       return SweepRows(mu_);
     }
-    SweepStats stats = SweepRows(mu_in_);
-    if (DualValueAt(mu_in_) >= window_.zeta()) {
+    SweepStats stats = SweepRows(mu_in_, &row_dual_);
+    if (SweptZeta(row_dual_, col_side_, mu_in_) >= window_.zeta()) {
       last_extrapolation_ = Extrapolation::kAccepted;
       return stats;
     }
@@ -153,6 +155,8 @@ class SweepBackend : public SeaIterationBackend {
     sweep_opts_.sort_cache = &col_orders_;
     // column markets: slots [m, m+n)
     sweep_opts_.attribution_base = lambda_.size();
+    const bool elastic = totals_.mode == TotalsMode::kElastic;
+    sweep_opts_.dual = elastic ? &col_dual_ : nullptr;
     SweepStats stats =
         EquilibrateSide(x0_t_, slopes_t_, lambda_, col_side_, mu_,
                         materialize ? &xt_ : nullptr, sweep_opts_);
@@ -160,15 +164,19 @@ class SweepBackend : public SeaIterationBackend {
     // max |new - old| as it went: the kXChange measure, verified inside
     // the parallel sweep instead of a serial pass after it.
     if (materialize) xt_change_ = stats.max_change;
-    if (totals_.mode == TotalsMode::kElastic) {
+    if (elastic) {
       window_.Record(mu_in_, mu_);
-      window_.set_zeta(DualValueAt(mu_));
+      window_.set_zeta(SweptZeta(col_dual_, row_side_, lambda_));
     }
     return stats;
   }
 
+  // Elastic solves record the last column sweep's zeta; the other regimes
+  // pay a serial pass, only when record_dual_values asks for it.
   void RecordDualValue(std::vector<double>& out) override {
-    out.push_back(Zeta(lambda_, mu_));
+    out.push_back(totals_.mode == TotalsMode::kElastic
+                      ? SweptZeta(col_dual_, row_side_, lambda_)
+                      : Zeta(lambda_, mu_));
   }
 
   double ResidualMeasure(StopCriterion c) override {
@@ -273,7 +281,8 @@ class SweepBackend : public SeaIterationBackend {
   // capture (one pass over the data per solve, only when checkpointing).
   virtual std::uint64_t Fingerprint() const = 0;
   // The dual value zeta(lambda, mu) (problems/solution.hpp's DualValue or
-  // its sparse form): serial, in index order.
+  // its sparse form): serial, in index order. Read by RecordDualValue on
+  // fixed, SAM and interval problems only.
   virtual double Zeta(const Vector& lambda, const Vector& mu) const = 0;
 
   Vector& lambda_;
@@ -282,11 +291,14 @@ class SweepBackend : public SeaIterationBackend {
   Vector rowsum_;
 
  private:
-  SweepStats SweepRows(const Vector& mu) {
+  // Row sweep against mu; dual, when set, receives the markets' shares of
+  // zeta(lambda, mu).
+  SweepStats SweepRows(const Vector& mu, SideDual* dual = nullptr) {
     if (totals_.mode == TotalsMode::kSam) row_side_.coupling = mu;
     sweep_opts_.profile_phase = "equilibrate.rows";
     sweep_opts_.sort_cache = &row_orders_;
     sweep_opts_.attribution_base = 0;  // row markets: slots [0, m)
+    sweep_opts_.dual = dual;
     // Against mu = 0 (a cold start's first row sweep) lambda answers no
     // column information, so the column side's seed from it is provisional
     // (docs/KERNELS.md, "The provisional column seed").
@@ -297,10 +309,13 @@ class SweepBackend : public SeaIterationBackend {
                            sweep_opts_);
   }
 
-  // zeta at the current lambda and the given column duals.
-  double DualValueAt(const Vector& mu) {
-    obs::ProfScope prof("sweep.dual_value");
-    return Zeta(lambda_, mu);
+  // zeta after a sweep that filled dual, against the crossing side's
+  // multipliers `other`: the shares in market order, then other's totals.
+  static double SweptZeta(const SideDual& dual, const MarketSide& other_side,
+                          std::span<const double> other) {
+    double z = 0.0;
+    for (const double share : dual.share) z += share;
+    return z + SideTotalsDual(other_side, other);
   }
 
   ResidualTargets Targets() const {
@@ -341,6 +356,9 @@ class SweepBackend : public SeaIterationBackend {
   // the step the next column sweep completes.
   AndersonWindow window_;
   Vector mu_in_;
+  // Elastic only: each side's shares of zeta from its last sweep that
+  // computed them.
+  SideDual row_dual_, col_dual_;
   Extrapolation last_extrapolation_ = Extrapolation::kNone;
   std::optional<std::uint64_t> fingerprint_;
 };

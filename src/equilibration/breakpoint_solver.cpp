@@ -73,6 +73,27 @@ void Writeback(std::span<const double> p, std::span<const double> q,
     x[j] = std::max(0.0, p[j] + q[j] * lambda);
 }
 
+double DualArcConstant(std::span<const double> centers,
+                       std::span<const double> slopes) {
+  double k = 0.0;
+  for (std::size_t j = 0; j < centers.size(); ++j)
+    k += centers[j] * centers[j] / (2.0 * slopes[j]);
+  return k;
+}
+
+double MarketDualShare(const BreakpointWorkspace& ws, double constant,
+                       double u, double v, double lambda) {
+  const std::span<const double> p = ws.p(), q = ws.q(), b = ws.breakpoints();
+  double s = 0.0;
+  for (std::size_t j = 0; j < p.size(); ++j)
+    s += std::max(0.0, p[j] + q[j] * lambda) * std::max(0.0, lambda - b[j]);
+  return constant - 0.5 * s + ResponseDual(u, v, lambda);
+}
+
+double ResponseDual(double u, double v, double lambda) {
+  return lambda * (u + 0.5 * v * lambda);
+}
+
 double MaxAbsChange(std::span<const double> now,
                     std::span<const double> before) {
   const std::size_t n = now.size();

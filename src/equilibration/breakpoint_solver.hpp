@@ -184,6 +184,9 @@ class BreakpointWorkspace {
   std::span<double> q() { return {q_.data(), n_}; }
   std::span<const double> p() const { return {p_.data(), n_}; }
   std::span<const double> q() const { return {q_.data(), n_}; }
+  // The breakpoints -p[j]/q[j] in arc order, valid after a SolveMarket of
+  // this market (which computes them).
+  std::span<const double> breakpoints() const { return {b_.data(), n_}; }
 
   // AoS convenience for tests and one-off callers.
   void Assign(std::span<const Arc> arcs) {
@@ -267,6 +270,27 @@ void Breakpoints(std::span<const double> p, std::span<const double> q,
 // for v in {-0.0, NaN}.
 void Writeback(std::span<const double> p, std::span<const double> q,
                double lambda, std::span<double> x);
+
+// ---- zeta from the sweep (docs/KERNELS.md, "ζ from the sweep"). With
+// q = 1/(2 gamma), lambda - b[j] is zeta's arc term t = 2 gamma c + lambda
+// + mu, and (p[j] + q[j]*lambda) * t = t^2/(2 gamma), so no arc divides.
+
+// sum_j centers[j]^2/(2*slopes[j]) = sum_j gamma_j c_j^2: a market's arc
+// part of zeta when no arc is active, constant for a solve.
+double DualArcConstant(std::span<const double> centers,
+                       std::span<const double> slopes);
+
+// A market's share of zeta at any lambda (not only the clearing one):
+// constant - 0.5 * sum_j max(0, p[j] + q[j]*lambda) * max(0, lambda -
+// b[j]) + ResponseDual(u, v, lambda), over the arcs and breakpoints a
+// SolveMarket of the market left in ws, in arc order.
+double MarketDualShare(const BreakpointWorkspace& ws, double constant,
+                       double u, double v, double lambda);
+
+// lambda * (u + 0.5*v*lambda), the integral of the response u + v*t over
+// [0, lambda]: a market's share of zeta's totals part (eq. (24):
+// s0*lambda - lambda^2/(4 alpha)).
+double ResponseDual(double u, double v, double lambda);
 
 // The kXChange fold over one market: change = std::max(change,
 // |now[j] - before[j]|) from 0.0. A NaN difference never wins a std::max,

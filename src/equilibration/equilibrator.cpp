@@ -38,6 +38,16 @@ void ClearingTarget(const MarketSide& side, std::size_t i, double& u,
   }
 }
 
+double SideTotalsDual(const MarketSide& side, std::span<const double> mult) {
+  double z = 0.0;
+  for (std::size_t i = 0; i < mult.size(); ++i) {
+    double u = 0.0, v = 0.0;
+    ClearingTarget(side, i, u, v);
+    z += ResponseDual(u, v, mult[i]);
+  }
+  return z;
+}
+
 DenseMatrix ArcSlopes(const DenseMatrix& weights) {
   DenseMatrix q(weights.rows(), weights.cols());
   ArcSlopes(weights.Flat(), q.Flat());
@@ -266,7 +276,8 @@ bool SeedFromMult(const OffsetClasses& oc, const SharedOrder& shared,
 // build_arcs(i, ws) fills ws with market i's arcs and returns their count;
 // allocations(i) is where market i's allocations go (empty = nowhere). A
 // seeding sweep also reads offsets(i), market i's (centers, slopes) pair,
-// and arcs_by_mult(i), its arcs (indices into them) in the shared order.
+// and arcs_by_mult(i), its arcs (indices into them) in the shared order;
+// the first sweep given a SideDual reads offsets(i) for its constants.
 template <class BuildArcsFn, class AllocationsFn, class OffsetsFn,
           class ArcsByMultFn>
 SweepStats Sweep(std::size_t markets, const MarketSide& side,
@@ -290,6 +301,14 @@ SweepStats Sweep(std::size_t markets, const MarketSide& side,
                 "sweep scratch needs one slot per pool worker");
   const std::span<SweepSlot> slots = opts.scratch.first(workers);
   const bool seeding = shared.seeding();
+  SideDual* dual = opts.dual;
+  const bool fill_constant = dual != nullptr && dual->constant.empty();
+  if (dual != nullptr) {
+    SEA_CHECK(side.mode == TotalsMode::kElastic);
+    if (fill_constant) dual->constant.resize(markets);
+    SEA_CHECK(dual->constant.size() == markets);
+    dual->share.resize(markets);
+  }
 
   SweepStats stats;
   for (SweepSlot& slot : slots) {
@@ -345,6 +364,14 @@ SweepStats Sweep(std::size_t markets, const MarketSide& side,
       res.ops.flops += 2 * arcs;  // arc construction
       SEA_INTERNAL_CHECK(res.feasible);
       mult_out[i] = res.lambda;
+      if (dual != nullptr) {
+        if (fill_constant) {
+          const auto [centers, slopes] = offsets(i);
+          dual->constant[i] = DualArcConstant(centers, slopes);
+        }
+        dual->share[i] =
+            MarketDualShare(wksp, dual->constant[i], u, v, res.lambda);
+      }
       const std::span<double> xrow = allocations(i);
       if (!xrow.empty()) {
         // Keep the allocations being overwritten (the previous check's,

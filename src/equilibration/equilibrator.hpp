@@ -161,6 +161,18 @@ struct MarketSide {
   std::span<const double> hi;
 };
 
+// One elastic side's shares of the dual value zeta (docs/KERNELS.md, "ζ
+// from the sweep"). After a sweep of this side against the crossing
+// multipliers m, zeta(this side's multipliers, m) is the sum of `share`
+// in market order plus SideTotalsDual of the crossing side at m.
+struct SideDual {
+  // Per market, its DualArcConstant: filled by the first sweep that is
+  // given this SideDual (empty until then), kept for the solve.
+  std::vector<double> constant;
+  // Per market, its MarketDualShare at the multiplier the sweep cleared.
+  std::vector<double> share;
+};
+
 struct SweepStats {
   OpCounts total_ops;
   // Markets solved by completing the repair of a stored or seeded
@@ -217,6 +229,9 @@ struct SweepOptions {
   // synchronization-free; null costs one branch per market.
   obs::MarketAttribution* attribution = nullptr;
   std::size_t attribution_base = 0;
+  // Elastic sides only: when set, every market writes its share of zeta
+  // (see SideDual) from the arcs and breakpoints its solve already holds.
+  SideDual* dual = nullptr;
 };
 
 // The arc slopes q = 1/(2 w) of a weight matrix, elementwise, in the same
@@ -252,6 +267,11 @@ SweepStats EquilibrateSide(const SparseMatrix& centers,
 // right-hand side u + v*lambda of the market's scalar equation.
 void ClearingTarget(const MarketSide& side, std::size_t i, double& u,
                     double& v);
+
+// The totals part of zeta that a side contributes at multipliers mult
+// (ResponseDual of each market's clearing response, in market order): the
+// crossing side's term of a SideDual's zeta.
+double SideTotalsDual(const MarketSide& side, std::span<const double> mult);
 
 // Solves a single market (the per-market reference the sweep tests check
 // EquilibrateSide against): arcs from one center/slope row with the cross

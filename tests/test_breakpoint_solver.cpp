@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "equilibration/breakpoint_solver.hpp"
+#include "problems/solution.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -520,6 +521,53 @@ TEST(KernelStages, WritebackClampsEveryArc) {
         const double want = std::max(0.0, p[j] + RoundedProduct(q[j], lambda));
         EXPECT_TRUE(SameBits(x[j], want))
             << "n=" << n << " j=" << j << " lambda=" << lambda;
+      }
+    }
+  }
+}
+
+TEST(KernelStages, MarketDualShareMatchesDualTerms) {
+  // The division-free share of an elastic row market against AddDualArc
+  // over its arcs plus AddDualTotals of its own total, at the clearing
+  // multiplier and at multipliers before every breakpoint, past every
+  // breakpoint and on one.
+  Rng rng(0xD0A1);
+  for (std::size_t n : kStageSizes) {
+    for (int rep = 0; rep < 8; ++rep) {
+      const StageRow row = RandomStageRow(n, rng);
+      const double s0[] = {rng.Uniform(0.0, 100.0)};
+      const double alpha[] = {rng.Uniform(0.01, 10.0)};
+      TotalsView totals;
+      totals.mode = TotalsMode::kElastic;
+      totals.s0 = s0;
+      totals.alpha = alpha;
+      std::vector<double> slopes(n);
+      ArcSlopes(row.weights, slopes);
+      BreakpointWorkspace ws;
+      ws.Resize(n);
+      BuildArcs(row.centers, slopes, row.mult, ws.p(), ws.q());
+      const double u = s0[0], v = -1.0 / (2.0 * alpha[0]);
+      const BreakpointResult res = SolveMarket(ws, u, v);
+      const double constant = DualArcConstant(row.centers, slopes);
+      std::vector<double> lambdas = {res.lambda};
+      if (n > 0) {
+        const auto b = ws.breakpoints();
+        const auto [lo, hi] = std::minmax_element(b.begin(), b.end());
+        lambdas.push_back(*lo - 1.0);  // no arc active
+        lambdas.push_back(*hi + 1.0);  // every arc active
+        lambdas.push_back(b[n / 2]);   // a tie: lambda == b_j
+      }
+      for (const double lambda : lambdas) {
+        double want = 0.0;
+        for (std::size_t j = 0; j < n; ++j)
+          AddDualArc(want, row.centers[j], row.weights[j], lambda,
+                     row.mult[j]);
+        const double lam[] = {lambda};
+        want = AddDualTotals(want, totals, lam, {});
+        const double got = MarketDualShare(ws, constant, u, v, lambda);
+        EXPECT_LE(std::abs(got - want), 1e-12 * std::abs(want))
+            << "n=" << n << " lambda=" << lambda << " got=" << got
+            << " want=" << want;
       }
     }
   }

@@ -6,13 +6,18 @@
 //   * the operation-count model N = T * n^2 (9 + log n) shape.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/diagonal_sea.hpp"
 #include "equilibration/breakpoint_solver.hpp"
 #include "equilibration/equilibrator.hpp"
+#include "parallel/thread_pool.hpp"
 #include "problems/feasibility.hpp"
 #include "problems/solution.hpp"
+#include "sparse/sparse_sea.hpp"
 #include "support/rng.hpp"
 
 namespace sea {
@@ -54,6 +59,80 @@ TEST(ConvergenceTheory, DualValuesMonotoneNondecreasing) {
                 run.result.dual_values[t - 1] - 1e-9)
           << "iteration " << t;
   }
+}
+
+// Elastic solves record zeta from the column sweep's market shares
+// (docs/KERNELS.md, "ζ from the sweep"). A solve stopped at max_iterations
+// = t ends at the duals its t-th recorded value describes, so each value
+// is checked against the serial DualValue there; the values must have the
+// same bits at 1, 2 and 4 threads.
+template <class Problem, class SolveFn>
+void ExpectSweptZetaMatchesDualValue(const Problem& p, SolveFn solve) {
+  SeaOptions o;
+  o.epsilon = 1e-9;
+  o.criterion = StopCriterion::kResidualAbs;
+  o.record_dual_values = true;
+  const auto full = solve(p, o);
+  ASSERT_TRUE(full.result.converged());
+  const std::vector<double>& zeta = full.result.dual_values;
+  ASSERT_GE(zeta.size(), 4u);
+  for (std::size_t t = 1; t <= zeta.size(); ++t) {
+    SeaOptions prefix = o;
+    prefix.max_iterations = t;
+    const auto run = solve(p, prefix);
+    ASSERT_EQ(run.result.dual_values.size(), t);
+    EXPECT_EQ(run.result.dual_values.back(), zeta[t - 1]) << "t=" << t;
+    const double serial =
+        DualValue(p, run.solution.lambda, run.solution.mu);
+    EXPECT_LE(std::abs(zeta[t - 1] - serial), 1e-12 * std::abs(serial))
+        << "t=" << t << " swept=" << zeta[t - 1] << " serial=" << serial;
+  }
+  ThreadPool pool2(2), pool4(4);
+  for (ThreadPool* pool : {&pool2, &pool4}) {
+    SeaOptions pooled = o;
+    pooled.pool = pool;
+    const auto run = solve(p, pooled);
+    ASSERT_EQ(run.result.dual_values.size(), zeta.size());
+    for (std::size_t t = 0; t < zeta.size(); ++t)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(run.result.dual_values[t]),
+                std::bit_cast<std::uint64_t>(zeta[t]))
+          << "t=" << t << " threads=" << pool->num_threads();
+  }
+}
+
+TEST(ConvergenceTheory, SweptZetaMatchesDualValueDense) {
+  Rng rng(11);
+  const auto p = HardElastic(24, rng);
+  ExpectSweptZetaMatchesDualValue(p, [](const DiagonalProblem& q,
+                                        const SeaOptions& o) {
+    return SolveDiagonal(q, o);
+  });
+}
+
+TEST(ConvergenceTheory, SweptZetaMatchesDualValueSparse) {
+  // A random pattern with one empty row and one empty column: their
+  // markets have no arcs, so their shares are their totals terms alone.
+  Rng rng(12);
+  const std::size_t m = 20, n = 16;
+  DenseMatrix x0 = Fill(m, n, rng, 0.1, 50.0);
+  for (double& v : x0.Flat())
+    if (rng.Uniform(0.0, 1.0) < 0.4) v = 0.0;
+  for (std::size_t j = 0; j < n; ++j) x0(5, j) = 0.0;
+  for (std::size_t i = 0; i < m; ++i) x0(i, 9) = 0.0;
+  DenseMatrix gamma = x0;
+  for (double& v : gamma.Flat())
+    if (v > 0.0) v = rng.Uniform(0.02, 2.0);
+  Vector s0 = x0.RowSums(), d0 = x0.ColSums();
+  for (double& v : s0) v = v * rng.Uniform(0.7, 1.6) + 1.0;
+  for (double& v : d0) v = v * rng.Uniform(0.7, 1.6) + 1.0;
+  const auto p = SparseDiagonalProblem::MakeElastic(
+      SparseMatrix::FromDense(x0), SparseMatrix::FromDense(gamma), s0,
+      rng.UniformVector(m, 0.05, 1.0), d0, rng.UniformVector(n, 0.05, 1.0));
+  ASSERT_TRUE(p.x0().RowCols(5).empty());
+  ExpectSweptZetaMatchesDualValue(p, [](const SparseDiagonalProblem& q,
+                                        const SeaOptions& o) {
+    return SolveSparse(q, o);
+  });
 }
 
 TEST(ConvergenceTheory, StrongDualityAtConvergence) {

@@ -283,7 +283,9 @@ TEST(TraceContract, EventsFireOnCheckIterationsOnly) {
     // Only multiples of check_every, the final iteration, or the converged
     // iteration may emit events.
     const bool is_last = k + 1 == sink.checks.size();
-    if (!is_last) EXPECT_EQ(ev.iteration % 3, 0u) << "event " << k;
+    if (!is_last) {
+      EXPECT_EQ(ev.iteration % 3, 0u) << "event " << k;
+    }
     EXPECT_TRUE(ev.measure_defined);  // residual criteria always defined
   }
   EXPECT_EQ(sink.checks.back().iteration, run.result.iterations);

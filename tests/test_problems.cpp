@@ -240,7 +240,9 @@ TEST(ValidateProblem, FlagsZeroSupportRowAndColumn) {
       ValidateProblem(x0, gamma, Vector{1.0, 3.0}, Vector{2.0, 2.0});
   ASSERT_TRUE(report.Has(DiagnosisCode::kZeroSupportRow));
   for (const auto& d : report.diagnoses)
-    if (d.code == DiagnosisCode::kZeroSupportRow) EXPECT_EQ(d.row, 0u);
+    if (d.code == DiagnosisCode::kZeroSupportRow) {
+      EXPECT_EQ(d.row, 0u);
+    }
 }
 
 TEST(ValidateProblem, AccumulatesMultipleDiagnosesInOneReport) {

@@ -35,5 +35,6 @@ print(f"trace agrees with metrics: {last['iter']} iterations, "
       f"final measure {last['measure']}")
 PY
 "$BUILD_DIR"/tools/market_report attr.jsonl --top 3
-"$BUILD_DIR"/bench/table1_diagonal_large --quick --json BENCH_table1.json
+"$BUILD_DIR"/bench/table1_diagonal_large --quick --json BENCH_table1.json \
+  --json-truncate
 python3 -m json.tool BENCH_table1.json > /dev/null
