@@ -201,6 +201,39 @@ std::uint64_t FingerprintProblem(const DiagonalProblem& p) {
   return h.value();
 }
 
+namespace {
+
+void MixPattern(support::Fnv1a& h, const SparseMatrix& a) {
+  h.MixU64(a.rows());
+  h.MixU64(a.nnz());
+  for (std::size_t p : a.RowPtr()) h.MixU64(p);
+  for (std::size_t c : a.ColIdx()) h.MixU64(c);
+  h.MixDoubles(a.Values());
+}
+
+}  // namespace
+
+std::uint64_t FingerprintProblem(const SparseDiagonalProblem& p) {
+  support::Fnv1a h;
+  h.MixBytes("S", 1);  // domain-separate from the dense fingerprint
+  h.MixU64(static_cast<std::uint64_t>(p.mode()));
+  h.MixU64(p.m());
+  h.MixU64(p.n());
+  MixPattern(h, p.x0());
+  MixPattern(h, p.gamma());
+  h.MixDoubles(p.s0());
+  h.MixDoubles(p.alpha());
+  h.MixDoubles(p.d0());
+  h.MixDoubles(p.beta());
+  if (p.mode() == TotalsMode::kInterval) {
+    h.MixDoubles(p.s_lo());
+    h.MixDoubles(p.s_hi());
+    h.MixDoubles(p.d_lo());
+    h.MixDoubles(p.d_hi());
+  }
+  return h.value();
+}
+
 std::uint64_t FingerprintProblemStructure(const DiagonalProblem& p) {
   support::Fnv1a h;
   h.MixU64('d');  // lowercase: disjoint from the full dense fingerprint

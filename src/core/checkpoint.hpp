@@ -54,12 +54,11 @@
 #include <vector>
 
 #include "core/options.hpp"
+#include "problems/diagonal_problem.hpp"
 #include "problems/validate.hpp"
 #include "support/atomic_file.hpp"
 
 namespace sea {
-
-class DiagonalProblem;
 
 inline constexpr std::uint32_t kCheckpointVersion = 2;
 
@@ -135,8 +134,12 @@ std::optional<Diagnosis> ValidateCheckpointFor(const CheckpointState& state,
                                                StopCriterion criterion);
 
 // Problem fingerprint: FNV-1a 64 over the mode tag, shape, and every data
-// vector. The sparse overload lives in sparse/sparse_sea.hpp.
+// vector. The two layouts hash different byte streams, separated by a
+// leading tag byte. The sparse stream adds the pattern, and mixes the box
+// bounds in interval mode only, which keeps the prints of its other regimes
+// (in checkpoints and warm-cache keys) what earlier releases wrote.
 std::uint64_t FingerprintProblem(const DiagonalProblem& p);
+std::uint64_t FingerprintProblem(const SparseDiagonalProblem& p);
 
 // Structure fingerprint: like FingerprintProblem but EXCLUDING the target
 // totals s0/d0 (and their interval bounds). Two problems share it exactly

@@ -22,41 +22,59 @@
 
 namespace sea {
 
-struct DiagonalSeaRun {
-  Solution solution;
+template <class Matrix>
+struct BasicSeaRun {
+  BasicSolution<Matrix> solution;
   SeaResult result;
 };
 
-// Solver object. Construction builds the transposed copy of the centers, so
-// column sweeps read contiguous memory (each solve derives its arc slopes
-// from the weights in both layouts); reuse one solver across repeated
-// solves of same-structure problems (the general algorithm's inner loop) to
-// amortize that cost.
-class DiagonalSea {
+// Solver object, one type over both layouts (problems/layout.hpp).
+// Construction builds the transposed copy of the centers, so column sweeps
+// read contiguous memory (each solve derives its arc slopes from the
+// weights in both layouts); reuse one solver across repeated solves of
+// same-structure problems (the general algorithm's inner loop) to amortize
+// that cost.
+template <class Matrix>
+class BasicDiagonalSea {
  public:
-  explicit DiagonalSea(const DiagonalProblem& problem);
+  using Problem = BasicDiagonalProblem<Matrix>;
 
-  // Replaces centers/totals while keeping shapes and weights-layout work.
-  // Requires identical dimensions and mode.
-  void ResetProblem(const DiagonalProblem& problem);
+  explicit BasicDiagonalSea(const Problem& problem);
 
-  const DiagonalProblem& problem() const { return *problem_; }
+  // Replaces centers/totals while keeping the solver object. Requires
+  // identical dimensions and mode (a sparse pattern may differ — the
+  // transposed copy is rebuilt).
+  void ResetProblem(const Problem& problem);
+
+  const Problem& problem() const { return *problem_; }
 
   // Runs SEA from mu = 0 (paper Step 0).
-  DiagonalSeaRun Solve(const SeaOptions& opts);
+  BasicSeaRun<Matrix> Solve(const SeaOptions& opts);
 
-  // Runs SEA warm-started from the given column multipliers (used by the
-  // general algorithm to chain inner solves).
-  DiagonalSeaRun SolveWarm(const SeaOptions& opts, const Vector& mu0);
+  // Runs SEA warm-started from the given column multipliers; lambda is
+  // recomputed by the first row sweep, so mu is the whole warm state (the
+  // general algorithm chains inner solves this way).
+  BasicSeaRun<Matrix> SolveWarm(const SeaOptions& opts, const Vector& mu0);
 
  private:
-  const DiagonalProblem* problem_ = nullptr;
+  const Problem* problem_ = nullptr;
   // Sweep-major copy: row sweeps read x0, column sweeps its transpose.
-  DenseMatrix x0_t_;
+  Matrix x0_t_;
 };
 
-// One-shot convenience wrapper.
-DiagonalSeaRun SolveDiagonal(const DiagonalProblem& problem,
-                             const SeaOptions& opts);
+using DiagonalSeaRun = BasicSeaRun<DenseMatrix>;
+using SparseSeaRun = BasicSeaRun<SparseMatrix>;
+using DiagonalSea = BasicDiagonalSea<DenseMatrix>;
+using SparseSea = BasicDiagonalSea<SparseMatrix>;
+
+// One-shot convenience wrappers.
+inline DiagonalSeaRun SolveDiagonal(const DiagonalProblem& problem,
+                                    const SeaOptions& opts) {
+  return DiagonalSea(problem).Solve(opts);
+}
+inline SparseSeaRun SolveSparse(const SparseDiagonalProblem& problem,
+                                const SeaOptions& opts) {
+  return SparseSea(problem).Solve(opts);
+}
 
 }  // namespace sea

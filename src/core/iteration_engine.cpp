@@ -14,6 +14,20 @@
 
 namespace sea {
 
+namespace {
+
+// A compared check that improves on the previous one by less than this
+// relative amount counts toward the stall streak (docs/ROBUSTNESS.md).
+constexpr double kStallRtol = 1e-9;
+// Damped half-step rung: after a rescue, the row duals move only
+// kRecoveryDamping of the way to each sweep's block-optimal point for the
+// next kRecoveryDampIters iterations — the safeguarded step that breaks the
+// period-2 limit cycles of pure iterative scaling (Aas).
+constexpr double kRecoveryDamping = 0.5;
+constexpr std::size_t kRecoveryDampIters = 8;
+
+}  // namespace
+
 SeaResult RunIterationEngine(SeaIterationBackend& backend,
                              const SeaOptions& opts) {
   SEA_CHECK_MSG(opts.epsilon > 0.0, "epsilon must be > 0");
@@ -33,7 +47,7 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
 
   // Stall detection state: the previous check's measure and the run of
   // compared checks that failed to improve on their predecessor by at least
-  // stall_rtol relatively (docs/ROBUSTNESS.md).
+  // kStallRtol relatively (docs/ROBUSTNESS.md).
   double stall_prev = std::numeric_limits<double>::infinity();
   std::size_t stall_streak = 0;
 
@@ -107,7 +121,7 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
         // Safeguarded step: damp the row half-steps for a window of
         // iterations to break a limit cycle (Aas).
         backend.RestoreGoodIterate();
-        damp_left = opts.recovery_damp_iters;
+        damp_left = kRecoveryDampIters;
         break;
       case 3:
         // Strongest remediation: rewind to the last durable checkpoint
@@ -119,7 +133,7 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
           backend.RestoreGoodIterate();
         }
         backend.ForceRebalance();
-        damp_left = opts.recovery_damp_iters;
+        damp_left = kRecoveryDampIters;
         break;
     }
     backend.RestartExtrapolation();
@@ -185,7 +199,7 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
 
     // ---- Step 1: row equilibration (parallel across the row markets).
     // During a rung-2/3 damping window the row duals move only
-    // recovery_damping of the way to the sweep's block-optimal point; the
+    // kRecoveryDamping of the way to the sweep's block-optimal point; the
     // column sweep then computes its duals (and the check iterate) for the
     // blended lambda, so the stopping measure still describes a consistent
     // point.
@@ -198,7 +212,7 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
       obs::ProfScope prof("engine.row_sweep");
       Stopwatch sw;
       const SweepStats stats = backend.RowSweep();
-      if (damp_now) backend.BlendRowDuals(damp_prev, opts.recovery_damping);
+      if (damp_now) backend.BlendRowDuals(damp_prev, kRecoveryDamping);
       switch (backend.LastExtrapolation()) {
         case Extrapolation::kNone:
           break;
@@ -289,7 +303,7 @@ SeaResult RunIterationEngine(SeaIterationBackend& backend,
       bool stalled_now = false;
       if (measure <= opts.epsilon) {
         result.status = SolveStatus::kConverged;
-      } else if (measure < stall_prev * (1.0 - opts.stall_rtol)) {
+      } else if (measure < stall_prev * (1.0 - kStallRtol)) {
         // Compare with the PREVIOUS check, not the best-so-far: a transient
         // rise (common before the contraction regime sets in) would park a
         // best-so-far low-water mark that a genuinely progressing run can

@@ -63,14 +63,13 @@ struct SeaOptions {
   // parallel sweep). Null = not cancellable.
   CancelToken* cancel = nullptr;
   // Stall detector: terminate with SolveStatus::kStalled when the stopping
-  // measure fails to improve on the PREVIOUS check by a relative stall_rtol
-  // over stall_checks consecutive compared checks — the signature of a
-  // scaling iteration pinned at a non-solution fixed point (infeasible
-  // support). Check-to-check comparison (rather than best-so-far) keeps a
-  // transient residual rise from parking an unreachable low-water mark.
-  // stall_checks = 0 disables the detector.
+  // measure fails to improve on the PREVIOUS check by a relative 1e-9
+  // (core/iteration_engine.cpp) over stall_checks consecutive compared
+  // checks — the signature of a scaling iteration pinned at a non-solution
+  // fixed point (infeasible support). Check-to-check comparison (rather
+  // than best-so-far) keeps a transient residual rise from parking an
+  // unreachable low-water mark. stall_checks = 0 disables the detector.
   std::size_t stall_checks = 50;
-  double stall_rtol = 1e-9;
   // Telemetry (core/engine_observer.hpp): each observer receives the
   // engine's events in list order. Not owned; each must outlive the solve.
   // Empty = no telemetry overhead.
@@ -106,12 +105,6 @@ struct SeaOptions {
   // SeaResult::recovered_count / recovery_rungs.
   bool recover = false;
   std::size_t recovery_retries = 2;
-  // Damped half-step rung: after a rescue, the row duals move only
-  // recovery_damping of the way to each sweep's block-optimal point for
-  // the next recovery_damp_iters iterations — the safeguarded step that
-  // breaks the period-2 limit cycles of pure iterative scaling (Aas).
-  double recovery_damping = 0.5;
-  std::size_t recovery_damp_iters = 8;
 };
 
 struct GeneralSeaOptions {

@@ -8,17 +8,18 @@
 
 namespace sea {
 
-double RowTarget(const ResidualTargets& t, std::size_t i) {
+double RowTarget(const TotalsView& t, std::span<const double> lambda,
+                 std::span<const double> mu, std::size_t i) {
   switch (t.mode) {
     case TotalsMode::kFixed:
       return t.s0[i];
     case TotalsMode::kElastic:
-      return t.s0[i] - t.lambda[i] / (2.0 * t.alpha[i]);
+      return t.s0[i] - lambda[i] / (2.0 * t.alpha[i]);
     case TotalsMode::kSam:
-      return t.s0[i] - (t.lambda[i] + t.mu[i]) / (2.0 * t.alpha[i]);
+      return t.s0[i] - (lambda[i] + mu[i]) / (2.0 * t.alpha[i]);
     case TotalsMode::kInterval:
-      return std::clamp(t.s0[i] - t.lambda[i] / (2.0 * t.alpha[i]),
-                        t.s_lo[i], t.s_hi[i]);
+      return std::clamp(t.s0[i] - lambda[i] / (2.0 * t.alpha[i]), t.s_lo[i],
+                        t.s_hi[i]);
   }
   SEA_INTERNAL_CHECK(false);
   return 0.0;
@@ -36,10 +37,13 @@ double FoldRowResidual(StopCriterion c, double rowsum, double target,
 }
 
 double MaxRowResidual(StopCriterion c, std::span<const double> rowsums,
-                      const ResidualTargets& t) {
+                      const TotalsView& t, std::span<const double> lambda,
+                      std::span<const double> mu) {
   double measure = 0.0;
-  for (std::size_t i = 0; i < rowsums.size(); ++i)
-    measure = FoldRowResidual(c, rowsums[i], RowTarget(t, i), measure);
+  for (std::size_t i = 0; i < rowsums.size(); ++i) {
+    const double target = RowTarget(t, lambda, mu, i);
+    measure = FoldRowResidual(c, rowsums[i], target, measure);
+  }
   return measure;
 }
 

@@ -16,23 +16,13 @@
 
 namespace sea {
 
-// Inputs for the row-side clearing targets of the materialized
-// (column-feasible) iterate. Spans the mode does not use may be empty
-// (alpha for kFixed, mu outside kSam, bounds outside kInterval).
-struct ResidualTargets {
-  TotalsMode mode = TotalsMode::kFixed;
-  std::span<const double> s0;
-  std::span<const double> alpha;
-  std::span<const double> lambda;
-  std::span<const double> mu;    // kSam: opposite-side multiplier, same index
-  std::span<const double> s_lo;  // kInterval box bounds
-  std::span<const double> s_hi;
-};
-
-// Target row total of row i: s0_i (fixed), the elastic response
-// s0_i - lambda_i / (2 alpha_i) (elastic; clamped to [s_lo_i, s_hi_i] for
-// interval), or s0_i - (lambda_i + mu_i) / (2 alpha_i) (SAM).
-double RowTarget(const ResidualTargets& t, std::size_t i);
+// Target row total of row i of the materialized (column-feasible)
+// iterate: s0_i (fixed), the elastic response s0_i - lambda_i / (2 alpha_i)
+// (elastic; clamped to [s_lo_i, s_hi_i] for interval), or
+// s0_i - (lambda_i + mu_i) / (2 alpha_i) (SAM). Spans the mode does not
+// read may be empty (lambda for kFixed, mu outside kSam).
+double RowTarget(const TotalsView& t, std::span<const double> lambda,
+                 std::span<const double> mu, std::size_t i);
 
 // Folds one row's |rowsum - target| (relative when c == kResidualRel) into
 // the running max measure. c must be a residual criterion.
@@ -41,7 +31,8 @@ double FoldRowResidual(StopCriterion c, double rowsum, double target,
 
 // Max residual of precomputed row sums against the mode-dependent targets.
 double MaxRowResidual(StopCriterion c, std::span<const double> rowsums,
-                      const ResidualTargets& t);
+                      const TotalsView& t, std::span<const double> lambda,
+                      std::span<const double> mu);
 
 // ETA model for live introspection (obs/status_file.hpp): assuming the
 // linear-convergence regime measure_t ~ C * rho^t of iterative scaling,

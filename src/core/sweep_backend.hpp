@@ -1,22 +1,20 @@
-// The shared core of the dense and sparse SEA backends
-// (core/diagonal_sea.cpp, sparse/sparse_sea.cpp).
+// The SEA backend of the diagonal problem on either layout
+// (problems/layout.hpp), run by core/diagonal_sea.cpp's solver.
 //
-// Both run the same dual block-coordinate ascent: a row sweep over the
-// problem's centers/weights, a column sweep over their transposed copies,
-// with the primal materialized in the column-sweep layout on check
-// iterations. Matrix is that layout — DenseMatrix or SparseMatrix, the two
-// EquilibrateSide accepts. This class owns everything the two share:
-// the arc slopes q = 1/(2 gamma) of both layouts, computed once per solve,
-// per-mode MarketSide setup, sweep options and sort caches, both
+// A solve is the same dual block-coordinate ascent on both layouts: a row
+// sweep over the problem's centers/weights, a column sweep over their
+// transposed copies, with the primal materialized in the column-sweep
+// layout on check iterations. Matrix is that layout — DenseMatrix or
+// SparseMatrix, the two EquilibrateSide accepts. This class owns all of
+// it: the arc slopes q = 1/(2 gamma) of both layouts, computed once per
+// solve, per-mode MarketSide setup, sweep options and sort caches, both
 // half-steps and their per-worker scratch, the residual measure and its
 // per-market attribution, the kXChange measure, good-iterate save/restore,
 // row-dual snapshot/blend, checkpoint capture/restore of the duals, and,
 // on elastic problems, the Anderson extrapolation of the column duals
 // under its dual-ascent safeguard (see RowSweep), which reads the dual
-// value the sweeps compute. A backend supplies only the primal's row sums,
-// the check cost, the problem fingerprint and, for the recorded dual
-// values of the other regimes, a serial dual value (plus any
-// regime-specific extras, such as the dense rebalance).
+// value the sweeps compute. The dense solver adds only the multiplier
+// rebalance (core/diagonal_sea.cpp).
 #pragma once
 
 #include <algorithm>
@@ -26,71 +24,58 @@
 #include <utility>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/extrapolation.hpp"
 #include "core/iteration_engine.hpp"
 #include "core/stopping.hpp"
 #include "obs/market_stats.hpp"
 #include "parallel/parallel_for.hpp"
-#include "problems/types.hpp"
-#include "sparse/sparse_matrix.hpp"
+#include "problems/diagonal_problem.hpp"
+#include "problems/solution.hpp"
 
 namespace sea {
-
-inline std::span<const double> PrimalValues(const DenseMatrix& x) {
-  return x.Flat();
-}
-inline std::span<const double> PrimalValues(const SparseMatrix& x) {
-  return x.Values();
-}
-inline std::span<double> MutablePrimalValues(DenseMatrix& x) {
-  return x.Flat();
-}
-inline std::span<double> MutablePrimalValues(SparseMatrix& x) {
-  return x.MutableValues();
-}
 
 template <class Matrix>
 class SweepBackend : public SeaIterationBackend {
  public:
-  // x0/gamma: the row sweep's data; x0_t: the column sweep's centers (the
-  // column sweep's slopes are the transpose of gamma's). xt: the primal in
-  // the column-sweep layout, written on check iterations only, so between
-  // checks it holds the previous check's primal — the kXChange snapshot.
-  // The referenced data, totals and duals must outlive the backend.
-  SweepBackend(const TotalsView& totals, const Matrix& x0,
-               const Matrix& gamma, const Matrix& x0_t, Matrix xt,
+  // x0_t: the column sweep's centers (the column sweep's slopes are the
+  // transpose of gamma's). xt_, the primal in the column-sweep layout, is
+  // written on check iterations only, so between checks it holds the
+  // previous check's primal — the kXChange snapshot. The problem, x0_t and
+  // the duals must outlive the backend.
+  SweepBackend(const BasicDiagonalProblem<Matrix>& p, const Matrix& x0_t,
                const SeaOptions& opts, Vector& lambda, Vector& mu)
       : lambda_(lambda),
         mu_(mu),
-        xt_(std::move(xt)),
+        p_(p),
+        xt_(x0_t),  // the layout; its values are overwritten per check
         rowsum_(lambda.size(), 0.0),
-        totals_(totals),
-        x0_(x0),
+        totals_(p.totals()),
         x0_t_(x0_t),
-        slopes_(ArcSlopes(gamma)),
+        slopes_(ArcSlopes(p.gamma())),
         slopes_t_(slopes_.Transposed()) {
-    row_side_.mode = totals.mode;
-    row_side_.t0 = totals.s0;
-    col_side_.mode = totals.mode;
-    switch (totals.mode) {
+    row_side_.mode = totals_.mode;
+    row_side_.t0 = totals_.s0;
+    col_side_.mode = totals_.mode;
+    switch (totals_.mode) {
       case TotalsMode::kFixed:
-        col_side_.t0 = totals.d0;
+        col_side_.t0 = totals_.d0;
         break;
       case TotalsMode::kElastic:
       case TotalsMode::kInterval:
-        row_side_.weight = totals.alpha;
-        row_side_.lo = totals.s_lo;
-        row_side_.hi = totals.s_hi;
-        col_side_.t0 = totals.d0;
-        col_side_.weight = totals.beta;
-        col_side_.lo = totals.d_lo;
-        col_side_.hi = totals.d_hi;
+        row_side_.weight = totals_.alpha;
+        row_side_.lo = totals_.s_lo;
+        row_side_.hi = totals_.s_hi;
+        col_side_.t0 = totals_.d0;
+        col_side_.weight = totals_.beta;
+        col_side_.lo = totals_.d_lo;
+        col_side_.hi = totals_.d_hi;
         break;
       case TotalsMode::kSam:
-        row_side_.weight = totals.alpha;
+        row_side_.weight = totals_.alpha;
         row_side_.coupling = mu_;  // rebound before each sweep
-        col_side_.t0 = totals.s0;
-        col_side_.weight = totals.alpha;
+        col_side_.t0 = totals_.s0;
+        col_side_.weight = totals_.alpha;
         col_side_.coupling = lambda_;
         break;
     }
@@ -102,7 +87,7 @@ class SweepBackend : public SeaIterationBackend {
       opts.attribution->Reset(lambda.size(), mu.size());
     row_orders_.Reset(lambda.size());
     col_orders_.Reset(mu.size());
-    if (totals.mode == TotalsMode::kElastic) {
+    if (totals_.mode == TotalsMode::kElastic) {
       window_.Reset(mu.size());
       mu_in_.resize(mu.size());
     }
@@ -176,7 +161,7 @@ class SweepBackend : public SeaIterationBackend {
   void RecordDualValue(std::vector<double>& out) override {
     out.push_back(totals_.mode == TotalsMode::kElastic
                       ? SweptZeta(col_dual_, row_side_, lambda_)
-                      : Zeta(lambda_, mu_));
+                      : DualValue(p_, lambda_, mu_));
   }
 
   double ResidualMeasure(StopCriterion c) override {
@@ -184,7 +169,7 @@ class SweepBackend : public SeaIterationBackend {
     // the column constraints hold exactly, so (by eq. (25)) the row residual
     // is the remaining dual-gradient component.
     AccumulateRowSums();
-    return MaxRowResidual(c, rowsum_, Targets());
+    return MaxRowResidual(c, rowsum_, totals_, lambda_, mu_);
   }
 
   void AttributeResidual(StopCriterion c, std::size_t iteration,
@@ -192,11 +177,11 @@ class SweepBackend : public SeaIterationBackend {
     // Same per-row terms the aggregate measure maxes over; FoldRowResidual
     // from a zero running max yields exactly one row's contribution.
     AccumulateRowSums();
-    const ResidualTargets targets = Targets();
     const std::span<double> out = sweep_opts_.attribution->residual_scratch();
     double l1 = 0.0;
     for (std::size_t i = 0; i < rowsum_.size(); ++i) {
-      out[i] = FoldRowResidual(c, rowsum_[i], RowTarget(targets, i), 0.0);
+      const double target = RowTarget(totals_, lambda_, mu_, i);
+      out[i] = FoldRowResidual(c, rowsum_[i], target, 0.0);
       l1 += out[i];
     }
     sweep_opts_.attribution->CommitCheck(iteration, measure, l1);
@@ -230,7 +215,8 @@ class SweepBackend : public SeaIterationBackend {
   // fingerprint) are the whole resumable state. The engine owns
   // have_snapshot.
   bool CaptureIterate(CheckpointState& out) override {
-    if (!fingerprint_.has_value()) fingerprint_ = Fingerprint();
+    // One pass over the data per solve, only when checkpointing.
+    if (!fingerprint_.has_value()) fingerprint_ = FingerprintProblem(p_);
     out.fingerprint = *fingerprint_;
     out.m = lambda_.size();
     out.n = mu_.size();
@@ -238,7 +224,7 @@ class SweepBackend : public SeaIterationBackend {
     out.mu = mu_;
     window_.Capture(out);
     if (out.have_snapshot) {
-      const auto vals = PrimalValues(xt_);
+      const auto vals = ArcValues(xt_);
       out.snapshot.assign(vals.begin(), vals.end());
     }
     return true;
@@ -247,7 +233,7 @@ class SweepBackend : public SeaIterationBackend {
   bool RestoreIterate(const CheckpointState& in) override {
     if (in.lambda.size() != lambda_.size() || in.mu.size() != mu_.size())
       return false;
-    if (in.have_snapshot && in.snapshot.size() != PrimalValues(xt_).size())
+    if (in.have_snapshot && in.snapshot.size() != ArcValues(xt_).size())
       return false;
     if (totals_.mode == TotalsMode::kElastic ? !window_.Restore(in)
                                              : !in.accel_f.empty())
@@ -256,7 +242,7 @@ class SweepBackend : public SeaIterationBackend {
     mu_ = in.mu;
     if (in.have_snapshot)
       std::copy(in.snapshot.begin(), in.snapshot.end(),
-                MutablePrimalValues(xt_).begin());
+                MutableArcValues(xt_).begin());
     // The restored duals are the best known point: re-seat the good copies
     // so a later breakdown rolls back here, not to a pre-resume state.
     lambda_good_ = lambda_;
@@ -274,23 +260,24 @@ class SweepBackend : public SeaIterationBackend {
       lambda_[i] = prev[i] + keep * (lambda_[i] - prev[i]);
   }
 
- protected:
-  // Fills rowsum_ with the row sums of the materialized primal xt_.
-  virtual void AccumulateRowSums() = 0;
-  // FNV-1a fingerprint of the problem data, taken on the first checkpoint
-  // capture (one pass over the data per solve, only when checkpointing).
-  virtual std::uint64_t Fingerprint() const = 0;
-  // The dual value zeta(lambda, mu) (problems/solution.hpp's DualValue or
-  // its sparse form): serial, in index order. Read by RecordDualValue on
-  // fixed, SAM and interval problems only.
-  virtual double Zeta(const Vector& lambda, const Vector& mu) const = 0;
+  std::uint64_t CheckCost() const override { return 2 * p_.nnz(); }
 
+ protected:
   Vector& lambda_;
   Vector& mu_;
-  Matrix xt_;
-  Vector rowsum_;
+  const BasicDiagonalProblem<Matrix>& p_;
 
  private:
+  // Fills rowsum_ with the row sums of the materialized primal xt_, whose
+  // rows are the problem's columns: one pass in storage order.
+  void AccumulateRowSums() {
+    std::fill(rowsum_.begin(), rowsum_.end(), 0.0);
+    const auto xv = ArcValues(xt_);
+    ForEachArc(xt_, [&](std::size_t, std::size_t i, std::size_t k) {
+      rowsum_[i] += xv[k];
+    });
+  }
+
   // Row sweep against mu; dual, when set, receives the markets' shares of
   // zeta(lambda, mu).
   SweepStats SweepRows(const Vector& mu, SideDual* dual = nullptr) {
@@ -305,7 +292,7 @@ class SweepBackend : public SeaIterationBackend {
     if (!col_orders_.informed() &&
         std::all_of(mu.begin(), mu.end(), [](double v) { return v == 0.0; }))
       col_orders_.MarkSeedProvisional();
-    return EquilibrateSide(x0_, slopes_, mu, row_side_, lambda_, nullptr,
+    return EquilibrateSide(p_.x0(), slopes_, mu, row_side_, lambda_, nullptr,
                            sweep_opts_);
   }
 
@@ -318,20 +305,9 @@ class SweepBackend : public SeaIterationBackend {
     return z + SideTotalsDual(other_side, other);
   }
 
-  ResidualTargets Targets() const {
-    ResidualTargets targets;
-    targets.mode = totals_.mode;
-    targets.s0 = totals_.s0;
-    targets.alpha = totals_.alpha;
-    targets.lambda = lambda_;
-    targets.mu = mu_;
-    targets.s_lo = totals_.s_lo;
-    targets.s_hi = totals_.s_hi;
-    return targets;
-  }
-
+  Matrix xt_;
+  Vector rowsum_;
   const TotalsView totals_;
-  const Matrix& x0_;
   const Matrix& x0_t_;
   // Arc slopes 1/(2 gamma) in the row- and column-sweep layouts: the
   // weights never change during a solve, so no sweep divides by them.

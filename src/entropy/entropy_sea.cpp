@@ -147,10 +147,9 @@ class EntropyBackend final : public SeaIterationBackend {
     // Columns are exact after the column step; measure row residuals
     // against the fixed targets.
     const Vector rows = x_.RowSums();
-    ResidualTargets targets;
-    targets.mode = TotalsMode::kFixed;
-    targets.s0 = p_.s0;
-    return MaxRowResidual(c, rows, targets);
+    TotalsView totals;  // kFixed: the targets are s0
+    totals.s0 = p_.s0;
+    return MaxRowResidual(c, rows, totals, {}, {});
   }
 
   double DiffFromSnapshot() override { return x_.MaxAbsDiff(x_prev_); }

@@ -21,9 +21,10 @@ const char* ToString(TotalsMode mode) {
   return "?";
 }
 
-DiagonalProblem DiagonalProblem::MakeFixed(DenseMatrix x0, DenseMatrix gamma,
-                                           Vector s0, Vector d0) {
-  DiagonalProblem p;
+template <class Matrix>
+BasicDiagonalProblem<Matrix> BasicDiagonalProblem<Matrix>::MakeFixed(
+    Matrix x0, Matrix gamma, Vector s0, Vector d0) {
+  BasicDiagonalProblem p;
   p.mode_ = TotalsMode::kFixed;
   p.x0_ = std::move(x0);
   p.gamma_ = std::move(gamma);
@@ -33,10 +34,10 @@ DiagonalProblem DiagonalProblem::MakeFixed(DenseMatrix x0, DenseMatrix gamma,
   return p;
 }
 
-DiagonalProblem DiagonalProblem::MakeElastic(DenseMatrix x0, DenseMatrix gamma,
-                                             Vector s0, Vector alpha,
-                                             Vector d0, Vector beta) {
-  DiagonalProblem p;
+template <class Matrix>
+BasicDiagonalProblem<Matrix> BasicDiagonalProblem<Matrix>::MakeElastic(
+    Matrix x0, Matrix gamma, Vector s0, Vector alpha, Vector d0, Vector beta) {
+  BasicDiagonalProblem p;
   p.mode_ = TotalsMode::kElastic;
   p.x0_ = std::move(x0);
   p.gamma_ = std::move(gamma);
@@ -48,13 +49,11 @@ DiagonalProblem DiagonalProblem::MakeElastic(DenseMatrix x0, DenseMatrix gamma,
   return p;
 }
 
-DiagonalProblem DiagonalProblem::MakeInterval(DenseMatrix x0,
-                                              DenseMatrix gamma, Vector s0,
-                                              Vector alpha, Vector s_lo,
-                                              Vector s_hi, Vector d0,
-                                              Vector beta, Vector d_lo,
-                                              Vector d_hi) {
-  DiagonalProblem p;
+template <class Matrix>
+BasicDiagonalProblem<Matrix> BasicDiagonalProblem<Matrix>::MakeInterval(
+    Matrix x0, Matrix gamma, Vector s0, Vector alpha, Vector s_lo, Vector s_hi,
+    Vector d0, Vector beta, Vector d_lo, Vector d_hi) {
+  BasicDiagonalProblem p;
   p.mode_ = TotalsMode::kInterval;
   p.x0_ = std::move(x0);
   p.gamma_ = std::move(gamma);
@@ -70,9 +69,10 @@ DiagonalProblem DiagonalProblem::MakeInterval(DenseMatrix x0,
   return p;
 }
 
-DiagonalProblem DiagonalProblem::MakeSam(DenseMatrix x0, DenseMatrix gamma,
-                                         Vector s0, Vector alpha) {
-  DiagonalProblem p;
+template <class Matrix>
+BasicDiagonalProblem<Matrix> BasicDiagonalProblem<Matrix>::MakeSam(
+    Matrix x0, Matrix gamma, Vector s0, Vector alpha) {
+  BasicDiagonalProblem p;
   p.mode_ = TotalsMode::kSam;
   p.x0_ = std::move(x0);
   p.gamma_ = std::move(gamma);
@@ -82,18 +82,20 @@ DiagonalProblem DiagonalProblem::MakeSam(DenseMatrix x0, DenseMatrix gamma,
   return p;
 }
 
-std::size_t DiagonalProblem::num_variables() const {
-  std::size_t nv = m() * n();
+template <class Matrix>
+std::size_t BasicDiagonalProblem<Matrix>::num_variables() const {
+  std::size_t nv = nnz();
   if (mode_ == TotalsMode::kElastic || mode_ == TotalsMode::kInterval)
     nv += m() + n();
   if (mode_ == TotalsMode::kSam) nv += n();
   return nv;
 }
 
-void DiagonalProblem::Validate() const {
+template <class Matrix>
+void BasicDiagonalProblem<Matrix>::Validate() const {
   SEA_CHECK_MSG(x0_.rows() > 0 && x0_.cols() > 0, "empty matrix");
-  SEA_CHECK_MSG(gamma_.SameShape(x0_), "gamma shape mismatch");
-  for (double g : gamma_.Flat())
+  SEA_CHECK_MSG(SameLayout(gamma_, x0_), "gamma layout mismatch");
+  for (double g : ArcValues(gamma_))
     SEA_CHECK_MSG(g > 0.0, "gamma weights must be strictly positive");
 
   SEA_CHECK_MSG(s0_.size() == m(), "s0 size mismatch");
@@ -146,13 +148,14 @@ void DiagonalProblem::Validate() const {
   }
 }
 
-double DiagonalProblem::Objective(const DenseMatrix& x, const Vector& s,
-                                  const Vector& d) const {
-  SEA_CHECK(x.SameShape(x0_));
+template <class Matrix>
+double BasicDiagonalProblem<Matrix>::Objective(const Matrix& x, const Vector& s,
+                                               const Vector& d) const {
+  SEA_CHECK_MSG(SameLayout(x, x0_), "estimate layout mismatch");
   double obj = 0.0;
-  const auto xf = x.Flat();
-  const auto x0f = x0_.Flat();
-  const auto gf = gamma_.Flat();
+  const auto xf = ArcValues(x);
+  const auto x0f = ArcValues(x0_);
+  const auto gf = ArcValues(gamma_);
   for (std::size_t k = 0; k < xf.size(); ++k) {
     const double dev = xf[k] - x0f[k];
     obj += gf[k] * dev * dev;
@@ -173,5 +176,8 @@ double DiagonalProblem::Objective(const DenseMatrix& x, const Vector& s,
   }
   return obj;
 }
+
+template class BasicDiagonalProblem<DenseMatrix>;
+template class BasicDiagonalProblem<SparseMatrix>;
 
 }  // namespace sea

@@ -15,22 +15,22 @@ double FeasibilityReport::MaxRel() const {
   return std::max(max_row_rel, max_col_rel);
 }
 
-FeasibilityReport CheckFeasibility(const DenseMatrix& x, const Vector& s,
+template <class Matrix>
+FeasibilityReport CheckFeasibility(const Matrix& x, const Vector& s,
                                    const Vector& d) {
   SEA_CHECK(s.size() == x.rows());
   SEA_CHECK(d.size() == x.cols());
   FeasibilityReport r;
-  Vector colsum(x.cols(), 0.0);
+  Vector rowsum(x.rows(), 0.0), colsum(x.cols(), 0.0);
+  const auto xv = ArcValues(x);
+  ForEachArc(x, [&](std::size_t i, std::size_t j, std::size_t k) {
+    const double v = xv[k];
+    rowsum[i] += v;
+    colsum[j] += v;
+    r.min_x = std::min(r.min_x, v);
+  });
   for (std::size_t i = 0; i < x.rows(); ++i) {
-    const auto row = x.Row(i);
-    double rowsum = 0.0;
-    for (std::size_t j = 0; j < x.cols(); ++j) {
-      const double v = row[j];
-      rowsum += v;
-      colsum[j] += v;
-      r.min_x = std::min(r.min_x, v);
-    }
-    const double abs_res = std::abs(rowsum - s[i]);
+    const double abs_res = std::abs(rowsum[i] - s[i]);
     r.max_row_abs = std::max(r.max_row_abs, abs_res);
     r.max_row_rel =
         std::max(r.max_row_rel, abs_res / std::max(1.0, std::abs(s[i])));
@@ -44,8 +44,9 @@ FeasibilityReport CheckFeasibility(const DenseMatrix& x, const Vector& s,
   return r;
 }
 
-FeasibilityReport CheckFeasibility(const DiagonalProblem& p,
-                                   const Solution& sol) {
+template <class Matrix>
+FeasibilityReport CheckFeasibility(const BasicDiagonalProblem<Matrix>& p,
+                                   const BasicSolution<Matrix>& sol) {
   switch (p.mode()) {
     case TotalsMode::kFixed:
       return CheckFeasibility(sol.x, p.s0(), p.d0());
@@ -71,24 +72,24 @@ double EntryViolation(double x, double resid) {
 
 }  // namespace
 
-double KktStationarityError(const DiagonalProblem& p, const Solution& sol) {
+template <class Matrix>
+double KktStationarityError(const BasicDiagonalProblem<Matrix>& p,
+                            const BasicSolution<Matrix>& sol) {
   const std::size_t m = p.m(), n = p.n();
-  SEA_CHECK(sol.x.rows() == m && sol.x.cols() == n);
+  SEA_CHECK(SameLayout(sol.x, p.x0()));
   SEA_CHECK(sol.lambda.size() == m && sol.mu.size() == n);
   double err = 0.0;
 
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto x0 = p.x0().Row(i);
-    const auto g = p.gamma().Row(i);
-    const auto xi = sol.x.Row(i);
-    const double li = sol.lambda[i];
-    for (std::size_t j = 0; j < n; ++j) {
-      const double resid =
-          2.0 * g[j] * (xi[j] - x0[j]) - li - sol.mu[j];  // eq. (20)/(38)
-      err = std::max(err, EntryViolation(xi[j], resid));
-      err = std::max(err, -xi[j]);  // nonnegativity
-    }
-  }
+  const auto x0 = ArcValues(p.x0());
+  const auto g = ArcValues(p.gamma());
+  const auto x = ArcValues(sol.x);
+  ForEachArc(p.x0(), [&](std::size_t i, std::size_t j, std::size_t k) {
+    // eq. (20)/(38)
+    const double resid =
+        2.0 * g[k] * (x[k] - x0[k]) - sol.lambda[i] - sol.mu[j];
+    err = std::max(err, EntryViolation(x[k], resid));
+    err = std::max(err, -x[k]);  // nonnegativity
+  });
 
   // One-sided stationarity of a box-constrained total: interior => 0,
   // at the lower bound the derivative may point up (resid >= 0), at the
@@ -144,6 +145,18 @@ double KktStationarityError(const DiagonalProblem& p, const Solution& sol) {
   }
   return err;
 }
+
+template FeasibilityReport CheckFeasibility(const DenseMatrix&, const Vector&,
+                                            const Vector&);
+template FeasibilityReport CheckFeasibility(const SparseMatrix&, const Vector&,
+                                            const Vector&);
+template FeasibilityReport CheckFeasibility(const DiagonalProblem&,
+                                            const Solution&);
+template FeasibilityReport CheckFeasibility(const SparseDiagonalProblem&,
+                                            const SparseSolution&);
+template double KktStationarityError(const DiagonalProblem&, const Solution&);
+template double KktStationarityError(const SparseDiagonalProblem&,
+                                     const SparseSolution&);
 
 double KktStationarityError(const GeneralProblem& p, const Solution& sol) {
   const std::size_t m = p.m(), n = p.n();

@@ -24,20 +24,27 @@ struct FeasibilityReport {
   double MaxRel() const;
 };
 
-// Residuals of x against row targets s and column targets d.
-FeasibilityReport CheckFeasibility(const DenseMatrix& x, const Vector& s,
+// Residuals of x (DenseMatrix or SparseMatrix) against row targets s and
+// column targets d.
+template <class Matrix>
+FeasibilityReport CheckFeasibility(const Matrix& x, const Vector& s,
                                    const Vector& d);
 
 // Residuals of a solution against its problem's constraint regime
 // (for SAM the column targets are the estimated s).
-FeasibilityReport CheckFeasibility(const DiagonalProblem& p,
-                                   const Solution& sol);
+template <class Matrix>
+FeasibilityReport CheckFeasibility(const BasicDiagonalProblem<Matrix>& p,
+                                   const BasicSolution<Matrix>& sol);
 
 // Maximum KKT violation of (x, s, d, lambda, mu) for a diagonal problem:
 // stationarity (20)-(22)/(38)-(39), complementarity, and nonnegativity.
 // Constraint residuals are NOT included (report them via CheckFeasibility);
 // this isolates "is this point the Lagrangian minimizer for its multipliers".
-double KktStationarityError(const DiagonalProblem& p, const Solution& sol);
+// Off-pattern cells of a sparse problem are not variables and impose no
+// condition.
+template <class Matrix>
+double KktStationarityError(const BasicDiagonalProblem<Matrix>& p,
+                            const BasicSolution<Matrix>& sol);
 
 // Maximum KKT violation for the general problem at (x, s, d, lambda, mu):
 // |grad_x F - lambda_i - mu_j| on the support, one-sided off the support,

@@ -7,21 +7,21 @@
 
 namespace sea {
 
-Solution RecoverPrimal(const DiagonalProblem& p, Vector lambda, Vector mu) {
+template <class Matrix>
+BasicSolution<Matrix> RecoverPrimal(const BasicDiagonalProblem<Matrix>& p,
+                                    Vector lambda, Vector mu) {
   const std::size_t m = p.m(), n = p.n();
   SEA_CHECK(lambda.size() == m);
   SEA_CHECK(mu.size() == n);
 
-  Solution sol;
-  sol.x = DenseMatrix(m, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto x0 = p.x0().Row(i);
-    const auto g = p.gamma().Row(i);
-    auto xi = sol.x.Row(i);
-    const double li = lambda[i];
-    for (std::size_t j = 0; j < n; ++j)
-      xi[j] = std::max(0.0, x0[j] + (li + mu[j]) / (2.0 * g[j]));
-  }
+  BasicSolution<Matrix> sol;
+  sol.x = p.x0();  // the layout; every arc value is overwritten
+  const auto x0 = ArcValues(p.x0());
+  const auto g = ArcValues(p.gamma());
+  const auto x = MutableArcValues(sol.x);
+  ForEachArc(p.x0(), [&](std::size_t i, std::size_t j, std::size_t k) {
+    x[k] = std::max(0.0, x0[k] + (lambda[i] + mu[j]) / (2.0 * g[k]));
+  });
 
   switch (p.mode()) {
     case TotalsMode::kFixed:
@@ -60,20 +60,25 @@ Solution RecoverPrimal(const DiagonalProblem& p, Vector lambda, Vector mu) {
   return sol;
 }
 
-double DualValue(const DiagonalProblem& p, const Vector& lambda,
+template <class Matrix>
+double DualValue(const BasicDiagonalProblem<Matrix>& p, const Vector& lambda,
                  const Vector& mu) {
-  const std::size_t m = p.m(), n = p.n();
-  SEA_CHECK(lambda.size() == m && mu.size() == n);
-
+  SEA_CHECK(lambda.size() == p.m() && mu.size() == p.n());
   double val = 0.0;
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto x0 = p.x0().Row(i);
-    const auto g = p.gamma().Row(i);
-    for (std::size_t j = 0; j < n; ++j)
-      AddDualArc(val, x0[j], g[j], lambda[i], mu[j]);
-  }
+  const auto x0 = ArcValues(p.x0());
+  const auto g = ArcValues(p.gamma());
+  ForEachArc(p.x0(), [&](std::size_t i, std::size_t j, std::size_t k) {
+    AddDualArc(val, x0[k], g[k], lambda[i], mu[j]);
+  });
   return AddDualTotals(val, p.totals(), lambda, mu);
 }
+
+template Solution RecoverPrimal(const DiagonalProblem&, Vector, Vector);
+template SparseSolution RecoverPrimal(const SparseDiagonalProblem&, Vector,
+                                      Vector);
+template double DualValue(const DiagonalProblem&, const Vector&, const Vector&);
+template double DualValue(const SparseDiagonalProblem&, const Vector&,
+                          const Vector&);
 
 double AddDualTotals(double val, const TotalsView& p,
                      std::span<const double> lambda,

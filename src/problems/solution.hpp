@@ -9,13 +9,17 @@
 
 namespace sea {
 
-struct Solution {
-  DenseMatrix x;  // m x n estimate
+template <class Matrix>
+struct BasicSolution {
+  Matrix x;       // m x n estimate, on the problem's layout
   Vector s;       // row totals (estimated; equals s0 in the fixed regime)
   Vector d;       // column totals (for SAM: d == s)
   Vector lambda;  // row-constraint multipliers (m)
   Vector mu;      // column-constraint multipliers (n)
 };
+
+using Solution = BasicSolution<DenseMatrix>;
+using SparseSolution = BasicSolution<SparseMatrix>;
 
 // Recovers the primal variables that minimize the Lagrangian of a diagonal
 // problem at the given multipliers (paper eqs. (23a)-(23c) / (40a)-(40b)):
@@ -25,14 +29,20 @@ struct Solution {
 //   s_i  = s0_i - (lambda_i + mu_i) / (2 alpha_i)        [SAM]
 //   d_j  = d0_j - mu_j / (2 beta_j)                      [elastic]
 //
-// For the fixed regime, s and d are the fixed totals.
-Solution RecoverPrimal(const DiagonalProblem& p, Vector lambda, Vector mu);
+// (interval: the elastic s and d clamped to their boxes). For the fixed
+// regime, s and d are the fixed totals. Off-pattern cells of a sparse
+// problem are not variables and stay absent.
+template <class Matrix>
+BasicSolution<Matrix> RecoverPrimal(const BasicDiagonalProblem<Matrix>& p,
+                                    Vector lambda, Vector mu);
 
 // Value of the dual function zeta_l(lambda, mu) (paper eqs. (24), (41),
 // (51)), including the constant terms so that at optimality it equals the
-// primal objective (strong duality). The sparse form (sparse/sparse_sea.hpp)
-// sums the same terms over the pattern, through the two helpers below.
-double DualValue(const DiagonalProblem& p, const Vector& lambda,
+// primal objective (strong duality). Sums the arcs in walk order
+// (problems/layout.hpp), so on a full pattern the sparse value equals the
+// dense one bit for bit.
+template <class Matrix>
+double DualValue(const BasicDiagonalProblem<Matrix>& p, const Vector& lambda,
                  const Vector& mu);
 
 // One arc's share of zeta's x-part, accumulated into val:

@@ -24,11 +24,10 @@
 #include <vector>
 
 #include "linalg/dense_matrix.hpp"
+#include "problems/diagonal_problem.hpp"
 #include "problems/types.hpp"
 
 namespace sea {
-
-class DiagonalProblem;
 
 enum class DiagnosisCode {
   kDimensionMismatch,

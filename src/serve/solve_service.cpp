@@ -93,16 +93,8 @@ ServeOutcome SolveService::Handle(const SolveRequest& request,
       // solve); otherwise fall through to a warm solve from the same mu.
       Solution sol = RecoverPrimal(p, hit->entry.lambda, hit->entry.mu);
       const Vector rowsums = sol.x.RowSums();
-      ResidualTargets targets;
-      targets.mode = p.mode();
-      targets.s0 = p.s0();
-      targets.alpha = p.alpha();
-      targets.lambda = sol.lambda;
-      targets.mu = sol.mu;
-      targets.s_lo = p.s_lo();
-      targets.s_hi = p.s_hi();
-      const double measure =
-          MaxRowResidual(request.criterion, rowsums, targets);
+      const double measure = MaxRowResidual(request.criterion, rowsums,
+                                            p.totals(), sol.lambda, sol.mu);
       if (measure <= request.epsilon) {
         out.cache_tier = "exact";
         out.status = SolveStatus::kConverged;

@@ -287,6 +287,28 @@ TEST(CheckpointCodec, FingerprintSeparatesProblems) {
                     DiagonalProblem::MakeFixed(x0, gamma, s0, d0)));
   // Dense and sparse fingerprints are domain-separated by the tag byte.
   EXPECT_NE(FingerprintProblem(SparseFixedProblem()), fp);
+  // Pinned: checkpoints and warm-cache keys written before stay valid, so
+  // a change to either byte stream must show here.
+  EXPECT_EQ(fp, 0x2bcb566becd87108u);
+  EXPECT_EQ(FingerprintProblem(SparseFixedProblem()), 0x953cbe792deb8dc9u);
+
+  // Sparse interval problems mix their box bounds: two that differ in one
+  // bound only must print differently.
+  const auto f = SparseFixedProblem();
+  const Vector alpha(f.m(), 1.0), beta(f.n(), 1.0);
+  Vector s_lo = f.s0(), s_hi = f.s0(), d_lo = f.d0(), d_hi = f.d0();
+  for (double& t : s_lo) t *= 0.9;
+  for (double& t : s_hi) t *= 1.1;
+  for (double& t : d_lo) t *= 0.9;
+  for (double& t : d_hi) t *= 1.1;
+  const auto interval = [&](const Vector& hi) {
+    return SparseDiagonalProblem::MakeInterval(
+        f.x0(), f.gamma(), f.s0(), alpha, s_lo, s_hi, f.d0(), beta, d_lo, hi);
+  };
+  Vector d_hi_nudged = d_hi;
+  d_hi_nudged[2] += 0.5;
+  EXPECT_NE(FingerprintProblem(interval(d_hi)),
+            FingerprintProblem(interval(d_hi_nudged)));
 }
 
 TEST(CheckpointWriterUnit, CadenceGateFiresEveryNthCheck) {

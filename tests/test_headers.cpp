@@ -36,6 +36,7 @@
 #include "problems/diagonal_problem.hpp"
 #include "problems/feasibility.hpp"
 #include "problems/general_problem.hpp"
+#include "problems/layout.hpp"
 #include "problems/solution.hpp"
 #include "problems/types.hpp"
 #include "sparse/feasibility_flow.hpp"

@@ -270,7 +270,8 @@ TEST(IterationEngine, StallWhenMeasureStopsImproving) {
 }
 
 TEST(IterationEngine, ImprovingRunNeverStalls) {
-  // Geometric decay: every check improves by far more than stall_rtol.
+  // Geometric decay: every check improves by far more than the stall
+  // detector's relative 1e-9.
   ScriptedBackend b;
   b.residuals.clear();
   for (int k = 0; k < 40; ++k) b.residuals.push_back(std::pow(0.9, k));
