@@ -4,7 +4,8 @@
 //    cold-sorted and order-repaired, the elementwise stages alone, the
 //    churned-order hand-over against the cold sort, a cold start's first
 //    sweep with and without a sort cache, and the pool's region cost and a
-//    converged SP120 sweep at 1/2/4 threads) that
+//    converged SP120 sweep at 1/2/4 threads, and the serve request path's
+//    hashing: frame CRC, cache keys, x_fingerprint) that
 //    always run and emit the bench schema v2 JSON (BENCH_micro_kernels.json)
 //    so tools/bench_diff can gate them across PRs. Accepts the standard
 //    bench flags (--quick/--csv/--json/...; see bench_common.hpp).
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/checkpoint.hpp"
 #include "core/diagonal_sea.hpp"
 #include "datasets/large_diagonal.hpp"
 #include "datasets/weights.hpp"
@@ -34,7 +36,10 @@
 #include "linalg/kernels.hpp"
 #include "obs/market_stats.hpp"
 #include "parallel/thread_pool.hpp"
+#include "serve/protocol.hpp"
+#include "serve/solve_service.hpp"
 #include "spe/spe_generator.hpp"
+#include "support/crc32.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
 
@@ -458,6 +463,59 @@ void RunAttributionOverhead(const bench::BenchOptions& opts,
 }
 
 // ---------------------------------------------------------------------------
+// The serve request path's hashing (docs/SERVING.md, "What a request
+// costs"): the CRC-32 over a 12x12 request frame (serve_load's shape), both
+// warm-cache keys from their one pass, and the reply's x_fingerprint over
+// the 12x12 primal. Each is a mean over fixed reps, best of three rounds.
+
+template <class Fn>
+double TimeCallUs(Fn fn, std::size_t reps) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int round = 0; round < 3; ++round) {
+    Stopwatch sw;
+    for (std::size_t r = 0; r < reps; ++r) benchmark::DoNotOptimize(fn());
+    best = std::min(best, sw.Seconds() * 1e6 / static_cast<double>(reps));
+  }
+  return best;
+}
+
+void RunRequestPath(const bench::BenchOptions& opts, ExperimentLog& log) {
+  std::cout << "\nrequest path hashing (12x12 fixed request):\n";
+  constexpr std::size_t kSide = 12;
+  Rng rng(12);
+  DenseMatrix x0(kSide, kSide), gamma(kSide, kSide);
+  for (double& v : x0.Flat()) v = rng.Uniform(1.0, 10.0);
+  for (double& v : gamma.Flat()) v = rng.Uniform(0.5, 2.0);
+  Vector s0 = x0.RowSums(), d0 = x0.ColSums();
+  for (double& v : s0) v *= 1.1;
+  for (double& v : d0) v *= 1.1;
+  serve::SolveRequest req;
+  req.problem = DiagonalProblem::MakeFixed(x0, gamma, s0, d0);
+  const std::string frame = serve::EncodeRequestFrame(req);
+  const std::size_t reps = opts.quick ? 2000 : 20000;
+  const double crc =
+      TimeCallUs([&] { return support::Crc32(frame); }, reps);
+  const double keys =
+      TimeCallUs([&] { return FingerprintProblemKeys(req.problem); }, reps);
+  const double x_print =
+      TimeCallUs([&] { return serve::FingerprintPrimal(x0); }, reps);
+  TablePrinter t({"pass", "bytes", "us"});
+  const auto bytes = [](std::size_t n) {
+    return TablePrinter::Int(static_cast<long>(n));
+  };
+  t.AddRow({"frame CRC-32", bytes(frame.size()), TablePrinter::Num(crc, 3)});
+  t.AddRow({"both cache keys", bytes(2 * kSide * kSide * sizeof(double)),
+            TablePrinter::Num(keys, 3)});
+  t.AddRow({"x_fingerprint", bytes(kSide * kSide * sizeof(double)),
+            TablePrinter::Num(x_print, 3)});
+  t.Print(std::cout);
+  const std::string ds = "12x12,fixed";
+  log.Add("request_path", ds, "crc32_us", crc);
+  log.Add("request_path", ds, "problem_keys_us", keys);
+  log.Add("request_path", ds, "x_fingerprint_us", x_print);
+}
+
+// ---------------------------------------------------------------------------
 // Part 2: google-benchmark suite (opt-in via --benchmark* flags).
 
 void BM_MarketSolveHeapsort(benchmark::State& state) {
@@ -595,6 +653,7 @@ int main(int argc, char** argv) {
   RunFirstSweep(opts, log);
   RunPoolAndSweep(opts, log);
   RunAttributionOverhead(opts, log);
+  RunRequestPath(opts, log);
   sea::bench::Finish(log, opts, "micro_kernels");
 
   if (run_gbench) {

@@ -182,23 +182,39 @@ std::optional<Diagnosis> ValidateCheckpointFor(const CheckpointState& state,
   return std::nullopt;
 }
 
+ProblemKeys FingerprintProblemKeys(const DiagonalProblem& p) {
+  // The two chains differ in their tag, share the shape and the O(mn) data,
+  // and end in their own tails.
+  support::Fnv1a full, structure;
+  full.MixU64('D');       // dense-problem tag; sparse uses 'S'
+  structure.MixU64('d');  // lowercase: disjoint from the full dense print
+  support::Fnv1aPair both(full, structure);
+  both.MixU64(static_cast<std::uint64_t>(p.mode()));
+  both.MixU64(p.m());
+  both.MixU64(p.n());
+  both.MixDoubles(p.x0().Flat());
+  both.MixDoubles(p.gamma().Flat());
+  full = both.first();
+  full.MixDoubles(p.s0());
+  full.MixDoubles(p.alpha());
+  full.MixDoubles(p.d0());
+  full.MixDoubles(p.beta());
+  full.MixDoubles(p.s_lo());
+  full.MixDoubles(p.s_hi());
+  full.MixDoubles(p.d_lo());
+  full.MixDoubles(p.d_hi());
+  structure = both.second();
+  structure.MixDoubles(p.alpha());
+  structure.MixDoubles(p.beta());
+  return {full.value(), structure.value()};
+}
+
 std::uint64_t FingerprintProblem(const DiagonalProblem& p) {
-  support::Fnv1a h;
-  h.MixU64('D');  // dense-problem tag; sparse uses 'S'
-  h.MixU64(static_cast<std::uint64_t>(p.mode()));
-  h.MixU64(p.m());
-  h.MixU64(p.n());
-  h.MixDoubles(p.x0().Flat());
-  h.MixDoubles(p.gamma().Flat());
-  h.MixDoubles(p.s0());
-  h.MixDoubles(p.alpha());
-  h.MixDoubles(p.d0());
-  h.MixDoubles(p.beta());
-  h.MixDoubles(p.s_lo());
-  h.MixDoubles(p.s_hi());
-  h.MixDoubles(p.d_lo());
-  h.MixDoubles(p.d_hi());
-  return h.value();
+  return FingerprintProblemKeys(p).full;
+}
+
+std::uint64_t FingerprintProblemStructure(const DiagonalProblem& p) {
+  return FingerprintProblemKeys(p).structure;
 }
 
 namespace {
@@ -231,19 +247,6 @@ std::uint64_t FingerprintProblem(const SparseDiagonalProblem& p) {
     h.MixDoubles(p.d_lo());
     h.MixDoubles(p.d_hi());
   }
-  return h.value();
-}
-
-std::uint64_t FingerprintProblemStructure(const DiagonalProblem& p) {
-  support::Fnv1a h;
-  h.MixU64('d');  // lowercase: disjoint from the full dense fingerprint
-  h.MixU64(static_cast<std::uint64_t>(p.mode()));
-  h.MixU64(p.m());
-  h.MixU64(p.n());
-  h.MixDoubles(p.x0().Flat());
-  h.MixDoubles(p.gamma().Flat());
-  h.MixDoubles(p.alpha());
-  h.MixDoubles(p.beta());
   return h.value();
 }
 

@@ -151,6 +151,16 @@ std::uint64_t FingerprintProblem(const SparseDiagonalProblem& p);
 // from FingerprintProblem by the leading tag.
 std::uint64_t FingerprintProblemStructure(const DiagonalProblem& p);
 
+// Both prints of a dense problem from one pass over its data: the two
+// FNV-1a chains advance together over the shape, x0 and gamma (see
+// support::Fnv1aPair), then each mixes its own tail. The two functions
+// above are its halves; sea_serve keys its warm cache with both.
+struct ProblemKeys {
+  std::uint64_t full = 0;       // FingerprintProblem
+  std::uint64_t structure = 0;  // FingerprintProblemStructure
+};
+ProblemKeys FingerprintProblemKeys(const DiagonalProblem& p);
+
 // Owns the checkpoint path + cadence for one solve. The engine calls
 // ShouldWrite() once per compared check and Write() when it returns true;
 // a final checkpoint on cancellation / budget expiry / iteration cap goes

@@ -28,13 +28,6 @@ std::string HexU64(std::uint64_t v) {
   return buf;
 }
 
-std::uint64_t FingerprintPrimal(const DenseMatrix& x) {
-  support::Fnv1a h;
-  h.MixU64('x');
-  h.MixDoubles(x.Flat());
-  return h.value();
-}
-
 // Latency buckets spanning sub-millisecond replays to budget-bounded
 // multi-second solves.
 std::vector<double> LatencyBounds() {
@@ -43,6 +36,13 @@ std::vector<double> LatencyBounds() {
 }
 
 }  // namespace
+
+std::uint64_t FingerprintPrimal(const DenseMatrix& x) {
+  support::Fnv1a h;
+  h.MixU64('x');
+  h.MixDoubles(x.Flat());
+  return h.value();
+}
 
 SolveService::SolveService(WarmStartCache* cache,
                            obs::MetricsRegistry* metrics,
@@ -78,9 +78,9 @@ ServeOutcome SolveService::Handle(const SolveRequest& request,
   out.queue_seconds = queue_seconds;
 
   const DiagonalProblem& p = request.problem;
-  out.problem_fingerprint = FingerprintProblem(p);
-  const std::uint64_t structure_key = FingerprintProblemStructure(p);
-  const auto hit = cache_->Lookup(out.problem_fingerprint, structure_key);
+  const ProblemKeys keys = FingerprintProblemKeys(p);
+  out.problem_fingerprint = keys.full;
+  const auto hit = cache_->Lookup(keys.full, keys.structure);
 
   try {
     bool served = false;
@@ -133,8 +133,7 @@ ServeOutcome SolveService::Handle(const SolveRequest& request,
         entry.criterion = request.criterion;
         entry.epsilon = request.epsilon;
         entry.iterations = out.result.iterations;
-        cache_->Insert(out.problem_fingerprint, structure_key,
-                       std::move(entry));
+        cache_->Insert(keys.full, keys.structure, std::move(entry));
       }
     }
     out.x_fingerprint = FingerprintPrimal(out.solution.x);

@@ -67,6 +67,10 @@ struct ServeOutcome {
   double wall_seconds = 0.0;  // handling time, queue excluded
 };
 
+// A reply's x_fingerprint: FNV-1a 64 over a tag and the primal's cells, so
+// a client can check bit-identity of two answers without the matrices.
+std::uint64_t FingerprintPrimal(const DenseMatrix& x);
+
 class SolveService {
  public:
   // All pointers optional (may be null) except `cache`.

@@ -1,7 +1,9 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected), the integrity trailer on the
-// binary checkpoint format (src/core/checkpoint.hpp). Table-driven, one
-// byte per step — checkpoints are O(m + n) doubles, so checksum cost is
-// noise next to the write itself.
+// binary checkpoint format (src/core/checkpoint.hpp) and on every binary
+// serve request frame (src/serve/protocol.hpp), so it runs once per request
+// (docs/SERVING.md, "What a request costs"). Slice-by-8: one 8-byte word per
+// step through eight 256-entry tables, the byte table only for the tail.
+// The values are the byte-at-a-time CRC's.
 #pragma once
 
 #include <cstddef>

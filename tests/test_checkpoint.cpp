@@ -28,6 +28,7 @@
 #include "parallel/thread_pool.hpp"
 #include "problems/validate.hpp"
 #include "sparse/sparse_sea.hpp"
+#include "support/hash.hpp"
 
 namespace sea {
 namespace {
@@ -178,6 +179,16 @@ TEST(CheckpointCodec, RoundTripPreservesNonFiniteStallPrev) {
   EXPECT_TRUE(std::isinf(loaded.state.stall_prev));
 }
 
+TEST(CheckpointCodec, EncodedTrailerIsPinned) {
+  // The CRC trailer of a known encoding, as earlier releases wrote it: a
+  // change to the checksum (or to the byte stream it covers) shows here.
+  const std::string bytes = EncodeCheckpoint(NonTrivialState());
+  std::uint32_t trailer = 0;
+  std::memcpy(&trailer, bytes.data() + bytes.size() - sizeof(trailer),
+              sizeof(trailer));
+  EXPECT_EQ(trailer, 0x48838477u);
+}
+
 TEST(CheckpointCodec, RejectsBadMagic) {
   std::string bytes = EncodeCheckpoint(NonTrivialState());
   bytes[0] = 'X';
@@ -291,6 +302,7 @@ TEST(CheckpointCodec, FingerprintSeparatesProblems) {
   // a change to either byte stream must show here.
   EXPECT_EQ(fp, 0x2bcb566becd87108u);
   EXPECT_EQ(FingerprintProblem(SparseFixedProblem()), 0x953cbe792deb8dc9u);
+  EXPECT_EQ(FingerprintProblemStructure(base), 0xa793c2ed925dce60u);
 
   // Sparse interval problems mix their box bounds: two that differ in one
   // bound only must print differently.
@@ -309,6 +321,72 @@ TEST(CheckpointCodec, FingerprintSeparatesProblems) {
   d_hi_nudged[2] += 0.5;
   EXPECT_NE(FingerprintProblem(interval(d_hi)),
             FingerprintProblem(interval(d_hi_nudged)));
+}
+
+// The two dense prints as separate chains, each over its own byte stream:
+// the references the one-pass keys must reproduce.
+std::uint64_t SeparateFullPrint(const DiagonalProblem& p) {
+  support::Fnv1a h;
+  h.MixU64('D');
+  h.MixU64(static_cast<std::uint64_t>(p.mode()));
+  h.MixU64(p.m());
+  h.MixU64(p.n());
+  for (const std::span<const double> v :
+       {p.x0().Flat(), p.gamma().Flat(), std::span<const double>(p.s0()),
+        std::span<const double>(p.alpha()), std::span<const double>(p.d0()),
+        std::span<const double>(p.beta()), std::span<const double>(p.s_lo()),
+        std::span<const double>(p.s_hi()), std::span<const double>(p.d_lo()),
+        std::span<const double>(p.d_hi())})
+    h.MixDoubles(v);
+  return h.value();
+}
+
+std::uint64_t SeparateStructurePrint(const DiagonalProblem& p) {
+  support::Fnv1a h;
+  h.MixU64('d');
+  h.MixU64(static_cast<std::uint64_t>(p.mode()));
+  h.MixU64(p.m());
+  h.MixU64(p.n());
+  for (const std::span<const double> v :
+       {p.x0().Flat(), p.gamma().Flat(), std::span<const double>(p.alpha()),
+        std::span<const double>(p.beta())})
+    h.MixDoubles(v);
+  return h.value();
+}
+
+TEST(CheckpointCodec, OnePassKeysMatchTheSeparateChains) {
+  std::vector<DiagonalProblem> problems;
+  for (const std::size_t side : {1u, 4u}) {
+    DenseMatrix x0(side, side), gamma(side, side);
+    double v = 0.0;
+    for (double& c : x0.Flat()) c = 1.5 + (v += 1.0);
+    for (double& c : gamma.Flat()) c = 0.25 + 0.125 * (v += 1.0);
+    const Vector s0 = x0.RowSums(), d0 = x0.ColSums();
+    const Vector alpha(side, 2.0), beta(side, 0.5);
+    Vector s_lo = s0, s_hi = s0, d_lo = d0, d_hi = d0;
+    for (double& t : s_lo) t *= 0.9;
+    for (double& t : s_hi) t *= 1.1;
+    for (double& t : d_lo) t *= 0.8;
+    for (double& t : d_hi) t *= 1.2;
+    problems.push_back(DiagonalProblem::MakeFixed(x0, gamma, s0, d0));
+    problems.push_back(
+        DiagonalProblem::MakeElastic(x0, gamma, s0, alpha, d0, beta));
+    problems.push_back(DiagonalProblem::MakeSam(x0, gamma, s0, alpha));
+    problems.push_back(DiagonalProblem::MakeInterval(
+        x0, gamma, s0, alpha, s_lo, s_hi, d0, beta, d_lo, d_hi));
+  }
+  problems.push_back(DenseFixedProblem());
+  for (const DiagonalProblem& p : problems) {
+    const ProblemKeys keys = FingerprintProblemKeys(p);
+    const std::string label =
+        std::string(ToString(p.mode())) + " " + std::to_string(p.m()) + "x" +
+        std::to_string(p.n());
+    EXPECT_EQ(keys.full, SeparateFullPrint(p)) << label;
+    EXPECT_EQ(keys.structure, SeparateStructurePrint(p)) << label;
+    EXPECT_EQ(keys.full, FingerprintProblem(p)) << label;
+    EXPECT_EQ(keys.structure, FingerprintProblemStructure(p)) << label;
+    EXPECT_NE(keys.full, keys.structure) << label;
+  }
 }
 
 TEST(CheckpointWriterUnit, CadenceGateFiresEveryNthCheck) {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -122,6 +123,18 @@ TEST(ServeProtocol, BinaryFrameRoundTripsEveryMode) {
     EXPECT_EQ(FingerprintProblem(out.request.problem), FingerprintProblem(p))
         << ToString(p.mode());
   }
+}
+
+TEST(ServeProtocol, FrameTrailerIsPinned) {
+  // The CRC trailer of a 12x12 request frame (about 2.6 KB, serve_load's
+  // shape), as earlier releases wrote it: frames stay interchangeable
+  // across builds only while the checksum and byte stream hold.
+  const std::string frame =
+      serve::EncodeRequestFrame(FixedRequest(12, 12, 29, 1.1));
+  std::uint32_t trailer = 0;
+  std::memcpy(&trailer, frame.data() + frame.size() - sizeof(trailer),
+              sizeof(trailer));
+  EXPECT_EQ(trailer, 0x73c7c5f9u);
 }
 
 TEST(ServeProtocol, JsonRoundTripAndDispatch) {

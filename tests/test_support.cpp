@@ -178,6 +178,38 @@ TEST(Crc32, SingleBitFlipChangesTheChecksum) {
   }
 }
 
+// CRC-32 bit by bit, straight from the reflected polynomial: the reference
+// the table-driven loops must reproduce.
+std::uint32_t BitwiseCrc32(const unsigned char* p, std::size_t len,
+                           std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+  }
+  return ~c;
+}
+
+TEST(Crc32, SlicedMatchesBytewiseReference) {
+  // Lengths 0-300 (the word loop, its tail, and both together) from every
+  // start offset 0-7, so every alignment of the 8-byte loads is covered.
+  std::vector<unsigned char> buf(8 + 300);
+  Rng rng(32);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.NextU64());
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 300; ++len)
+      ASSERT_EQ(support::Crc32(buf.data() + offset, len),
+                BitwiseCrc32(buf.data() + offset, len))
+          << "offset " << offset << ", length " << len;
+  // Chained at every split point of a 64-byte buffer.
+  const std::uint32_t whole = BitwiseCrc32(buf.data(), 64);
+  for (std::size_t split = 0; split <= 64; ++split)
+    ASSERT_EQ(support::Crc32(buf.data() + split, 64 - split,
+                             support::Crc32(buf.data(), split)),
+              whole)
+        << "split at " << split;
+}
+
 TEST(Fnv1a, MatchesTheCanonicalTestVector) {
   // FNV-1a 64 of "a" per the reference implementation.
   support::Fnv1a h;
@@ -202,6 +234,24 @@ TEST(Fnv1a, LengthPrefixSeparatesVectorBoundaries) {
   b.MixDoubles(std::vector<double>{});
   b.MixDoubles(std::vector<double>{1.0});
   EXPECT_NE(a.value(), b.value());
+}
+
+TEST(Fnv1a, PairEndsWhereTwoSingleChainsEnd) {
+  support::Fnv1a a, b;
+  a.MixU64('a');
+  b.MixU64('b');
+  support::Fnv1aPair both(a, b);
+  const std::vector<double> v = {1.0, -2.5, 3.25};
+  for (support::Fnv1a* h : {&a, &b}) {
+    h->MixU64(7);
+    h->MixDoubles(v);
+    h->MixBytes("xyz", 3);
+  }
+  both.MixU64(7);
+  both.MixDoubles(v);
+  both.MixBytes("xyz", 3);
+  EXPECT_EQ(both.first().value(), a.value());
+  EXPECT_EQ(both.second().value(), b.value());
 }
 
 TEST(AtomicFileWriter, HappyPathIsOneAttempt) {
