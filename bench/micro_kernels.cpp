@@ -386,6 +386,68 @@ class Sp120Sweep {
   SweepOptions opts_;
 };
 
+// The duals of an SP120 Table 5 solve stopped after `iterations`.
+Sp120 Sp120After(std::size_t iterations) {
+  Sp120 s{ConvergedSp120().problem, {}, {}};
+  SeaOptions o;
+  o.epsilon = 0.01;
+  o.criterion = StopCriterion::kXChange;
+  o.check_every = 2;
+  o.max_iterations = iterations;
+  const auto run = SolveDiagonal(s.problem, o);
+  s.lambda = run.solution.lambda;
+  s.mu = run.solution.mu;
+  return s;
+}
+
+// One SP120 row sweep of a cold start on `threads` workers, from the orders
+// its previous row sweep left: the first (against mu = 0, no orders yet)
+// or iteration 3's (against iteration 2's mu, from the orders stored
+// against iteration 1's). Each timed sweep starts from a copy of those
+// orders; the copy is not timed.
+class Sp120ColdStartSweep {
+ public:
+  Sp120ColdStartSweep(std::size_t threads, bool first)
+      : sp_(ConvergedSp120()),
+        slopes_(ArcSlopes(sp_.problem.gamma())),
+        pool_(threads),
+        scratch_(threads),
+        lambda_(sp_.problem.m()) {
+    rows_.mode = sp_.problem.mode();
+    rows_.t0 = sp_.problem.s0();
+    rows_.weight = sp_.problem.alpha();
+    opts_.pool = &pool_;
+    opts_.scratch = scratch_;
+    base_.Reset(sp_.problem.m());
+    if (first) {
+      mu_ = Vector(sp_.problem.n(), 0.0);
+    } else {
+      opts_.sort_cache = &base_;
+      EquilibrateSide(sp_.problem.x0(), slopes_, Sp120After(1).mu, rows_,
+                      lambda_, nullptr, opts_);
+      mu_ = Sp120After(2).mu;
+    }
+  }
+  double RunSeconds() {
+    SortOrderCache orders = base_;
+    opts_.sort_cache = &orders;
+    Stopwatch sw;
+    EquilibrateSide(sp_.problem.x0(), slopes_, mu_, rows_, lambda_, nullptr,
+                    opts_);
+    return sw.Seconds();
+  }
+
+ private:
+  const Sp120& sp_;
+  const DenseMatrix slopes_;
+  ThreadPool pool_;
+  std::vector<SweepSlot> scratch_;
+  Vector lambda_, mu_;
+  MarketSide rows_;
+  SortOrderCache base_;
+  SweepOptions opts_;
+};
+
 void RunPoolAndSweep(const bench::BenchOptions& opts, ExperimentLog& log) {
   std::cout << "\npool dispatch and the converged SP120 row sweep:\n";
   TablePrinter t({"case", "threads", "us"});
@@ -407,7 +469,70 @@ void RunPoolAndSweep(const bench::BenchOptions& opts, ExperimentLog& log) {
     log.Add("sp120_sweep", "threads=" + std::to_string(threads),
             "us_per_sweep", best);
   }
+  // A cold start's first sweep and a mid-solve one, whose orders churn
+  // (most of their markets clear on the prefix, docs/KERNELS.md).
+  for (const bool first : {true, false}) {
+    for (std::size_t threads : {1u, 2u}) {
+      Sp120ColdStartSweep sweep(threads, first);
+      double best = std::numeric_limits<double>::infinity();
+      for (int rep = 0; rep < 3; ++rep) {
+        double seconds = 0.0;
+        for (std::size_t r = 0; r < reps; ++r) seconds += sweep.RunSeconds();
+        best = std::min(best, seconds * 1e6 / static_cast<double>(reps));
+      }
+      const char* which = first ? "first" : "mid";
+      t.AddRow({std::string("SP120 row sweep, ") +
+                    (first ? "cold start's first" : "iteration 3"),
+                TablePrinter::Int(static_cast<long>(threads)),
+                TablePrinter::Num(best, 3)});
+      log.Add("sp120_sweep",
+              "threads=" + std::to_string(threads) + ",sweep=" + which,
+              "us_per_sweep", best);
+    }
+  }
   t.Print(std::cout);
+}
+
+// One converged SP120 row market at a time (about 8 of its 120 arcs
+// active), cycling through the rows: arc build + solve + writeback with no
+// stored order, so each clears on the prefix.
+void RunSp120Market(const bench::BenchOptions& opts, ExperimentLog& log) {
+  const Sp120& sp = ConvergedSp120();
+  const DenseMatrix slopes = ArcSlopes(sp.problem.gamma());
+  const std::size_t m = sp.problem.m(), n = sp.problem.n();
+  MarketSide rows;
+  rows.mode = sp.problem.mode();
+  rows.t0 = sp.problem.s0();
+  rows.weight = sp.problem.alpha();
+  BreakpointWorkspace ws;
+  std::vector<double> x(n);
+  const std::size_t reps = (opts.quick ? 20 : 200) * m;
+  double best = std::numeric_limits<double>::infinity();
+  std::size_t active = 0, prefix = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    Stopwatch sw;
+    for (std::size_t r = 0; r < reps; ++r) {
+      const std::size_t i = r % m;
+      double u = 0.0, v = 0.0;
+      ClearingTarget(rows, i, u, v);
+      ws.Resize(n);
+      BuildArcs(sp.problem.x0().Row(i), slopes.Row(i), sp.mu, ws.p(), ws.q());
+      const auto res = SolveMarket(ws, u, v);
+      Writeback(ws.p(), ws.q(), res.lambda, x);
+      benchmark::DoNotOptimize(x.data());
+      if (rep == 0 && r < m) {
+        active += res.active_count;
+        prefix += res.prefix;
+      }
+    }
+    best = std::min(best, sw.Seconds() * 1e6 / static_cast<double>(reps));
+  }
+  std::cout << "\nconverged SP120 row market, no stored order ("
+            << TablePrinter::Num(static_cast<double>(active) / m, 1)
+            << " of " << n << " arcs active, " << prefix << " of " << m
+            << " cleared on the prefix): " << TablePrinter::Num(best, 3)
+            << " us/solve\n";
+  log.Add("kernel_backend", "n=120,sort=prefix", "scalar_us_per_solve", best);
 }
 
 // ---------------------------------------------------------------------------
@@ -652,6 +777,7 @@ int main(int argc, char** argv) {
   RunChurnedRepair(opts, log);
   RunFirstSweep(opts, log);
   RunPoolAndSweep(opts, log);
+  RunSp120Market(opts, log);
   RunAttributionOverhead(opts, log);
   RunRequestPath(opts, log);
   sea::bench::Finish(log, opts, "micro_kernels");

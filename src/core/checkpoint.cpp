@@ -213,10 +213,6 @@ std::uint64_t FingerprintProblem(const DiagonalProblem& p) {
   return FingerprintProblemKeys(p).full;
 }
 
-std::uint64_t FingerprintProblemStructure(const DiagonalProblem& p) {
-  return FingerprintProblemKeys(p).structure;
-}
-
 namespace {
 
 void MixPattern(support::Fnv1a& h, const SparseMatrix& a) {

@@ -141,23 +141,22 @@ std::optional<Diagnosis> ValidateCheckpointFor(const CheckpointState& state,
 std::uint64_t FingerprintProblem(const DiagonalProblem& p);
 std::uint64_t FingerprintProblem(const SparseDiagonalProblem& p);
 
-// Structure fingerprint: like FingerprintProblem but EXCLUDING the target
-// totals s0/d0 (and their interval bounds). Two problems share it exactly
-// when they pose the same constrained-matrix structure — mode, shape,
-// centers, weights — with possibly different totals, which is the
-// "perturbed repeat request" the sea_serve warm cache's nearby tier
-// matches: such problems re-converge along nearby dual trajectories, so
-// the cached multipliers are a profitable warm start. Domain-separated
-// from FingerprintProblem by the leading tag.
-std::uint64_t FingerprintProblemStructure(const DiagonalProblem& p);
-
 // Both prints of a dense problem from one pass over its data: the two
 // FNV-1a chains advance together over the shape, x0 and gamma (see
-// support::Fnv1aPair), then each mixes its own tail. The two functions
-// above are its halves; sea_serve keys its warm cache with both.
+// support::Fnv1aPair), then each mixes its own tail. sea_serve keys its
+// warm cache with both.
+//
+// `structure` is like FingerprintProblem but EXCLUDES the target totals
+// s0/d0 (and their interval bounds). Two problems share it exactly when
+// they pose the same constrained-matrix structure — mode, shape, centers,
+// weights — with possibly different totals, which is the "perturbed repeat
+// request" the sea_serve warm cache's nearby tier matches: such problems
+// re-converge along nearby dual trajectories, so the cached multipliers
+// are a profitable warm start. Domain-separated from FingerprintProblem by
+// the leading tag.
 struct ProblemKeys {
   std::uint64_t full = 0;       // FingerprintProblem
-  std::uint64_t structure = 0;  // FingerprintProblemStructure
+  std::uint64_t structure = 0;  // totals excluded
 };
 ProblemKeys FingerprintProblemKeys(const DiagonalProblem& p);
 

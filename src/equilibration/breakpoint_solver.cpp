@@ -120,14 +120,16 @@ inline bool KeyLess(const SortKey& a, const SortKey& b) {
 
 }  // namespace
 
-// Straight insertion sort. A key already in place (not less than its left
-// neighbour) costs its one comparison and is left where it is; the others
-// shift left exactly as plain straight insertion moves them, so the
+namespace {
+
+// Straight insertion sort of v[0..n). A key already in place (not less than
+// its left neighbour) costs its one comparison and is left where it is; the
+// others shift left exactly as plain straight insertion moves them, so the
 // comparison and shift counts are straight insertion's.
-detail::InsertionStats detail::InsertionSort(std::vector<SortKey>& v,
-                                             std::uint64_t max_shifts) {
-  InsertionStats s;
-  for (std::size_t i = 1; i < v.size(); ++i) {
+detail::InsertionStats InsertionSortKeys(SortKey* v, std::size_t n,
+                                         std::uint64_t max_shifts) {
+  detail::InsertionStats s;
+  for (std::size_t i = 1; i < n; ++i) {
     if (s.shifts > max_shifts) {
       s.complete = false;
       break;
@@ -148,6 +150,13 @@ detail::InsertionStats detail::InsertionSort(std::vector<SortKey>& v,
     v[j] = key;
   }
   return s;
+}
+
+}  // namespace
+
+detail::InsertionStats detail::InsertionSort(std::vector<SortKey>& v,
+                                             std::uint64_t max_shifts) {
+  return InsertionSortKeys(v.data(), v.size(), max_shifts);
 }
 
 namespace {
@@ -230,30 +239,30 @@ std::uint64_t RadixSort(std::vector<SortKey>& keys, std::vector<SortKey>& tmp,
 struct SweepHit {
   std::size_t k = 0;    // accepted segment: nodes[0..k] active
   double lambda = 0.0;  // (u - P_k) / (Q_k - v)
-  bool found = false;   // false only on non-finite input (breakdown)
+  bool found = false;   // no segment of the swept keys accepts
 };
 
 // Finds the first segment k whose clearing candidate does not overshoot its
 // right edge, reading each sorted arc through its key: keys[k].b is the
 // segment's left edge and p[keys[k].idx], q[keys[k].idx] the arc it
-// activates. Only the segments up to the accepted one are read. The edge
-// after the last key is +inf, so the last segment always accepts on finite
-// data. The acceptance test is the multiply form
+// activates. Only the segments up to the accepted one are read. `next` is
+// the edge after the last of the len keys: +inf after all n, so the last
+// segment always accepts on finite data, and the smallest left-out
+// breakpoint after a prefix. The acceptance test is the multiply form
 // u - P_k <= edge_{k+1} * (Q_k - v): equivalent to comparing the candidate
 // (u - P_k)/(Q_k - v) against the segment edge, since Q_k - v > 0, with one
 // division per accepted segment instead of one per swept segment.
-SweepHit SweepSearch(const std::vector<SortKey>& keys, const double* p,
-                     const double* q, std::size_t n, double u, double v) {
+SweepHit SweepSearch(const SortKey* keys, std::size_t len, double next,
+                     const double* p, const double* q, double u, double v) {
   SweepHit hit;
   double p_sum = 0.0;
   double q_sum = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
+  for (std::size_t k = 0; k < len; ++k) {
     const std::uint32_t j = keys[k].idx;
     p_sum += p[j];
     q_sum += q[j];
     const double denom = q_sum - v;  // > 0
-    const double edge = k + 1 < n ? keys[k + 1].b
-                                  : std::numeric_limits<double>::infinity();
+    const double edge = k + 1 < len ? keys[k + 1].b : next;
     if (u - p_sum <= edge * denom) {
       hit.k = k;
       hit.lambda = (u - p_sum) / denom;
@@ -261,14 +270,52 @@ SweepHit SweepSearch(const std::vector<SortKey>& keys, const double* p,
       return hit;
     }
   }
-  return hit;  // non-finite data poisoned the sums; caller reports breakdown
+  return hit;
 }
 
-// Clears the market whose keys are sorted against u + v*lambda: sets
-// result's lambda, active_count and feasible, and adds the clearing's ops.
-// Markets with no arcs, and infeasible ones (v == 0, u < 0), need no keys.
-// Inline: it is the tail of every SolveMarket, and a call per market solve
-// shows on small markets.
+// Clears the market against u + v*lambda over the sorted keys[0..len),
+// followed by breakpoint `next` (see SweepSearch): sets result's lambda and
+// active_count and adds the clearing's ops. Returns false when no segment
+// accepts. Requires a feasible market (not v == 0 with u < 0) and, when
+// v == 0 and u == 0, the first of all n keys in keys[0]. Inline: it is the
+// tail of every SolveMarket, and a call per market solve shows on small
+// markets.
+inline bool ClearKeys(const SortKey* keys, std::size_t len, double next,
+                      const double* p, const double* q, double u, double v,
+                      BreakpointResult& result) {
+  const double first = len > 0 ? keys[0].b : next;
+  // Segment before the first breakpoint: supply is 0.
+  // Clearing: 0 = u + v*lambda.
+  if (v < 0.0) {
+    const double lam = -u / v;
+    ++result.ops.flops;
+    ++result.ops.comparisons;
+    if (lam <= first) {
+      result.lambda = lam;
+      result.active_count = 0;
+      return true;
+    }
+  } else if (u == 0.0) {
+    // Degenerate fixed total of zero: every lambda <= first breakpoint
+    // clears; return the boundary (all allocations zero).
+    result.lambda = first;
+    result.active_count = 0;
+    return true;
+  }
+
+  // Sweep segments. After activating the arcs of keys [0..k],
+  // supply(lambda) = P_k + Q_k*lambda on [keys[k].b, keys[k+1].b].
+  const SweepHit hit = SweepSearch(keys, len, next, p, q, u, v);
+  if (!hit.found) return false;
+  result.ops.flops += 4 * (hit.k + 1);
+  result.ops.comparisons += hit.k + 1;
+  result.lambda = hit.lambda;
+  result.active_count = hit.k + 1;
+  return true;
+}
+
+// Clears the market whose n keys are all sorted. Markets with no arcs, and
+// infeasible ones (v == 0, u < 0), need no keys.
 inline void ClearSorted(const std::vector<SortKey>& keys, const double* p,
                         const double* q, std::size_t n, double u, double v,
                         BreakpointResult& result) {
@@ -286,39 +333,123 @@ inline void ClearSorted(const std::vector<SortKey>& keys, const double* p,
     result.feasible = false;
     return;
   }
-
-  // Segment before the first breakpoint: supply is 0.
-  // Clearing: 0 = u + v*lambda.
-  if (v < 0.0) {
-    const double lam = -u / v;
-    ++result.ops.flops;
-    ++result.ops.comparisons;
-    if (lam <= keys[0].b) {
-      result.lambda = lam;
-      result.active_count = 0;
-      return;
-    }
-  } else if (u == 0.0) {
-    // Degenerate fixed total of zero: every lambda <= first breakpoint
-    // clears; return the boundary (all allocations zero).
-    result.lambda = keys[0].b;
-    result.active_count = 0;
-    return;
-  }
-
-  // Sweep segments. After activating the arcs of keys [0..k],
-  // supply(lambda) = P_k + Q_k*lambda on [keys[k].b, keys[k+1].b].
-  const SweepHit hit = SweepSearch(keys, p, q, n, u, v);
   // The last segment always accepts (its right edge is +inf), so a miss can
   // only mean non-finite arc data poisoned the prefix sums.
-  SEA_INTERNAL_CHECK(hit.found);
-  result.ops.flops += 4 * (hit.k + 1);
-  result.ops.comparisons += hit.k + 1;
-  result.lambda = hit.lambda;
-  result.active_count = hit.k + 1;
+  SEA_INTERNAL_CHECK(ClearKeys(keys.data(), n,
+                               std::numeric_limits<double>::infinity(), p, q,
+                               u, v, result));
+}
+
+// At most this many Newton steps tighten the prefix clearing's bound; each
+// is one pass over the candidates it leaves.
+constexpr std::size_t kPrefixNewtonSteps = 8;
+
+// The most candidates a prefix clearing sorts: n/4, and never more than a
+// straight insertion sort's kInsertionThreshold keys, so the candidate sort
+// stays far from insertion's quadratic cost.
+std::size_t PrefixLimit(std::size_t n) {
+  return std::min(n / 4, kInsertionThreshold);
+}
+
+// The prefix clearing (docs/KERNELS.md, "Sort only the prefix the sweep
+// reads") of the market whose breakpoints b the caller computed; keys has
+// room for n. Returns false, leaving result as it was, when the market must
+// sort every key: a NaN breakpoint (outside KeyLess's order), more than
+// PrefixLimit(n) candidates, or no accepting segment among them.
+bool ClearPrefix(const double* p, const double* q, const double* b,
+                 std::size_t n, SortKey* keys, double u, double v, double cap,
+                 BreakpointResult& result) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // S(lambda) >= p_j + q_j*lambda for every arc and q_j - v > 0, so the
+  // crossing lies at or below each arc's own root with the response. No
+  // answer depends on the bound's bits, so its reductions run in any order,
+  // as vector reductions.
+  double bound = cap;
+#pragma omp simd reduction(min : bound)
+  for (std::size_t j = 0; j < n; ++j) {
+    const double root = (u - p[j]) / (q[j] - v);
+    bound = root < bound ? root : bound;
+  }
+  // The keys at or below it, in arc order, branch-free; `rest` is the
+  // smallest breakpoint left out.
+  std::size_t len = 0;
+  double rest = kInf;
+  bool ordered = true;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double bj = b[j];
+    keys[len] = {bj, static_cast<std::uint32_t>(j)};
+    const bool in = bj <= bound;
+    len += in;
+    const double out = in ? kInf : bj;
+    rest = out < rest ? out : rest;
+    ordered &= bj == bj;
+  }
+  if (!ordered) return false;
+  // Newton steps from the right on the convex, increasing S(lambda) - u -
+  // v*lambda: the tangent sum_{b_j <= bound} (p_j + q_j*lambda) - u -
+  // v*lambda lies below it everywhere, so its root is again an upper bound.
+  // Each step keeps the candidates at or below the new root; one that keeps
+  // them all ends the steps.
+  std::uint64_t scanned = 0;
+  for (std::size_t step = 0; step < kPrefixNewtonSteps; ++step) {
+    double p_sum = 0.0, q_sum = 0.0;
+    for (std::size_t k = 0; k < len; ++k) {
+      p_sum += p[keys[k].idx];
+      q_sum += q[keys[k].idx];
+    }
+    scanned += len;
+    const double newton = (u - p_sum) / (q_sum - v);
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < len; ++k) {
+      const SortKey key = keys[k];
+      keys[kept] = key;
+      const bool in = key.b <= newton;
+      kept += in;
+      const double out = in ? kInf : key.b;
+      rest = out < rest ? out : rest;
+    }
+    if (kept == len) break;
+    len = kept;
+  }
+  if (len > PrefixLimit(n)) return false;
+  // The candidates are exactly the first len keys of the full KeyLess order
+  // and `rest` the next key's breakpoint, so this sweep makes the full
+  // sweep's first tests, sums and division.
+  BreakpointResult cleared = result;
+  cleared.ops.comparisons +=
+      2 * n + scanned +
+      InsertionSortKeys(keys, len, ~std::uint64_t{0}).comparisons;
+  cleared.ops.flops += 3 * n + 2 * scanned;
+  if (!ClearKeys(keys, len, rest, p, q, u, v, cleared)) return false;
+  cleared.prefix = true;
+  result = cleared;
+  return true;
+}
+
+// Whether a market skips the prefix clearing and sorts every key.
+bool SortsEveryKey(std::size_t n, double u, double v,
+                   const MarketOrder* order) {
+  if (n < kPrefixMinArcs) return true;
+  // u = v = 0 returns the first key's breakpoint, sign of zero included.
+  if (v == 0.0 && u <= 0.0) return true;
+  if (order == nullptr) return false;
+  if (order->active == MarketOrder::kNotCleared)
+    return order->perm.size() == n;  // a seed: repair it
+  return order->active > PrefixLimit(n);
 }
 
 }  // namespace
+
+struct detail::MarketKernel {
+  static BreakpointResult Solve(BreakpointWorkspace& ws, double u, double v,
+                                MarketOrder* order, const ColdSort* forced,
+                                bool prefix, double bound_cap);
+  static void ClearSorted(const BreakpointWorkspace& ws, double u, double v,
+                          BreakpointResult& result) {
+    sea::ClearSorted(ws.keys_, ws.p_.data(), ws.q_.data(), ws.n_, u, v,
+                     result);
+  }
+};
 
 BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
                              MarketOrder* order) {
@@ -332,13 +463,23 @@ BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
 
 BreakpointResult detail::SolveMarket(BreakpointWorkspace& ws, double u,
                                      double v, MarketOrder* order,
-                                     const ColdSort* forced) {
+                                     const ColdSort* forced,
+                                     double bound_cap) {
+  return MarketKernel::Solve(ws, u, v, order, forced, forced == nullptr,
+                             bound_cap);
+}
+
+BreakpointResult detail::MarketKernel::Solve(BreakpointWorkspace& ws,
+                                             double u, double v,
+                                             MarketOrder* order,
+                                             const ColdSort* forced,
+                                             bool prefix, double bound_cap) {
   const std::size_t n = ws.n_;
 
   BreakpointResult result;
   SEA_CHECK_MSG(v <= 0.0, "elastic slope must be nonpositive");
   if (n == 0 || (v == 0.0 && u < 0.0)) {
-    ClearSorted(ws.keys_, nullptr, nullptr, n, u, v, result);
+    sea::ClearSorted(ws.keys_, nullptr, nullptr, n, u, v, result);
     return result;
   }
 
@@ -351,11 +492,19 @@ BreakpointResult detail::SolveMarket(BreakpointWorkspace& ws, double u,
   result.ops.flops += n;  // breakpoint divisions
   result.ops.breakpoints = n;
 
+  auto& keys = ws.keys_;
+  keys.resize(n);
+  if (prefix && !SortsEveryKey(n, u, v, order) &&
+      ClearPrefix(ws.p_.data(), ws.q_.data(), b.data(), n, keys.data(), u, v,
+                  bound_cap, result)) {
+    if (order != nullptr)
+      order->active = static_cast<std::uint32_t>(result.active_count);
+    return result;
+  }
+
   // Build sort keys — in the persisted order when repairing (the array is
   // then nearly sorted and insertion repairs it in O(n + inversions)), in
   // natural arc order for a cold sort.
-  auto& keys = ws.keys_;
-  keys.resize(n);
   bool sorted = false;
   if (order != nullptr && order->perm.size() == n) {
     for (std::size_t k = 0; k < n; ++k) {
@@ -395,13 +544,16 @@ BreakpointResult detail::SolveMarket(BreakpointWorkspace& ws, double u,
           RadixSort(keys, ws.radix_tmp_, ws.radix_counts_);
     }
   }
+
   if (order != nullptr) {
     // Persist the (repaired or freshly established) order for the next sweep.
     order->perm.resize(n);
     for (std::size_t k = 0; k < n; ++k) order->perm[k] = keys[k].idx;
   }
 
-  ClearSorted(keys, ws.p_.data(), ws.q_.data(), n, u, v, result);
+  sea::ClearSorted(keys, ws.p_.data(), ws.q_.data(), n, u, v, result);
+  if (order != nullptr)
+    order->active = static_cast<std::uint32_t>(result.active_count);
   return result;
 }
 
@@ -418,15 +570,17 @@ BreakpointResult SolveMarketBox(BreakpointWorkspace& ws, double u, double v,
   const double enter_mid = (hi - u) / v;  // lambda where response leaves hi
   const double leave_mid = (lo - u) / v;  // lambda where response hits lo
 
-  // Upper piece: constant hi. This solve sorts (or repairs) the breakpoints;
-  // the other pieces clear against the keys it leaves sorted in ws.
-  const BreakpointResult upper = SolveMarket(ws, hi, 0.0, order);
+  // Upper piece: constant hi. This solve sorts (or repairs) every key, with
+  // no prefix clearing; the other pieces clear against the keys it leaves
+  // sorted in ws.
+  const BreakpointResult upper = detail::MarketKernel::Solve(
+      ws, hi, 0.0, order, nullptr, false,
+      std::numeric_limits<double>::infinity());
   if (upper.lambda <= enter_mid) return upper;
   OpCounts ops = upper.ops;
   const auto clear = [&](double piece_u, double piece_v) {
     BreakpointResult r;
-    ClearSorted(ws.keys_, ws.p_.data(), ws.q_.data(), ws.n_, piece_u, piece_v,
-                r);
+    detail::MarketKernel::ClearSorted(ws, piece_u, piece_v, r);
     ops += r.ops;
     r.ops = ops;
     r.order_reused = upper.order_reused;

@@ -49,6 +49,24 @@
 // sort (the radix sort by stability), so cold sorts and repairs produce one
 // total order and bit-identical clearing multipliers.
 //
+// Prefix clearing (docs/KERNELS.md, "Sort only the prefix the sweep
+// reads"): the sweep reads only the active arcs plus one edge key, so a
+// market of at least kPrefixMinArcs arcs first bounds the crossing from
+// above — U = min_j (u - p_j)/(q_j - v), tightened by Newton steps from the
+// right over the arcs still at or below the bound — keeps the keys at or
+// below it (compacted in arc order, noting the smallest breakpoint left
+// out), insertion-sorts only those and sweeps them, with the left-out
+// minimum as the edge after the last. The candidates are exactly a KeyLess
+// prefix of the full order and the edge exactly the next key, so the
+// prefix sweep makes the full sweep's first tests, sums and division; if it
+// accepts nowhere (a bound that rounded low), or more than
+// min(n/4, kInsertionThreshold) keys remain, or a breakpoint is NaN, the
+// market sorts every key as above. The bound decides speed, never answers.
+// A market whose last clearing activated more arcs than that, or whose
+// seeded order has not cleared yet, goes straight to the full sort, and so
+// do interval markets (SolveMarketBox clears three pieces against the full
+// key array). A prefix clearing neither reads nor stores the order.
+//
 // Layout: the workspace holds the market as a structure of arrays (contiguous
 // p[], q[] the caller fills, plus breakpoint and sort-key scratch). The sweep
 // reads the sorted market through the keys, so it touches only the arcs of
@@ -99,20 +117,33 @@ enum class ColdSort {
 // move the crossover on new hardware, re-tune here.
 inline constexpr std::size_t kInsertionThreshold = 128;
 
+// Smallest market that tries the prefix clearing (see header comment).
+// Smaller markets' cold sorts and repairs are both cheap, and the bound's
+// passes would cost more than they save (docs/KERNELS.md).
+inline constexpr std::size_t kPrefixMinArcs = 32;
+
 struct BreakpointResult {
   double lambda = 0.0;
   std::size_t active_count = 0;  // arcs with x_j(lambda) > 0
   bool feasible = true;          // false only if v == 0 and u < 0
   bool order_reused = false;     // solved by completing a persisted order's
                                  // repair (no cold-sort hand-over)
+  bool prefix = false;           // cleared on the prefix (no order read or
+                                 // stored; never order_reused)
   OpCounts ops;
 };
 
 // One market's breakpoint order, persisted across sweeps. `perm` is the
-// sorted order as indices into the arc array (empty until the first solve
-// establishes it; invalidated by the solver whenever the arc count changes).
+// sorted order as indices into the arc array (empty until a solve sorts
+// every key or a sweep seeds it; ignored whenever the arc count changes). A
+// prefix clearing leaves it as it was.
 struct MarketOrder {
+  static constexpr std::uint32_t kNotCleared =
+      std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> perm;
+  // Arcs active at the market's last clearing (kNotCleared before its
+  // first): the prefix clearing's gate.
+  std::uint32_t active = kNotCleared;
 };
 
 namespace detail {
@@ -144,21 +175,33 @@ class BreakpointWorkspace;
 
 // Solves sum_j max(0, p_j + q_j*lambda) = u + v*lambda over the market
 // currently in ws. Preconditions: all q_j > 0, v <= 0, and u >= 0 when
-// v == 0. The p/q arrays are left unchanged. With a non-null order holding a
-// permutation of this market's arcs, that permutation seeds the sort and is
-// repaired (see header comment); otherwise the keys are cold-sorted by the
-// kInsertionThreshold rule. Either way the sorted permutation is written
-// back to *order when one is given.
+// v == 0. The p/q arrays are left unchanged. The market first tries the
+// prefix clearing where its size and *order allow (see header comment).
+// Otherwise, with a non-null order holding a permutation of this market's
+// arcs, that permutation seeds the sort and is repaired; without one the
+// keys are cold-sorted by the kInsertionThreshold rule, and the sorted
+// permutation is written back to *order when one is given. Every path
+// clears to the same bits.
 BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
                              MarketOrder* order = nullptr);
 
-// The same solve with a forced cold sort (no order is read or stored).
+// The same solve with a forced cold sort of every key (no prefix clearing;
+// no order is read or stored).
 BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
                              ColdSort sort);
 
 namespace detail {
-BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
-                             MarketOrder* order, const ColdSort* forced);
+// The kernel both overloads call. bound_cap caps the prefix clearing's
+// bound: the kernel tests lower it to force a miss and the fallback, which
+// must clear to the same bits.
+BreakpointResult SolveMarket(
+    BreakpointWorkspace& ws, double u, double v, MarketOrder* order,
+    const ColdSort* forced,
+    double bound_cap = std::numeric_limits<double>::infinity());
+
+// The kernel's entry points into the workspace's scratch (defined in
+// breakpoint_solver.cpp).
+struct MarketKernel;
 }  // namespace detail
 
 // Reusable per-worker scratch arena for market solves; reuse across calls to
@@ -201,18 +244,15 @@ class BreakpointWorkspace {
   }
 
  private:
-  friend BreakpointResult detail::SolveMarket(BreakpointWorkspace&, double,
-                                              double, MarketOrder*,
-                                              const ColdSort*);
-  friend BreakpointResult SolveMarketBox(BreakpointWorkspace&, double, double,
-                                         double, double, MarketOrder*);
+  friend struct detail::MarketKernel;
   std::size_t n_ = 0;
   // The market bundle (caller-filled; only the first n_ entries are live).
   std::vector<double> p_;
   std::vector<double> q_;
-  // Solver scratch: unsorted breakpoints and the sort keys. The sweep reads
-  // the sorted market through the keys (p_[idx], q_[idx]), so nothing is
-  // gathered into sorted order.
+  // Solver scratch: unsorted breakpoints and the sort keys (all n sorted,
+  // or the prefix clearing's candidates first). The sweep reads the sorted
+  // market through the keys (p_[idx], q_[idx]), so nothing is gathered into
+  // sorted order.
   std::vector<double> b_;
   std::vector<detail::SortKey> keys_;
   // Radix sort scratch: the ping-pong key buffer and per-digit counts.

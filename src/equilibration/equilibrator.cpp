@@ -314,6 +314,7 @@ SweepStats Sweep(std::size_t markets, const MarketSide& side,
   for (SweepSlot& slot : slots) {
     slot.ops = OpCounts{};
     slot.reuses = 0;
+    slot.prefixes = 0;
     slot.max_change = 0.0;
     slot.seed_noise = false;
   }
@@ -386,6 +387,7 @@ SweepStats Sweep(std::size_t markets, const MarketSide& side,
         attr->RecordSolve(opts.attribution_base + i, res.active_count,
                           res.ops.breakpoints, market_sw.Seconds());
       if (res.order_reused) ++slot.reuses;
+      if (res.prefix) ++slot.prefixes;
       slot.ops += res.ops;
     }
   });
@@ -396,6 +398,7 @@ SweepStats Sweep(std::size_t markets, const MarketSide& side,
   for (const SweepSlot& slot : slots) {
     stats.total_ops += slot.ops;
     stats.order_reuses += slot.reuses;
+    stats.prefix_clearings += slot.prefixes;
     stats.max_change = std::max(stats.max_change, slot.max_change);
     seed_noise |= slot.seed_noise;
   }

@@ -179,6 +179,9 @@ struct SweepStats {
   // breakpoint order this sweep (0 without a sort cache, and on a market's
   // first sweep unless the sweep seeded it).
   std::uint64_t order_reuses = 0;
+  // Markets cleared on the prefix this sweep (docs/KERNELS.md, "Sort only
+  // the prefix the sweep reads"): they neither repair nor store an order.
+  std::uint64_t prefix_clearings = 0;
   // Markets solved this sweep (feeds SeaResult::kernel_markets and the
   // sea.kernel.scalar.markets counter).
   std::uint64_t markets = 0;
@@ -203,6 +206,7 @@ struct alignas(64) SweepSlot {
   std::vector<std::uint8_t> offset_class;
   OpCounts ops;
   std::uint64_t reuses = 0;
+  std::uint64_t prefixes = 0;
   double max_change = 0.0;
   bool seed_noise = false;  // a market's seeding met noise multipliers
 };

@@ -11,12 +11,13 @@
 //     totals). A hit means the byte-identical problem was solved before;
 //     the cached multipliers can be replayed through RecoverPrimal and
 //     re-verified against the request's tolerance with zero iterations.
-//   * nearby tier — FingerprintProblemStructure (totals excluded). A hit
-//     means the same structure was solved with different totals — the
-//     perturbed-repeat pattern of production traffic (re-estimating a
-//     table as fresh marginals arrive). The cached mu warm-starts
-//     DiagonalSea::SolveWarm; perturbed scaling problems re-converge along
-//     nearby dual trajectories, so iterations drop measurably vs. cold.
+//   * nearby tier — FingerprintProblemKeys(p).structure (totals
+//     excluded). A hit means the same structure was solved with different
+//     totals — the perturbed-repeat pattern of production traffic
+//     (re-estimating a table as fresh marginals arrive). The cached mu
+//     warm-starts DiagonalSea::SolveWarm; perturbed scaling problems
+//     re-converge along nearby dual trajectories, so iterations drop
+//     measurably vs. cold.
 //
 // Sharding: entries land in shard (structure_key mod shards), so the exact
 // and nearby lookups of one request touch ONE shard lock, and concurrent

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -196,11 +197,12 @@ TEST(SortPolicies, AllPoliciesBitIdenticalIncludingTies) {
     MarketOrder order;
     const auto ri = SolveMarket(wi, u, v, ColdSort::kInsertion);
     const auto rh = SolveMarket(wh, u, v, ColdSort::kHeapsort);
-    // Twice with the same order: establish, then repair.
+    // Twice with the same order: establish, then repair — or, where few
+    // arcs clear, clear on the prefix both times.
     auto rr = SolveMarket(wr, u, v, &order);
     EXPECT_FALSE(rr.order_reused);
     rr = SolveMarket(wr, u, v, &order);
-    EXPECT_TRUE(rr.order_reused);
+    EXPECT_NE(rr.order_reused, rr.prefix);
 
     EXPECT_EQ(ri.lambda, rh.lambda);  // exact: same total order
     EXPECT_EQ(ri.lambda, rr.lambda);
@@ -241,28 +243,36 @@ TEST(SortPolicies, NoOrderColdSortsByThreshold) {
   // straight insertion at or below it (the forced insertion's comparison
   // count), the radix sort above, which charges kRadixSortOpsPerKey per key
   // whatever the keys. The sweep then adds one comparison per activated
-  // segment (v = 0), and the multiplier is heapsort's.
+  // segment (v = 0), and the multiplier is heapsort's. A total of 20 leaves
+  // few arcs active, so those markets clear on the prefix for fewer
+  // comparisons than the forced insertion's; a total of 1e6 activates
+  // every arc, so the market sorts every key.
   Rng rng(12);
   for (std::size_t n : {kInsertionThreshold / 2, kInsertionThreshold,
                         kInsertionThreshold + 1, 2 * kInsertionThreshold}) {
     std::vector<Arc> arcs(n);
     for (auto& a : arcs) a = {rng.Uniform(-5, 5), rng.Uniform(0.1, 2.0)};
-    BreakpointWorkspace w1, w2, w3;
-    w1.Assign(arcs);
-    w2.Assign(arcs);
-    w3.Assign(arcs);
-    const auto cold = SolveMarket(w1, 20.0, 0.0);
-    const auto insertion = SolveMarket(w2, 20.0, 0.0, ColdSort::kInsertion);
-    const auto heap = SolveMarket(w3, 20.0, 0.0, ColdSort::kHeapsort);
-    EXPECT_EQ(cold.lambda, heap.lambda) << n;
-    EXPECT_EQ(cold.active_count, heap.active_count) << n;
-    EXPECT_FALSE(cold.order_reused) << n;
-    if (n <= kInsertionThreshold) {
-      EXPECT_EQ(cold.ops.comparisons, insertion.ops.comparisons) << n;
-    } else {
-      EXPECT_EQ(cold.ops.comparisons,
-                kRadixSortOpsPerKey * n + cold.active_count)
-          << n;
+    for (double u : {20.0, 1e6}) {
+      BreakpointWorkspace w1, w2, w3;
+      w1.Assign(arcs);
+      w2.Assign(arcs);
+      w3.Assign(arcs);
+      const auto cold = SolveMarket(w1, u, 0.0);
+      const auto insertion = SolveMarket(w2, u, 0.0, ColdSort::kInsertion);
+      const auto heap = SolveMarket(w3, u, 0.0, ColdSort::kHeapsort);
+      EXPECT_EQ(cold.lambda, heap.lambda) << n;
+      EXPECT_EQ(cold.active_count, heap.active_count) << n;
+      EXPECT_FALSE(cold.order_reused) << n;
+      EXPECT_EQ(cold.prefix, u == 20.0) << n;
+      if (cold.prefix) {
+        EXPECT_LT(cold.ops.comparisons, insertion.ops.comparisons) << n;
+      } else if (n <= kInsertionThreshold) {
+        EXPECT_EQ(cold.ops.comparisons, insertion.ops.comparisons) << n;
+      } else {
+        EXPECT_EQ(cold.ops.comparisons,
+                  kRadixSortOpsPerKey * n + cold.active_count)
+            << n;
+      }
     }
   }
 }
@@ -273,39 +283,63 @@ TEST(SortPolicies, RepairOfUnchangedMarketCostsNoInversions) {
   std::vector<Arc> arcs(400);
   for (auto& a : arcs) a = {rng.Uniform(-10, 10), rng.Uniform(0.1, 2.0)};
   ws.Assign(arcs);
-  MarketOrder order;
-  const auto first = SolveMarket(ws, 50.0, 0.0, &order);
-  EXPECT_EQ(first.ops.inversions, 0u);  // established, not repaired
-  const auto second = SolveMarket(ws, 50.0, 0.0, &order);
-  EXPECT_TRUE(second.order_reused);
-  EXPECT_EQ(second.ops.inversions, 0u);  // already sorted: pure verify pass
-  // The repair pass of an in-order array is one comparison per adjacent
-  // pair — far below the cold sort's charge.
-  EXPECT_LT(second.ops.comparisons, first.ops.comparisons);
+  // A total of 50 leaves few of the 400 arcs active: both solves clear on
+  // the prefix and store no order. A total of 5000 activates more than n/4,
+  // so the order is established and repaired.
+  for (double u : {50.0, 5000.0}) {
+    SCOPED_TRACE(u);
+    MarketOrder order;
+    const auto first = SolveMarket(ws, u, 0.0, &order);
+    EXPECT_EQ(first.ops.inversions, 0u);  // established, not repaired
+    const auto second = SolveMarket(ws, u, 0.0, &order);
+    EXPECT_EQ(second.ops.inversions, 0u);  // already sorted: pure verify pass
+    EXPECT_EQ(second.lambda, first.lambda);
+    if (u == 50.0) {
+      EXPECT_TRUE(first.prefix);
+      EXPECT_TRUE(second.prefix);
+      EXPECT_FALSE(second.order_reused);
+      EXPECT_TRUE(order.perm.empty());
+      continue;
+    }
+    EXPECT_FALSE(first.prefix);
+    EXPECT_GT(4 * second.active_count, arcs.size());
+    EXPECT_TRUE(second.order_reused);
+    // The repair pass of an in-order array is one comparison per adjacent
+    // pair — far below the cold sort's charge.
+    EXPECT_LT(second.ops.comparisons, first.ops.comparisons);
+  }
 }
 
 TEST(SortPolicies, RepairTracksDriftingMarket) {
   // Perturb arcs slightly between solves: the order stays nearly sorted, the
   // repair stays cheap, and the result still matches a from-scratch solve.
+  // With a total of 30 few arcs are active and every solve clears on the
+  // prefix; with 3000 more than n/4 are, and every solve repairs.
   Rng rng(14);
-  std::vector<Arc> arcs(200);
-  for (auto& a : arcs) a = {rng.Uniform(-10, 10), rng.Uniform(0.1, 2.0)};
-  BreakpointWorkspace ws;
-  ws.Assign(arcs);
-  MarketOrder order;
-  (void)SolveMarket(ws, 30.0, 0.0, &order);
-  int reused = 0;
-  for (int sweep = 0; sweep < 10; ++sweep) {
-    for (auto& a : arcs) a.p += rng.Uniform(-0.01, 0.01);
+  std::vector<Arc> start(200);
+  for (auto& a : start) a = {rng.Uniform(-10, 10), rng.Uniform(0.1, 2.0)};
+  for (double u : {30.0, 3000.0}) {
+    SCOPED_TRACE(u);
+    std::vector<Arc> arcs = start;
+    BreakpointWorkspace ws;
     ws.Assign(arcs);
-    BreakpointWorkspace fresh;
-    fresh.Assign(arcs);
-    const auto repaired = SolveMarket(ws, 30.0, 0.0, &order);
-    const auto scratch = SolveMarket(fresh, 30.0, 0.0, ColdSort::kHeapsort);
-    reused += repaired.order_reused;
-    EXPECT_EQ(repaired.lambda, scratch.lambda);
+    MarketOrder order;
+    (void)SolveMarket(ws, u, 0.0, &order);
+    int reused = 0, prefixed = 0;
+    for (int sweep = 0; sweep < 10; ++sweep) {
+      for (auto& a : arcs) a.p += rng.Uniform(-0.01, 0.01);
+      ws.Assign(arcs);
+      BreakpointWorkspace fresh;
+      fresh.Assign(arcs);
+      const auto repaired = SolveMarket(ws, u, 0.0, &order);
+      const auto scratch = SolveMarket(fresh, u, 0.0, ColdSort::kHeapsort);
+      reused += repaired.order_reused;
+      prefixed += repaired.prefix;
+      EXPECT_EQ(repaired.lambda, scratch.lambda);
+    }
+    EXPECT_EQ(reused, u == 30.0 ? 0 : 10);
+    EXPECT_EQ(prefixed, u == 30.0 ? 10 : 0);
   }
-  EXPECT_EQ(reused, 10);
 }
 
 TEST(SortPolicies, ChurnedRepairHandsOverToColdSort) {
@@ -314,32 +348,40 @@ TEST(SortPolicies, ChurnedRepairHandsOverToColdSort) {
   // gives up after n*log2(n) of them and cold-sorts the keys afresh. Same
   // bits either way, and the re-established order repairs cheaply on the
   // next solve.
+  // A total of 300 leaves few arcs active, so that market clears on the
+  // prefix, stores no order and has nothing to hand over; a total of 1e6
+  // activates every arc, and the stored order is repaired.
   const std::size_t n = 1000;
-  std::vector<Arc> arcs(n);
-  for (std::size_t j = 0; j < n; ++j) arcs[j] = {double(j), 1.0};
-  BreakpointWorkspace ws, fresh, heap_ws;
-  ws.Assign(arcs);
-  MarketOrder order;
-  (void)SolveMarket(ws, 300.0, 0.0, &order);
-  for (auto& a : arcs) a.p = -a.p;  // reverses every breakpoint
-  ws.Assign(arcs);
-  fresh.Assign(arcs);
-  heap_ws.Assign(arcs);
-  const auto churned = SolveMarket(ws, 300.0, 0.0, &order);
-  const auto cold = SolveMarket(fresh, 300.0, 0.0);
-  const auto heap = SolveMarket(heap_ws, 300.0, 0.0, ColdSort::kHeapsort);
-  EXPECT_FALSE(churned.order_reused);
-  EXPECT_EQ(churned.lambda, heap.lambda);
-  EXPECT_EQ(churned.active_count, heap.active_count);
-  const std::uint64_t budget = n * 10;  // n * bit_width(n)
-  EXPECT_LE(churned.ops.inversions, budget + n);
-  // The hand-over costs the abandoned repair plus one cold sort; finishing
-  // the repair would have taken ~n^2/2 = 500k comparisons.
-  EXPECT_LE(churned.ops.comparisons, cold.ops.comparisons + budget + 2 * n);
-  const auto again = SolveMarket(ws, 300.0, 0.0, &order);
-  EXPECT_TRUE(again.order_reused);
-  EXPECT_EQ(again.ops.inversions, 0u);
-  EXPECT_EQ(again.lambda, heap.lambda);
+  for (double u : {300.0, 1e6}) {
+    SCOPED_TRACE(u);
+    std::vector<Arc> arcs(n);
+    for (std::size_t j = 0; j < n; ++j) arcs[j] = {double(j), 1.0};
+    BreakpointWorkspace ws, fresh, heap_ws;
+    ws.Assign(arcs);
+    MarketOrder order;
+    (void)SolveMarket(ws, u, 0.0, &order);
+    for (auto& a : arcs) a.p = -a.p;  // reverses every breakpoint
+    ws.Assign(arcs);
+    fresh.Assign(arcs);
+    heap_ws.Assign(arcs);
+    const auto churned = SolveMarket(ws, u, 0.0, &order);
+    const auto cold = SolveMarket(fresh, u, 0.0);
+    const auto heap = SolveMarket(heap_ws, u, 0.0, ColdSort::kHeapsort);
+    EXPECT_FALSE(churned.order_reused);
+    EXPECT_EQ(churned.prefix, u == 300.0);
+    EXPECT_EQ(churned.lambda, heap.lambda);
+    EXPECT_EQ(churned.active_count, heap.active_count);
+    const std::uint64_t budget = n * 10;  // n * bit_width(n)
+    EXPECT_LE(churned.ops.inversions, budget + n);
+    // The hand-over costs the abandoned repair plus one cold sort; finishing
+    // the repair would have taken ~n^2/2 = 500k comparisons.
+    EXPECT_LE(churned.ops.comparisons, cold.ops.comparisons + budget + 2 * n);
+    const auto again = SolveMarket(ws, u, 0.0, &order);
+    EXPECT_EQ(again.order_reused, u != 300.0);
+    EXPECT_EQ(again.prefix, u == 300.0);
+    EXPECT_EQ(again.ops.inversions, 0u);
+    EXPECT_EQ(again.lambda, heap.lambda);
+  }
 }
 
 TEST(SortPolicies, ArcCountChangeInvalidatesPersistedOrder) {
@@ -701,7 +743,10 @@ TEST(SortPolicies, LongMarketSortMatchesHeapsort) {
         BreakpointWorkspace wc, wh;
         wc.Assign(arcs);
         wh.Assign(arcs);
+        // A history above n/4 activity sends each solve below to the full
+        // sort, which this test is about; few of these arcs are active.
         MarketOrder order;
+        order.active = static_cast<std::uint32_t>(n);
         const auto cold = SolveMarket(wc, u, v, &order);
         const auto heap = SolveMarket(wh, u, v, ColdSort::kHeapsort);
         EXPECT_TRUE(SameBits(cold.lambda, heap.lambda));
@@ -710,6 +755,7 @@ TEST(SortPolicies, LongMarketSortMatchesHeapsort) {
 
         // A reversed stored order overruns the repair budget and hands over.
         std::reverse(order.perm.begin(), order.perm.end());
+        order.active = static_cast<std::uint32_t>(n);
         const auto churned = SolveMarket(wc, u, v, &order);
         EXPECT_FALSE(churned.order_reused);
         EXPECT_TRUE(SameBits(churned.lambda, heap.lambda));
@@ -938,6 +984,245 @@ TEST(SweepEdges, ZeroTotalReturnsFirstBreakpoint) {
   EXPECT_TRUE(SameBits(r.lambda, -0.0));
   ws.Assign({{4.0, 2.0}});
   EXPECT_TRUE(SameBits(SolveMarket(ws, 0.0, 0.0).lambda, -2.0));
+}
+
+// ---------------------------------------------------------------------------
+// The prefix clearing (docs/KERNELS.md, "Sort only the prefix the sweep
+// reads"): a market of at least kPrefixMinArcs arcs bounds the crossing,
+// sorts only the keys at or below the bound and sweeps them with the
+// smallest left-out breakpoint as the edge after the last. Whatever the
+// path, the clearing must be the forced straight insertion's, bit for bit.
+
+// Arcs of a prefix fixture: breakpoints spread over [-50, 50], or, with
+// `awkward`, AwkwardArcs' finite mix (duplicates, -0.0/+0.0, subnormals)
+// with more ties from snapping breakpoints to integers.
+std::vector<Arc> PrefixArcs(std::size_t n, bool awkward, Rng& rng) {
+  if (awkward) {
+    std::vector<Arc> arcs = AwkwardArcs(n, false, rng);
+    for (Arc& a : arcs)
+      if (rng.Bernoulli(0.3)) a.p = -std::round(-a.p / a.q) * a.q;
+    return arcs;
+  }
+  std::vector<Arc> arcs(n);
+  for (Arc& a : arcs) {
+    a.q = rng.Uniform(0.05, 3.0);
+    a.p = -rng.Uniform(-50.0, 50.0) * a.q;
+  }
+  return arcs;
+}
+
+// The total u that clears the market at a multiplier with `active` arcs
+// active: midway between the active-th and the next sorted breakpoint
+// (below the first for none, above the last for all), against response
+// slope v.
+double TotalFor(const std::vector<Arc>& arcs, std::size_t active, double v) {
+  std::vector<double> b(arcs.size());
+  for (std::size_t j = 0; j < arcs.size(); ++j) b[j] = -arcs[j].p / arcs[j].q;
+  std::sort(b.begin(), b.end());
+  const double lambda =
+      active == 0 ? b.front() - 1.0
+      : active == b.size() ? b.back() + 1.0
+                           : 0.5 * (b[active - 1] + b[active]);
+  return EvaluateSupply(arcs, lambda) - v * lambda;
+}
+
+void ExpectSameClearing(const BreakpointResult& got,
+                        const BreakpointResult& want) {
+  EXPECT_TRUE(SameBits(got.lambda, want.lambda))
+      << got.lambda << " vs " << want.lambda;
+  EXPECT_EQ(got.active_count, want.active_count);
+  EXPECT_EQ(got.feasible, want.feasible);
+}
+
+TEST(PrefixClearing, MatchesForcedInsertionBitForBit) {
+  Rng rng(0x9E1F);
+  std::size_t cleared = 0, tried = 0;
+  // 1000 arcs at n/4 activity keep more candidates than an insertion
+  // sort's kInsertionThreshold, so that market sorts every key.
+  for (std::size_t n : {1u, 31u, 32u, 120u, 127u, 128u, 129u, 500u, 1000u}) {
+    for (bool awkward : {false, true}) {
+      const auto arcs = PrefixArcs(n, awkward, rng);
+      const std::size_t seven = std::max<std::size_t>(1, n * 7 / 100);
+      for (std::size_t active :
+           {std::size_t{0}, std::size_t{1}, seven, n / 4, n}) {
+        if (active > n) continue;
+        for (double v : {0.0, -0.4}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "n=" << n << " awkward=" << awkward
+                       << " active=" << active << " v=" << v);
+          const double u = TotalFor(arcs, active, v);
+          if (v == 0.0 && u < 0.0) continue;  // rounding below a zero total
+          BreakpointWorkspace ws, ref_ws;
+          ws.Assign(arcs);
+          ref_ws.Assign(arcs);
+          const auto want = SolveMarket(ref_ws, u, v, ColdSort::kInsertion);
+          // Without an order, and twice with one (its first clearing, then
+          // the order or activity it left).
+          MarketOrder order;
+          for (MarketOrder* o :
+               {static_cast<MarketOrder*>(nullptr), &order, &order}) {
+            const auto got = SolveMarket(ws, u, v, o);
+            ExpectSameClearing(got, want);
+            EXPECT_FALSE(got.prefix && got.order_reused);
+            if (n < kPrefixMinArcs) {
+              EXPECT_FALSE(got.prefix);
+            }
+            if (got.prefix) {
+              EXPECT_LE(4 * got.active_count, n);
+              EXPECT_LE(got.active_count, kInsertionThreshold);
+            }
+            cleared += got.prefix;
+            ++tried;
+          }
+          // Bounds capped at sorted breakpoints around the crossing: the
+          // prefix then stops short of it (a miss), at it, or past it.
+          std::vector<double> b(n);
+          for (std::size_t j = 0; j < n; ++j) b[j] = -arcs[j].p / arcs[j].q;
+          std::sort(b.begin(), b.end());
+          for (std::size_t k : {std::size_t{0}, active / 2, active, active + 1,
+                                n - 1}) {
+            const double cap = b[std::min(k, n - 1)];
+            ExpectSameClearing(
+                detail::SolveMarket(ws, u, v, nullptr, nullptr, cap), want);
+          }
+        }
+      }
+    }
+  }
+  // The fixtures exercise both paths.
+  EXPECT_GT(cleared, 0u);
+  EXPECT_LT(cleared, tried);
+}
+
+TEST(PrefixClearing, NoCandidatesClearBeforeTheFirstBreakpoint) {
+  // -u/v at or below every breakpoint: with the bound capped there, no key
+  // is a candidate and the market clears against the smallest left-out
+  // breakpoint alone, with every arc idle; the same with -u/v exactly on
+  // the first breakpoint (3 here, arc 1).
+  Rng rng(0x9E20);
+  std::vector<Arc> arcs(64);
+  for (Arc& a : arcs) a = {-rng.Uniform(3.5, 40.0), 1.0};
+  arcs[1] = {-3.0, 1.0};
+  for (double u : {2.0, 3.0}) {
+    SCOPED_TRACE(u);
+    const double v = -1.0;
+    BreakpointWorkspace ws, ref_ws;
+    ws.Assign(arcs);
+    ref_ws.Assign(arcs);
+    const double lam = -u / v;
+    const auto got = detail::SolveMarket(ws, u, v, nullptr, nullptr,
+                                         std::nextafter(lam, -1e300));
+    EXPECT_TRUE(got.prefix);
+    EXPECT_EQ(got.active_count, 0u);
+    ExpectSameClearing(got, SolveMarket(ref_ws, u, v, ColdSort::kInsertion));
+  }
+}
+
+TEST(PrefixClearing, LoweredBoundMissesAndFallsBack) {
+  // A bound capped below the crossing leaves active arcs out of the
+  // candidates: the prefix sweep accepts nowhere, and the market sorts
+  // every key (storing its order) to the same bits.
+  Rng rng(0x9E21);
+  for (std::size_t n : {32u, 120u, 500u}) {
+    for (double v : {0.0, -0.4}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " v=" << v);
+      const auto arcs = PrefixArcs(n, false, rng);
+      const std::size_t active = std::max<std::size_t>(2, n * 7 / 100);
+      const double u = TotalFor(arcs, active, v);
+      std::vector<double> b(n);
+      for (std::size_t j = 0; j < n; ++j) b[j] = -arcs[j].p / arcs[j].q;
+      std::sort(b.begin(), b.end());
+      BreakpointWorkspace ws, ref_ws;
+      ws.Assign(arcs);
+      ref_ws.Assign(arcs);
+      const auto want = SolveMarket(ref_ws, u, v, ColdSort::kInsertion);
+      ASSERT_EQ(want.active_count, active);
+      MarketOrder order;
+      const auto missed = detail::SolveMarket(ws, u, v, &order, nullptr,
+                                              0.5 * (b[0] + b[1]));
+      EXPECT_FALSE(missed.prefix);
+      EXPECT_EQ(order.perm.size(), n);
+      EXPECT_EQ(order.active, active);
+      ExpectSameClearing(missed, want);
+      // Uncapped, the same market clears on the prefix.
+      const auto free = SolveMarket(ws, u, v);
+      EXPECT_TRUE(free.prefix);
+      ExpectSameClearing(free, want);
+    }
+  }
+}
+
+TEST(PrefixClearing, ActivityGate) {
+  // A stored order whose last clearing activated more than n/4 arcs, and a
+  // seeded one that has not cleared yet, go straight to the repair; a
+  // clearing at or below n/4 lets the next solve try the prefix.
+  Rng rng(0x9E22);
+  const std::size_t n = 120;
+  const auto arcs = PrefixArcs(n, false, rng);
+  const double u = TotalFor(arcs, 9, 0.0);
+  BreakpointWorkspace ws;
+  ws.Assign(arcs);
+  MarketOrder order;
+  const auto first = SolveMarket(ws, u, 0.0, &order);
+  EXPECT_TRUE(first.prefix);
+  EXPECT_TRUE(order.perm.empty());
+  EXPECT_EQ(order.active, 9u);
+  // A seed (a stored permutation, no clearing yet) is repaired.
+  MarketOrder seeded;
+  seeded.perm.resize(n);
+  for (std::size_t j = 0; j < n; ++j)
+    seeded.perm[j] = static_cast<std::uint32_t>(j);
+  const auto seed = SolveMarket(ws, u, 0.0, &seeded);
+  EXPECT_FALSE(seed.prefix);
+  EXPECT_TRUE(seed.order_reused);
+  EXPECT_EQ(seeded.active, 9u);
+  // Its next solve, with the activity now known, clears on the prefix.
+  EXPECT_TRUE(SolveMarket(ws, u, 0.0, &seeded).prefix);
+  for (const std::uint32_t activity : {30u, 31u}) {
+    seeded.active = activity;
+    const auto r = SolveMarket(ws, u, 0.0, &seeded);
+    EXPECT_EQ(r.prefix, activity == 30u) << activity;
+    EXPECT_EQ(r.order_reused, activity == 31u) << activity;
+    ExpectSameClearing(r, first);
+  }
+}
+
+TEST(PrefixClearing, NonFiniteArcsBehaveAsTheFullSort) {
+  // A NaN breakpoint is outside KeyLess's order, so that market sorts every
+  // key; infinite ones are in it, and either path clears to the forced
+  // insertion's bits. A solve that breaks down throws on both.
+  Rng rng(0x9E23);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t n : {32u, 120u}) {
+    for (double bad : {nan, -nan, inf, -inf}) {
+      for (double v : {0.0, -0.4}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " p=" << bad << " v=" << v);
+        auto arcs = PrefixArcs(n, false, rng);
+        const double u = TotalFor(arcs, n * 7 / 100, v);
+        arcs[n / 3].p = bad;
+        BreakpointWorkspace ws, ref_ws;
+        ws.Assign(arcs);
+        ref_ws.Assign(arcs);
+        const auto solve = [u, v](BreakpointWorkspace& w, auto... sort) {
+          try {
+            return std::optional(SolveMarket(w, u, v, sort...));
+          } catch (const InternalError&) {
+            return std::optional<BreakpointResult>();
+          }
+        };
+        const auto got = solve(ws);
+        const auto want = solve(ref_ws, ColdSort::kInsertion);
+        ASSERT_EQ(got.has_value(), want.has_value());
+        if (!got) continue;
+        ExpectSameClearing(*got, *want);
+        if (std::isnan(bad)) {
+          EXPECT_FALSE(got->prefix);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -288,37 +288,52 @@ TEST(SweepScheduling, ReuseAcrossSweepsViaCache) {
   const auto slopes = ArcSlopes(RandomPositiveMatrix(m, n, rng, 0.2, 2.0));
   const Vector mu = rng.UniformVector(n, -1.0, 1.0);
   const Vector s0 = rng.UniformVector(m, 5.0, 50.0);
-  MarketSide side;
-  side.mode = TotalsMode::kFixed;
-  side.t0 = s0;
+  // Totals that activate more than n/4 arcs of every market, so its order
+  // is stored and repaired; s0's leave few active, and those markets clear
+  // on the prefix.
+  const Vector s0_high = rng.UniformVector(m, 5000.0, 6000.0);
+  for (const Vector* totals : {&s0, &s0_high}) {
+    const bool high = totals == &s0_high;
+    SCOPED_TRACE(high);
+    MarketSide side;
+    side.mode = TotalsMode::kFixed;
+    side.t0 = *totals;
 
-  // No cache: every market cold-sorts (radix sort, n > threshold).
-  Vector mult_cold(m);
-  std::vector<SweepSlot> scratch;
-  const auto cold_stats =
-      EquilibrateSide(centers, slopes, mu, side, mult_cold, nullptr,
-                      OptionsOn(nullptr, scratch));
+    // No cache: every market cold-sorts (radix sort, n > threshold) or
+    // clears on the prefix.
+    Vector mult_cold(m);
+    std::vector<SweepSlot> scratch;
+    const auto cold_stats =
+        EquilibrateSide(centers, slopes, mu, side, mult_cold, nullptr,
+                        OptionsOn(nullptr, scratch));
 
-  SortOrderCache cache;
-  cache.Reset(m);
-  SweepOptions reuse_opts = OptionsOn(nullptr, scratch);
-  reuse_opts.sort_cache = &cache;
-  Vector mult_reuse(m);
-  auto stats =
-      EquilibrateSide(centers, slopes, mu, side, mult_reuse, nullptr,
-                      reuse_opts);
-  EXPECT_EQ(stats.order_reuses, 0u);  // first sweep establishes the orders
-  stats = EquilibrateSide(centers, slopes, mu, side, mult_reuse, nullptr,
-                          reuse_opts);
-  EXPECT_EQ(stats.order_reuses, static_cast<std::uint64_t>(m));
-  // Repairing an unchanged order is a pure verify pass, one comparison per
-  // adjacent pair, in place of the cold sort's charge; the clearing sweeps
-  // are the same.
-  EXPECT_EQ(stats.total_ops.inversions, 0u);
-  EXPECT_EQ(stats.total_ops.comparisons + m * kRadixSortOpsPerKey * n,
-            cold_stats.total_ops.comparisons + m * (n - 1));
-  for (std::size_t i = 0; i < m; ++i)
-    EXPECT_EQ(mult_cold[i], mult_reuse[i]) << i;
+    SortOrderCache cache;
+    cache.Reset(m);
+    SweepOptions reuse_opts = OptionsOn(nullptr, scratch);
+    reuse_opts.sort_cache = &cache;
+    Vector mult_reuse(m);
+    auto stats =
+        EquilibrateSide(centers, slopes, mu, side, mult_reuse, nullptr,
+                        reuse_opts);
+    EXPECT_EQ(stats.order_reuses, 0u);  // first sweep establishes the orders
+    stats = EquilibrateSide(centers, slopes, mu, side, mult_reuse, nullptr,
+                            reuse_opts);
+    EXPECT_EQ(stats.order_reuses, high ? m : 0u);
+    EXPECT_EQ(stats.prefix_clearings, high ? 0u : m);
+    EXPECT_EQ(stats.total_ops.inversions, 0u);
+    if (high) {
+      // Repairing an unchanged order is a pure verify pass, one comparison
+      // per adjacent pair, in place of the cold sort's charge; the clearing
+      // sweeps are the same.
+      EXPECT_EQ(stats.total_ops.comparisons + m * kRadixSortOpsPerKey * n,
+                cold_stats.total_ops.comparisons + m * (n - 1));
+    } else {
+      // The prefix clearing reads no order: the same work with a cache.
+      EXPECT_EQ(stats.total_ops.comparisons, cold_stats.total_ops.comparisons);
+    }
+    for (std::size_t i = 0; i < m; ++i)
+      EXPECT_EQ(mult_cold[i], mult_reuse[i]) << i;
+  }
 }
 
 TEST(SweepScheduling, ReuseUnderPool) {
@@ -447,14 +462,15 @@ TEST(EquilibrateSide, OrderCacheSweepsBitIdenticalToColdSweeps) {
       DenseMatrix xt_cold(n, m), xt_warm(n, m);
       const SweepOptions cold = OptionsOn(p, scratch);
       SweepOptions warm = cold;
-      std::uint64_t row_reuses = 0, col_reuses = 0;
+      std::uint64_t row_reuses = 0, row_prefix = 0, col_reuses = 0;
       for (int sweep = 0; sweep < 6; ++sweep) {
         EquilibrateSide(centers, slopes, mu_cold, rows, lambda_cold, nullptr,
                         cold);
         warm.sort_cache = &row_orders;
-        row_reuses += EquilibrateSide(centers, slopes, mu_warm, rows,
-                                      lambda_warm, nullptr, warm)
-                          .order_reuses;
+        const SweepStats row_stats = EquilibrateSide(
+            centers, slopes, mu_warm, rows, lambda_warm, nullptr, warm);
+        row_reuses += row_stats.order_reuses;
+        row_prefix += row_stats.prefix_clearings;
         EquilibrateSide(centers_t, slopes_t, lambda_cold, cols, mu_cold,
                         &xt_cold, cold);
         warm.sort_cache = &col_orders;
@@ -474,7 +490,12 @@ TEST(EquilibrateSide, OrderCacheSweepsBitIdenticalToColdSweeps) {
             << tag;
       }
       EXPECT_EQ(col_reuses, 5 * n);  // every sweep after the first
-      EXPECT_GE(row_reuses, 4 * m);  // all but the churned second sweep
+      // All but the churned second sweep repair or clear on the prefix
+      // (interval rows always repair).
+      EXPECT_GE(row_reuses + row_prefix, 4 * m);
+      if (mode == TotalsMode::kInterval) {
+        EXPECT_EQ(row_prefix, 0u);
+      }
     }
   }
 }
