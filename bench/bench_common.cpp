@@ -60,15 +60,13 @@ BenchOptions ParseArgs(int argc, char** argv) {
       opts.progress = true;
     } else if (std::strcmp(argv[i], "--json-truncate") == 0) {
       opts.json_truncate = true;
-    } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      opts.csv_path = argv[++i];
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       opts.json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--profile-json") == 0 && i + 1 < argc) {
       opts.profile_json = argv[++i];
     } else {
       std::cerr << "usage: " << argv[0]
-                << " [--quick] [--progress] [--csv <path>] [--json <path>]"
+                << " [--quick] [--progress] [--json <path>]"
                 << " [--json-truncate] [--profile-json <path>]\n";
       std::exit(2);
     }
@@ -170,7 +168,6 @@ void Finish(const ExperimentLog& log, const BenchOptions& opts,
             const std::string& bench_name) {
   std::cout << '\n';
   log.Print(std::cout);
-  if (!opts.csv_path.empty()) log.AppendCsv(opts.csv_path);
 
   const std::string json_path = opts.json_path.empty()
                                     ? "BENCH_" + bench_name + ".json"

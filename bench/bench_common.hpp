@@ -2,7 +2,6 @@
 //
 // Every bench binary accepts:
 //   --quick              scaled-down sizes (CI smoke; full paper sizes default)
-//   --csv <path>         append paper-vs-measured records to a CSV
 //   --json <path>        machine-readable results (default BENCH_<table>.json)
 //   --json-truncate      start the JSON file fresh instead of appending
 //   --profile-json <path> export the run's phase spans as Chrome trace JSON
@@ -43,7 +42,6 @@ struct BenchOptions {
   bool quick = false;
   bool progress = false;
   bool json_truncate = false;
-  std::string csv_path;
   std::string json_path;     // empty = BENCH_<table>.json in the working dir
   std::string profile_json;  // empty = no Chrome trace export
 };
@@ -60,8 +58,8 @@ void MaybeAttachProgress(const BenchOptions& bench_opts, SeaOptions& opts,
 // protocol line, and the host context.
 void PrintHeader(const std::string& title, const std::string& protocol);
 
-// Prints the log's paper-vs-measured table, appends the CSV if requested,
-// appends one JSONL line to the machine-readable BENCH_<bench_name>.json,
+// Prints the log's paper-vs-measured table, appends one JSONL line to the
+// machine-readable BENCH_<bench_name>.json,
 // prints the run's per-phase profile table (the document's "phases"), and
 // exports the Chrome trace when --profile-json was given.
 void Finish(const ExperimentLog& log, const BenchOptions& opts,

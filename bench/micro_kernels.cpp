@@ -8,7 +8,7 @@
 //    hashing: frame CRC, cache keys, x_fingerprint) that
 //    always run and emit the bench schema v2 JSON (BENCH_micro_kernels.json)
 //    so tools/bench_diff can gate them across PRs. Accepts the standard
-//    bench flags (--quick/--csv/--json/...; see bench_common.hpp).
+//    bench flags (--quick/--json/...; see bench_common.hpp).
 //
 // 2. The original google-benchmark suite (sort paths, row sweeps, pool
 //    regions, dense matvec — the quantities behind the paper's
@@ -589,7 +589,7 @@ void RunAttributionOverhead(const bench::BenchOptions& opts,
 
 // ---------------------------------------------------------------------------
 // The serve request path's hashing (docs/SERVING.md, "What a request
-// costs"): the CRC-32 over a 12x12 request frame (serve_load's shape), both
+// costs"): the CRC-32 over a 12x12 request frame (serve_mix's shape), both
 // warm-cache keys from their one pass, and the reply's x_fingerprint over
 // the 12x12 primal. Each is a mean over fixed reps, best of three rounds.
 

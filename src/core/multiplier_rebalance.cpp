@@ -4,6 +4,7 @@
 #include <numeric>
 #include <vector>
 
+#include "problems/layout.hpp"
 #include "support/check.hpp"
 
 namespace sea {
@@ -41,20 +42,19 @@ class UnionFind {
 
 }  // namespace
 
-std::size_t SupportComponents(const DiagonalProblem& p, const Vector& lambda,
-                              const Vector& mu,
+template <class Matrix>
+std::size_t SupportComponents(const BasicDiagonalProblem<Matrix>& p,
+                              const Vector& lambda, const Vector& mu,
                               std::vector<std::size_t>& component_of) {
   const std::size_t m = p.m(), n = p.n();
   SEA_CHECK(lambda.size() == m && mu.size() == n);
   UnionFind uf(m + n);
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto x0 = p.x0().Row(i);
-    const auto g = p.gamma().Row(i);
-    for (std::size_t j = 0; j < n; ++j) {
-      const double x = x0[j] + (lambda[i] + mu[j]) / (2.0 * g[j]);
-      if (x > 0.0) uf.Union(i, m + j);
-    }
-  }
+  const auto x0 = ArcValues(p.x0());
+  const auto g = ArcValues(p.gamma());
+  ForEachArc(p.x0(), [&](std::size_t i, std::size_t j, std::size_t k) {
+    const double x = x0[k] + (lambda[i] + mu[j]) / (2.0 * g[k]);
+    if (x > 0.0) uf.Union(i, m + j);
+  });
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   component_of.assign(m + n, 0);
   std::vector<std::size_t> root_to_id(m + n, kNone);
@@ -67,8 +67,9 @@ std::size_t SupportComponents(const DiagonalProblem& p, const Vector& lambda,
   return next_id;
 }
 
-RebalanceResult RebalanceMultipliers(const DiagonalProblem& p, Vector& lambda,
-                                     Vector& mu, double bound) {
+template <class Matrix>
+RebalanceResult RebalanceMultipliers(const BasicDiagonalProblem<Matrix>& p,
+                                     Vector& lambda, Vector& mu, double bound) {
   SEA_CHECK_MSG(p.mode() == TotalsMode::kFixed || p.mode() == TotalsMode::kSam,
                 "only the fixed and SAM duals have gauge freedom");
   SEA_CHECK(bound > 0.0);
@@ -100,5 +101,16 @@ RebalanceResult RebalanceMultipliers(const DiagonalProblem& p, Vector& lambda,
     if (needs[comp[m + j]]) mu[j] += shift[comp[m + j]];
   return res;
 }
+
+template std::size_t SupportComponents(const DiagonalProblem&, const Vector&,
+                                       const Vector&,
+                                       std::vector<std::size_t>&);
+template std::size_t SupportComponents(const SparseDiagonalProblem&,
+                                       const Vector&, const Vector&,
+                                       std::vector<std::size_t>&);
+template RebalanceResult RebalanceMultipliers(const DiagonalProblem&, Vector&,
+                                              Vector&, double);
+template RebalanceResult RebalanceMultipliers(const SparseDiagonalProblem&,
+                                              Vector&, Vector&, double);
 
 }  // namespace sea

@@ -26,14 +26,17 @@ struct RebalanceResult {
 
 // Applies the paper's modification in place. Only meaningful for the kFixed
 // and kSam regimes (kElastic has no gauge freedom and is rejected).
-RebalanceResult RebalanceMultipliers(const DiagonalProblem& p, Vector& lambda,
-                                     Vector& mu, double bound);
+template <class Matrix>
+RebalanceResult RebalanceMultipliers(const BasicDiagonalProblem<Matrix>& p,
+                                     Vector& lambda, Vector& mu, double bound);
 
 // Connected components of the support graph at (lambda, mu): returns for
 // every row node (0..m-1) and column node (m..m+n-1) its component id, and
-// the number of components. Exposed for tests and diagnostics.
-std::size_t SupportComponents(const DiagonalProblem& p, const Vector& lambda,
-                              const Vector& mu,
+// the number of components. Only arcs join nodes, so on a sparse problem an
+// off-pattern cell joins nothing. Exposed for tests and diagnostics.
+template <class Matrix>
+std::size_t SupportComponents(const BasicDiagonalProblem<Matrix>& p,
+                              const Vector& lambda, const Vector& mu,
                               std::vector<std::size_t>& component_of);
 
 }  // namespace sea

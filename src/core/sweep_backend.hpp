@@ -10,14 +10,15 @@
 // solve, per-mode MarketSide setup, sweep options and sort caches, both
 // half-steps and their per-worker scratch, the residual measure and its
 // per-market attribution, the kXChange measure, good-iterate save/restore,
-// row-dual snapshot/blend, checkpoint capture/restore of the duals, and,
-// on elastic problems, the Anderson extrapolation of the column duals
+// row-dual snapshot/blend, checkpoint capture/restore of the duals, the
+// fixed and SAM regimes' multiplier rebalance (core/multiplier_rebalance.hpp)
+// and, on elastic problems, the Anderson extrapolation of the column duals
 // under its dual-ascent safeguard (see RowSweep), which reads the dual
-// value the sweeps compute. The dense solver adds only the multiplier
-// rebalance (core/diagonal_sea.cpp).
+// value the sweeps compute.
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -27,6 +28,7 @@
 #include "core/checkpoint.hpp"
 #include "core/extrapolation.hpp"
 #include "core/iteration_engine.hpp"
+#include "core/multiplier_rebalance.hpp"
 #include "core/stopping.hpp"
 #include "obs/market_stats.hpp"
 #include "parallel/parallel_for.hpp"
@@ -36,7 +38,7 @@
 namespace sea {
 
 template <class Matrix>
-class SweepBackend : public SeaIterationBackend {
+class SweepBackend final : public SeaIterationBackend {
  public:
   // x0_t: the column sweep's centers (the column sweep's slopes are the
   // transpose of gamma's). xt_, the primal in the column-sweep layout, is
@@ -260,14 +262,32 @@ class SweepBackend : public SeaIterationBackend {
       lambda_[i] = prev[i] + keep * (lambda_[i] - prev[i]);
   }
 
+  // The paper's Modified Algorithm: keep the dual iterates bounded by
+  // rebalancing multipliers across the support graph's components (a gauge
+  // shift with no effect on the primal trajectory). Only the fixed and SAM
+  // regimes have that gauge freedom.
+  void RebalanceDuals(const SeaOptions& opts) override {
+    if (opts.multiplier_bound > 0.0 && HasGaugeFreedom())
+      RebalanceMultipliers(p_, lambda_, mu_, opts.multiplier_bound);
+  }
+
+  // Rung 3's re-gauge: the same shift, relative to the current dual
+  // magnitude, regardless of the multiplier_bound option.
+  void ForceRebalance() override {
+    if (!HasGaugeFreedom()) return;
+    double max_abs = 0.0;
+    for (double v : lambda_) max_abs = std::max(max_abs, std::abs(v));
+    if (max_abs > 0.0) RebalanceMultipliers(p_, lambda_, mu_, 0.5 * max_abs);
+  }
+
   std::uint64_t CheckCost() const override { return 2 * p_.nnz(); }
 
- protected:
-  Vector& lambda_;
-  Vector& mu_;
-  const BasicDiagonalProblem<Matrix>& p_;
-
  private:
+  bool HasGaugeFreedom() const {
+    return totals_.mode == TotalsMode::kFixed ||
+           totals_.mode == TotalsMode::kSam;
+  }
+
   // Fills rowsum_ with the row sums of the materialized primal xt_, whose
   // rows are the problem's columns: one pass in storage order.
   void AccumulateRowSums() {
@@ -305,6 +325,9 @@ class SweepBackend : public SeaIterationBackend {
     return z + SideTotalsDual(other_side, other);
   }
 
+  Vector& lambda_;
+  Vector& mu_;
+  const BasicDiagonalProblem<Matrix>& p_;
   Matrix xt_;
   Vector rowsum_;
   const TotalsView totals_;

@@ -108,6 +108,7 @@ double MaxAbsChange(std::span<const double> now,
 
 namespace {
 
+using detail::OrderImage;
 using detail::SortKey;
 
 // Strict weak order on sort keys: by breakpoint value, ties broken by
@@ -190,19 +191,9 @@ std::uint64_t Heapsort(std::vector<SortKey>& v) {
   return comparisons;
 }
 
-// Order-preserving bit image of a breakpoint: unsigned order on images is
-// the value order on doubles (NaNs land past the infinities), with -0.0
-// folded into +0.0 so the two tie, as they do under KeyLess.
-inline std::uint64_t RadixImage(double b) {
-  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
-  std::uint64_t u = std::bit_cast<std::uint64_t>(b);
-  if (u == kSign) u = 0;
-  return (u & kSign) != 0 ? ~u : u | kSign;
-}
-
-// Stable LSD radix sort of the keys by RadixImage, in 8-bit digits. The keys
-// must arrive in arc order: stability then breaks ties by arc index, so the
-// result is KeyLess's order. A digit every key shares is skipped. tmp and
+// Stable LSD radix sort of the keys by OrderImage, in 8-bit digits. The
+// keys must arrive in arc order: stability then breaks ties by arc index, so
+// the result is KeyLess's order. A digit every key shares is skipped. tmp and
 // counts are workspace scratch, so a warm workspace sorts without
 // allocating. Requires at least one key; charges kRadixSortOpsPerKey * n
 // comparisons (support/op_counter.hpp).
@@ -214,11 +205,11 @@ std::uint64_t RadixSort(std::vector<SortKey>& keys, std::vector<SortKey>& tmp,
   tmp.resize(n);
   counts.assign(kDigits * kBuckets, 0);
   for (const SortKey& k : keys) {
-    const std::uint64_t image = RadixImage(k.b);
+    const std::uint64_t image = OrderImage(k.b);
     for (std::size_t d = 0; d < kDigits; ++d)
       ++counts[d * kBuckets + ((image >> (8 * d)) & 0xFF)];
   }
-  const std::uint64_t first = RadixImage(keys[0].b);
+  const std::uint64_t first = OrderImage(keys[0].b);
   for (std::size_t d = 0; d < kDigits; ++d) {
     std::uint32_t* offset = counts.data() + d * kBuckets;
     const unsigned shift = static_cast<unsigned>(8 * d);
@@ -230,7 +221,7 @@ std::uint64_t RadixSort(std::vector<SortKey>& keys, std::vector<SortKey>& tmp,
       sum += count;
     }
     for (const SortKey& k : keys)
-      tmp[offset[(RadixImage(k.b) >> shift) & 0xFF]++] = k;
+      tmp[offset[(OrderImage(k.b) >> shift) & 0xFF]++] = k;
     keys.swap(tmp);
   }
   return kRadixSortOpsPerKey * n;

@@ -80,6 +80,7 @@
 // market to the same bits.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -168,6 +169,18 @@ struct InsertionStats {
 InsertionStats InsertionSort(
     std::vector<SortKey>& v,
     std::uint64_t max_shifts = std::numeric_limits<std::uint64_t>::max());
+
+// Order-preserving bit image of a double: unsigned order on images is the
+// value order (NaNs land past the infinities), adjacent doubles differ by
+// one, and -0.0 folds into +0.0 so the two tie, as they do under KeyLess.
+// The radix sort's digits and the order seeding's offset classes are both
+// read from it.
+inline std::uint64_t OrderImage(double b) {
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  std::uint64_t u = std::bit_cast<std::uint64_t>(b);
+  if (u == kSign) u = 0;
+  return (u & kSign) != 0 ? ~u : u | kSign;
+}
 
 }  // namespace detail
 

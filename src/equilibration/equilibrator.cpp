@@ -81,6 +81,8 @@ BreakpointResult EquilibrateMarket(std::span<const double> centers,
 
 namespace {
 
+using detail::OrderImage;
+
 // A sweep's view of the crossing multipliers for seeding (see
 // SortOrderCache). The shared order is sorted by the first market that
 // needs it, so a sweep whose markets are not seedable never sorts.
@@ -133,16 +135,6 @@ class SharedOrder {
   std::vector<std::uint32_t> by_mult_;
 };
 
-// Order-preserving bit image of an offset, as the radix sort's: unsigned
-// order on images is the value order, adjacent doubles differ by one, and
-// -0.0 folds into +0.0 so the two tie, as they do under KeyLess.
-inline std::uint64_t OffsetImage(double o) {
-  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
-  std::uint64_t u = std::bit_cast<std::uint64_t>(o);
-  if (u == kSign) u = 0;
-  return (u & kSign) != 0 ? ~u : u | kSign;
-}
-
 // The distance buckets per class (see kSeedClassUlps): bucket b holds the
 // offsets kClassSteps - b image steps above the class's first, so the
 // buckets run from the largest offset down. An arc's key is its class times
@@ -186,13 +178,13 @@ void ClassifyOffsets(std::span<const double> centers,
       c = classes++;
       oc.rep[c] = o;
       tol[c] = kSeedClassUlps * kEps * std::abs(o);
-      if constexpr (kBuckets) image[c] = OffsetImage(o);
+      if constexpr (kBuckets) image[c] = OrderImage(o);
       oc.reach = std::max(oc.reach, std::abs(o));
       exact &= std::isfinite(o);
     }
     std::uint64_t b = 0;
     if constexpr (kBuckets) {
-      b = image[c] + kClassSteps - OffsetImage(o);
+      b = image[c] + kClassSteps - OrderImage(o);
       exact &= b < kClassBuckets;
       if (b >= kClassBuckets) b = 0;
     }
@@ -237,7 +229,7 @@ void SeedFromOffsets(const OffsetClasses& oc, MarketOrder& order) {
         last = b;
       }
     }
-    const std::uint64_t top = OffsetImage(oc.rep[by_rep[r]]) + kClassSteps;
+    const std::uint64_t top = OrderImage(oc.rep[by_rep[r]]) + kClassSteps;
     if (r > 0 && top - first >= floor) return;  // interleaved
     floor = top - last;
   }

@@ -1,11 +1,6 @@
 #include "io/experiment_record.hpp"
 
-#include <filesystem>
-#include <fstream>
-
-#include "io/csv.hpp"
 #include "io/table_printer.hpp"
-#include "support/check.hpp"
 
 namespace sea {
 
@@ -36,22 +31,6 @@ void ExperimentLog::Print(std::ostream& os) const {
               TablePrinter::Num(r.measured, 4), paper, ratio, r.note});
   }
   t.Print(os);
-}
-
-void ExperimentLog::AppendCsv(const std::string& path) const {
-  const bool exists = std::filesystem::exists(path);
-  std::ofstream f(path, std::ios::app);
-  SEA_CHECK_MSG(f.good(), "cannot open file for append: " + path);
-  if (!exists)
-    f << "experiment,dataset,metric,measured,paper,note\n";
-  for (const auto& r : records_) {
-    f << CsvEscape(r.experiment) << ',' << CsvEscape(r.dataset) << ','
-      << CsvEscape(r.metric) << ',' << r.measured << ',';
-    if (r.paper.has_value()) f << *r.paper;
-    // Free-text field: protocol notes may legitimately contain commas or
-    // quotes, which would shear the row without escaping.
-    f << ',' << CsvEscape(r.note) << '\n';
-  }
 }
 
 }  // namespace sea

@@ -2,8 +2,8 @@
 //
 // Every bench emits one record per table row: the paper's reported value
 // (CPU seconds, speedup, ...) side by side with this build's measurement.
-// Records can be printed as a table and appended to a CSV so EXPERIMENTS.md
-// can be regenerated from bench output.
+// Records are printed as a table here; the bench harness writes them to
+// BENCH_<table>.json (bench/bench_common.hpp), the one machine-readable copy.
 #pragma once
 
 #include <optional>
@@ -35,11 +35,6 @@ class ExperimentLog {
   // Paper-vs-measured table (includes the measured/paper ratio, the number
   // the "shape holds" judgement rests on).
   void Print(std::ostream& os) const;
-
-  // Appends to a CSV (writes the header only if the file does not exist;
-  // repeated appends — same or different logs — share one header). Text
-  // fields are CSV-escaped, so notes may contain commas/quotes.
-  void AppendCsv(const std::string& path) const;
 
  private:
   std::vector<ExperimentRecord> records_;

@@ -1,18 +1,9 @@
 #include "linalg/kernels.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "parallel/thread_pool.hpp"
 #include "support/check.hpp"
 
 namespace sea {
-
-void Axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  SEA_DCHECK(x.size() == y.size());
-  const std::size_t n = x.size();
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
 
 double Dot(std::span<const double> x, std::span<const double> y) {
   SEA_DCHECK(x.size() == y.size());
@@ -31,39 +22,11 @@ double Dot(std::span<const double> x, std::span<const double> y) {
   return (a0 + a1) + (a2 + a3);
 }
 
-double MaxAbs(std::span<const double> x) {
-  double m = 0.0;
-  for (double v : x) m = std::max(m, std::abs(v));
-  return m;
-}
-
-double Norm2(std::span<const double> x) { return std::sqrt(Dot(x, x)); }
-
-double Sum(std::span<const double> x) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  const std::size_t n = x.size();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a0 += x[i];
-    a1 += x[i + 1];
-    a2 += x[i + 2];
-    a3 += x[i + 3];
-  }
-  for (; i < n; ++i) a0 += x[i];
-  return (a0 + a1) + (a2 + a3);
-}
-
 void Gemv(const DenseMatrix& a, std::span<const double> x,
           std::span<double> y) {
   SEA_CHECK(a.cols() == x.size());
   SEA_CHECK(a.rows() == y.size());
   for (std::size_t i = 0; i < a.rows(); ++i) y[i] = Dot(a.Row(i), x);
-}
-
-void Symv(const DenseMatrix& a, std::span<const double> x,
-          std::span<double> y) {
-  SEA_DCHECK(a.rows() == a.cols());
-  Gemv(a, x, y);
 }
 
 void GemvParallel(const DenseMatrix& a, std::span<const double> x,

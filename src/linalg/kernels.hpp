@@ -11,28 +11,11 @@ namespace sea {
 
 class ThreadPool;  // forward declaration (parallel/thread_pool.hpp)
 
-// y <- alpha * x + y
-void Axpy(double alpha, std::span<const double> x, std::span<double> y);
-
 // <x, y>
 double Dot(std::span<const double> x, std::span<const double> y);
 
-// max_i |x_i|
-double MaxAbs(std::span<const double> x);
-
-// sqrt(sum x_i^2)
-double Norm2(std::span<const double> x);
-
-// sum of entries
-double Sum(std::span<const double> x);
-
 // y <- A x  (general dense, row-major)
 void Gemv(const DenseMatrix& a, std::span<const double> x, std::span<double> y);
-
-// y <- A x for symmetric A; same as Gemv but kept as a distinct entry point so
-// the call sites document the symmetry contract (and to allow a packed
-// implementation later without touching callers).
-void Symv(const DenseMatrix& a, std::span<const double> x, std::span<double> y);
 
 // Parallel y <- A x over a thread pool (rows partitioned across workers).
 // Falls back to the serial kernel when pool is null or has a single thread.

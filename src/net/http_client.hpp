@@ -26,7 +26,7 @@ FetchResult HttpGet(const std::string& host, std::uint16_t port,
                     const std::string& target, double timeout_seconds = 5.0);
 
 // POST `body` to http://`host`:`port``target` with the given
-// Content-Type. Used by serve_load and the serve tests to submit solve
+// Content-Type. Used by perfbench and the serve tests to submit solve
 // frames; same transport rules as HttpGet.
 FetchResult HttpPost(const std::string& host, std::uint16_t port,
                      const std::string& target, const std::string& body,

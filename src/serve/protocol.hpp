@@ -78,7 +78,7 @@ struct DecodedRequest {
   bool ok() const { return error.empty(); }
 };
 
-// Binary frame codec. Encode is used by clients (serve_load, tests);
+// Binary frame codec. Encode is used by clients (perfbench, tests);
 // Decode by the daemon.
 std::string EncodeRequestFrame(const SolveRequest& request);
 DecodedRequest DecodeRequestFrame(std::string_view bytes);

@@ -87,7 +87,6 @@ class SolveService {
   static std::string RenderReplyJson(const ServeOutcome& outcome,
                                      bool want_multipliers);
 
-  WarmCacheStats CacheStats() const { return cache_->Stats(); }
   std::uint64_t requests() const {
     return requests_.load(std::memory_order_relaxed);
   }

@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace sea::support {
 
@@ -29,11 +28,6 @@ class Fnv1a {
   void MixDoubles(std::span<const double> v) {
     MixU64(v.size());
     MixBytes(v.data(), v.size() * sizeof(double));
-  }
-
-  void MixSizes(const std::vector<std::size_t>& v) {
-    MixU64(v.size());
-    for (std::size_t s : v) MixU64(static_cast<std::uint64_t>(s));
   }
 
   std::uint64_t value() const { return h_; }

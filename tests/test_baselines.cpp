@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "baselines/bachem_korte.hpp"
@@ -7,7 +8,6 @@
 #include "baselines/rc_algorithm.hpp"
 #include "core/general_sea.hpp"
 #include "datasets/general_dense.hpp"
-#include "linalg/kernels.hpp"
 #include "problems/feasibility.hpp"
 #include "support/rng.hpp"
 
@@ -37,7 +37,8 @@ TEST(Rc, AgreesWithGeneralSea) {
                 1e-3 * std::max(1.0, std::abs(sea_run.result.objective)))
         << size;
     EXPECT_LT(rc_run.solution.x.MaxAbsDiff(sea_run.solution.x),
-              1e-2 * std::max(1.0, MaxAbs(sea_run.solution.x.Flat())));
+              1e-2 * std::max(1.0,
+                              std::ranges::max(sea_run.solution.x.Flat())));
   }
 }
 

@@ -1,6 +1,6 @@
 // MeasureScaling, the measured-speedup harness behind Tables 6 and 9: the
 // medians and ratios it reports, the pools it hands the solve, and the runs
-// it refuses to time.
+// it refuses to time. Also BenchJson, the one machine-readable bench record.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "obs/bench_reader.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace sea::bench {
@@ -176,6 +177,34 @@ TEST(MeasureScaling, OtherSolutionLengthFails) {
   TablePrinter table = ScalingTable();
   ExperimentLog log;
   EXPECT_FALSE(MeasureScaling("t", "ex", {}, shorter, table, log));
+}
+
+// Every record field survives BenchJson -> ParseBenchDoc, including a free
+// text note holding commas and quotes and a record with no paper value.
+TEST(BenchJson, RecordsRoundTripThroughTheReader) {
+  ExperimentLog log;
+  const std::string note = "paper says \"fast\", we measure slower";
+  log.Add("table1", "d,with,commas", "cpu_seconds", 12.5, 483.2065, note);
+  log.Add("table3", "S2000", "cpu_seconds", 1.0);
+  BenchOptions opts;
+  opts.quick = true;
+
+  const obs::BenchDoc doc =
+      obs::ParseBenchDoc(BenchJson(log, opts, "table_test"));
+  EXPECT_EQ(doc.meta.strings.at("bench"), "table_test");
+  ASSERT_EQ(doc.records.size(), 2u);
+  const obs::BenchRecord& first = doc.records[0];
+  EXPECT_EQ(first.experiment, "table1");
+  EXPECT_EQ(first.dataset, "d,with,commas");
+  EXPECT_EQ(first.metric, "cpu_seconds");
+  EXPECT_EQ(first.measured, 12.5);
+  ASSERT_TRUE(first.paper.has_value());
+  EXPECT_EQ(*first.paper, 483.2065);
+  EXPECT_EQ(first.note, note);
+  const obs::BenchRecord& second = doc.records[1];
+  EXPECT_EQ(second.experiment, "table3");
+  EXPECT_FALSE(second.paper.has_value());
+  EXPECT_EQ(second.note, "");
 }
 
 }  // namespace

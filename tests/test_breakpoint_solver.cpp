@@ -484,6 +484,36 @@ StageRow RandomStageRow(std::size_t n, Rng& rng) {
   return row;
 }
 
+// The one bit image behind the radix digits and the offset classes: its
+// unsigned order is the value order, adjacent doubles of one sign map to
+// adjacent images, and the two zeros tie.
+TEST(KernelStages, OrderImageFollowsValueOrder) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> ascending = {
+      -kInf, -kMax, -1.5, -1.0, -std::numeric_limits<double>::min(), -kTiny,
+      0.0,   kTiny, std::numeric_limits<double>::min(), 1.0, 1.5, kMax, kInf};
+  for (std::size_t i = 1; i < ascending.size(); ++i)
+    EXPECT_LT(detail::OrderImage(ascending[i - 1]),
+              detail::OrderImage(ascending[i]))
+        << ascending[i - 1] << " vs " << ascending[i];
+  EXPECT_EQ(detail::OrderImage(-0.0), detail::OrderImage(0.0));
+  EXPECT_GT(detail::OrderImage(std::numeric_limits<double>::quiet_NaN()),
+            detail::OrderImage(kInf));
+  for (const double x : {-kMax, -1.0, -2.0 * kTiny, kTiny, 1.0, 1e300}) {
+    EXPECT_EQ(detail::OrderImage(std::nextafter(x, kInf)),
+              detail::OrderImage(x) + 1)
+        << x;
+  }
+  Rng rng(0x0D1A);
+  for (int t = 0; t < 1000; ++t) {
+    const double a = rng.Uniform(-1e3, 1e3), b = rng.Uniform(-1e3, 1e3);
+    EXPECT_EQ(a < b, detail::OrderImage(a) < detail::OrderImage(b))
+        << a << " vs " << b;
+  }
+}
+
 TEST(KernelStages, BuildArcsFollowsFormula) {
   Rng rng(0xE1E3);
   for (std::size_t n : kStageSizes) {

@@ -2,12 +2,12 @@
 // equilibration family.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "baselines/ras.hpp"
 #include "core/diagonal_sea.hpp"
 #include "datasets/weights.hpp"
-#include "linalg/kernels.hpp"
 #include "entropy/entropy_sea.hpp"
 #include "problems/feasibility.hpp"
 #include "support/rng.hpp"
@@ -69,7 +69,7 @@ TEST(EntropySea, MatchesRasTrajectoryExactly) {
     ASSERT_TRUE(ent.result.converged());
     ASSERT_EQ(ras.status, RasStatus::kConverged);
     EXPECT_LT(ent.x.MaxAbsDiff(ras.x),
-              1e-6 * std::max(1.0, MaxAbs(ras.x.Flat())));
+              1e-6 * std::max(1.0, std::ranges::max(ras.x.Flat())));
   }
 }
 

@@ -44,15 +44,21 @@ TEST(TablePrinter, RejectsRaggedRows) {
 
 TEST(Csv, RoundTripWithQuoting) {
   const std::string path = TempPath("sea_test_quoting.csv");
+  // The last row's note holds both commas and quotes, as free text may.
+  const std::string note = "paper says \"fast\", we measure slower";
   WriteCsv(path, {"name", "note"},
            {{"a", "plain"},
             {"b", "has,comma"},
-            {"c", "has \"quotes\""}});
+            {"c", "has \"quotes\""},
+            {"d,with,commas", note}});
   const auto rows = ReadCsv(path);
-  ASSERT_EQ(rows.size(), 4u);
+  ASSERT_EQ(rows.size(), 5u);
   EXPECT_EQ(rows[0][1], "note");
   EXPECT_EQ(rows[2][1], "has,comma");
   EXPECT_EQ(rows[3][1], "has \"quotes\"");
+  ASSERT_EQ(rows[4].size(), 2u);  // the note did not shear the row
+  EXPECT_EQ(rows[4][0], "d,with,commas");
+  EXPECT_EQ(rows[4][1], note);
   std::remove(path.c_str());
 }
 
@@ -176,52 +182,6 @@ TEST(ExperimentLog, HandlesMissingPaperValue) {
   std::ostringstream os;
   log.Print(os);
   EXPECT_NE(os.str().find('-'), std::string::npos);
-}
-
-TEST(ExperimentLog, AppendCsvWritesHeaderOnce) {
-  const std::string path = TempPath("sea_test_explog.csv");
-  std::remove(path.c_str());
-  ExperimentLog log;
-  log.Add("t", "d", "m", 1.0, 2.0);
-  log.AppendCsv(path);
-  log.AppendCsv(path);
-  const auto rows = ReadCsv(path);
-  ASSERT_EQ(rows.size(), 3u);  // header + 2 data rows
-  EXPECT_EQ(rows[0][0], "experiment");
-  std::remove(path.c_str());
-}
-
-TEST(ExperimentLog, AppendCsvHeaderOnceAcrossSeparateLogs) {
-  // Two distinct logs appending to one file (how successive bench binaries
-  // share results.csv) must produce a single header.
-  const std::string path = TempPath("sea_test_explog_two.csv");
-  std::remove(path.c_str());
-  ExperimentLog first, second;
-  first.Add("t1", "d", "m", 1.0);
-  second.Add("t2", "d", "m", 2.0);
-  first.AppendCsv(path);
-  second.AppendCsv(path);
-  const auto rows = ReadCsv(path);
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[0][0], "experiment");
-  EXPECT_EQ(rows[1][0], "t1");
-  EXPECT_EQ(rows[2][0], "t2");
-  std::remove(path.c_str());
-}
-
-TEST(ExperimentLog, AppendCsvEscapesNoteField) {
-  const std::string path = TempPath("sea_test_explog_note.csv");
-  std::remove(path.c_str());
-  ExperimentLog log;
-  const std::string note = "paper says \"fast\", we measure slower";
-  log.Add("t", "d,with,commas", "m", 1.0, std::nullopt, note);
-  log.AppendCsv(path);
-  const auto rows = ReadCsv(path);
-  ASSERT_EQ(rows.size(), 2u);
-  ASSERT_EQ(rows[1].size(), 6u);  // the note did not shear the row
-  EXPECT_EQ(rows[1][1], "d,with,commas");
-  EXPECT_EQ(rows[1][5], note);
-  std::remove(path.c_str());
 }
 
 TEST(Csv, EscapeQuotesOnlyWhenNeeded) {

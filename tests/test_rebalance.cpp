@@ -62,6 +62,91 @@ TEST(SupportComponents, FullyDenseIsOneComponent) {
   EXPECT_EQ(SupportComponents(p, Vector(3, 0.0), Vector(5, 0.0), comp), 1u);
 }
 
+TEST(SupportComponents, OffPatternCellJoinsNothing) {
+  // Every cell's x0 is positive, so at lambda = mu = 0 the dense support is
+  // one component. The pattern keeps only the two diagonal 2x2 blocks: the
+  // cells off it are not arcs and join no row to a column.
+  DenseMatrix x0(4, 4, 2.0);
+  const auto p = DiagonalProblem::MakeFixed(x0, DenseMatrix(4, 4, 1.0),
+                                            x0.RowSums(), x0.ColSums());
+  std::vector<SparseMatrix::Triplet> cells, weights;
+  for (std::size_t b = 0; b < 4; b += 2)
+    for (std::size_t i = b; i < b + 2; ++i)
+      for (std::size_t j = b; j < b + 2; ++j) {
+        cells.push_back({i, j, 2.0});
+        weights.push_back({i, j, 1.0});
+      }
+  const SparseMatrix sx0 = SparseMatrix::FromTriplets(4, 4, cells);
+  const auto sp = SparseDiagonalProblem::MakeFixed(
+      sx0, SparseMatrix::FromTriplets(4, 4, weights), sx0.RowSums(),
+      sx0.ColSums());
+  std::vector<std::size_t> comp;
+  EXPECT_EQ(SupportComponents(p, Vector(4, 0.0), Vector(4, 0.0), comp), 1u);
+  ASSERT_EQ(SupportComponents(sp, Vector(4, 0.0), Vector(4, 0.0), comp), 2u);
+  EXPECT_EQ(comp[0], comp[5]);  // row 0 and column 1 share a block
+  EXPECT_NE(comp[0], comp[6]);  // row 0 and column 2 do not
+  EXPECT_EQ(comp[2], comp[7]);
+}
+
+TEST(Rebalance, FullPatternSparseMatchesDenseBitForBit) {
+  // Multipliers large enough to cut the support graph into several
+  // components; on a full pattern the sparse walk visits the same arcs in
+  // the same order, so it finds the same components and the same shifts.
+  Rng rng(5);
+  const DenseMatrix x0 = Fill(6, 7, rng, 1.0, 5.0);
+  const DenseMatrix gamma = Fill(6, 7, rng, 0.5, 2.0);
+  const auto dense =
+      DiagonalProblem::MakeFixed(x0, gamma, x0.RowSums(), x0.ColSums());
+  const auto sparse = SparseDiagonalProblem::MakeFixed(
+      SparseMatrix::FromDense(x0), SparseMatrix::FromDense(gamma),
+      x0.RowSums(), x0.ColSums());
+  const Vector lambda0 = rng.UniformVector(6, -40.0, 40.0);
+  const Vector mu0 = rng.UniformVector(7, -40.0, 40.0);
+
+  std::vector<std::size_t> comp_d, comp_s;
+  const std::size_t n_comp = SupportComponents(dense, lambda0, mu0, comp_d);
+  EXPECT_GT(n_comp, 1u);
+  EXPECT_EQ(SupportComponents(sparse, lambda0, mu0, comp_s), n_comp);
+  EXPECT_EQ(comp_s, comp_d);
+
+  Vector lambda_d = lambda0, mu_d = mu0, lambda_s = lambda0, mu_s = mu0;
+  const auto res_d = RebalanceMultipliers(dense, lambda_d, mu_d, 10.0);
+  const auto res_s = RebalanceMultipliers(sparse, lambda_s, mu_s, 10.0);
+  EXPECT_GT(res_d.shifted_components, 0u);
+  EXPECT_EQ(res_s.shifted_components, res_d.shifted_components);
+  EXPECT_EQ(lambda_s, lambda_d);
+  EXPECT_EQ(mu_s, mu_d);
+}
+
+TEST(Rebalance, SparseSolverHonoursMultiplierBound) {
+  // The bound changes a fixed solve's trajectory, and a full-pattern sparse
+  // solve follows the dense one bit for bit with it as without it.
+  Rng rng(6);
+  const DenseMatrix x0 = Fill(8, 10, rng, 0.1, 30.0);
+  const DenseMatrix gamma = Fill(8, 10, rng, 0.05, 2.0);
+  Vector s0 = x0.RowSums(), d0 = x0.ColSums();
+  for (double& v : s0) v *= 1.4;
+  for (double& v : d0) v *= 1.4;
+  const auto dense = DiagonalProblem::MakeFixed(x0, gamma, s0, d0);
+  const auto sparse = SparseDiagonalProblem::MakeFixed(
+      SparseMatrix::FromDense(x0), SparseMatrix::FromDense(gamma), s0, d0);
+  SeaOptions o;
+  o.epsilon = 1e-9;
+  o.criterion = StopCriterion::kResidualAbs;
+  o.multiplier_bound = 5.0;
+  const auto run_d = SolveDiagonal(dense, o);
+  const auto run_s = SolveSparse(sparse, o);
+  ASSERT_TRUE(run_d.result.converged());
+  EXPECT_EQ(run_s.result.iterations, run_d.result.iterations);
+  EXPECT_EQ(run_s.solution.lambda, run_d.solution.lambda);
+  EXPECT_EQ(run_s.solution.mu, run_d.solution.mu);
+
+  o.multiplier_bound = 0.0;
+  const auto plain = SolveSparse(sparse, o);
+  ASSERT_TRUE(plain.result.converged());
+  EXPECT_NE(run_s.solution.lambda, plain.solution.lambda);
+}
+
 TEST(Rebalance, ShiftPreservesPrimalWithinComponents) {
   const auto p = TwoBlockProblem();
   // Give block 1's rows a large multiplier, balanced by the block's columns

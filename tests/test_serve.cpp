@@ -126,7 +126,7 @@ TEST(ServeProtocol, BinaryFrameRoundTripsEveryMode) {
 }
 
 TEST(ServeProtocol, FrameTrailerIsPinned) {
-  // The CRC trailer of a 12x12 request frame (about 2.6 KB, serve_load's
+  // The CRC trailer of a 12x12 request frame (about 2.6 KB, serve_mix's
   // shape), as earlier releases wrote it: frames stay interchangeable
   // across builds only while the checksum and byte stream hold.
   const std::string frame =
